@@ -355,6 +355,9 @@ def bench_sweep(quick: bool, trials: int | None = None,
     )
 
     total_trials = trials * len(SWEEP_PROTOCOLS)
+    # One core runs the pool's workers one after another: the ratio would
+    # be pool overhead (~1.0x), not a speedup, so it is not reported as one.
+    measurable = (os.cpu_count() or 1) >= 2
     return {
         "protocols": list(SWEEP_PROTOCOLS),
         "trials_per_protocol": trials,
@@ -364,7 +367,9 @@ def bench_sweep(quick: bool, trials: int | None = None,
         "parallel_seconds": round(parallel_seconds, 4),
         "serial_trials_per_sec": round(total_trials / serial_seconds, 1),
         "parallel_trials_per_sec": round(total_trials / parallel_seconds, 1),
-        "speedup": round(serial_seconds / parallel_seconds, 2),
+        "speedup": (
+            round(serial_seconds / parallel_seconds, 2) if measurable else "not measured"
+        ),
         "identical_results": True,
     }
 
@@ -974,8 +979,12 @@ def bench_obs(quick: bool) -> dict:
     )
     assert '"events"' not in disabled_payload and '"elapsed_s"' not in disabled_payload
 
-    # Verdict gate: observing must not change what the run computes.
+    # Verdict gate: observing must not change what the run computes.  The
+    # per-phase host seconds ride in ``trial.obs`` only — unlike
+    # ``elapsed_s`` they are never serialized, so there is nothing to strip
+    # and the equality below fails if they ever leak into ``to_dict()``.
     observed_payload = enabled_result.to_dict()
+    assert all("phases_s" in trial.obs for trial in enabled_result.trials)
     for trial in observed_payload["trials"]:
         trial.pop("events", None)
         trial.pop("elapsed_s", None)
@@ -1170,9 +1179,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"checker   : {checker['bitmask_histories_per_sec']:>10,} histories/sec "
           f"bitmask vs {checker['reference_histories_per_sec']:,} reference "
           f"({checker['speedup']}x, verdicts equal)")
+    speedup = swept["speedup"]
     print(f"sweep     : {swept['serial_trials_per_sec']:>10,} trials/sec serial, "
           f"{swept['parallel_trials_per_sec']:,} parallel "
-          f"({swept['speedup']}x on {swept['workers']} worker(s) / "
+          f"({speedup if isinstance(speedup, str) else f'{speedup}x'} "
+          f"on {swept['workers']} worker(s) / "
           f"{report['cpu_count']} CPU(s), identical results)")
     sharded = report["sharded"]
     print(f"sharded   : {sharded['events_per_sec']:>10,} events/sec over "

@@ -450,6 +450,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for trial in result.trials
             for span in trial.obs["spans"]
         ]))
+        phases: dict[str, float] = {}
+        for trial in result.trials:
+            for name, seconds in trial.obs["phases_s"].items():
+                phases[name] = phases.get(name, 0.0) + seconds
+        print("host seconds by phase: "
+              + ", ".join(f"{name} {seconds:.4f}" for name, seconds in phases.items()))
     print(result.render())
     if not result.ok:
         for trial, verdict in result.failures():

@@ -5,6 +5,12 @@ The paper's complexity metric is communication round-trips per operation.
 reports, per operation kind, the worst/mean rounds used — cross-checked
 against the wire (the message trace) so the engine cannot misreport its own
 round count.
+
+Cost: the cross-check reads the wire trace once per run (one fold into an
+int per operation, then one dict lookup per completed operation), so the
+accounting is linear in run length and a small share of a trial — the
+engine's drain is where a trial's time goes.  ``tests/test_accounting.py``
+counts the passes over the trace so a per-operation rescan cannot return.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ class LatencyReport:
     #: duration is not and never enters byte-compared dumps).
     events: int = 0
     elapsed_s: float = 0.0
+    #: Wall-clock seconds of the layers :func:`measure_backend_latency`
+    #: spans — ``schedule``, ``drain`` (= ``elapsed_s``), ``account`` — for
+    #: the per-trial phase ledger; host time, never byte-compared.
+    phases_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def worst_write(self) -> int:
@@ -66,14 +76,21 @@ class LatencyReport:
 
 
 def _account_rounds(simulator, trace, report: LatencyReport, verify_against_wire: bool) -> None:
-    """Fold every executed operation's round count into ``report``."""
+    """Fold every executed operation's round count into ``report``.
+
+    The wire is read once, whatever the number of operations:
+    :meth:`~repro.sim.tracing.MessageTrace.round_trip_counts` folds the
+    trace into one int per operation and each completed operation is then
+    compared against its entry.
+    """
+    on_wire_by_op = trace.round_trip_counts() if verify_against_wire else {}
     for operation in simulator.operations:
         if operation.status is not OperationStatus.COMPLETE:
             report.incomplete += 1
             continue
         rounds = operation.rounds_used
         if verify_against_wire:
-            on_wire = trace.round_trip_count(operation.op_id)
+            on_wire = on_wire_by_op.get(operation.op_id, 0)
             if on_wire != rounds:
                 raise SpecificationError(
                     f"engine counted {rounds} rounds for {operation.op_id} "
@@ -114,13 +131,19 @@ def measure_backend_latency(
     is the same wire-cross-checked rounds-per-operation fold as
     :func:`measure_latency`.
     """
+    started = time.perf_counter()
     for plan in plans:
         backend.schedule(plan)
-    started = time.perf_counter()
+    scheduled = time.perf_counter()
     events = backend.run()
-    elapsed = time.perf_counter() - started
+    drained = time.perf_counter()
     report = LatencyReport(protocol=backend.label, scenario=scenario)
     report.events = events
-    report.elapsed_s = elapsed
+    report.elapsed_s = drained - scheduled
     _account_rounds(backend.simulator, backend.trace, report, verify_against_wire)
+    report.phases_s = {
+        "schedule": scheduled - started,
+        "drain": report.elapsed_s,
+        "account": time.perf_counter() - drained,
+    }
     return report

@@ -47,6 +47,7 @@ from __future__ import annotations
 import copy
 import pickle
 import statistics
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -151,7 +152,10 @@ class TrialResult:
     #: Observability payload (``None`` unless the trial ran with
     #: ``observe=True``): ``spans``/``metrics`` are deterministic plain
     #: data (see :mod:`repro.obs`), ``events``/``elapsed_s`` surface the
-    #: executed-event count and wall-clock duration in to_dict.
+    #: executed-event count and wall-clock drain duration in to_dict, and
+    #: ``phases_s`` maps each fixed layer of the trial (build, plan,
+    #: schedule, drain, account, freeze, check, meter, derive) to its
+    #: wall-clock seconds — host time, kept out of to_dict and every dump.
     obs: dict[str, Any] | None = None
 
     @property
@@ -580,6 +584,10 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
     # outside the trial keeps allocating fresh ids.  (The restart is also
     # what makes plan-addressed schedules well-defined: plan k ⇒ serial k.)
     with scoped_operation_serials():
+        # Wall-clock marks around the trial's fixed layers; they surface
+        # only in an observed trial's ``obs["phases_s"]``.
+        tick = time.perf_counter
+        started = tick()
         behaviors = _materialize_behaviors(
             spec.scenario, spec.fault_groups, spec.t, spec.allow_overfault
         )
@@ -589,9 +597,15 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
             behaviors,
             resolve_trial_policy(spec.scenario, spec.t, spec.schedule),
         )
-        report = measure_backend_latency(backend, spec.plans(), scenario=spec.scenario_label)
+        built = tick()
+        plans = spec.plans()
+        planned = tick()
+        report = measure_backend_latency(backend, plans, scenario=spec.scenario_label)
+        accounted = tick()
         histories = backend.histories()
+        frozen = tick()
         verdicts = {name: run_check(name, histories) for name in spec.checks}
+        checked = tick()
         storage = None
         if spec.durability != "none":
             # Meter the durable journals once the trial is quiescent; the
@@ -605,12 +619,14 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
             # function of the recorded histories, so it shares their
             # engine/parallel byte-identity.
             staleness = staleness_distribution(histories)
+        metered = tick()
         obs = None
         if spec.observe:
             # Derive spans and metrics from the engine's bookkeeping, after
-            # the run.  Everything except elapsed_s is a pure function of
-            # the spec — byte-identical across engines and serial/parallel
-            # execution — and elapsed_s never enters byte-compared dumps.
+            # the run.  Everything except elapsed_s and phases_s is a pure
+            # function of the spec — byte-identical across engines and
+            # serial/parallel execution — and neither of the two enters
+            # span/metric dumps; phases_s stays out of to_dict() as well.
             from repro.obs import derive_metrics, derive_spans
 
             spans = derive_spans(backend.simulator, backend.trace)
@@ -619,18 +635,29 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
                 lag_samples = [
                     s for s in read_staleness(backend.history()) if s is not None
                 ]
+            metrics = derive_metrics(
+                spans,
+                backend.trace,
+                events=report.events,
+                staleness=lag_samples,
+            )
+            phases = {
+                "build": built - started,
+                "plan": planned - built,
+                **report.phases_s,
+                "freeze": frozen - accounted,
+                "check": checked - frozen,
+                "meter": metered - checked,
+                "derive": tick() - metered,
+            }
             obs = {
                 "spans": spans,
-                "metrics": derive_metrics(
-                    spans,
-                    backend.trace,
-                    events=report.events,
-                    staleness=lag_samples,
-                ),
+                "metrics": metrics,
                 "events": report.events,
                 "elapsed_s": round(report.elapsed_s, 6),
+                "phases_s": {name: round(s, 6) for name, s in phases.items()},
             }
-        return TrialResult(
+        result = TrialResult(
             trial=spec.trial,
             seed=spec.recorded_seed,
             write_rounds=list(report.write_rounds),
@@ -644,6 +671,11 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
             staleness=staleness,
             obs=obs,
         )
+        if not spec.keep_trace:
+            # Nobody asked for the wire log: free it now instead of leaving
+            # it on the backend's reference cycle for the cyclic collector.
+            backend.trace.clear()
+        return result
 
 
 def run_trial(spec: TrialSpec) -> TrialResult:

@@ -29,7 +29,8 @@ Section 5 relies on.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from repro.errors import ProtocolError
 from repro.sim.network import Message
@@ -54,23 +55,41 @@ class MultiplexObjectHandler(ObjectHandler):
         if message.tag != MULTI:
             return {"error": f"expected {MULTI}, got {message.tag}"}
         calls = message.payload.get("calls")
-        if not isinstance(calls, Mapping):
+        if not _is_mapping(calls):
             return {"error": "malformed MULTI payload"}
         registers: dict[str, Any] = state.setdefault("registers", {})
+        inner = self.inner
+        handle = inner.handle
+        # One carrier message per delivery, re-pointed at each inner call:
+        # handlers read the message while they run and never keep it.
+        inner_message = Message(
+            src=message.src,
+            dst=message.dst,
+            op=message.op,
+            round_no=message.round_no,
+            tag=MULTI,
+            payload=message.payload,
+        )
         replies: dict[str, Mapping[str, Any]] = {}
         for name in sorted(calls):
             call = calls[name]
-            register_state = registers.setdefault(name, self.inner.initial_state())
-            inner_message = Message(
-                src=message.src,
-                dst=message.dst,
-                op=message.op,
-                round_no=message.round_no,
-                tag=str(call["tag"]),
-                payload=call["payload"],
-            )
-            replies[name] = self.inner.handle(register_state, inner_message)
+            register_state = registers.get(name)
+            if register_state is None:
+                register_state = registers[name] = inner.initial_state()
+            inner_message.tag = str(call["tag"])
+            inner_message.payload = call["payload"]
+            replies[name] = handle(register_state, inner_message)
         return {"calls": replies}
+
+
+def _is_mapping(value: Any) -> bool:
+    """``isinstance(value, Mapping)`` with the per-message case short-cut.
+
+    Every payload a correct process builds is a plain ``dict``; the abstract
+    check only runs for what is left, which is where a Byzantine object's
+    malformed payload (a string, a list, ``None``) gets rejected.
+    """
+    return value.__class__ is dict or isinstance(value, Mapping)
 
 
 def _flatten_spec(prefix: str, spec: RoundSpec) -> dict[str, dict[str, Any]]:
@@ -86,25 +105,62 @@ def _flatten_spec(prefix: str, spec: RoundSpec) -> dict[str, dict[str, Any]]:
 def _project(prefix: str, spec: RoundSpec, replies: ReplySet) -> ReplySet:
     """Rebuild the reply set one substrate would have seen on its own."""
     projected: ReplySet = {}
+    nested = None
+    if spec.tag == MULTI:
+        nested = [(name, f"{prefix}/{name}") for name in spec.payload["calls"]]
     for pid, payload in replies.items():
-        calls = payload.get("calls") if isinstance(payload, Mapping) else None
-        if not isinstance(calls, Mapping):
+        calls = payload.get("calls") if _is_mapping(payload) else None
+        if not _is_mapping(calls):
             continue  # malformed (Byzantine) reply: invisible to the substrate
-        if spec.tag == MULTI:
-            inner_names = list(spec.payload["calls"])
-            picked = {}
-            complete = True
-            for name in inner_names:
-                flat = f"{prefix}/{name}"
-                if flat in calls:
-                    picked[name] = calls[flat]
-                else:
-                    complete = False
-            if complete:
-                projected[pid] = {"calls": picked}
-        elif prefix in calls:
-            projected[pid] = calls[prefix]
+        if nested is None:
+            if prefix in calls:
+                projected[pid] = calls[prefix]
+        elif all(flat in calls for _, flat in nested):
+            projected[pid] = {"calls": {name: calls[flat] for name, flat in nested}}
     return projected
+
+
+class _RoundViews:
+    """Each substrate's projection of one merged round's reply set.
+
+    A projection is computed once per substrate and reply-set size: the
+    merged predicate and the outcome hand-off that follows a successful
+    evaluation see the same reply set, so the second asks for views the
+    first already built.  Reply sets only ever gain entries (an engine
+    invariant: duplicates are rejected before insertion), so the same
+    ``dict`` at the same length has the same content; anything else — a
+    copy, a grown set — recomputes.
+    """
+
+    __slots__ = ("specs", "replies", "size", "views")
+
+    def __init__(self, specs: Mapping[str, RoundSpec]) -> None:
+        self.specs = specs
+        self.replies: ReplySet | None = None
+        self.size = -1
+        self.views: dict[str, ReplySet] = {}
+
+    def view(self, name: str, replies: ReplySet) -> ReplySet:
+        if replies is not self.replies or len(replies) != self.size:
+            self.replies = replies
+            self.size = len(replies)
+            self.views = {}
+        view = self.views.get(name)
+        if view is None:
+            view = self.views[name] = _project(name, self.specs[name], replies)
+        return view
+
+    def satisfied(self, replies: ReplySet) -> bool:
+        """The merged round's predicate: every substrate's rule holds."""
+        for name, spec in self.specs.items():
+            if not spec.rule.satisfied(self.view(name, replies)):
+                return False
+        return True
+
+    def release(self) -> None:
+        """Forget the cached views (the round's record outlives the round)."""
+        self.replies = None
+        self.views = {}
 
 
 def multiplex(generators: Mapping[str, ProtocolGenerator]) -> ProtocolGenerator:
@@ -132,30 +188,22 @@ def multiplex(generators: Mapping[str, ProtocolGenerator]) -> ProtocolGenerator:
         for name, spec in specs.items():
             merged_calls.update(_flatten_spec(name, spec))
 
-        current_specs = dict(specs)
-
-        def merged_predicate(replies: ReplySet) -> bool:
-            for name, spec in current_specs.items():
-                if not spec.rule.satisfied(_project(name, spec, replies)):
-                    return False
-            return True
-
+        views = _RoundViews(specs)
         min_count = max(spec.rule.min_count for spec in specs.values())
         accept = all(spec.rule.accept_on_quiescence for spec in specs.values())
         outcome = yield RoundSpec(
             tag=MULTI,
             payload={"calls": merged_calls},
             rule=ReplyRule(
-                min_count=min_count, predicate=merged_predicate, accept_on_quiescence=accept
+                min_count=min_count, predicate=views.satisfied, accept_on_quiescence=accept
             ),
         )
 
         next_specs: dict[str, RoundSpec] = {}
         for name, generator in list(active.items()):
-            spec = specs[name]
             sub_outcome = RoundOutcome(
                 round_no=sub_round[name],
-                replies=_project(name, spec, outcome.replies),
+                replies=views.view(name, outcome.replies),
                 quiesced=outcome.quiesced,
                 terminated_at=outcome.terminated_at,
             )
@@ -165,6 +213,7 @@ def multiplex(generators: Mapping[str, ProtocolGenerator]) -> ProtocolGenerator:
             except StopIteration as stop:
                 results[name] = stop.value
                 del active[name]
+        views.release()
         specs = next_specs
 
     return results

@@ -6,13 +6,21 @@ recounted from the wire, cross-checking the engine's own bookkeeping), and
 extracting per-client *reply transcripts* — the basis of the
 indistinguishability arguments in the lower-bound constructions (a reader
 cannot distinguish two runs in which it receives identical reply sequences).
+
+Cost model: every query scans the whole log once.  Per-operation queries
+(``round_trip_count``, ``replies_for_operation``, ...) are for looking at a
+few operations; anything that runs once per trial over *all* operations —
+the round accounting — goes through the one-pass
+:meth:`MessageTrace.round_trip_counts` fold instead, so a trial stays linear
+in its length.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from repro.sim.network import Message
 from repro.types import OperationId, ProcessId
@@ -112,6 +120,11 @@ class MessageTrace:
     the :class:`TraceEvent` view the public API exposes is materialized
     lazily (and cached) by :attr:`events`.  Both views present the same
     record in the same order.
+
+    The log is the largest thing a finished trial holds (two entries per
+    message on the wire) and it hangs off the system's reference cycle;
+    whoever ran the trial and does not hand the trace on calls
+    :meth:`clear` so the memory goes back at once.
     """
 
     __slots__ = ("entries", "_materialized")
@@ -146,6 +159,17 @@ class MessageTrace:
 
     def record_drop(self, time: int, message: Message) -> None:
         self.entries.append((time, TraceKind.DROP, message))
+
+    def clear(self) -> None:
+        """Drop every observation, freeing the messages now.
+
+        The trace sits on the system ↔ simulator ↔ handler-closure cycle,
+        so without this a finished trial's whole wire log waits for a
+        full cyclic collection; a trial runner that nobody asked for the
+        trace calls this once its result is built.
+        """
+        self.entries.clear()
+        self._materialized = None
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -189,8 +213,33 @@ class MessageTrace:
             and message.dst == dst
         ]
 
+    def round_trip_counts(self) -> dict[OperationId, int]:
+        """Rounds observed on the wire for every operation, in one pass.
+
+        Maps each operation with at least one client-side SEND to the
+        highest round number it sent; operations that never reached the
+        wire are absent (``.get(op, 0)`` gives :meth:`round_trip_count`'s
+        answer for them).  The state is one int per operation — this is the
+        fold the per-trial round accounting runs, so its cost must stay
+        linear in the trace and its memory independent of it.
+        """
+        send = TraceKind.SEND
+        counts: dict[OperationId, int] = {}
+        for _, kind, message in self.entries:
+            if kind is send and not message.is_reply:
+                op = message.op
+                seen = counts.get(op)
+                if seen is None or message.round_no > seen:
+                    counts[op] = message.round_no
+        return counts
+
     def round_trip_count(self, op_id: OperationId) -> int:
-        """Rounds observed on the wire for ``op_id`` (max round number sent)."""
+        """Rounds observed on the wire for ``op_id`` (max round number sent).
+
+        The one-operation query: a full scan of the trace per call.  Code
+        that needs the count of many operations uses
+        :meth:`round_trip_counts`; the tests pin the two against each other.
+        """
         rounds = {
             message.round_no
             for _, kind, message in self.entries

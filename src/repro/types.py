@@ -33,6 +33,9 @@ class Role(enum.Enum):
     REPAIR = "repair"
 
 
+_ROLE_PREFIX = {"object": "s", "writer": "w", "reader": "r", "repair": "q"}
+
+
 @dataclass(frozen=True, slots=True)
 class ProcessId:
     """Identifier of a process: a role plus an index within that role.
@@ -86,7 +89,7 @@ class ProcessId:
         return Role(self.role_value)
 
     def __str__(self) -> str:
-        prefix = {"object": "s", "writer": "w", "reader": "r", "repair": "q"}[self.role_value]
+        prefix = _ROLE_PREFIX[self.role_value]
         if self.role_value == "writer":
             return prefix
         return f"{prefix}{self.index}"
@@ -193,8 +196,8 @@ class Timestamp:
 
     @classmethod
     def zero(cls) -> "Timestamp":
-        """The timestamp of the initial value ⊥."""
-        return cls(0, 0)
+        """The timestamp of the initial value ⊥ (one shared frozen instance)."""
+        return _ZERO
 
     def next_for(self, writer: int = 0) -> "Timestamp":
         """Successor timestamp owned by ``writer``."""
@@ -204,6 +207,9 @@ class Timestamp:
         if self.writer:
             return f"{self.seq}.{self.writer}"
         return str(self.seq)
+
+
+_ZERO = Timestamp(0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,8 +228,12 @@ class TaggedValue:
 
     @classmethod
     def initial(cls) -> "TaggedValue":
-        """The pair ``(ts=0, ⊥)`` every register starts from."""
-        return cls(Timestamp.zero(), BOTTOM)
+        """The pair ``(ts=0, ⊥)`` every register starts from.
+
+        One shared frozen instance: every object state and every empty
+        candidate pool starts from it, once per multiplexed register.
+        """
+        return _INITIAL
 
     def newer_than(self, other: "TaggedValue") -> bool:
         """True when this pair carries a strictly larger timestamp."""
@@ -232,6 +242,8 @@ class TaggedValue:
     def __str__(self) -> str:
         return f"({self.ts}, {self.value!r})"
 
+
+_INITIAL = TaggedValue(_ZERO, BOTTOM)
 
 _op_counter = itertools.count(1)
 

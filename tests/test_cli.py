@@ -223,6 +223,16 @@ class TestTraceDump:
         assert {record["kind"] for record in records} >= {"send", "deliver"}
         assert all("op_serial" in record and "tag" in record for record in records)
 
+    def test_obs_summary_names_every_host_phase(self, capsys):
+        assert main(["run", "--protocol", "abd", "--trials", "2", "--obs"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("host seconds by phase: ")
+        )
+        names = [part.split()[0] for part in line.split(": ", 1)[1].split(", ")]
+        assert names == ["build", "plan", "schedule", "drain", "account",
+                         "freeze", "check", "meter", "derive"]
+
 
 class TestExploreCli:
     #: The under-provisioned fast-read stack: provisioned for t=1 (S=4),

@@ -58,6 +58,49 @@ class TestMultiplexHandler:
         )
         assert "error" in handler.handle(state, message)
 
+    def test_only_mappings_pass_as_calls(self):
+        from types import MappingProxyType
+
+        handler = MultiplexObjectHandler(AbdObjectHandler())
+        state = handler.initial_state()
+        for junk in (None, ["A"], 7, ("A",)):
+            message = multi_message(junk)
+            assert handler.handle(state, message) == {"error": "malformed MULTI payload"}
+        assert state["registers"] == {}
+        # Any Mapping is well-formed, not only the dict correct clients send.
+        proxy = MappingProxyType({"A": {"tag": QUERY, "payload": {}}})
+        assert handler.handle(state, multi_message(proxy))["calls"]["A"]["tv"] == (
+            TaggedValue.initial()
+        )
+
+    def test_state_is_built_once_per_register_and_calls_see_their_own_message(self):
+        built = []
+        seen = []
+
+        class Recording(AbdObjectHandler):
+            def initial_state(self):
+                built.append(1)
+                return super().initial_state()
+
+            def handle(self, state, message):
+                seen.append((message.tag, dict(message.payload), message.src,
+                             message.dst, message.op, message.round_no, message.is_reply))
+                return super().handle(state, message)
+
+        handler = MultiplexObjectHandler(Recording())
+        state = handler.initial_state()
+        store = {"tag": "ABD_STORE", "payload": {"tv": TaggedValue(Timestamp(1), "x")}}
+        query = {"tag": QUERY, "payload": {}}
+        outer = multi_message({"B": query, "A": store})
+        for _ in range(3):
+            handler.handle(state, outer)
+        assert len(built) == 2  # one state per register, not one per call
+        assert seen[:2] == [
+            ("ABD_STORE", store["payload"], outer.src, outer.dst, outer.op, 1, False),
+            (QUERY, {}, outer.src, outer.dst, outer.op, 1, False),
+        ]
+        assert outer.tag == MULTI and set(outer.payload["calls"]) == {"A", "B"}
+
 
 def drive(combinator, reply_maker, max_rounds=10):
     """Synchronously drive a multiplex generator with fabricated replies."""
@@ -155,6 +198,57 @@ class TestMultiplexCombinator:
             combinator.send(RoundOutcome(round_no=1, replies=replies))
         except StopIteration as stop:
             assert stop.value == {"A": ("ra", 1)}
+
+    def test_projection_follows_the_reply_set_it_is_given(self):
+        # The combinator projects once per reply-set size: a grown set and a
+        # copy are projected afresh, and the substrate's outcome is the view
+        # its rule last judged when the engine hands over that same set.
+        judged = []
+
+        def generator():
+            outcome = yield RoundSpec(
+                tag="Q", payload={},
+                rule=ReplyRule(min_count=1,
+                               predicate=lambda r: judged.append(r) or len(r) >= 2),
+            )
+            return outcome.replies
+
+        combinator = multiplex({"A": generator()})
+        spec = next(combinator)
+        replies = {object_id(1): {"calls": {"A": {"n": 1}}}}
+        assert not spec.rule.satisfied(replies)
+        assert not spec.rule.satisfied(replies)
+        assert judged[0] is judged[1] and judged[0] == {object_id(1): {"n": 1}}
+        replies[object_id(2)] = {"calls": {"A": {"n": 2}}}
+        assert spec.rule.satisfied(replies)
+        assert judged[2] == {object_id(1): {"n": 1}, object_id(2): {"n": 2}}
+        with pytest.raises(StopIteration) as same_set:
+            combinator.send(RoundOutcome(round_no=1, replies=replies))
+        assert same_set.value.value["A"] is judged[2]
+
+        combinator = multiplex({"A": generator()})
+        spec = next(combinator)
+        assert spec.rule.satisfied(replies)
+        smaller = {object_id(3): {"calls": {"A": {"n": 3}}}}
+        with pytest.raises(StopIteration) as other_set:
+            combinator.send(RoundOutcome(round_no=1, replies=smaller))
+        assert other_set.value.value["A"] == {object_id(3): {"n": 3}}
+
+    def test_nested_projection_needs_every_inner_register(self):
+        inner = multiplex({
+            "X": self._single_round_gen("X", "x"),
+            "Y": self._single_round_gen("Y", "y"),
+        })
+        combinator = multiplex({"outer": inner})
+        spec = next(combinator)
+        replies = {
+            object_id(1): {"calls": {"outer/X": {}, "outer/Y": {}}},
+            object_id(2): {"calls": {"outer/X": {}}},  # incomplete: invisible
+        }
+        assert spec.rule.satisfied(replies)
+        with pytest.raises(StopIteration) as done:
+            combinator.send(RoundOutcome(round_no=1, replies=replies))
+        assert done.value.value == {"outer": {"X": ("x", 1), "Y": ("y", 1)}}
 
     def test_per_object_payload_forbidden(self):
         def bad():

@@ -118,6 +118,24 @@ class TestOffState:
         payload.pop("elapsed_s")
         assert payload == off.trials[0].to_dict()
 
+    @pytest.mark.parametrize("engine", ("event", "batched"))
+    def test_phase_seconds_ride_beside_the_duration_and_in_no_dump(self, engine):
+        result = GRID["crash-recover"]().with_engine(engine).run(trials=2, seed=1)
+        for trial in result.trials:
+            phases = trial.obs["phases_s"]
+            assert list(phases) == [
+                "build", "plan", "schedule", "drain", "account",
+                "freeze", "check", "meter", "derive",
+            ]
+            assert all(seconds >= 0.0 for seconds in phases.values())
+            assert phases["drain"] == trial.obs["elapsed_s"]
+        # Host time: not in the serialized result, not in span/metric dumps.
+        assert "phases_s" not in json.dumps(result.to_dict())
+        assert "phases_s" not in obs_dump(result)
+        # And absent, with the rest of obs, from an unobserved trial.
+        off = Cluster("abd", t=1).with_workload(operations=4).run(trials=1)
+        assert off.trials[0].obs is None
+
 
 class TestSpanContent:
     def test_op_spans_follow_invocation_order_with_round_children(self):

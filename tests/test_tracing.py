@@ -73,6 +73,46 @@ class TestTraceQueries:
         assert TraceKind.DELIVER in kinds
 
 
+class TestTraceRelease:
+    """An untraced facade trial frees its wire log without the collector."""
+
+    @staticmethod
+    def live_messages():
+        import gc
+
+        from repro.sim.network import Message
+
+        return sum(1 for obj in gc.get_objects() if type(obj) is Message)
+
+    def test_clear_empties_both_views(self):
+        system, write_op, _ = run_abd()
+        assert system.trace.events
+        system.trace.clear()
+        assert system.trace.entries == [] and system.trace.events == []
+        assert system.trace.round_trip_counts() == {}
+        assert system.trace.round_trip_count(write_op.op_id) == 0
+
+    def test_untraced_trial_leaves_no_message_behind(self):
+        import gc
+
+        from repro.api import Cluster
+
+        cluster = Cluster("abd", t=1).with_workload(operations=20).check("atomicity")
+        cluster.run(trials=1)  # imports and caches settle
+        gc.collect()
+        gc.disable()  # whatever is freed below is freed by reference count
+        try:
+            before = self.live_messages()
+            untraced = cluster.run(trials=1, keep_history=False)
+            assert untraced.trials[0].trace is None
+            assert self.live_messages() == before
+            traced = cluster.run(trials=1, keep_history=False, keep_trace=True)
+            assert len(traced.trials[0].trace.entries) == 360
+            assert self.live_messages() > before
+        finally:
+            gc.enable()
+
+
 class TestIndistinguishability:
     """The proofs' core device, pinned on one concrete pair of runs.
 

@@ -86,6 +86,18 @@ class TestTaggedValue:
         assert initial.ts == Timestamp.zero()
         assert initial.value == BOTTOM
 
+    def test_initial_is_one_shared_frozen_pair(self):
+        import dataclasses
+        import pickle
+
+        initial = TaggedValue.initial()
+        assert initial is TaggedValue.initial() and initial.ts is Timestamp.zero()
+        assert initial == TaggedValue(Timestamp(0, 0), BOTTOM)
+        assert hash(initial) == hash(TaggedValue(Timestamp(0, 0), BOTTOM))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            initial.value = "x"
+        assert pickle.loads(pickle.dumps(initial)) == initial
+
     def test_newer_than(self):
         old = TaggedValue(Timestamp(1), "a")
         new = TaggedValue(Timestamp(2), "b")
