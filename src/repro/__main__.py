@@ -289,16 +289,27 @@ def _checks_from_args(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _cluster_from_args(args: argparse.Namespace):
-    """The :class:`~repro.api.Cluster` both ``run`` and ``explore`` build.
+    """The :class:`~repro.api.Cluster` ``run``, ``explore`` and ``frontier``
+    build.
 
-    Flags one subcommand lacks (``--scenario``, ``--allow-overfault``,
-    ``--key-skew``) fall back to their no-op defaults via ``getattr``.
+    Flags one subcommand lacks (``--scenario``, ``--key-skew``, ``--op``,
+    the observability outputs) fall back to their no-op defaults via
+    ``getattr``.
     """
     import json
+    from dataclasses import replace
 
     from repro.api import Cluster
+    from repro.axes import RunAxes
     from repro.errors import ConfigurationError
 
+    axes = RunAxes.from_args(args)
+    if not axes.repairs and (axes.spares is not None or axes.xfer_quorum is not None):
+        raise ConfigurationError(
+            "--spares/--xfer-quorum have no effect without --repair"
+        )
+    if any(getattr(args, flag, None) for flag in ("obs", "spans", "metrics", "timeline")):
+        axes = replace(axes, observe=True)
     cluster = Cluster(
         args.protocol,
         t=args.t,
@@ -307,15 +318,15 @@ def _cluster_from_args(args: argparse.Namespace):
         backend=args.backend,
         keys=args.keys,
         n_writers=args.writers_count,
-        engine=args.engine,
-        durability=getattr(args, "durability", "none"),
-        consistency=getattr(args, "consistency", "atomic"),
-        allow_overfault=getattr(args, "allow_overfault", False),
-    )
+        # Named here because the model decides the backend before the key
+        # layout is checked; every other axis rides in through with_axes.
+        consistency=axes.consistency,
+        allow_overfault=args.allow_overfault,
+    ).with_axes(axes)
     if getattr(args, "scenario", None):
         cluster = cluster.with_scenario(args.scenario)
     fault_kwargs = {}
-    for item in getattr(args, "fault_arg", None) or ():
+    for item in args.fault_arg or ():
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ConfigurationError(f"--fault-arg expects KEY=VALUE, got {item!r}")
@@ -332,32 +343,6 @@ def _cluster_from_args(args: argparse.Namespace):
         raise ConfigurationError(
             "--fault-arg/--count/--strict have no effect without --faults"
         )
-    repairs = []
-    for item in getattr(args, "repair", None) or ():
-        member, sep, at = item.partition("@")
-        if not sep or not member or not at:
-            raise ConfigurationError(f"--repair expects MEMBER@AT, got {item!r}")
-        try:
-            repairs.append((int(member), int(at)))
-        except ValueError:
-            raise ConfigurationError(
-                f"--repair expects integers, got {item!r}"
-            ) from None
-    spares = getattr(args, "spares", None)
-    xfer_quorum = getattr(args, "xfer_quorum", None)
-    if repairs:
-        cluster = cluster.with_repairs(*repairs, spares=spares, xfer_quorum=xfer_quorum)
-    elif spares is not None or xfer_quorum is not None:
-        raise ConfigurationError(
-            "--spares/--xfer-quorum have no effect without --repair"
-        )
-    if (
-        getattr(args, "obs", False)
-        or getattr(args, "spans", None)
-        or getattr(args, "metrics", None)
-        or getattr(args, "timeline", None)
-    ):
-        cluster = cluster.with_observe()
     plan = []
     for item in getattr(args, "op", None) or ():
         head, sep, at = item.rpartition("@")
@@ -495,19 +480,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _load_jsonl(path: str) -> dict[tuple, dict]:
     """Index a ``run --jsonl`` file by protocol, scenario, sizes, backend
-    and consistency model.
+    layout and run axes.
 
     The key includes the backend name, key count, writer count and the
-    consistency model (absent fields mean the default single backend with
-    atomic reads, so files written before backends or the consistency
-    spectrum existed stay comparable).  Rows produced by different
-    backends therefore never match each other — a sharded 8-key run is not
+    :class:`~repro.axes.RunAxes` the row was written under (absent fields
+    mean the default single backend and default axes, so files written
+    before backends or an axis existed stay comparable).  Rows produced by
+    different backends, engines, durability modes or consistency models
+    therefore never match each other — a sharded 8-key run is not
     like-for-like with a single-register one even if every other dimension
     agrees.  A later line for the same key supersedes earlier ones, so a
     file that accumulates repeated runs compares at its latest state.
     """
     import json
 
+    from repro.axes import RunAxes
     from repro.errors import ConfigurationError
 
     runs: dict[tuple, dict] = {}
@@ -523,9 +510,7 @@ def _load_jsonl(path: str) -> dict[tuple, dict]:
             key = (record.get("protocol"), record.get("scenario"),
                    record.get("t"), record.get("n_readers"),
                    record.get("backend", "single"), record.get("keys", 1),
-                   record.get("writers", 1), record.get("engine", "event"),
-                   record.get("durability", "none"),
-                   record.get("consistency", "atomic"))
+                   record.get("writers", 1), RunAxes.from_payload(record))
             runs[key] = record
     return runs
 
@@ -548,12 +533,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         label = f"{key[0]} @ {key[1]} (t={key[2]}, {key[3]} readers)"
         if key[4] != "single":
             label += f" [{key[4]}, {key[5]} key(s), {key[6]} writer(s)]"
-        if key[7] != "event":
-            label += f" [engine={key[7]}]"
-        if key[8] != "none":
-            label += f" [durability={key[8]}]"
-        if key[9] != "atomic":
-            label += f" [consistency={key[9]}]"
+        label += "".join(
+            f" [{name}={value}]" for name, value in key[7].non_default().items()
+        )
         for metric in ("worst_write", "worst_read", "incomplete"):
             old, new = a.get(metric, 0), b.get(metric, 0)
             if new > old:
@@ -699,7 +681,20 @@ def _cmd_summary(_args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    ``run``, ``explore`` and ``frontier`` share their configuration flags
+    through parent parsers: ``configured`` (all three — sizes, backend,
+    faults, workload shape and every run-axis flag, declared by
+    :meth:`repro.axes.RunAxes.add_cli_flags`), ``checked`` (run + explore —
+    scenario and check selection) and ``searched`` (explore + frontier —
+    the schedule-space bounds).
+    """
+    from repro.axes import RunAxes
+    from repro.explore.controlled import GRANULARITIES
+    from repro.explore.engine import STRATEGIES
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -726,66 +721,84 @@ def main(argv: list[str] | None = None) -> int:
     scenarios.add_argument("--t", type=int, default=1,
                            help="threshold the fault plans are sized for")
 
-    run = sub.add_parser("run", help="run a registry-driven experiment")
-    run.add_argument("--protocol", required=True, help="registry name (see list-protocols)")
-    run.add_argument("--backend", default=None,
-                     help="system backend (see list-backends; default: the protocol's own)")
-    run.add_argument("--keys", type=int, default=None,
-                     help="key count for keyed backends (e.g. --backend sharded)")
-    run.add_argument("--writers", dest="writers_count", type=int, default=None,
-                     help="writer family size for multi-writer backends")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--protocol", required=True,
+                            help="registry name (see list-protocols)")
+    configured.add_argument("--backend", default=None,
+                            help="system backend (see list-backends; default: the protocol's own)")
+    configured.add_argument("--keys", type=int, default=None,
+                            help="key count for keyed backends (e.g. --backend sharded)")
+    configured.add_argument("--writers", dest="writers_count", type=int, default=None,
+                            help="writer family size for multi-writer backends")
+    RunAxes.add_cli_flags(configured)
+    configured.add_argument("--t", type=int, default=1, help="fault threshold")
+    configured.add_argument("--S", type=int, default=None,
+                            help="object count (default: protocol minimum)")
+    configured.add_argument("--readers", type=int, default=2, help="reader population")
+    configured.add_argument("--faults", default=None,
+                            help="fault behaviour name (e.g. crash, stale-echo, timed)")
+    configured.add_argument("--count", type=int, default=1, help="how many objects misbehave")
+    configured.add_argument("--fault-arg", dest="fault_arg", action="append", default=None,
+                            metavar="KEY=VALUE",
+                            help="fault-behaviour parameter (repeatable; e.g. "
+                                 "--fault-arg survive_messages=1 --fault-arg lag=2)")
+    configured.add_argument("--strict", action="store_true",
+                            help="error instead of clamping --count to t")
+    configured.add_argument("--allow-overfault", action="store_true",
+                            help="permit more than t faulty objects "
+                                 "(churn/under-provisioned runs)")
+    configured.add_argument("--seed", type=int, default=0, help="workload seed")
+    configured.add_argument("--reads", type=float, default=0.6, help="read fraction")
+    configured.add_argument("--spacing", type=int, default=50,
+                            help="mean gap between invocations")
+    configured.add_argument("--parallel", action="store_true",
+                            help="execute trials / frontier waves on a process "
+                                 "pool (identical results)")
+    configured.add_argument("--workers", type=int, default=None,
+                            help="process-pool size with --parallel (default: one per CPU)")
+
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--scenario", default=None,
+                         help="named scenario (fault plan + workload shape)")
+    checked.add_argument("--check", action="append", default=None,
+                         help="consistency check to run (repeatable; default: the protocol's own)")
+    checked.add_argument("--check-model", dest="check_model", default=None,
+                         choices=("atomic", "regular", "safe", "k-atomic"),
+                         help="consistency model to check against "
+                              "(shorthand for --check; see list-checkers)")
+    checked.add_argument("--k", type=int, default=None,
+                         help="staleness bound for --check-model/--check k-atomic")
+
+    searched = argparse.ArgumentParser(add_help=False)
+    searched.add_argument("--ops", type=int, default=3,
+                          help="operations in the generated workload")
+    searched.add_argument("--op", action="append", default=None, metavar="KIND:ARG@TIME",
+                          help="explicit operation plan entry (repeatable; "
+                               "write:VALUE@TIME or read:READER@TIME; "
+                               "overrides the generated workload)")
+    searched.add_argument("--max-holds", type=int, default=2,
+                          help="most decisions (held links, fault triggers) a schedule may take")
+    searched.add_argument("--max-schedules", type=int, default=2000,
+                          help="schedule budget (per ladder rung for frontier)")
+    searched.add_argument("--max-events", type=int, default=200_000,
+                          help="simulator event budget per schedule")
+    searched.add_argument("--granularity", choices=GRANULARITIES,
+                          default="operation", help="hold-link granularity")
+    searched.add_argument("--strategy", choices=STRATEGIES, default="bfs",
+                          help="frontier order")
+    searched.add_argument("--symmetry", action="store_true",
+                          help="canonicalize schedules over interchangeable "
+                               "fault-free objects (prunes symmetric twins)")
+    searched.add_argument("--witness", default=None, metavar="PATH",
+                          help="save the first violation witness (frontier: the "
+                               "schedule breaking the next-stronger model) as JSON to PATH")
+
+    run = sub.add_parser("run", parents=[configured, checked],
+                         help="run a registry-driven experiment")
     run.add_argument("--key-skew", type=float, default=0.0,
                      help="Zipf-style key skew for keyed workloads (0 = uniform)")
-    run.add_argument("--engine", choices=("event", "batched"), default="event",
-                     help="simulation engine (batched: wave-stepped, "
-                          "identical results, faster)")
-    run.add_argument("--durability", choices=("none", "mem", "dir"), default="none",
-                     help="object-state durability (mem: in-memory journal, "
-                          "dir: append-only log per object; enables "
-                          "crash-recover faults and the space meter)")
-    run.add_argument("--consistency", default="atomic", metavar="MODEL",
-                     help="consistency model the backend serves: atomic "
-                          "(default) or k-atomic(N) (bounded-stale reads; "
-                          "routes single/sharded onto the k-atomic backend)")
-    run.add_argument("--t", type=int, default=1, help="fault threshold")
-    run.add_argument("--S", type=int, default=None, help="object count (default: protocol minimum)")
-    run.add_argument("--readers", type=int, default=2, help="reader population")
-    run.add_argument("--scenario", default=None,
-                     help="named scenario (fault plan + workload shape)")
-    run.add_argument("--faults", default=None, help="fault behaviour name (e.g. crash, stale-echo)")
-    run.add_argument("--count", type=int, default=1, help="how many objects misbehave")
-    run.add_argument("--fault-arg", dest="fault_arg", action="append", default=None,
-                     metavar="KEY=VALUE",
-                     help="fault-behaviour parameter (repeatable; e.g. "
-                          "--fault-arg survive_messages=1 --fault-arg lag=2)")
-    run.add_argument("--strict", action="store_true",
-                     help="error instead of clamping --count to t")
-    run.add_argument("--allow-overfault", action="store_true",
-                     help="permit more than t faulty objects (churn/under-provisioned runs)")
-    run.add_argument("--repair", action="append", default=None, metavar="MEMBER@AT",
-                     help="replace member MEMBER with a spare at time AT "
-                          "(repeatable; needs --backend reconfig)")
-    run.add_argument("--spares", type=int, default=None,
-                     help="pre-provisioned spare objects (default: one per --repair)")
-    run.add_argument("--xfer-quorum", type=int, default=None,
-                     help="objects a state-transfer read must reach (default: S-t)")
     run.add_argument("--trials", type=int, default=3)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--ops", type=int, default=10, help="operations per trial")
-    run.add_argument("--reads", type=float, default=0.6, help="read fraction")
-    run.add_argument("--spacing", type=int, default=50, help="mean gap between invocations")
-    run.add_argument("--check", action="append", default=None,
-                     help="consistency check to run (repeatable; default: the protocol's own)")
-    run.add_argument("--check-model", dest="check_model", default=None,
-                     choices=("atomic", "regular", "safe", "k-atomic"),
-                     help="consistency model to check against "
-                          "(shorthand for --check; see list-checkers)")
-    run.add_argument("--k", type=int, default=None,
-                     help="staleness bound for --check-model/--check k-atomic")
-    run.add_argument("--parallel", action="store_true",
-                     help="execute trials on a process pool (identical results)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="process-pool size with --parallel (default: one per CPU)")
     run.add_argument("--jsonl", default=None, metavar="PATH",
                      help="append the structured RunResult as one JSON line to PATH")
     run.add_argument("--trace", default=None, metavar="PATH",
@@ -804,162 +817,27 @@ def main(argv: list[str] | None = None) -> int:
                           "(enables observability)")
 
     explore = sub.add_parser(
-        "explore",
+        "explore", parents=[configured, checked, searched],
         help="bounded model check over held-message schedules",
     )
-    explore.add_argument("--protocol", required=True,
-                         help="registry name (see list-protocols)")
-    explore.add_argument("--backend", default=None,
-                         help="system backend (default: the protocol's own)")
-    explore.add_argument("--keys", type=int, default=None,
-                         help="key count for keyed backends")
-    explore.add_argument("--writers", dest="writers_count", type=int, default=None,
-                         help="writer family size for multi-writer backends")
-    explore.add_argument("--engine", choices=("event", "batched"), default="event",
-                         help="simulation engine schedules are evaluated on")
-    explore.add_argument("--durability", choices=("none", "mem", "dir"), default="none",
-                         help="object-state durability backing crash-recover faults")
-    explore.add_argument("--consistency", default="atomic", metavar="MODEL",
-                         help="consistency model the backend serves: atomic "
-                              "(default) or k-atomic(N)")
-    explore.add_argument("--t", type=int, default=1, help="fault threshold")
-    explore.add_argument("--S", type=int, default=None,
-                         help="object count (default: protocol minimum)")
-    explore.add_argument("--readers", type=int, default=2, help="reader population")
-    explore.add_argument("--scenario", default=None,
-                         help="named scenario (fault plan + workload shape)")
-    explore.add_argument("--faults", default=None,
-                         help="fault behaviour name (e.g. crash, stale-echo)")
-    explore.add_argument("--count", type=int, default=1, help="how many objects misbehave")
-    explore.add_argument("--fault-arg", dest="fault_arg", action="append", default=None,
-                         metavar="KEY=VALUE",
-                         help="fault-behaviour parameter (repeatable)")
-    explore.add_argument("--strict", action="store_true",
-                         help="error instead of clamping --count to t")
-    explore.add_argument("--allow-overfault", action="store_true",
-                         help="permit more than t faulty objects (under-provisioned runs)")
-    explore.add_argument("--repair", action="append", default=None, metavar="MEMBER@AT",
-                         help="replace member MEMBER with a spare at time AT "
-                              "(repeatable; needs --backend reconfig)")
-    explore.add_argument("--spares", type=int, default=None,
-                         help="pre-provisioned spare objects (default: one per --repair)")
-    explore.add_argument("--xfer-quorum", type=int, default=None,
-                         help="objects a state-transfer read must reach (default: S-t)")
-    explore.add_argument("--ops", type=int, default=3, help="operations in the workload")
-    explore.add_argument("--reads", type=float, default=0.6, help="read fraction")
-    explore.add_argument("--spacing", type=int, default=50,
-                         help="mean gap between invocations")
-    explore.add_argument("--op", action="append", default=None,
-                         metavar="KIND:ARG@TIME",
-                         help="explicit operation plan entry (repeatable; "
-                              "write:VALUE@TIME or read:READER@TIME; "
-                              "overrides the generated workload)")
-    explore.add_argument("--seed", type=int, default=0, help="workload seed")
-    explore.add_argument("--check", action="append", default=None,
-                         help="consistency check (repeatable; default: the protocol's own)")
-    explore.add_argument("--check-model", dest="check_model", default=None,
-                         choices=("atomic", "regular", "safe", "k-atomic"),
-                         help="consistency model to check against "
-                              "(shorthand for --check; see list-checkers)")
-    explore.add_argument("--k", type=int, default=None,
-                         help="staleness bound for --check-model/--check k-atomic")
-    explore.add_argument("--max-holds", type=int, default=2,
-                         help="most links a schedule may hold")
-    explore.add_argument("--max-schedules", type=int, default=2000,
-                         help="total schedule budget")
-    explore.add_argument("--max-events", type=int, default=200_000,
-                         help="simulator event budget per schedule")
-    explore.add_argument("--granularity", choices=("operation", "round"),
-                         default="operation", help="hold-link granularity")
-    explore.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs",
-                         help="frontier order")
     explore.add_argument("--fault-timing", dest="fault_timing", action="store_true",
                          help="sweep per-object fault trigger points as "
                               "choice points (needs --faults, no --scenario)")
-    explore.add_argument("--symmetry", action="store_true",
-                         help="canonicalize schedules over interchangeable "
-                              "fault-free objects (prunes symmetric twins)")
     explore.add_argument("--stop-on-violation", action="store_true",
                          help="stop at the first violating schedule (refutation mode)")
-    explore.add_argument("--parallel", action="store_true",
-                         help="evaluate frontier waves on a process pool")
-    explore.add_argument("--workers", type=int, default=None,
-                         help="process-pool size with --parallel")
-    explore.add_argument("--witness", default=None, metavar="PATH",
-                         help="save the first violation witness as JSON to PATH")
     explore.add_argument("--expect-violation", action="store_true",
                          help="exit 0 iff a violation IS found (CI refutation smoke)")
 
     frontier = sub.add_parser(
-        "frontier",
+        "frontier", parents=[configured, searched],
         help="certify the strongest consistency model a configuration serves",
     )
-    frontier.add_argument("--protocol", required=True,
-                          help="registry name (see list-protocols)")
-    frontier.add_argument("--backend", default=None,
-                          help="system backend (default: the protocol's own)")
-    frontier.add_argument("--keys", type=int, default=None,
-                          help="key count for keyed backends")
-    frontier.add_argument("--writers", dest="writers_count", type=int, default=None,
-                          help="writer family size for multi-writer backends")
-    frontier.add_argument("--engine", choices=("event", "batched"), default="event",
-                          help="simulation engine schedules are evaluated on")
-    frontier.add_argument("--durability", choices=("none", "mem", "dir"), default="none",
-                          help="object-state durability backing crash-recover faults")
-    frontier.add_argument("--t", type=int, default=1, help="fault threshold")
-    frontier.add_argument("--S", type=int, default=None,
-                          help="object count (default: protocol minimum)")
-    frontier.add_argument("--readers", type=int, default=2, help="reader population")
-    frontier.add_argument("--faults", default=None,
-                          help="fault behaviour name (e.g. stale-echo, timed)")
-    frontier.add_argument("--count", type=int, default=1,
-                          help="how many objects misbehave")
-    frontier.add_argument("--fault-arg", dest="fault_arg", action="append",
-                          default=None, metavar="KEY=VALUE",
-                          help="fault-behaviour parameter (repeatable; e.g. "
-                               "--fault-arg inner=stale-echo --fault-arg at=99)")
-    frontier.add_argument("--strict", action="store_true",
-                          help="error instead of clamping --count to t")
-    frontier.add_argument("--allow-overfault", action="store_true",
-                          help="permit more than t faulty objects "
-                               "(under-provisioned runs degrade gracefully)")
-    frontier.add_argument("--ops", type=int, default=3,
-                          help="operations in the generated workload")
-    frontier.add_argument("--reads", type=float, default=0.6, help="read fraction")
-    frontier.add_argument("--spacing", type=int, default=50,
-                          help="mean gap between invocations")
-    frontier.add_argument("--op", action="append", default=None,
-                          metavar="KIND:ARG@TIME",
-                          help="explicit operation plan entry (repeatable; "
-                               "write:VALUE@TIME or read:READER@TIME; "
-                               "overrides the generated workload)")
-    frontier.add_argument("--seed", type=int, default=0, help="workload seed")
     frontier.add_argument("--max-k", type=int, default=4,
                           help="deepest k-atomic(k) rung on the ladder")
-    frontier.add_argument("--max-holds", type=int, default=2,
-                          help="most decisions a schedule may take")
-    frontier.add_argument("--max-schedules", type=int, default=2000,
-                          help="schedule budget per ladder rung")
-    frontier.add_argument("--max-events", type=int, default=200_000,
-                          help="simulator event budget per schedule")
-    frontier.add_argument("--granularity", choices=("operation", "round"),
-                          default="operation", help="hold-link granularity")
-    frontier.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs",
-                          help="frontier order")
     frontier.add_argument("--no-fault-timing", dest="no_fault_timing",
                           action="store_true",
                           help="do not sweep fault trigger points "
                                "(facade-scheduled timing only)")
-    frontier.add_argument("--symmetry", action="store_true",
-                          help="canonicalize schedules over interchangeable "
-                               "fault-free objects")
-    frontier.add_argument("--parallel", action="store_true",
-                          help="evaluate frontier waves on a process pool")
-    frontier.add_argument("--workers", type=int, default=None,
-                          help="process-pool size with --parallel")
-    frontier.add_argument("--witness", default=None, metavar="PATH",
-                          help="save the refutation witness (the schedule "
-                               "breaking the next-stronger model) to PATH")
     frontier.add_argument("--jsonl", default=None, metavar="PATH",
                           help="append the structured frontier as one JSON "
                                "line to PATH")
@@ -985,7 +863,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     stats.add_argument("spans_file", help="spans .jsonl written by run --spans")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     handlers = {
         "summary": _cmd_summary,
         "read-bound": _cmd_read_bound,
@@ -1005,6 +886,9 @@ def main(argv: list[str] | None = None) -> int:
         "stats": _cmd_stats,
     }
     try:
+        # Parsing sits inside the handler: a flag's own converter (e.g.
+        # --repair MEMBER@AT) reports through the same friendly exit.
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except Exception as error:  # ReproError and friends → friendly exit
         from repro.errors import ReproError

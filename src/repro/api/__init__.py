@@ -18,6 +18,14 @@ experiment needs, addressable as data:
   ``sweep(..., parallel=True)`` fan trials over a process pool with
   results byte-identical to serial execution.
 
+* :mod:`repro.axes` — the seven **run axes** (engine, durability,
+  consistency, observe, repairs, spares, xfer_quorum), declared once as
+  :class:`RunAxes`.  Requests, specs, probes, results, witness JSON,
+  ``repro compare`` and the CLI all derive from that record, so *adding a
+  run axis* is: declare the field there, read ``request.<name>`` where it
+  takes effect, and give it a sample in ``tests/test_axes.py`` (the
+  generated round-trip test picks it up) — see the module docstring.
+
 Quickstart::
 
     from repro.api import Cluster, available_protocols
@@ -57,6 +65,7 @@ from repro.api.backends import (
     get_backend_spec,
     register_backend,
 )
+from repro.axes import RunAxes
 from repro.sim.batched import ENGINES, available_engines
 from repro.api.cluster import (
     CheckVerdict,
@@ -96,7 +105,8 @@ __all__ = [
     "get_backend_spec",
     "available_backends",
     "backend_specs",
-    # simulation engines
+    # run axes + simulation engines
+    "RunAxes",
     "ENGINES",
     "available_engines",
     # checker registry (repro.consistency)

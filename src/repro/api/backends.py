@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.api.registry import ProtocolSpec
+from repro.axes import RunAxes
 from repro.errors import ConfigurationError
 from repro.sim.network import DeliveryPolicy
 from repro.spec.history import History
@@ -49,45 +50,38 @@ DEFAULT_KEY = "default"
 DEFAULT_SHARD_KEYS = ("k1", "k2")
 
 
-@dataclass(frozen=True, slots=True)
-class BackendRequest:
+@dataclass(frozen=True, slots=True, kw_only=True)
+class BackendRequest(RunAxes):
     """Picklable description of the system one trial needs.
 
-    Everything here is plain data so :class:`~repro.api.cluster.TrialSpec`
-    can carry it across process boundaries; the stateful pieces (fault
-    behaviours, protocol instances) are created fresh per build.
+    Everything here is plain data so it crosses process boundaries; the
+    stateful pieces (fault behaviours, protocol instances, delivery
+    policies) are created fresh per build.  Protocols, backends and
+    scenarios are referenced by *registry name*.  The run axes (engine,
+    durability, consistency, observe, repairs, spares, xfer_quorum) are
+    inherited from :class:`~repro.axes.RunAxes` — see there for what each
+    one means.  :class:`~repro.api.cluster.TrialSpec` and
+    :class:`~repro.explore.engine.ScheduleProbe` extend this class, so a
+    spec *is* the request its backend is built from.
     """
 
+    protocol: str
+    protocol_kwargs: tuple[tuple[str, Any], ...] = ()
     t: int = 1
     S: int | None = None
     n_readers: int = 2
-    n_writers: int = 2
+    n_writers: int = 1
     keys: tuple[str, ...] = ()
+    backend: str = "single"
     allow_overfault: bool = False
-    protocol_kwargs: tuple[tuple[str, Any], ...] = ()
-    #: Simulation engine every backend builds its system on
-    #: (see :data:`repro.sim.batched.ENGINES`).
-    engine: str = "event"
-    #: Durability seam every backend wraps its object handlers in
-    #: (see :data:`repro.storage.DURABILITIES`).
-    durability: str = "none"
-    #: Membership-repair steps for the ``reconfig`` backend: ``(member_index,
-    #: at)`` pairs, each replacing one epoch member with a fresh spare.
-    repairs: tuple[tuple[int, int], ...] = ()
-    #: Pre-provisioned spare objects (``None``: one per repair step).
-    spares: int | None = None
-    #: State-transfer read quorum (``None``: the safe default ``S − t``).
-    xfer_quorum: int | None = None
-    #: Consistency model served to clients — ``"atomic"`` (the default) or
-    #: ``"k-atomic(N)"``, the bounded-lag read view of the ``k-atomic``
-    #: backend (see :mod:`repro.consistency`).
-    consistency: str = "atomic"
-    #: Observability: when set, :meth:`BackendSpec.build` arms the virtual
-    #: clock on every fault behaviour and stable store so recovery windows
-    #: and journal syncs are logged for span derivation (see
-    #: :mod:`repro.obs`).  Off by default — the off-state adds nothing to
-    #: the hot path and keeps structured results byte-identical.
-    observe: bool = False
+    #: Named scenario (its fault plan and delivery fabric), or ``None`` for
+    #: the explicit ``fault_groups`` below.
+    scenario: str | None = None
+    fault_groups: tuple[Any, ...] = ()  # cluster._FaultGroup entries
+    #: Plan-addressed adversarial skip rules
+    #: (:class:`~repro.faults.schedules.PlannedSkip`), compiled to a
+    #: delivery policy only inside the trial.
+    schedule: tuple[Any, ...] = ()
 
 
 class SystemBackend(ABC):
@@ -407,6 +401,24 @@ def _build_protocol(protocol_spec: ProtocolSpec, request: BackendRequest) -> Any
     )
 
 
+def _system_kwargs(
+    request: BackendRequest,
+    behaviors: Mapping[ProcessId, Any],
+    policy: DeliveryPolicy | None,
+) -> dict[str, Any]:
+    """The keywords every register-system constructor takes."""
+    return dict(
+        t=request.t,
+        S=request.S,
+        n_readers=request.n_readers,
+        behaviors=behaviors,
+        policy=policy,
+        allow_overfault=request.allow_overfault,
+        engine=request.engine,
+        durability=request.durability,
+    )
+
+
 def _reject_stack(protocol: Any, protocol_spec: ProtocolSpec, backend: str) -> None:
     from repro.registers.transform_mwmr import MultiWriterStackProtocol
 
@@ -427,18 +439,9 @@ def _build_single(
 
     protocol = _build_protocol(protocol_spec, request)
     _reject_stack(protocol, protocol_spec, "single")
-    system = RegisterSystem(
-        protocol,
-        t=request.t,
-        S=request.S,
-        n_readers=request.n_readers,
-        behaviors=behaviors,
-        policy=policy,
-        allow_overfault=request.allow_overfault,
-        engine=request.engine,
-        durability=request.durability,
+    return SingleRegisterBackend(
+        RegisterSystem(protocol, **_system_kwargs(request, behaviors, policy))
     )
-    return SingleRegisterBackend(system)
 
 
 def _build_multi_writer(
@@ -454,31 +457,14 @@ def _build_multi_writer(
     )
 
     protocol = _build_protocol(protocol_spec, request)
+    keywords = _system_kwargs(request, behaviors, policy)
     if isinstance(protocol, MultiWriterStackProtocol):
         system: Any = MultiWriterRegisterSystem(
-            protocol.substrate_factory,
-            t=request.t,
-            S=request.S,
-            n_writers=request.n_writers,
-            n_readers=request.n_readers,
-            behaviors=behaviors,
-            policy=policy,
-            allow_overfault=request.allow_overfault,
-            engine=request.engine,
-        durability=request.durability,
+            protocol.substrate_factory, n_writers=request.n_writers, **keywords
         )
     elif hasattr(protocol, "write_generator_for"):
         system = NativeMultiWriterSystem(
-            protocol,
-            t=request.t,
-            S=request.S,
-            n_writers=request.n_writers,
-            n_readers=request.n_readers,
-            behaviors=behaviors,
-            policy=policy,
-            allow_overfault=request.allow_overfault,
-            engine=request.engine,
-        durability=request.durability,
+            protocol, n_writers=request.n_writers, **keywords
         )
     else:
         raise ConfigurationError(
@@ -502,14 +488,7 @@ def _build_sharded(
     system = ShardedRegisterSystem(
         lambda: _build_protocol(protocol_spec, request),
         keys=request.keys or DEFAULT_SHARD_KEYS,
-        t=request.t,
-        S=request.S,
-        n_readers=request.n_readers,
-        behaviors=behaviors,
-        policy=policy,
-        allow_overfault=request.allow_overfault,
-        engine=request.engine,
-        durability=request.durability,
+        **_system_kwargs(request, behaviors, policy),
     )
     return ShardedBackend(system)
 
@@ -526,17 +505,10 @@ def _build_reconfig(
     _reject_stack(protocol, protocol_spec, "reconfig")
     system = ReconfigRegisterSystem(
         protocol,
-        t=request.t,
-        S=request.S,
-        n_readers=request.n_readers,
-        behaviors=behaviors,
-        policy=policy,
-        allow_overfault=request.allow_overfault,
-        engine=request.engine,
-        durability=request.durability,
         repairs=request.repairs,
         spares=request.spares,
         xfer_quorum=request.xfer_quorum,
+        **_system_kwargs(request, behaviors, policy),
     )
     return ReconfigBackend(system)
 

@@ -51,7 +51,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.metrics import measure_backend_latency
@@ -65,6 +65,7 @@ from repro.api.backends import (
 )
 from repro.api.faults import fault_spec
 from repro.api.registry import ProtocolSpec, available_protocols, get_spec
+from repro.axes import AxesView, RunAxes
 from repro.consistency.models import (  # re-exported: the registry moved to repro.consistency
     CHECKS,
     CheckVerdict,
@@ -77,11 +78,10 @@ from repro.consistency.staleness import read_staleness, staleness_distribution
 from repro.errors import ConfigurationError
 from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip
 from repro.registers.base import resolve_reader
-from repro.sim.batched import resolve_engine
 from repro.sim.network import DeliveryPolicy
 from repro.spec.history import History
 from repro.sim.process import FaultBehavior
-from repro.storage import SpaceMeter, resolve_durability
+from repro.storage import SpaceMeter
 from repro.types import ProcessId, object_id, reader_ids, scoped_operation_serials
 from repro.workloads.generator import OperationPlan, WorkloadGenerator, normalize_keys
 from repro.workloads.scenarios import Scenario, get_scenario
@@ -204,7 +204,7 @@ class TrialResult:
 
 
 @dataclass(slots=True)
-class RunResult:
+class RunResult(AxesView):
     """Structured outcome of :meth:`Cluster.run` across all trials."""
 
     protocol: str
@@ -219,9 +219,8 @@ class RunResult:
     backend: str = "single"
     key_count: int = 1
     n_writers: int = 1
-    engine: str = "event"
-    durability: str = "none"
-    consistency: str = "atomic"
+    #: The run axes every trial executed under (:class:`~repro.axes.RunAxes`).
+    axes: RunAxes = RunAxes()
     #: Robustness-frontier payload (``None`` unless a frontier was
     #: attached, e.g. by ``sweep(frontier=True)``): the
     #: :meth:`~repro.robustness.FrontierResult.to_dict` of the
@@ -288,25 +287,9 @@ class RunResult:
             payload["backend"] = self.backend
             payload["keys"] = self.key_count
             payload["writers"] = self.n_writers
-        if self.engine != "event":
-            # The engine tag is metadata about *how* the run executed, not
-            # what it produced: a batched run's payload is byte-identical to
-            # the event engine's apart from this one key (absent = event, so
-            # pre-engine JSONL files stay comparable).
-            payload["engine"] = self.engine
-        if self.durability != "none":
-            # The durability axis *does* change what a run can observe
-            # (crash-recover faults, per-trial storage reports), so stored
-            # rows only compare like-for-like within one durability mode;
-            # absent means the paper's crash-stop objects, keeping old
-            # JSONL files comparable.
-            payload["durability"] = self.durability
-        if self.consistency != "atomic":
-            # The consistency model changes what reads return, so stored
-            # rows only compare like-for-like within one model; absent
-            # means the paper's atomic semantics, keeping old JSONL files
-            # comparable.
-            payload["consistency"] = self.consistency
+        # Tagged axes away from their default; absent means default, so
+        # files written before an axis existed stay comparable.
+        payload.update(self.axes.non_default())
         if self.robustness is not None:
             # New key, only when a frontier was computed for this run:
             # frontier-free payloads stay byte-identical.
@@ -346,12 +329,7 @@ class RunResult:
         shape = ""
         if self.backend != "single":
             shape = f", backend={self.backend} ({self.key_count} key(s), {self.n_writers} writer(s))"
-        if self.engine != "event":
-            shape += f", engine={self.engine}"
-        if self.durability != "none":
-            shape += f", durability={self.durability}"
-        if self.consistency != "atomic":
-            shape += f", consistency={self.consistency}"
+        shape += self.axes.tags()
         title = (
             f"{self.protocol} [{self.semantics}] — t={self.t}, S={self.S}, "
             f"{self.n_readers} readers{shape}, faults: {self.faults.describe()}"
@@ -431,42 +409,26 @@ def _group_label(group: _FaultGroup) -> str:
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class TrialSpec:
+@dataclass(frozen=True, slots=True, kw_only=True)
+class TrialSpec(BackendRequest):
     """Everything one trial needs, as plain data.
 
     A spec is the picklable boundary between configuration and execution:
     :meth:`Cluster.run` compiles one spec per trial and hands them to
     :func:`run_trial` — in-process for serial runs, on a process pool for
-    ``parallel=True``.  Protocols and scenarios are referenced by *registry
-    name* (live objects don't cross process boundaries); fault groups,
-    workload shape, and explicit schedules are carried verbatim.
+    ``parallel=True``.  It *is* the
+    :class:`~repro.api.backends.BackendRequest` its system is built from
+    (protocol, backend, sizes, key layout, fault configuration, schedule and
+    the run axes are inherited); on top it carries the workload shape, the
+    checks and the trial's identity.
 
     ``workload_seed`` is the seed the generator actually uses for this trial
     (``seed + trial``); ``recorded_seed`` is what lands in
     :attr:`TrialResult.seed` (None for explicit schedules, which replay the
     same plan every trial).
-
-    ``backend`` names the system backend (registry of
-    :mod:`repro.api.backends`); ``keys``/``n_writers``/``key_skew`` describe
-    the key layout and writer family — all plain data, so sharded and
-    multi-writer trials pickle and parallelize exactly like single ones.
-
-    ``schedule`` carries plan-addressed adversarial skip rules
-    (:class:`~repro.faults.schedules.PlannedSkip`, from
-    :meth:`Cluster.with_schedule`) — again plain data, compiled to a
-    delivery policy only inside the trial.
     """
 
-    protocol: str
-    protocol_kwargs: tuple[tuple[str, Any], ...]
-    t: int
-    S: int | None
-    n_readers: int
-    allow_overfault: bool
-    scenario: str | None
     scenario_label: str
-    fault_groups: tuple[_FaultGroup, ...]
     read_fraction: float
     spacing: int
     operations: int
@@ -476,38 +438,8 @@ class TrialSpec:
     workload_seed: int
     recorded_seed: int | None
     keep_history: bool
-    backend: str = "single"
-    keys: tuple[str, ...] = ()
-    n_writers: int = 1
     key_skew: float = 0.0
-    schedule: tuple[PlannedSkip, ...] = ()
     keep_trace: bool = False
-    engine: str = "event"
-    durability: str = "none"
-    repairs: tuple[tuple[int, int], ...] = ()
-    spares: int | None = None
-    xfer_quorum: int | None = None
-    consistency: str = "atomic"
-    observe: bool = False
-
-    def backend_request(self) -> BackendRequest:
-        """The build parameters the backend needs, as plain data."""
-        return BackendRequest(
-            t=self.t,
-            S=self.S,
-            n_readers=self.n_readers,
-            n_writers=self.n_writers,
-            keys=self.keys,
-            allow_overfault=self.allow_overfault,
-            protocol_kwargs=self.protocol_kwargs,
-            engine=self.engine,
-            durability=self.durability,
-            repairs=self.repairs,
-            spares=self.spares,
-            xfer_quorum=self.xfer_quorum,
-            consistency=self.consistency,
-            observe=self.observe,
-        )
 
     def plans(self) -> list[OperationPlan]:
         """The operation schedule this trial replays."""
@@ -575,6 +507,34 @@ def resolve_trial_policy(
     return base
 
 
+def build_backend(
+    request: BackendRequest,
+    protocol_spec: ProtocolSpec | None = None,
+    adversary: Callable[
+        [dict[ProcessId, FaultBehavior], DeliveryPolicy | None], DeliveryPolicy | None
+    ] | None = None,
+) -> SystemBackend:
+    """The live system ``request`` describes — the one place a spec is built.
+
+    Materialises fresh fault behaviours, resolves the delivery policy
+    (scenario fabric plus planned skips) and hands both to the named
+    backend.  ``adversary`` lets the schedule explorer step in between: it
+    may rewrite ``behaviors`` in place (fault triggers) and returns the
+    policy to build with (its controlled delivery over the base policy).
+    ``protocol_spec`` defaults to the registry entry ``request.protocol``
+    names.
+    """
+    behaviors = _materialize_behaviors(
+        request.scenario, request.fault_groups, request.t, request.allow_overfault
+    )
+    policy = resolve_trial_policy(request.scenario, request.t, request.schedule)
+    if adversary is not None:
+        policy = adversary(behaviors, policy)
+    return get_backend_spec(request.backend).build(
+        protocol_spec or get_spec(request.protocol), request, behaviors, policy
+    )
+
+
 def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult:
     """Execute one trial against an already-resolved protocol spec."""
     # Operation serials restart at 1 inside the scope, so the recorded
@@ -588,15 +548,7 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
         # only in an observed trial's ``obs["phases_s"]``.
         tick = time.perf_counter
         started = tick()
-        behaviors = _materialize_behaviors(
-            spec.scenario, spec.fault_groups, spec.t, spec.allow_overfault
-        )
-        backend = get_backend_spec(spec.backend).build(
-            protocol_spec,
-            spec.backend_request(),
-            behaviors,
-            resolve_trial_policy(spec.scenario, spec.t, spec.schedule),
-        )
+        backend = build_backend(spec, protocol_spec)
         built = tick()
         plans = spec.plans()
         planned = tick()
@@ -775,25 +727,13 @@ class Cluster:
             multi-writer backend automatically.
         keys: key layout for keyed backends — a count or explicit names.
         n_writers: writer family size for multi-writer backends.
-        engine: simulation engine every trial runs on — ``"event"`` (the
-            per-message event loop, default) or ``"batched"`` (the
-            wave-stepped engine, observably identical and faster; see
-            :mod:`repro.sim.batched`).
-        durability: durability seam every trial's objects persist through —
-            ``"none"`` (crash-stop objects, the default), ``"mem"``
-            (deterministic in-memory journals) or ``"dir"`` (append-only
-            log files; see :mod:`repro.storage`).  Required for the
-            crash-recover fault family.
-        consistency: consistency model the cluster serves — ``"atomic"``
-            (the default) or ``"k-atomic(N)"`` (bounded-stale reads; see
-            :mod:`repro.consistency`).  A non-atomic model routes
-            single/sharded layouts onto the ``k-atomic`` backend
-            automatically; conversely ``backend="k-atomic"`` without a
-            model defaults to ``"k-atomic(2)"``.
-        observe: enable the observability layer (:mod:`repro.obs`): every
-            trial carries derived span/metric records plus its executed
-            event count and duration.  Off by default; the off-state
-            produces byte-identical results to today.
+        engine / durability / consistency / observe: the run axes of the
+            same name — see :class:`repro.axes.RunAxes` for what each one
+            means.  A non-atomic ``consistency`` routes single/sharded
+            layouts onto the ``k-atomic`` backend automatically; conversely
+            ``backend="k-atomic"`` without a model defaults to
+            ``"k-atomic(2)"``.  The repair axes are set through
+            :meth:`with_repairs`; :attr:`axes` reads all seven back.
         protocol_kwargs: forwarded to the protocol factory per trial.
     """
 
@@ -835,14 +775,10 @@ class Cluster:
         self._n_writers: int | None = None
         self._key_skew = 0.0
         self._schedule: tuple[PlannedSkip, ...] = ()
-        self._engine = self._validate_engine(engine)
-        self._durability = resolve_durability(durability)
-        self._repairs: tuple[tuple[int, int], ...] = ()
-        self._spares: int | None = None
-        self._xfer_quorum: int | None = None
-        self._observe = bool(observe)
-        self._consistency = parse_consistency(consistency)
-        if backend is None and self._consistency != "atomic":
+        self._axes = RunAxes(
+            engine=engine, durability=durability, consistency=consistency, observe=observe
+        ).validated()
+        if backend is None and self._axes.consistency != "atomic":
             # A bound implies the bounded-stale wrapper whenever the
             # protocol's own backend is one it can wrap; anything else
             # (multi-writer stacks, reconfig) fails in _apply_consistency.
@@ -851,15 +787,15 @@ class Cluster:
         self._configure_backend(backend, keys, n_writers)
         self._apply_consistency()
 
-    @staticmethod
-    def _validate_engine(engine: str) -> str:
-        resolve_engine(engine)  # one source of truth for names + errors
-        return engine
-
     @property
     def spec(self) -> ProtocolSpec:
         """The protocol registry entry this cluster is built on."""
         return self._spec
+
+    @property
+    def axes(self) -> RunAxes:
+        """The run axes this configuration executes under."""
+        return self._axes
 
     def _clone(self) -> "Cluster":
         return copy.copy(self)
@@ -904,16 +840,17 @@ class Cluster:
         the model they were served under.
         """
         name = self.backend_spec.name
-        if self._consistency == "atomic":
+        consistency = self._axes.consistency
+        if consistency == "atomic":
             if name == "k-atomic":
-                self._consistency = parse_consistency("k-atomic")
+                self._axes = replace(self._axes, consistency="k-atomic").validated()
             return
         if name in ("single", "sharded"):
             self._backend = "k-atomic"
             return
         if name != "k-atomic":
             raise ConfigurationError(
-                f"consistency {self._consistency!r} needs the k-atomic backend "
+                f"consistency {consistency!r} needs the k-atomic backend "
                 f"(or a single/sharded layout it can wrap); backend {name!r} "
                 "serves atomic reads only"
             )
@@ -989,62 +926,64 @@ class Cluster:
         clone._configure_backend(backend, keys, n_writers)
         return clone
 
-    def with_engine(self, engine: str) -> "Cluster":
-        """Select the simulation engine trials execute on.
+    def with_axes(self, axes: RunAxes) -> "Cluster":
+        """This configuration under ``axes`` — all seven run axes at once.
 
-        ``"event"`` is the per-message event loop; ``"batched"`` is the
-        wave-stepped :class:`~repro.sim.batched.BatchedSimulator` — same
-        observable results (byte-identical :meth:`RunResult.to_dict` apart
-        from the ``engine`` metadata tag), faster execution.
+        The one setter path: the axes are validated
+        (:meth:`~repro.axes.RunAxes.validated`), repair settings are
+        rejected off the reconfig backend, and a changed consistency model
+        is reconciled with the backend.  ``with_engine`` /
+        ``with_durability`` / ``with_consistency`` / ``with_observe`` /
+        ``with_repairs`` are this with the named fields replaced.
         """
+        axes = axes.validated()
+        if (
+            (axes.repairs or axes.spares is not None or axes.xfer_quorum is not None)
+            and self.backend_spec.name != "reconfig"
+        ):
+            raise ConfigurationError(
+                f"repairs need the reconfig backend, not {self.backend_spec.name!r}; "
+                "build the cluster with backend='reconfig'"
+            )
         clone = self._clone()
-        clone._engine = self._validate_engine(engine)
+        clone._axes = axes
+        if axes.consistency != self._axes.consistency:
+            clone._apply_consistency()
         return clone
+
+    def with_engine(self, engine: str) -> "Cluster":
+        """Select the simulation engine trials execute on (same observable
+        results; only the ``engine`` tag of :meth:`RunResult.to_dict`
+        differs) — see :attr:`RunAxes.engine <repro.axes.RunAxes>`."""
+        return self.with_axes(replace(self._axes, engine=engine))
 
     def with_durability(self, durability: str) -> "Cluster":
-        """Select the durability seam every trial's objects persist through.
-
-        ``"mem"`` journals state into deterministic in-memory logs,
-        ``"dir"`` into append-only files under a per-trial temp dir; both
-        wrap every handler in a
-        :class:`~repro.storage.DurableObjectHandler`, enable the
-        crash-recover fault family, and attach a per-trial
-        :class:`~repro.storage.SpaceMeter` report to the results.
-        """
-        clone = self._clone()
-        clone._durability = resolve_durability(durability)
-        return clone
+        """Select the durability seam every trial's objects persist through
+        — see :attr:`RunAxes.durability <repro.axes.RunAxes>`."""
+        return self.with_axes(replace(self._axes, durability=durability))
 
     def with_consistency(self, consistency: str) -> "Cluster":
         """Select the consistency model the cluster serves.
 
         ``"k-atomic(N)"`` (or bare ``"k-atomic"``, bound
         :data:`~repro.consistency.models.DEFAULT_K`) routes single/sharded
-        layouts onto the ``k-atomic`` backend, whose reads lag at most
-        ``N − 1`` completed writes behind the freshest value; trial
-        results then carry the measured staleness distribution.
-        ``"atomic"`` on a cluster already built on the ``k-atomic``
-        backend keeps that backend's default bound — drop the backend via
+        layouts onto the ``k-atomic`` backend — see
+        :attr:`RunAxes.consistency <repro.axes.RunAxes>`.  ``"atomic"`` on a
+        cluster already built on the ``k-atomic`` backend keeps that
+        backend's default bound — drop the backend via
         ``with_backend("single")`` first to serve atomic reads again.
         """
-        clone = self._clone()
-        clone._consistency = parse_consistency(consistency)
+        clone = self.with_axes(replace(self._axes, consistency=consistency))
+        # Also when the model is unchanged: a backend swapped in underneath
+        # it (with_backend) is routed back onto the k-atomic wrapper.
         clone._apply_consistency()
         return clone
 
     def with_observe(self, observe: bool = True) -> "Cluster":
-        """Enable the observability layer (see :mod:`repro.obs`).
-
-        Observed trials carry a per-trial ``obs`` payload: span and metric
-        records derived from the engine's bookkeeping (byte-identical
-        across engines and serial/parallel execution), plus the executed
-        event count and wall-clock duration surfaced in
-        :meth:`TrialResult.to_dict`.  Off (the default), results are
-        byte-identical to an unobserved cluster's.
-        """
-        clone = self._clone()
-        clone._observe = bool(observe)
-        return clone
+        """Enable the observability layer — see :mod:`repro.obs` and
+        :attr:`RunAxes.observe <repro.axes.RunAxes>`.  Off (the default),
+        results are byte-identical to an unobserved cluster's."""
+        return self.with_axes(replace(self._axes, observe=observe))
 
     def with_schedule(self, *steps: PlannedSkip | tuple) -> "Cluster":
         """Install plan-addressed adversarial skip rules (stacking).
@@ -1117,44 +1056,18 @@ class Cluster:
     ) -> "Cluster":
         """Schedule membership-repair steps (reconfig backend only).
 
-        Each step is ``(member_index, at)``: replace epoch member
-        ``s_member_index`` starting at virtual time ``at``; the k-th step
-        activates the pre-provisioned spare ``s_{S+k}``.  ``spares``
-        overrides the spare-pool size (default: one per step);
-        ``xfer_quorum`` overrides the state-transfer read quorum (default
-        ``S − t``, the safe intersection quorum — smaller values are the
-        misconfiguration the schedule explorer refutes).
+        Steps are ``(member_index, at)`` pairs and stack across calls;
+        ``spares`` / ``xfer_quorum`` override the spare-pool size and the
+        state-transfer read quorum when given — see the axes of the same
+        names on :class:`repro.axes.RunAxes`.
         """
-        if self.backend_spec.name != "reconfig":
-            raise ConfigurationError(
-                f"repairs need the reconfig backend, not {self.backend_spec.name!r}; "
-                "build the cluster with backend='reconfig'"
-            )
-        compiled: list[tuple[int, int]] = []
-        for step in steps:
-            if not isinstance(step, tuple) or len(step) != 2:
-                raise ConfigurationError(
-                    f"repair steps are (member_index, at) pairs, got {step!r}"
-                )
-            member, at = step
-            if member < 1:
-                raise ConfigurationError(
-                    f"repair member indices are 1-based, got {member}"
-                )
-            if at < 0:
-                raise ConfigurationError(f"repair time must be non-negative, got {at}")
-            compiled.append((int(member), int(at)))
-        if spares is not None and spares < 0:
-            raise ConfigurationError("spares must be non-negative")
-        if xfer_quorum is not None and xfer_quorum < 1:
-            raise ConfigurationError("xfer_quorum must be at least 1")
-        clone = self._clone()
-        clone._repairs = self._repairs + tuple(compiled)
-        if spares is not None:
-            clone._spares = spares
-        if xfer_quorum is not None:
-            clone._xfer_quorum = xfer_quorum
-        return clone
+        axes = self._axes
+        return self.with_axes(replace(
+            axes,
+            repairs=axes.repairs + steps,
+            spares=axes.spares if spares is None else spares,
+            xfer_quorum=axes.xfer_quorum if xfer_quorum is None else xfer_quorum,
+        ))
 
     def with_workload(
         self,
@@ -1285,35 +1198,26 @@ class Cluster:
         return "+".join(_group_label(g) for g in self._fault_groups)
 
     def _plans(self, seed: int) -> list[OperationPlan]:
-        if self._explicit_plans is not None:
-            return list(self._explicit_plans)
-        generator = WorkloadGenerator(
-            seed=seed,
-            n_readers=self._n_readers,
-            n_writers=self._writer_count(),
-            read_fraction=self._read_fraction,
-            spacing=self._spacing,
-            keys=self._key_names() or None,
-            key_skew=self._key_skew,
-        )
-        return generator.plan(self._operations)
+        (spec,) = self._trial_specs(1, seed, keep_history=False)
+        return spec.plans()
 
-    def _backend_request(self) -> BackendRequest:
-        return BackendRequest(
+    def _request_fields(self) -> dict[str, Any]:
+        """The :class:`BackendRequest` fields of this configuration — the one
+        mapping run, explore, frontier and :meth:`build_backend` compile from."""
+        return dict(
+            protocol=self._spec.name,
+            protocol_kwargs=tuple(sorted(self._protocol_kwargs.items())),
             t=self._t,
             S=self._S,
             n_readers=self._n_readers,
             n_writers=self._writer_count(),
             keys=self._key_names(),
+            backend=self.backend_spec.name,
             allow_overfault=self._allow_overfault,
-            protocol_kwargs=tuple(sorted(self._protocol_kwargs.items())),
-            engine=self._engine,
-            durability=self._durability,
-            repairs=self._repairs,
-            spares=self._spares,
-            xfer_quorum=self._xfer_quorum,
-            consistency=self._consistency,
-            observe=self._observe,
+            scenario=self._scenario.name if self._scenario is not None else None,
+            fault_groups=self._fault_groups,
+            schedule=self._schedule,
+            **self._axes.axis_values(),
         )
 
     def _require_scenario_durability(self) -> None:
@@ -1327,7 +1231,7 @@ class Cluster:
         if (
             self._scenario is not None
             and self._scenario.requires_durability
-            and self._durability == "none"
+            and self._axes.durability == "none"
         ):
             raise ConfigurationError(
                 f"scenario {self._scenario.name!r} replays durable journals "
@@ -1337,15 +1241,7 @@ class Cluster:
 
     def build_backend(self) -> SystemBackend:
         """One configured :class:`~repro.api.backends.SystemBackend`."""
-        behaviors, _ = self._materialize_faults()
-        policy = resolve_trial_policy(
-            self._scenario.name if self._scenario is not None else None,
-            self._t,
-            self._schedule,
-        )
-        return self.backend_spec.build(
-            self._spec, self._backend_request(), behaviors, policy
-        )
+        return build_backend(BackendRequest(**self._request_fields()), self._spec)
 
     def build_system(self) -> Any:
         """The configured low-level system — the escape hatch.
@@ -1365,40 +1261,24 @@ class Cluster:
     ) -> list[TrialSpec]:
         """Compile one picklable :class:`TrialSpec` per trial."""
         explicit = self._explicit_plans is not None
-        label = self._scenario_label()
+        shared = dict(
+            self._request_fields(),
+            scenario_label=self._scenario_label(),
+            read_fraction=self._read_fraction,
+            spacing=self._spacing,
+            operations=self._operations,
+            explicit_plans=self._explicit_plans,
+            checks=self._checks,
+            keep_history=keep_history,
+            key_skew=self._key_skew,
+            keep_trace=keep_trace,
+        )
         return [
             TrialSpec(
-                protocol=self._spec.name,
-                protocol_kwargs=tuple(sorted(self._protocol_kwargs.items())),
-                t=self._t,
-                S=self._S,
-                n_readers=self._n_readers,
-                allow_overfault=self._allow_overfault,
-                scenario=self._scenario.name if self._scenario is not None else None,
-                scenario_label=label,
-                fault_groups=self._fault_groups,
-                read_fraction=self._read_fraction,
-                spacing=self._spacing,
-                operations=self._operations,
-                explicit_plans=self._explicit_plans,
-                checks=self._checks,
+                **shared,
                 trial=index,
                 workload_seed=seed + index,
                 recorded_seed=None if explicit else seed + index,
-                keep_history=keep_history,
-                backend=self.backend_spec.name,
-                keys=self._key_names(),
-                n_writers=self._writer_count(),
-                key_skew=self._key_skew,
-                schedule=self._schedule,
-                keep_trace=keep_trace,
-                engine=self._engine,
-                durability=self._durability,
-                repairs=self._repairs,
-                spares=self._spares,
-                xfer_quorum=self._xfer_quorum,
-                consistency=self._consistency,
-                observe=self._observe,
             )
             for index in range(trials)
         ]
@@ -1416,24 +1296,23 @@ class Cluster:
             raise ConfigurationError("need at least one trial")
         self._require_scenario_durability()
         behaviors, inventory = self._materialize_faults()
-        probe = self.backend_spec.build(self._spec, self._backend_request(), behaviors)
+        specs = self._trial_specs(trials, seed, keep_history, keep_trace)
+        probe = self.backend_spec.build(self._spec, specs[0], behaviors)
         result = RunResult(
             protocol=self._spec.name,
             semantics=self._spec.semantics,
             t=self._t,
             S=probe.S,
             n_readers=self._n_readers,
-            scenario=self._scenario_label(),
+            scenario=specs[0].scenario_label,
             faults=inventory,
             checks=self._checks,
-            backend=self.backend_spec.name,
+            backend=specs[0].backend,
             key_count=len(probe.keys),
-            n_writers=self._writer_count(),
-            engine=self._engine,
-            durability=self._durability,
-            consistency=self._consistency,
+            n_writers=specs[0].n_writers,
+            axes=self._axes,
         )
-        return result, self._trial_specs(trials, seed, keep_history, keep_trace)
+        return result, specs
 
     def run(
         self,
@@ -1480,32 +1359,12 @@ class Cluster:
         from repro.explore.engine import ScheduleProbe
 
         self._require_scenario_durability()
-        plans = tuple(self._plans(seed))
-        checks = self._checks or (self._spec.default_check(),)
         return ScheduleProbe(
-            protocol=self._spec.name,
-            protocol_kwargs=tuple(sorted(self._protocol_kwargs.items())),
-            t=self._t,
-            S=self._S,
-            n_readers=self._n_readers,
-            n_writers=self._writer_count(),
-            keys=self._key_names(),
-            backend=self.backend_spec.name,
-            allow_overfault=self._allow_overfault,
-            scenario=self._scenario.name if self._scenario is not None else None,
-            fault_groups=self._fault_groups,
-            schedule=self._schedule,
-            plans=plans,
-            checks=checks,
+            **self._request_fields(),
+            plans=tuple(self._plans(seed)),
+            checks=self._checks or (self._spec.default_check(),),
             granularity=granularity,
             max_events=max_events,
-            engine=self._engine,
-            durability=self._durability,
-            repairs=self._repairs,
-            spares=self._spares,
-            xfer_quorum=self._xfer_quorum,
-            consistency=self._consistency,
-            observe=self._observe,
         )
 
     def explore(

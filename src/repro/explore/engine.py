@@ -59,7 +59,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 from repro.api.backends import BackendRequest, get_backend_spec
+from repro.api.cluster import _materialize_behaviors, _pool_map, build_backend, run_check
 from repro.api.registry import get_spec
+from repro.axes import AxesView, RunAxes
 from repro.errors import ConfigurationError, SimulationError
 from repro.explore.controlled import (
     GRANULARITIES,
@@ -70,7 +72,6 @@ from repro.explore.controlled import (
     canonical_decisions,
     canonical_links,
 )
-from repro.faults.schedules import PlannedSkip
 from repro.sim.network import DeliveryPolicy
 from repro.sim.simulator import OperationStatus
 from repro.sim.tracing import trace_fingerprint
@@ -86,29 +87,24 @@ STRATEGIES = ("bfs", "dfs")
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduleProbe:
+@dataclass(frozen=True, slots=True, kw_only=True)
+class ScheduleProbe(BackendRequest):
     """Everything one schedule run needs, as picklable plain data.
 
     A probe is to the explorer what :class:`~repro.api.cluster.TrialSpec`
     is to the trial engine: the pure-data boundary that lets schedule
     evaluations fan out over a process pool with byte-identical results.
-    ``decisions`` is the only field the frontier varies; everything else is
-    the fixed configuration under test.
+    Like a trial spec it *is* the
+    :class:`~repro.api.backends.BackendRequest` its system is built from —
+    the configuration under test and the run axes are inherited.  Every
+    axis is an ordinary explorer dimension: with a crash-recover fault
+    (``durability``) or repair steps configured, each held link shifts
+    which operation's messages land in the dark window or which epoch a
+    round observes, so recovery and epoch-transition *timing* are choice
+    points like any other.  ``decisions`` is the only field the frontier
+    varies.
     """
 
-    protocol: str
-    protocol_kwargs: tuple[tuple[str, Any], ...]
-    t: int
-    S: int | None
-    n_readers: int
-    n_writers: int
-    keys: tuple[str, ...]
-    backend: str
-    allow_overfault: bool
-    scenario: str | None
-    fault_groups: tuple[Any, ...]  # cluster._FaultGroup entries
-    schedule: tuple[PlannedSkip, ...]
     plans: tuple[OperationPlan, ...]
     checks: tuple[str, ...]
     granularity: str = "operation"
@@ -117,50 +113,6 @@ class ScheduleProbe:
     #: object behaviours, holds to the delivery policy.
     decisions: tuple[Decision, ...] = ()
     max_events: int = 200_000
-    #: Simulation engine schedules are evaluated on.  Both engines produce
-    #: byte-identical outcomes (same failures, same events count, same wire
-    #: trace fingerprint), so certificates and witnesses transfer.
-    engine: str = "event"
-    #: Durability seam the probed systems persist through.  With a
-    #: crash-recover fault configured, every held link shifts which
-    #: operation's messages land in the dark window — recovery *timing*
-    #: is an ordinary explorer choice point, so stale-rejoin violations
-    #: minimize to witnesses and clean sweeps certify the configuration.
-    durability: str = "none"
-    #: Membership-repair steps for the reconfig backend.  Repairs are
-    #: client operations, so their transfer/install messages enter the
-    #: hold alphabet like any others — epoch-transition timing relative to
-    #: client rounds is an ordinary explorer choice point.
-    repairs: tuple[tuple[int, int], ...] = ()
-    spares: int | None = None
-    xfer_quorum: int | None = None
-    #: Consistency model the probed backend serves.  A ``k-atomic(N)``
-    #: probe runs the bounded-lag read view, so the explorer can certify
-    #: or refute staleness-bound claims schedule by schedule — checks like
-    #: ``k-atomic(1)`` dispatch through the same registry as any other.
-    consistency: str = "atomic"
-    #: Observability: probed systems arm the span-layer clocks (see
-    #: :mod:`repro.obs`).  Purely additive bookkeeping, so outcomes and
-    #: trace fingerprints are unchanged either way.
-    observe: bool = False
-
-    def backend_request(self) -> BackendRequest:
-        return BackendRequest(
-            t=self.t,
-            S=self.S,
-            n_readers=self.n_readers,
-            n_writers=self.n_writers,
-            keys=self.keys,
-            allow_overfault=self.allow_overfault,
-            protocol_kwargs=self.protocol_kwargs,
-            engine=self.engine,
-            durability=self.durability,
-            repairs=self.repairs,
-            spares=self.spares,
-            xfer_quorum=self.xfer_quorum,
-            consistency=self.consistency,
-            observe=self.observe,
-        )
 
     def with_decisions(self, decisions: Sequence[Decision]) -> "ScheduleProbe":
         return replace(self, decisions=canonical_decisions(decisions))
@@ -222,18 +174,6 @@ class ScheduleOutcome:
 _fingerprint = trace_fingerprint
 
 
-def _base_policy(probe: ScheduleProbe) -> DeliveryPolicy | None:
-    """The policy beneath the explorer's holds: scenario + planned skips.
-
-    Delegates to the trial engine's resolver so explored schedules run on
-    exactly the fabric a :meth:`Cluster.run` trial of the same
-    configuration would.
-    """
-    from repro.api.cluster import resolve_trial_policy
-
-    return resolve_trial_policy(probe.scenario, probe.t, probe.schedule)
-
-
 def _apply_fault_triggers(
     probe: ScheduleProbe,
     behaviors: dict[Any, Any],
@@ -288,23 +228,24 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
     or on a pool worker): the system is built fresh, operation serials are
     scoped, and the fault behaviours are materialized per run.
     """
-    from repro.api.cluster import _materialize_behaviors, run_check
-
     holds = tuple(d for d in probe.decisions if isinstance(d, HoldLink))
     triggers = tuple(d for d in probe.decisions if isinstance(d, FaultTrigger))
-    with scoped_operation_serials():
-        behaviors = _materialize_behaviors(
-            probe.scenario, probe.fault_groups, probe.t, probe.allow_overfault
-        )
+    policy: ControlledDelivery
+
+    def adversary(
+        behaviors: dict[Any, Any], base: DeliveryPolicy | None
+    ) -> ControlledDelivery:
+        # The explorer's holds steer delivery on top of exactly the fabric
+        # a Cluster.run trial of the same configuration would run on.
+        nonlocal policy
         _apply_fault_triggers(probe, behaviors, triggers)
         policy = ControlledDelivery(
-            holds=holds,
-            base=_base_policy(probe),
-            granularity=probe.granularity,
+            holds=holds, base=base, granularity=probe.granularity
         )
-        backend = get_backend_spec(probe.backend).build(
-            get_spec(probe.protocol), probe.backend_request(), behaviors, policy
-        )
+        return policy
+
+    with scoped_operation_serials():
+        backend = build_backend(probe, adversary=adversary)
         # A held schedule may block a client forever; that client's later
         # planned invocations are then dropped (a legal partial run), not a
         # sequential-client model violation.
@@ -398,7 +339,7 @@ class ExploreStats:
 
 
 @dataclass(slots=True)
-class ExploreResult:
+class ExploreResult(AxesView):
     """Outcome of a bounded exploration: verdict, witnesses, pruning stats.
 
     ``certified`` is True only when the frontier was *exhausted* within the
@@ -419,8 +360,8 @@ class ExploreResult:
     max_holds: int
     max_schedules: int
     max_events: int
-    engine: str = "event"
-    durability: str = "none"
+    #: The run axes every schedule was evaluated under.
+    axes: RunAxes = RunAxes()
     #: Whether fault-trigger choice points were swept (the ``alphabet``
     #: then counts held links *and* trigger points).
     fault_timing: bool = False
@@ -448,8 +389,8 @@ class ExploreResult:
         payload = {
             "protocol": self.protocol,
             "backend": self.backend,
-            "engine": self.engine,
-            "durability": self.durability,
+            "engine": self.axes.engine,
+            "durability": self.axes.durability,
             "t": self.t,
             "S": self.S,
             "n_readers": self.n_readers,
@@ -478,9 +419,6 @@ class ExploreResult:
 
     def render(self) -> str:
         """Human-readable summary, ready to print."""
-        engine_tag = "" if self.engine == "event" else f", engine={self.engine}"
-        if self.durability != "none":
-            engine_tag += f", durability={self.durability}"
         mode_tag = ""
         if self.fault_timing:
             mode_tag += ", fault-timing"
@@ -489,7 +427,7 @@ class ExploreResult:
         unit = "decision(s)" if self.fault_timing else "link(s)"
         lines = [
             f"explore {self.protocol} [{', '.join(self.checks)}] — "
-            f"t={self.t}, S={self.S}, {self.n_readers} readers{engine_tag}, "
+            f"t={self.t}, S={self.S}, {self.n_readers} readers{self.axes.tags()}, "
             f"faults: {self.faults}",
             f"  strategy={self.strategy}, granularity={self.granularity}"
             f"{mode_tag}, bounds: max_holds={self.max_holds}, "
@@ -599,8 +537,6 @@ class Explorer:
         )
         self._relabel_from = 1
         if self.symmetry:
-            from repro.api.cluster import _materialize_behaviors
-
             behaviors = _materialize_behaviors(
                 probe.scenario, probe.fault_groups, probe.t, probe.allow_overfault
             )
@@ -657,8 +593,6 @@ class Explorer:
     ) -> list[ScheduleOutcome]:
         probes = [self.probe.with_decisions(decisions) for decisions in batch]
         if parallel and len(probes) > 1:
-            from repro.api.cluster import _pool_map
-
             outcomes = _pool_map(probes, max_workers, fn=run_schedule)
             if outcomes is not None:
                 return outcomes
@@ -791,8 +725,6 @@ class Explorer:
     # ------------------------------------------------------------------ #
 
     def _result_shell(self) -> ExploreResult:
-        from repro.api.cluster import _materialize_behaviors
-
         behaviors = _materialize_behaviors(
             self.probe.scenario, self.probe.fault_groups,
             self.probe.t, self.probe.allow_overfault,
@@ -817,8 +749,7 @@ class Explorer:
         return ExploreResult(
             protocol=self.probe.protocol,
             backend=backend.name,
-            engine=self.probe.engine,
-            durability=self.probe.durability,
+            axes=RunAxes.of(self.probe),
             t=self.probe.t,
             S=size,
             n_readers=self.probe.n_readers,

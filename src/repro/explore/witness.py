@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.api.cluster import _FaultGroup
+from repro.axes import RunAxes
 from repro.errors import ConfigurationError
 from repro.explore.controlled import (
     Decision,
@@ -181,13 +183,7 @@ class ScheduleWitness:
             "checks": list(probe.checks),
             "granularity": probe.granularity,
             "max_events": probe.max_events,
-            "engine": probe.engine,
-            "durability": probe.durability,
-            "repairs": [[member, at] for member, at in probe.repairs],
-            "spares": probe.spares,
-            "xfer_quorum": probe.xfer_quorum,
-            "consistency": probe.consistency,
-            "observe": probe.observe,
+            **probe.to_payload(),
             "decisions": [link.to_json() for link in self.decisions],
             "discovered": [link.to_json() for link in self.discovered],
             "failures": [list(pair) for pair in self.failures],
@@ -196,8 +192,6 @@ class ScheduleWitness:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScheduleWitness":
-        from repro.api.cluster import _FaultGroup
-
         version = data.get("version")
         if version != WITNESS_VERSION:
             raise ConfigurationError(
@@ -250,22 +244,10 @@ class ScheduleWitness:
             granularity=data.get("granularity", "operation"),
             decisions=decisions,
             max_events=data.get("max_events", 200_000),
-            engine=data.get("engine", "event"),
-            # Absent means the crash-stop objects every pre-durability
-            # witness was recorded against, so the corpus stays replayable.
-            durability=data.get("durability", "none"),
-            # Absent means the static membership every pre-reconfig witness
-            # was recorded against.
-            repairs=tuple(
-                (int(member), int(at)) for member, at in data.get("repairs", ())
-            ),
-            spares=data.get("spares"),
-            xfer_quorum=data.get("xfer_quorum"),
-            # Absent means the atomic reads every pre-spectrum witness was
-            # recorded against.
-            consistency=data.get("consistency", "atomic"),
-            # Absent means unobserved — the only mode pre-obs witnesses had.
-            observe=data.get("observe", False),
+            # Axes absent from the file mean their defaults — what every
+            # witness recorded before the axis existed ran under — so the
+            # corpus stays replayable.
+            **RunAxes.from_payload(data).axis_values(),
         )
         return cls(
             probe=probe,

@@ -15,8 +15,8 @@ system.run()`` and then check the resulting history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.batched import resolve_engine
@@ -29,17 +29,64 @@ from repro.storage import StorageRuntime
 from repro.types import BOTTOM, ProcessId, object_ids, reader_id, reader_ids, writer_id
 
 
-def _durable(
-    storage: StorageRuntime | None, pid: ProcessId, handler: ObjectHandler
-) -> ObjectHandler:
-    """Wrap ``handler`` with the system's durability seam, if any.
+def _assemble(
+    system: Any,
+    sample: "RegisterProtocol",
+    handler_factory: Callable[[], ObjectHandler],
+    *,
+    t: int,
+    S: int | None,
+    behaviors: Mapping[ProcessId, FaultBehavior] | None,
+    policy: DeliveryPolicy | None,
+    allow_overfault: bool,
+    engine: str,
+    durability: str,
+    spares: int = 0,
+) -> tuple[ProcessId, ...]:
+    """The constructor path every register system shares.
 
-    Shared by every register system (single-writer, multi-writer native,
-    transformed, sharded) so the durability axis needs no per-system code.
+    Sizes and validates the configuration against ``sample``, checks the
+    fault budget and that every behaviour addresses a pool object, then
+    builds the durability runtime, one (durably wrapped) handler per pool
+    object, the recorder, the wire trace and the simulator onto ``system``.
+    The systems differ only in ``handler_factory`` and in the pool —
+    ``spares`` objects beyond the ``S`` epoch members (reconfiguration);
+    the pool's object ids are returned.
     """
-    if storage is None:
-        return handler
-    return storage.wrap(pid, handler)
+    if S is None:
+        S = RegisterSystem._default_size(sample, t)
+    sample.validate_configuration(S, t)
+    behaviors = dict(behaviors or {})
+    if len(behaviors) > t and not allow_overfault:
+        raise ConfigurationError(
+            f"{len(behaviors)} faulty objects exceed the threshold t={t}"
+        )
+    # The whole pool exists up front: the simulator's object set is fixed.
+    pool = object_ids(S + spares)
+    system.ctx = ProtocolContext(S=S, t=t, objects=pool[:S])
+    unknown = set(behaviors) - set(pool)
+    if unknown:
+        raise ConfigurationError(f"behaviours for unknown objects: {sorted(unknown)}")
+    system.storage = storage = StorageRuntime.create(durability)
+    system.durability = durability
+    system.servers = [
+        ObjectServer(
+            pid=pid,
+            handler=(
+                handler_factory() if storage is None
+                else storage.wrap(pid, handler_factory())
+            ),
+            behavior=behaviors.get(pid),
+        )
+        for pid in pool
+    ]
+    system.recorder = HistoryRecorder()
+    system.trace = MessageTrace()
+    system.engine = engine
+    system.simulator = resolve_engine(engine)(
+        system.servers, policy=policy, history=system.recorder, trace=system.trace
+    )
+    return pool
 
 
 def resolve_reader(readers: Sequence[ProcessId], reader_index: int) -> ProcessId:
@@ -126,16 +173,8 @@ class RegisterSystem:
            unless ``allow_overfault`` is set (some experiments deliberately
            exceed the threshold to show where protocols break).
         policy: delivery policy (default unit-latency FIFO).
-        engine: simulation engine — ``"event"`` (per-message event loop, the
-           default) or ``"batched"`` (wave-stepped
-           :class:`~repro.sim.batched.BatchedSimulator`, observably
-           identical and faster).
-        durability: the durability axis — ``"none"`` (in-memory objects,
-           the paper's crash-stop model), ``"mem"`` (deterministic
-           in-memory journals) or ``"dir"`` (append-only log files under a
-           temp dir).  When enabled, every object handler is wrapped in a
-           :class:`~repro.storage.DurableObjectHandler` and crash-recover
-           fault behaviours become available.
+        engine / durability: the run axes of the same name — see
+           :class:`repro.axes.RunAxes`.
     """
 
     def __init__(
@@ -150,35 +189,12 @@ class RegisterSystem:
         engine: str = "event",
         durability: str = "none",
     ) -> None:
-        if S is None:
-            S = self._default_size(protocol, t)
-        protocol.validate_configuration(S, t)
-        behaviors = dict(behaviors or {})
-        if len(behaviors) > t and not allow_overfault:
-            raise ConfigurationError(
-                f"{len(behaviors)} faulty objects exceed the threshold t={t}"
-            )
-        self.protocol = protocol
-        self.ctx = ProtocolContext(S=S, t=t, objects=object_ids(S))
-        unknown = set(behaviors) - set(self.ctx.objects)
-        if unknown:
-            raise ConfigurationError(f"behaviours for unknown objects: {sorted(unknown)}")
-        self.storage = StorageRuntime.create(durability)
-        self.durability = durability
-        self.servers = [
-            ObjectServer(
-                pid=pid,
-                handler=_durable(self.storage, pid, protocol.object_handler()),
-                behavior=behaviors.get(pid),
-            )
-            for pid in self.ctx.objects
-        ]
-        self.recorder = HistoryRecorder()
-        self.trace = MessageTrace()
-        self.engine = engine
-        self.simulator = resolve_engine(engine)(
-            self.servers, policy=policy, history=self.recorder, trace=self.trace
+        _assemble(
+            self, protocol, protocol.object_handler,
+            t=t, S=S, behaviors=behaviors, policy=policy,
+            allow_overfault=allow_overfault, engine=engine, durability=durability,
         )
+        self.protocol = protocol
         self.writer = writer_id()
         self.readers = reader_ids(n_readers)
 

@@ -44,24 +44,19 @@ from repro.errors import ConfigurationError
 from repro.registers.base import (
     RegisterProtocol,
     RegisterSystem,
-    ProtocolContext,
-    _durable,
+    _assemble,
     resolve_reader,
 )
-from repro.sim.batched import resolve_engine
 from repro.sim.network import DeliveryPolicy, Message
 from repro.sim.process import FaultBehavior, ObjectHandler, ObjectServer
 from repro.sim.simulator import ClientOperation, ProtocolGenerator
 from repro.sim.rounds import ReplyRule, RoundSpec
-from repro.sim.tracing import MessageTrace
-from repro.spec.history import History, HistoryRecorder
-from repro.storage import StorageRuntime
+from repro.spec.history import History
 from repro.types import (
     BOTTOM,
     ProcessId,
     TaggedValue,
     object_id,
-    object_ids,
     reader_ids,
     repair_id,
     writer_id,
@@ -134,14 +129,10 @@ class ReconfigRegisterSystem:
         n_readers: reader population.
         behaviors: fault behaviours keyed by object id; spares may carry
             behaviours too (they are addressable pool members).
-        repairs: ``(member_index, at)`` pairs — replace ``s_member_index``
-            starting at virtual time ``at``.  The k-th step activates spare
-            ``s_{S+k}``.  Each member is replaced at most once.
-        spares: pre-provisioned replacement objects (default: one per
-            repair step).
-        xfer_quorum: members of the old epoch the transfer must read
-            (default ``S − t``, the safe intersection quorum; smaller
-            values are accepted so the explorer can refute them).
+        repairs / spares / xfer_quorum: the run axes of the same name — see
+            :class:`repro.axes.RunAxes`.  Each member is replaced at most
+            once; an ``xfer_quorum`` below ``S − t`` is accepted so the
+            explorer can refute it.
     """
 
     def __init__(
@@ -188,41 +179,19 @@ class ReconfigRegisterSystem:
             raise ConfigurationError(
                 f"xfer_quorum must be in 1..{S}, got {xfer_quorum}"
             )
-        behaviors = dict(behaviors or {})
-        if len(behaviors) > t and not allow_overfault:
-            raise ConfigurationError(
-                f"{len(behaviors)} faulty objects exceed the threshold t={t}"
-            )
+        # Epoch members plus spares all exist up front: "joining" is a
+        # protocol-level event (the install round plus the epoch flip), not
+        # a topology one.
+        self.pool = _assemble(
+            self, protocol, lambda: ReconfigObjectHandler(protocol.object_handler()),
+            t=t, S=S, behaviors=behaviors, policy=policy,
+            allow_overfault=allow_overfault, engine=engine, durability=durability,
+            spares=spares,
+        )
         self.protocol = protocol
-        self.ctx = ProtocolContext(S=S, t=t, objects=object_ids(S))
         self.repairs = repairs
         self.spares = spares
         self.xfer_quorum = xfer_quorum
-        # The whole pool — epoch members plus spares — exists up front: the
-        # simulator's object set is fixed, and "joining" is a protocol-level
-        # event (the install round plus the epoch flip), not a topology one.
-        self.pool = object_ids(S + spares)
-        unknown = set(behaviors) - set(self.pool)
-        if unknown:
-            raise ConfigurationError(f"behaviours for unknown objects: {sorted(unknown)}")
-        self.storage = StorageRuntime.create(durability)
-        self.durability = durability
-        self.servers = [
-            ObjectServer(
-                pid=pid,
-                handler=_durable(
-                    self.storage, pid, ReconfigObjectHandler(protocol.object_handler())
-                ),
-                behavior=behaviors.get(pid),
-            )
-            for pid in self.pool
-        ]
-        self.recorder = HistoryRecorder()
-        self.trace = MessageTrace()
-        self.engine = engine
-        self.simulator = resolve_engine(engine)(
-            self.servers, policy=policy, history=self.recorder, trace=self.trace
-        )
         self.writer = writer_id()
         self.readers = reader_ids(n_readers)
         self._members: tuple[ProcessId, ...] = self.ctx.objects

@@ -26,22 +26,13 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.registers.base import (
-    ProtocolContext,
-    RegisterProtocol,
-    RegisterSystem,
-    _durable,
-    resolve_reader,
-)
+from repro.registers.base import RegisterProtocol, _assemble, resolve_reader
 from repro.registers.multiplex import MultiplexObjectHandler, multiplex
-from repro.sim.batched import resolve_engine
 from repro.sim.network import DeliveryPolicy
-from repro.sim.process import FaultBehavior, ObjectServer
-from repro.sim.simulator import ClientOperation, ProtocolGenerator, Simulator
-from repro.sim.tracing import MessageTrace
-from repro.spec.history import History, HistoryRecorder
-from repro.storage import StorageRuntime
-from repro.types import BOTTOM, OperationId, ProcessId, object_ids, reader_ids
+from repro.sim.process import FaultBehavior
+from repro.sim.simulator import ClientOperation, ProtocolGenerator
+from repro.spec.history import History
+from repro.types import BOTTOM, OperationId, ProcessId, reader_ids
 
 
 class ShardedRegisterSystem:
@@ -85,44 +76,20 @@ class ShardedRegisterSystem:
             key: protocol_factory() for key in keys
         }
         sample = self._protocols[keys[0]]
-        if S is None:
-            S = RegisterSystem._default_size(sample, t)
-        sample.validate_configuration(S, t)
-        behaviors = dict(behaviors or {})
-        if len(behaviors) > t and not allow_overfault:
-            raise ConfigurationError(
-                f"{len(behaviors)} faulty objects exceed the threshold t={t}"
-            )
-        self.protocol = sample  # the substrate face: name + advertised rounds
-        self.ctx = ProtocolContext(S=S, t=t, objects=object_ids(S))
-        unknown = set(behaviors) - set(self.ctx.objects)
-        if unknown:
-            raise ConfigurationError(f"behaviours for unknown objects: {sorted(unknown)}")
         # Object state is per *flattened* register name, so the handler to
         # multiplex is the innermost one: composite substrates (the
         # regular→atomic transform) already wrap theirs in a
         # MultiplexObjectHandler, and the generator-side flattening
         # path-joins nested names — unwrap rather than double-wrap.
-        handler_source = protocol_factory()
-        inner = handler_source.object_handler()
+        inner = sample.object_handler()
         if isinstance(inner, MultiplexObjectHandler):
             inner = inner.inner
-        self.storage = StorageRuntime.create(durability)
-        self.durability = durability
-        self.servers = [
-            ObjectServer(
-                pid=pid,
-                handler=_durable(self.storage, pid, MultiplexObjectHandler(inner)),
-                behavior=behaviors.get(pid),
-            )
-            for pid in self.ctx.objects
-        ]
-        self.recorder = HistoryRecorder()
-        self.trace = MessageTrace()
-        self.engine = engine
-        self.simulator = resolve_engine(engine)(
-            self.servers, policy=policy, history=self.recorder, trace=self.trace
+        _assemble(
+            self, sample, lambda: MultiplexObjectHandler(inner),
+            t=t, S=S, behaviors=behaviors, policy=policy,
+            allow_overfault=allow_overfault, engine=engine, durability=durability,
         )
+        self.protocol = sample  # the substrate face: name + advertised rounds
         self.writers: dict[str, ProcessId] = {
             key: ProcessId("writer", index) for index, key in enumerate(keys, start=1)
         }

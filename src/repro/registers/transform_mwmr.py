@@ -29,30 +29,17 @@ from repro.errors import ConfigurationError
 from repro.registers.base import (
     ProtocolContext,
     RegisterProtocol,
-    RegisterSystem,
-    _durable,
+    _assemble,
     resolve_reader,
 )
 from repro.registers.multiplex import MultiplexObjectHandler, multiplex
 from repro.registers.timestamps import max_candidate
 from repro.registers.transform_atomic import RegularToAtomicProtocol
-from repro.sim.batched import resolve_engine
 from repro.sim.network import DeliveryPolicy
-from repro.sim.process import FaultBehavior, ObjectServer
-from repro.sim.simulator import ClientOperation, ProtocolGenerator, Simulator
-from repro.sim.tracing import MessageTrace
-from repro.spec.history import History, HistoryRecorder
-from repro.storage import StorageRuntime
-from repro.types import (
-    BOTTOM,
-    ProcessId,
-    TaggedValue,
-    Timestamp,
-    object_ids,
-    reader_id,
-    reader_ids,
-    writer_id,
-)
+from repro.sim.process import FaultBehavior
+from repro.sim.simulator import ClientOperation, ProtocolGenerator
+from repro.spec.history import History
+from repro.types import BOTTOM, ProcessId, TaggedValue, Timestamp, reader_id, reader_ids
 
 
 class MultiWriterRegisterSystem:
@@ -85,11 +72,12 @@ class MultiWriterRegisterSystem:
     ) -> None:
         if n_writers < 1:
             raise ConfigurationError("need at least one writer")
-        if S is None:
-            S = 3 * t + 1
         probe = substrate_factory()
-        probe.validate_configuration(S, t)
-        self.ctx = ProtocolContext(S=S, t=t, objects=object_ids(S))
+        _assemble(
+            self, probe, lambda: MultiplexObjectHandler(probe.object_handler()),
+            t=t, S=3 * t + 1 if S is None else S, behaviors=behaviors, policy=policy,
+            allow_overfault=allow_overfault, engine=engine, durability=durability,
+        )
         self.n_writers = n_writers
         self.n_readers = n_readers
         total_personas = n_writers + n_readers
@@ -99,30 +87,6 @@ class MultiWriterRegisterSystem:
             j: RegularToAtomicProtocol(substrate_factory, n_readers=total_personas)
             for j in range(1, n_writers + 1)
         }
-        behaviors = dict(behaviors or {})
-        if len(behaviors) > t and not allow_overfault:
-            raise ConfigurationError(f"{len(behaviors)} faulty objects exceed t={t}")
-        handler_source = substrate_factory()
-        self.storage = StorageRuntime.create(durability)
-        self.durability = durability
-        self.servers = [
-            ObjectServer(
-                pid=pid,
-                handler=_durable(
-                    self.storage,
-                    pid,
-                    MultiplexObjectHandler(handler_source.object_handler()),
-                ),
-                behavior=behaviors.get(pid),
-            )
-            for pid in self.ctx.objects
-        ]
-        self.recorder = HistoryRecorder()
-        self.trace = MessageTrace()
-        self.engine = engine
-        self.simulator = resolve_engine(engine)(
-            self.servers, policy=policy, history=self.recorder, trace=self.trace
-        )
         sample = self._registers[1]
         self.read_rounds = sample.read_rounds
         self.write_rounds = sample.read_rounds + sample.write_rounds
@@ -234,35 +198,14 @@ class NativeMultiWriterSystem:
                 f"{protocol.name} is not a native multi-writer protocol "
                 "(no write_generator_for)"
             )
-        if S is None:
-            S = RegisterSystem._default_size(protocol, t)
-        protocol.validate_configuration(S, t)
-        behaviors = dict(behaviors or {})
-        if len(behaviors) > t and not allow_overfault:
-            raise ConfigurationError(f"{len(behaviors)} faulty objects exceed t={t}")
+        _assemble(
+            self, protocol, protocol.object_handler,
+            t=t, S=S, behaviors=behaviors, policy=policy,
+            allow_overfault=allow_overfault, engine=engine, durability=durability,
+        )
         self.protocol = protocol
-        self.ctx = ProtocolContext(S=S, t=t, objects=object_ids(S))
-        unknown = set(behaviors) - set(self.ctx.objects)
-        if unknown:
-            raise ConfigurationError(f"behaviours for unknown objects: {sorted(unknown)}")
         self.n_writers = n_writers
         self.n_readers = n_readers
-        self.storage = StorageRuntime.create(durability)
-        self.durability = durability
-        self.servers = [
-            ObjectServer(
-                pid=pid,
-                handler=_durable(self.storage, pid, protocol.object_handler()),
-                behavior=behaviors.get(pid),
-            )
-            for pid in self.ctx.objects
-        ]
-        self.recorder = HistoryRecorder()
-        self.trace = MessageTrace()
-        self.engine = engine
-        self.simulator = resolve_engine(engine)(
-            self.servers, policy=policy, history=self.recorder, trace=self.trace
-        )
         self.readers = reader_ids(n_readers)
         self.write_rounds = protocol.write_rounds
         self.read_rounds = protocol.read_rounds

@@ -28,6 +28,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.axes import AxesView, RunAxes
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -61,7 +62,7 @@ def _status(result: "ExploreResult") -> str:
 
 
 @dataclass(slots=True)
-class FrontierResult:
+class FrontierResult(AxesView):
     """Outcome of one robustness-frontier walk.
 
     ``outcomes`` maps every *evaluated* rung to its status (rungs skipped
@@ -78,7 +79,8 @@ class FrontierResult:
     faults: str
     t: int
     S: int
-    engine: str
+    #: The run axes every rung was explored under.
+    axes: RunAxes
     ladder: tuple[str, ...]
     bounds: dict[str, Any]
     outcomes: dict[str, str] = field(default_factory=dict)
@@ -106,13 +108,19 @@ class FrontierResult:
         """Total schedules executed across every evaluated rung."""
         return sum(r.stats.explored for r in self.results.values())
 
+    @property
+    def _axes_shown(self) -> dict[str, Any]:
+        """The engine always (every stored frontier row names it), every
+        other tagged axis only away from its default."""
+        return {"engine": self.axes.engine, **self.axes.non_default()}
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "protocol": self.protocol,
             "faults": self.faults,
             "t": self.t,
             "S": self.S,
-            "engine": self.engine,
+            **self._axes_shown,
             "ladder": list(self.ladder),
             "bounds": dict(self.bounds),
             "outcomes": {model: self.outcomes[model] for model in self.ladder
@@ -129,7 +137,8 @@ class FrontierResult:
         """Human-readable summary, ready to print."""
         lines = [
             f"frontier {self.protocol} — t={self.t}, S={self.S}, "
-            f"engine={self.engine}, faults: {self.faults}"
+            + ", ".join(f"{name}={value}" for name, value in self._axes_shown.items())
+            + f", faults: {self.faults}"
             + (" [over budget]" if self.degraded else ""),
         ]
         for model in self.ladder:
@@ -321,17 +330,16 @@ def robustness_frontier(
     result = FrontierResult(
         protocol=cluster.spec.name,
         faults=inventory.describe(),
-        t=cluster._t,
-        S=cluster._S if cluster._S is not None
-          else cluster.spec.min_size(cluster._t),
-        engine=cluster._engine,
+        t=atomic.t,
+        S=atomic.S,
+        axes=cluster.axes,
         ladder=ladder,
         bounds=bounds,
         outcomes={model: _status(res) for model, res in results.items()},
         strongest=strongest,
         refuted=refuted,
         witness=witness,
-        degraded=inventory.effective > cluster._t,
+        degraded=inventory.effective > atomic.t,
         results=results,
     )
     return result

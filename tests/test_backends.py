@@ -13,6 +13,7 @@ from repro.api import (
 )
 from repro.errors import ConfigurationError
 from repro.registers.base import RegisterSystem
+from repro.registers.reconfig import ReconfigRegisterSystem
 from repro.registers.sharded import ShardedRegisterSystem
 from repro.registers.transform_mwmr import (
     MultiWriterRegisterSystem,
@@ -104,6 +105,76 @@ class TestBackendValidation:
             Cluster("abd", backend="sharded", keys=("a", "a"))
         with pytest.raises(ConfigurationError, match="'/'"):
             Cluster("abd", backend="sharded", keys=("a/b",))
+
+
+def _crashed():
+    from repro.api import get_fault
+
+    return get_fault("crash")
+
+
+#: Each system class built with whatever ``behaviors`` the test hands it.
+SYSTEM_BUILDERS = {
+    "RegisterSystem": lambda behaviors, **kw: RegisterSystem(
+        get_spec("abd").build(n_readers=2), t=1, behaviors=behaviors, **kw),
+    "MultiWriterRegisterSystem": lambda behaviors, **kw: MultiWriterRegisterSystem(
+        get_spec("mwmr-fast-regular").build(n_readers=2).substrate_factory,
+        t=1, behaviors=behaviors, **kw),
+    "NativeMultiWriterSystem": lambda behaviors, **kw: NativeMultiWriterSystem(
+        get_spec("mw-abd").build(n_readers=2), t=1, behaviors=behaviors, **kw),
+    "ShardedRegisterSystem": lambda behaviors, **kw: ShardedRegisterSystem(
+        lambda: get_spec("abd").build(n_readers=2), keys=("k1", "k2"),
+        t=1, behaviors=behaviors, **kw),
+    "ReconfigRegisterSystem": lambda behaviors, **kw: ReconfigRegisterSystem(
+        get_spec("abd").build(n_readers=2), t=1, behaviors=behaviors, **kw),
+}
+
+
+class TestUnknownObjectBehaviours:
+    """Every system rejects fault behaviours addressed to objects it does not
+    have, with the same message — they share one constructor path.  (The
+    multi-writer stack used to accept them silently and fail later with an
+    unrelated ProtocolError.)"""
+
+    @pytest.mark.parametrize("name", sorted(SYSTEM_BUILDERS))
+    def test_every_system_class_rejects_them(self, name):
+        from repro.types import object_id
+
+        with pytest.raises(ConfigurationError) as error:
+            SYSTEM_BUILDERS[name]({object_id(9): _crashed()})
+        assert str(error.value) == f"behaviours for unknown objects: [{object_id(9)!r}]"
+
+    @pytest.mark.parametrize("name", sorted(SYSTEM_BUILDERS))
+    def test_every_system_class_enforces_the_fault_budget_alike(self, name):
+        from repro.types import object_id
+
+        two = {object_id(1): _crashed(), object_id(2): _crashed()}
+        with pytest.raises(ConfigurationError) as error:
+            SYSTEM_BUILDERS[name](two)
+        assert str(error.value) == "2 faulty objects exceed the threshold t=1"
+        assert SYSTEM_BUILDERS[name](two, allow_overfault=True).ctx.t == 1
+
+    @pytest.mark.parametrize("protocol,backend", [
+        ("abd", "single"),
+        ("mwmr-fast-regular", "multi-writer"),
+        ("mw-abd", "multi-writer"),
+        ("abd", "sharded"),
+        ("abd", "reconfig"),
+        ("abd", "k-atomic"),
+    ])
+    def test_every_backend_rejects_them_through_the_facade(self, protocol, backend):
+        cluster = Cluster(protocol, t=1, backend=backend, allow_overfault=True)
+        with pytest.raises(ConfigurationError, match="behaviours for unknown objects"):
+            cluster.with_faults("crash", count=9).run()
+
+    def test_the_reconfig_pool_still_admits_behaviours_on_spares(self):
+        from repro.types import object_id
+
+        build = SYSTEM_BUILDERS["ReconfigRegisterSystem"]
+        system = build({object_id(4): _crashed()}, S=3, repairs=((1, 5),))
+        assert system.server(object_id(4)).behavior is not None
+        with pytest.raises(ConfigurationError, match="behaviours for unknown objects"):
+            build({object_id(5): _crashed()}, S=3, repairs=((1, 5),))
 
 
 class TestMultiWriterBackend:

@@ -369,3 +369,159 @@ class TestFrontierCli:
         assert main(["compare", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert "compared 0 run(s)" in out and "only in" in out
+
+
+#: The CLI surface of the three configurable subcommands, written down at the
+#: commit before their flags moved into shared parent parsers:
+#: ``{subcommand: {dest: (default, choices)}}``.  A refactor of the parser may
+#: neither drop nor re-default any of these.
+PINNED_CLI = {'explore': {'S': (None, None),
+                 'allow_overfault': (False, None),
+                 'backend': (None, None),
+                 'check': (None, None),
+                 'check_model': (None, ('atomic', 'regular', 'safe', 'k-atomic')),
+                 'consistency': ('atomic', None),
+                 'count': (1, None),
+                 'durability': ('none', ('none', 'mem', 'dir')),
+                 'engine': ('event', ('event', 'batched')),
+                 'expect_violation': (False, None),
+                 'fault_arg': (None, None),
+                 'fault_timing': (False, None),
+                 'faults': (None, None),
+                 'granularity': ('operation', ('operation', 'round')),
+                 'k': (None, None),
+                 'keys': (None, None),
+                 'max_events': (200000, None),
+                 'max_holds': (2, None),
+                 'max_schedules': (2000, None),
+                 'op': (None, None),
+                 'ops': (3, None),
+                 'parallel': (False, None),
+                 'protocol': (None, None),
+                 'readers': (2, None),
+                 'reads': (0.6, None),
+                 'repair': (None, None),
+                 'scenario': (None, None),
+                 'seed': (0, None),
+                 'spacing': (50, None),
+                 'spares': (None, None),
+                 'stop_on_violation': (False, None),
+                 'strategy': ('bfs', ('bfs', 'dfs')),
+                 'strict': (False, None),
+                 'symmetry': (False, None),
+                 't': (1, None),
+                 'witness': (None, None),
+                 'workers': (None, None),
+                 'writers_count': (None, None),
+                 'xfer_quorum': (None, None)},
+     'frontier': {'S': (None, None),
+                  'allow_overfault': (False, None),
+                  'backend': (None, None),
+                  'count': (1, None),
+                  'durability': ('none', ('none', 'mem', 'dir')),
+                  'engine': ('event', ('event', 'batched')),
+                  'expect_strongest': (None, None),
+                  'fault_arg': (None, None),
+                  'faults': (None, None),
+                  'granularity': ('operation', ('operation', 'round')),
+                  'jsonl': (None, None),
+                  'keys': (None, None),
+                  'max_events': (200000, None),
+                  'max_holds': (2, None),
+                  'max_k': (4, None),
+                  'max_schedules': (2000, None),
+                  'no_fault_timing': (False, None),
+                  'op': (None, None),
+                  'ops': (3, None),
+                  'parallel': (False, None),
+                  'protocol': (None, None),
+                  'readers': (2, None),
+                  'reads': (0.6, None),
+                  'seed': (0, None),
+                  'spacing': (50, None),
+                  'strategy': ('bfs', ('bfs', 'dfs')),
+                  'strict': (False, None),
+                  'symmetry': (False, None),
+                  't': (1, None),
+                  'witness': (None, None),
+                  'workers': (None, None),
+                  'writers_count': (None, None)},
+     'run': {'S': (None, None),
+             'allow_overfault': (False, None),
+             'backend': (None, None),
+             'check': (None, None),
+             'check_model': (None, ('atomic', 'regular', 'safe', 'k-atomic')),
+             'consistency': ('atomic', None),
+             'count': (1, None),
+             'durability': ('none', ('none', 'mem', 'dir')),
+             'engine': ('event', ('event', 'batched')),
+             'fault_arg': (None, None),
+             'faults': (None, None),
+             'jsonl': (None, None),
+             'k': (None, None),
+             'key_skew': (0.0, None),
+             'keys': (None, None),
+             'metrics': (None, None),
+             'obs': (False, None),
+             'ops': (10, None),
+             'parallel': (False, None),
+             'protocol': (None, None),
+             'readers': (2, None),
+             'reads': (0.6, None),
+             'repair': (None, None),
+             'scenario': (None, None),
+             'seed': (0, None),
+             'spacing': (50, None),
+             'spans': (None, None),
+             'spares': (None, None),
+             'strict': (False, None),
+             't': (1, None),
+             'timeline': (None, None),
+             'trace': (None, None),
+             'trials': (3, None),
+             'workers': (None, None),
+             'writers_count': (None, None),
+             'xfer_quorum': (None, None)}}
+
+
+
+class TestCliSurfaceIsPinned:
+    @staticmethod
+    def _surface(subcommand):
+        from repro.__main__ import build_parser
+
+        subparsers = build_parser()._subparsers._group_actions[0]
+        return {
+            action.dest: (
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+            )
+            for action in subparsers.choices[subcommand]._actions
+            if action.dest != "help"
+        }
+
+    @pytest.mark.parametrize("subcommand", sorted(PINNED_CLI))
+    def test_no_flag_dropped_or_re_defaulted(self, subcommand):
+        surface = self._surface(subcommand)
+        for dest, pinned in PINNED_CLI[subcommand].items():
+            assert surface.get(dest) == pinned, f"repro {subcommand}: {dest}"
+
+    @pytest.mark.parametrize("subcommand", sorted(PINNED_CLI))
+    def test_only_declared_axis_flags_were_added(self, subcommand):
+        """Beyond the pinned table a subcommand accepts only what the shared
+        parent parser gives it: the flags ``RunAxes`` declares.  Today that
+        is ``frontier`` gaining --consistency / --repair / --spares /
+        --xfer-quorum (they take effect: tests/test_axes.py::
+        test_cli_flags_reach_the_cluster, tests/test_robustness.py::
+        TestFrontierNamesItsAxes)."""
+        from dataclasses import fields
+
+        from repro.axes import RunAxes
+
+        axis_flags = {
+            axis.metadata["flag"][2:].replace("-", "_")
+            for axis in fields(RunAxes) if axis.metadata["flag"]
+        }
+        extra = set(self._surface(subcommand)) - set(PINNED_CLI[subcommand])
+        assert extra <= axis_flags
+        assert axis_flags <= set(self._surface(subcommand))

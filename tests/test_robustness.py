@@ -377,6 +377,78 @@ class TestFrontier:
         assert via_method.to_dict() == via_function.to_dict()
 
 
+class TestFrontierNamesItsAxes:
+    """A frontier says which run axes it was walked under: tagged axes away
+    from their default are written and rendered, default ones add nothing
+    (so every stored frontier row — which always had ``engine`` — is
+    unchanged)."""
+
+    OPS = [("write", "v1", 0), ("read", 1, 100)]
+
+    def _frontier(self, **axes):
+        return Cluster("abd", t=1, **axes).with_operations(self.OPS).frontier(
+            max_k=2, max_holds=1, max_schedules=200,
+        )
+
+    def test_default_axes_add_no_key_and_no_tag(self):
+        result = self._frontier()
+        payload = result.to_dict()
+        assert payload["engine"] == "event"
+        assert "durability" not in payload and "consistency" not in payload
+        assert "t=1, S=3, engine=event, faults: fault-free" in result.render()
+
+    def test_durability_is_written_and_rendered(self):
+        result = self._frontier(durability="mem")
+        assert result.to_dict()["durability"] == "mem"
+        assert "engine=event, durability=mem, faults:" in result.render()
+        assert result.axes.durability == result.durability == "mem"
+
+    def test_consistency_is_written_and_rendered(self):
+        result = self._frontier(consistency="k-atomic(2)", engine="batched")
+        payload = result.to_dict()
+        assert payload["consistency"] == "k-atomic(2)" and payload["engine"] == "batched"
+        assert "engine=batched, consistency=k-atomic(2), faults:" in result.render()
+
+    def test_cli_rows_are_distinguishable(self, tmp_path, capsys):
+        import json
+
+        from repro.__main__ import main
+
+        sink = tmp_path / "frontier.jsonl"
+        base = ["frontier", "--protocol", "abd", "--op", "write:v1@0",
+                "--op", "read:1@100", "--max-k", "2", "--max-holds", "1",
+                "--jsonl", str(sink)]
+        assert main(base) == 0
+        assert main(base + ["--durability", "mem"]) == 0
+        # Newly accepted by `frontier` through the shared parent parser.
+        assert main(base + ["--consistency", "k-atomic(2)"]) == 0
+        assert "consistency=k-atomic(2)" in capsys.readouterr().out
+        plain, durable, stale = map(json.loads, sink.read_text().splitlines())
+        assert "durability" not in plain and durable["durability"] == "mem"
+        assert stale["consistency"] == "k-atomic(2)"
+
+    def test_cli_repair_flags_take_effect(self, tmp_path):
+        import json
+
+        from repro.__main__ import main
+
+        # --repair / --spares / --xfer-quorum, also new on `frontier`: the
+        # under-quorum transfer is refuted only because the flags arrive.
+        witness = tmp_path / "underquorum.json"
+        argv = ["frontier", "--protocol", "abd", "--backend", "reconfig",
+                "--faults", "perm-crash", "--fault-arg", "survive_messages=1",
+                "--repair", "1@5", "--ops", "2", "--reads", "0.5",
+                "--spacing", "10", "--seed", "7", "--max-k", "2",
+                "--max-holds", "1", "--no-fault-timing"]
+        assert main(argv + ["--expect-strongest", "atomicity"]) == 0
+        assert main(argv + ["--xfer-quorum", "1", "--spares", "2",
+                            "--witness", str(witness),
+                            "--expect-strongest", "k-atomic(2)"]) == 0
+        saved = json.loads(witness.read_text())
+        assert saved["repairs"] == [[1, 5]]
+        assert saved["xfer_quorum"] == 1 and saved["spares"] == 2
+
+
 class TestSweepPayload:
     def test_sweep_attaches_robustness_payload(self):
         result = sweep(
