@@ -77,6 +77,7 @@ import platform
 import random
 import sys
 import time
+import timeit
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -102,7 +103,7 @@ from repro.types import (
 from repro.workloads.generator import WorkloadGenerator, apply_plan
 
 #: Bump when the JSON layout changes incompatibly.
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 SWEEP_PROTOCOLS = ("abd", "fast-regular", "secret-token", "atomic-fast-regular")
 
@@ -485,6 +486,25 @@ def bench_explore(quick: bool) -> dict:
     )
     certify_seconds = engine_cells["event"]["seconds"]
 
+    # Where one schedule's time goes: the wire-trace fingerprint's share of
+    # run_schedule on the cell's empty schedule (fastest of each; recorded
+    # for the trajectory, never asserted).
+    from repro.explore import run_schedule
+
+    probe = certify_cluster._schedule_probe(granularity=granularity)
+    with scoped_operation_serials():
+        backend = certify_cluster.build_backend()
+        for plan in probe.plans:
+            backend.schedule(plan)
+        backend.run()
+    repetitions = 20 if quick else 200
+    fingerprint_seconds = min(timeit.repeat(
+        lambda: trace_fingerprint(backend.trace), number=1, repeat=repetitions
+    ))
+    schedule_seconds = min(timeit.repeat(
+        lambda: run_schedule(probe), number=1, repeat=repetitions
+    ))
+
     refute_cluster = (
         Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
         .with_faults("stale-echo", count=2)
@@ -517,6 +537,9 @@ def bench_explore(quick: bool) -> dict:
                 / engine_cells["event"]["schedules_per_sec"], 2
             ),
             "identical_outcomes": True,  # asserted above
+            "schedule_microseconds": round(schedule_seconds * 1e6, 1),
+            "fingerprint_microseconds": round(fingerprint_seconds * 1e6, 1),
+            "fingerprint_share": round(fingerprint_seconds / schedule_seconds, 3),
         },
         "refute": {
             "schedules": refuted.stats.explored,
@@ -1103,7 +1126,13 @@ def bench_robustness(quick: bool) -> dict:
         "frontier payloads diverged between the event and batched engines"
     )
 
+    # Sharing gate: the rungs differ only in the checker, so the walk
+    # simulates each decision set once and judges it once per rung.
     schedules = result.schedules
+    assert result.simulated < schedules, (
+        f"{result.simulated} simulated for {schedules} judged: the rungs "
+        "no longer share their simulations"
+    )
     return {
         "protocol": "atomic-fast-regular",
         "faults": result.faults,
@@ -1111,6 +1140,9 @@ def bench_robustness(quick: bool) -> dict:
         "timing_repetitions": repetitions,
         "rungs": len(result.outcomes),
         "schedules": schedules,
+        "judged": schedules,
+        "simulated": result.simulated,       # < judged asserted above
+        "judged_per_simulated": round(schedules / result.simulated, 2),
         "engines": {
             engine: {
                 "seconds": round(timings[engine], 4),
@@ -1197,7 +1229,8 @@ def main(argv: list[str] | None = None) -> int:
           f"{explore['refute']['violations']} violation(s); witness replay asserted)")
     print(f"            certify meter: {certify_engines['event']['schedules_per_sec']:,} "
           f"schedules/sec event vs {certify_engines['batched']['schedules_per_sec']:,} "
-          f"batched ({explore['certify']['batched_speedup']}x, identical outcomes)")
+          f"batched ({explore['certify']['batched_speedup']}x, identical outcomes); "
+          f"fingerprint {explore['certify']['fingerprint_share']:.0%} of one schedule")
     storage = report["storage"]
     meter = storage["meter"]
     print(f"storage   : {storage['recovery']['engines']['event']['ops_per_sec']:>10,} "
@@ -1236,7 +1269,8 @@ def main(argv: list[str] | None = None) -> int:
           f"cross-engine dump parity asserted)")
     robustness = report["robustness"]
     print(f"robustness: {robustness['schedules_per_sec']:>10,} schedules/sec "
-          f"frontier walk ({robustness['schedules']} schedules over "
+          f"frontier walk ({robustness['judged']} schedules judged, "
+          f"{robustness['simulated']} simulated, over "
           f"{robustness['rungs']} rung(s): {robustness['refuted']} refuted, "
           f"{robustness['strongest']} certified; trigger witness replay and "
           f"engine parity asserted)")

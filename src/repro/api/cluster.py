@@ -1445,10 +1445,12 @@ class Cluster:
         """The certified robustness frontier of this configuration.
 
         Walks the consistency-model ladder — atomic, ``k-atomic(2..max_k)``,
-        and (for single-writer stacks) regular and safe — re-exploring the
+        and (for single-writer stacks) regular and safe — searching the
         bounded schedule space under each checker, and reports the
         strongest model the configuration *certifies* together with a
-        minimized witness refuting the next-stronger one.  See
+        minimized witness refuting the next-stronger one.  Every rung
+        reports what ``with_checks(model).explore(...)`` would, but a
+        schedule two rungs reach is simulated once and judged twice.  See
         :func:`repro.robustness.robustness_frontier`.
         """
         from repro.robustness import robustness_frontier

@@ -18,8 +18,18 @@ Three layers:
   timing* an explorer choice point as well;
 * :mod:`repro.explore.engine` — :class:`ScheduleProbe` (plain-data
   schedule descriptions, pool-parallelizable like trial specs),
-  :func:`run_schedule`, and the :class:`Explorer` frontier with sleep-set
-  and transcript-hash partial-order reductions;
+  :func:`run_schedule` — :func:`simulate` (build, drain, freeze,
+  fingerprint: everything that does not depend on the checker, returned as
+  a plain-data :class:`SimulatedSchedule`) followed by :func:`judge` (the
+  requested checkers over that record's histories) — and the
+  :class:`Explorer` frontier with sleep-set and transcript-hash
+  partial-order reductions.  Explorations of one configuration that differ
+  only in their checks can share a :class:`SimulationStore`, which keeps
+  each decision set's simulated record for as long as its holder keeps the
+  store, so the set is simulated once and re-judged after that; the
+  robustness frontier holds one for the length of one call.  Each search
+  still expands what *its* checker lets through, so what is shared is the
+  simulations, not the statistics;
 * :mod:`repro.explore.witness` — delta-debugged minimization plus JSON
   round-tripping and deterministic replay.
 
@@ -42,8 +52,12 @@ from repro.explore.engine import (
     ExploreStats,
     ScheduleOutcome,
     ScheduleProbe,
+    SimulatedSchedule,
+    SimulationStore,
     explore_probe,
+    judge,
     run_schedule,
+    simulate,
 )
 from repro.explore.witness import ScheduleWitness, minimize_decisions
 
@@ -60,8 +74,12 @@ __all__ = [
     "ExploreStats",
     "ScheduleOutcome",
     "ScheduleProbe",
+    "SimulatedSchedule",
+    "SimulationStore",
     "explore_probe",
+    "judge",
     "run_schedule",
+    "simulate",
     "ScheduleWitness",
     "minimize_decisions",
 ]

@@ -44,6 +44,21 @@ held links use.
 Violating schedules are not expanded either: a superset of a violating
 hold set wires the same witness with more noise.
 
+Simulate, then judge
+--------------------
+
+:func:`run_schedule` is two steps.  :func:`simulate` builds the system,
+schedules the plans, drains the engine, freezes the histories and
+fingerprints the wire trace; it never reads ``probe.checks`` and returns a
+:class:`SimulatedSchedule` — plain picklable data with no system behind it.
+:func:`judge` runs the requested checkers over that record's histories and
+fills in ``failures`` / ``passed``.  Searches that differ only in their
+checks (the rungs of :func:`repro.robustness.robustness_frontier`) can
+therefore share a :class:`SimulationStore`: each decision set is simulated
+once and judged once per search that reaches it.  A store changes how
+often :func:`simulate` runs, never a result; an explorer without one
+simulates every schedule it judges.
+
 Determinism: probes are evaluated in *waves* (the whole frontier for BFS,
 single nodes for DFS) and every wave is mapped either in-process or over
 the PR-2 process pool, so ``parallel=True`` yields byte-identical
@@ -56,7 +71,7 @@ import pickle
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.api.backends import BackendRequest, get_backend_spec
 from repro.api.cluster import _materialize_behaviors, _pool_map, build_backend, run_check
@@ -75,6 +90,7 @@ from repro.explore.controlled import (
 from repro.sim.network import DeliveryPolicy
 from repro.sim.simulator import OperationStatus
 from repro.sim.tracing import trace_fingerprint
+from repro.spec.history import History
 from repro.types import scoped_operation_serials
 from repro.workloads.generator import OperationPlan
 
@@ -170,8 +186,20 @@ class ScheduleOutcome:
         return payload
 
 
-#: The PoR + replay-equality key (public home: :mod:`repro.sim.tracing`).
-_fingerprint = trace_fingerprint
+@dataclass(frozen=True, slots=True)
+class SimulatedSchedule:
+    """One executed schedule before any checker has looked at it.
+
+    ``outcome`` is the schedule's outcome under *no* checks — every field
+    that does not depend on the checker, ``failures`` and ``passed`` empty —
+    and ``histories`` are the frozen per-key histories the checks read.
+    Plain picklable data: no backend, simulator, trace or message.  A pool
+    worker returns it and a :class:`SimulationStore` keeps it so that
+    :func:`judge` can be run on it again under another model.
+    """
+
+    outcome: ScheduleOutcome
+    histories: dict[str, History]
 
 
 def _apply_fault_triggers(
@@ -221,12 +249,14 @@ def _apply_fault_triggers(
             behaviors[pid] = timed_fault(spec.name, trigger.at, **kwargs)
 
 
-def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
-    """Execute one schedule described by ``probe`` and return its outcome.
+def simulate(probe: ScheduleProbe) -> SimulatedSchedule:
+    """Execute the schedule ``probe`` describes: build, schedule, drain,
+    freeze the histories, fingerprint the wire trace.
 
-    Pure with respect to the probe (same probe ⇒ same outcome, in-process
-    or on a pool worker): the system is built fresh, operation serials are
-    scoped, and the fault behaviours are materialized per run.
+    Pure with respect to the probe minus its ``checks``, which are never
+    read (same probe ⇒ same record, in-process or on a pool worker): the
+    system is built fresh, operation serials are scoped, and the fault
+    behaviours are materialized per run.
     """
     holds = tuple(d for d in probe.decisions if isinstance(d, HoldLink))
     triggers = tuple(d for d in probe.decisions if isinstance(d, FaultTrigger))
@@ -258,19 +288,11 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
         except SimulationError:
             # Budget exhausted: the prefix executed so far is still a legal
             # partial run (undelivered messages are "in transit"), so the
-            # checks below stay meaningful — but certification must not
-            # claim coverage of the truncated continuations.
+            # checks stay meaningful — but certification must not claim
+            # coverage of the truncated continuations.
             events = probe.max_events
             truncated = True
         histories = backend.histories()
-        failures: list[tuple[str, str]] = []
-        passed: list[str] = []
-        for name in probe.checks:
-            verdict = run_check(name, histories)
-            if verdict.ok:
-                passed.append(name)
-            else:
-                failures.append((name, verdict.explanation or "check failed"))
         operations = backend.simulator.operations
         completed = sum(
             1 for op in operations if op.status is OperationStatus.COMPLETE
@@ -285,20 +307,103 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
                 for server in backend.simulator.objects.values()
                 if server.behavior is not None
             ))
-        return ScheduleOutcome(
+        outcome = ScheduleOutcome(
             decisions=probe.decisions,
-            failures=tuple(failures),
-            passed=tuple(passed),
+            failures=(),
+            passed=(),
             completed=completed,
             incomplete=len(operations) - completed - dropped,
             dropped=dropped,
             held_messages=policy.held_messages,
             events=events,
             truncated=truncated,
-            trace_hash=_fingerprint(backend.trace),
+            trace_hash=trace_fingerprint(backend.trace),
             expansions=policy.delivered_links,
             fault_counts=fault_counts,
         )
+        return SimulatedSchedule(outcome, histories)
+
+
+def judge(simulated: SimulatedSchedule, checks: Sequence[str]) -> ScheduleOutcome:
+    """The outcome of a simulated schedule under ``checks``.
+
+    Reads the record's histories and nothing else, so one record can be
+    judged any number of times, under any models, in any order.
+    """
+    failures: list[tuple[str, str]] = []
+    passed: list[str] = []
+    for name in checks:
+        verdict = run_check(name, simulated.histories)
+        if verdict.ok:
+            passed.append(name)
+        else:
+            failures.append((name, verdict.explanation or "check failed"))
+    return replace(simulated.outcome, failures=tuple(failures), passed=tuple(passed))
+
+
+class SimulationStore:
+    """What one configuration's schedules simulated to, kept for re-judging.
+
+    The rungs of a robustness frontier run one stack over one workload and
+    differ only in the checker, so a schedule one rung simulated is the
+    schedule the next rung would simulate.  The store maps the canonical
+    decision tuple to its :class:`SimulatedSchedule`; whoever holds it
+    simulates a decision set at most once.  It is bound to the probe it
+    was created for — everything except ``checks`` and ``decisions`` — and
+    refuses any other.
+    """
+
+    def __init__(self, probe: ScheduleProbe) -> None:
+        self._configuration = replace(probe, checks=(), decisions=())
+        self._records: dict[tuple[Decision, ...], SimulatedSchedule] = {}
+
+    def __len__(self) -> int:
+        """Distinct decision sets simulated so far."""
+        return len(self._records)
+
+    def require(self, probe: ScheduleProbe) -> None:
+        """Raise unless ``probe`` is the configuration this store serves."""
+        if replace(probe, checks=(), decisions=()) != self._configuration:
+            raise ConfigurationError(
+                "this simulation store belongs to another configuration: "
+                "probes sharing a store may differ in checks and decisions only"
+            )
+
+    def missing(self, probes: Sequence[ScheduleProbe]) -> list[ScheduleProbe]:
+        """The probes whose decision sets have not been simulated yet."""
+        return [probe for probe in probes if probe.decisions not in self._records]
+
+    def add(self, simulated: SimulatedSchedule) -> None:
+        self._records[simulated.outcome.decisions] = simulated
+
+    def simulated(self, probe: ScheduleProbe) -> SimulatedSchedule:
+        """``probe``'s record, simulating it now if nobody has."""
+        record = self._records.get(probe.decisions)
+        if record is None:
+            record = self._records[probe.decisions] = simulate(probe)
+        return record
+
+    def run_schedule(self, probe: ScheduleProbe) -> ScheduleOutcome:
+        """:func:`run_schedule`, simulating only what the store lacks."""
+        return judge(self.simulated(probe), probe.checks)
+
+
+def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
+    """Execute one schedule described by ``probe`` and return its outcome:
+    :func:`simulate` it, then :func:`judge` the record under ``probe.checks``.
+    """
+    return judge(simulate(probe), probe.checks)
+
+
+def schedule_runner(
+    probe: ScheduleProbe, store: SimulationStore | None
+) -> Callable[[ScheduleProbe], ScheduleOutcome]:
+    """What runs ``probe``'s schedules: :func:`run_schedule`, or ``store``'s
+    version of it once the store has accepted the configuration."""
+    if store is None:
+        return run_schedule
+    store.require(probe)
+    return store.run_schedule
 
 
 # --------------------------------------------------------------------- #
@@ -493,6 +598,11 @@ class Explorer:
             representative.  Only sound when nothing else distinguishes
             those objects, so it is ignored for scenario, planned-schedule,
             repair and spare-carrying probes.
+        store: a :class:`SimulationStore` of ``probe``'s configuration to
+            simulate through — what it already holds is judged, not run
+            again, and what this search simulates is left in it.  Only the
+            robustness frontier passes one; the result is the same either
+            way.
     """
 
     def __init__(
@@ -506,6 +616,7 @@ class Explorer:
         stop_on_violation: bool = False,
         fault_timing: bool = False,
         symmetry: bool = False,
+        store: SimulationStore | None = None,
     ) -> None:
         if probe.decisions:
             raise ConfigurationError("the explorer starts from the empty schedule")
@@ -520,6 +631,8 @@ class Explorer:
         if max_holds < 0 or max_schedules < 1:
             raise ConfigurationError("bounds must be positive")
         self.probe = probe
+        self.store = store
+        self._run_schedule = schedule_runner(probe, store)
         self.max_holds = max_holds
         self.max_schedules = max_schedules
         self.strategy = strategy
@@ -592,11 +705,20 @@ class Explorer:
         max_workers: int | None,
     ) -> list[ScheduleOutcome]:
         probes = [self.probe.with_decisions(decisions) for decisions in batch]
+        store = self.store
         if parallel and len(probes) > 1:
-            outcomes = _pool_map(probes, max_workers, fn=run_schedule)
-            if outcomes is not None:
-                return outcomes
-        return [run_schedule(probe) for probe in probes]
+            if store is None:
+                outcomes = _pool_map(probes, max_workers, fn=run_schedule)
+                if outcomes is not None:
+                    return outcomes
+            else:
+                # Only what nobody simulated yet is worth a worker; the
+                # records come back and every probe is judged here.
+                misses = store.missing(probes)
+                if len(misses) > 1:
+                    for record in _pool_map(misses, max_workers, fn=simulate) or ():
+                        store.add(record)
+        return [self._run_schedule(probe) for probe in probes]
 
     # ------------------------------------------------------------------ #
     # Search
@@ -619,7 +741,7 @@ class Explorer:
         # The root runs first, alone and in-process: configuration errors
         # surface immediately, and its outcome seeds S (for reporting) and
         # the expansion alphabet.
-        root_outcome = run_schedule(self.probe)
+        root_outcome = self._run_schedule(self.probe)
         result = self._result_shell()
         stats = result.stats
         violations: list[tuple[tuple[Decision, ...], ScheduleOutcome]] = []
@@ -707,7 +829,7 @@ class Explorer:
                 # the unabsorbed tail.  Absorption order is identical to
                 # the parallel path, so results stay byte-identical.
                 pairs = (
-                    (decisions, run_schedule(self.probe.with_decisions(decisions)))
+                    (decisions, self._run_schedule(self.probe.with_decisions(decisions)))
                     for decisions in batch
                 )
             for decisions, outcome in pairs:
@@ -776,7 +898,7 @@ class Explorer:
             minimal, final_outcome = outcome.decisions, outcome
             if self.minimize:
                 minimal, final_outcome, runs = minimize_decisions(
-                    self.probe, decisions, outcome
+                    self.probe, decisions, outcome, store=self.store
                 )
                 result.stats.minimization_runs += runs
             key = (minimal, tuple(name for name, _ in final_outcome.failures))
@@ -801,6 +923,7 @@ def explore_probe(
     symmetry: bool = False,
     parallel: bool = False,
     max_workers: int | None = None,
+    store: SimulationStore | None = None,
 ) -> ExploreResult:
     """Convenience wrapper: build an :class:`Explorer` and run it."""
     explorer = Explorer(
@@ -812,5 +935,6 @@ def explore_probe(
         stop_on_violation=stop_on_violation,
         fault_timing=fault_timing,
         symmetry=symmetry,
+        store=store,
     )
     return explorer.run(parallel=parallel, max_workers=max_workers)

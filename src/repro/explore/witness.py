@@ -33,7 +33,13 @@ from repro.explore.controlled import (
     canonical_links,
     decision_from_json,
 )
-from repro.explore.engine import ScheduleOutcome, ScheduleProbe, run_schedule
+from repro.explore.engine import (
+    ScheduleOutcome,
+    ScheduleProbe,
+    SimulationStore,
+    run_schedule,
+    schedule_runner,
+)
 from repro.faults.schedules import PlannedSkip
 from repro.workloads.generator import OperationPlan
 
@@ -45,6 +51,7 @@ def minimize_decisions(
     probe: ScheduleProbe,
     decisions: tuple[Decision, ...],
     outcome: ScheduleOutcome,
+    store: SimulationStore | None = None,
 ) -> tuple[tuple[Decision, ...], ScheduleOutcome, int]:
     """Delta-debug ``decisions`` to a minimal set still failing the same checks.
 
@@ -53,8 +60,10 @@ def minimize_decisions(
     decision — held link or fault trigger alike — is dropped whenever the
     remaining set still fails every check the original schedule failed.
     Returns the minimal set, its outcome, and the number of extra schedule
-    executions spent.
+    executions spent — counted as judged: with a ``store`` (of ``probe``'s
+    configuration) the ones it already simulated are not run again.
     """
+    run = schedule_runner(probe, store)
     target = {name for name, _ in outcome.failures}
     current = list(canonical_links(decisions))
     best = outcome
@@ -64,7 +73,7 @@ def minimize_decisions(
         shrunk = False
         for link in list(current):
             trial = tuple(x for x in current if x != link)
-            candidate = run_schedule(probe.with_decisions(trial))
+            candidate = run(probe.with_decisions(trial))
             runs += 1
             if target <= {name for name, _ in candidate.failures}:
                 current = list(trial)

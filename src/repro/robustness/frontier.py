@@ -14,18 +14,43 @@ points).  The ladder is only partially ordered:
   so they are scanned sequentially once the k-segment is exhausted.  Both
   are single-writer notions and are dropped from multi-writer ladders.
 
-Every evaluation is an ordinary :meth:`repro.api.Cluster.explore` call, so
-a certified rung means *certified over the explored bounded space* and a
+Every evaluation gives exactly the result of
+``cluster.with_checks(model).explore(...)`` with the same bounds, so a
+certified rung means *certified over the explored bounded space* and a
 refuted rung carries a minimized, replayable witness.  Over-budget fault
 configurations (more faults than the protocol's threshold ``t``) are not
 an error here: the frontier reports the weakest surviving model — graceful
 degradation instead of a refusal.
+
+One simulation, many verdicts
+-----------------------------
+
+The rungs run the same stack over the same plans and differ only in the
+checker applied to each schedule's history: robustness *between* models is
+a question asked of one set of executions under several specifications.
+So the frontier builds the :class:`~repro.explore.engine.ScheduleProbe`
+once, replaces only its ``checks`` per rung, and hands every rung's
+explorer one :class:`~repro.explore.engine.SimulationStore`.  The store
+holds, per canonical decision tuple, what
+:func:`~repro.explore.engine.simulate` returned — the checker-independent
+outcome fields and the frozen histories, plain picklable data with no
+system, trace or message behind it — and a rung that meets a decision set
+an earlier rung simulated runs only :func:`~repro.explore.engine.judge`
+on the stored record.  The store lives for one :func:`robustness_frontier`
+call and is dropped when it returns.
+
+Rungs still *search* on their own: a schedule that violates atomicity is
+not expanded on the atomicity rung but is on ``k-atomic(2)``, so each rung
+walks its own sub-space, counts its own ``max_schedules`` budget in judged
+schedules, and reports its own statistics and witnesses.  Sharing changes
+how many simulations are paid for (:attr:`FrontierResult.simulated`), never
+what a rung reports (:attr:`FrontierResult.schedules`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.axes import AxesView, RunAxes
@@ -92,6 +117,10 @@ class FrontierResult(AxesView):
     #: refusing to run.
     degraded: bool = False
     results: dict[str, "ExploreResult"] = field(default_factory=dict)
+    #: Distinct decision sets actually simulated for the whole walk — at
+    #: most :attr:`schedules`, and less whenever rungs met the same ones.
+    #: A live count beside the payload, never in ``to_dict()`` / ``render()``.
+    simulated: int = 0
 
     @property
     def certified(self) -> bool:
@@ -105,7 +134,10 @@ class FrontierResult(AxesView):
 
     @property
     def schedules(self) -> int:
-        """Total schedules executed across every evaluated rung."""
+        """Total schedules *judged* across every evaluated rung: the sum of
+        the rungs' ``stats.explored``.  A schedule several rungs judged
+        counts once per rung, although it was simulated once
+        (:attr:`simulated`)."""
         return sum(r.stats.explored for r in self.results.values())
 
     @property
@@ -247,11 +279,15 @@ def robustness_frontier(
     The walk: evaluate atomicity; if refuted, binary-search the monotone
     ``k-atomic(2..max_k)`` segment for the smallest certified bound; if
     none certifies, scan regularity then safety (single-writer only).
-    Each rung is one :meth:`Cluster.explore` over the same workload
-    (``seed``) and bounds, with fault-timing choice points swept by
-    default, so rungs are comparable and every refutation is a minimized
-    replayable witness.
+    Each rung is one bounded exploration over the same workload (``seed``)
+    and bounds, with fault-timing choice points swept by default, and
+    equals ``cluster.with_checks(model).explore(...)`` — so rungs are
+    comparable and every refutation is a minimized replayable witness.
+    The rungs share their simulations (see the module docstring): a
+    schedule is simulated once and judged once per rung that reaches it.
     """
+    from repro.explore.engine import SimulationStore, explore_probe
+
     cluster = _as_cluster(
         protocol, faults, t=t, S=S, n_readers=n_readers, **cluster_kwargs
     )
@@ -269,21 +305,24 @@ def robustness_frontier(
         "symmetry": symmetry,
     }
 
+    probe = cluster._schedule_probe(
+        seed=seed, granularity=granularity, max_events=max_events
+    )
+    store = SimulationStore(probe)
     results: dict[str, "ExploreResult"] = {}
 
     def evaluate(model: str) -> "ExploreResult":
         if model not in results:
-            results[model] = cluster.with_checks(model).explore(
+            results[model] = explore_probe(
+                replace(probe, checks=cluster.with_checks(model)._checks),
                 max_holds=max_holds,
                 max_schedules=max_schedules,
-                max_events=max_events,
-                granularity=granularity,
                 strategy=strategy,
-                seed=seed,
                 fault_timing=fault_timing,
                 symmetry=symmetry,
                 parallel=parallel,
                 max_workers=max_workers,
+                store=store,
             )
         return results[model]
 
@@ -341,5 +380,6 @@ def robustness_frontier(
         witness=witness,
         degraded=inventory.effective > atomic.t,
         results=results,
+        simulated=len(store),
     )
     return result

@@ -18,6 +18,7 @@ in its length.
 from __future__ import annotations
 
 import enum
+import hashlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -104,7 +105,14 @@ def _freeze(payload: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
     items = []
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, Mapping):
+        # Exact types first: what a protocol nests in a payload is a plain
+        # dict or list; the abstract checks are for whatever is left.
+        kind = type(value)
+        if kind is dict:
+            value = _freeze(value)
+        elif kind is list or kind is set:
+            value = tuple(sorted(map(repr, value)))
+        elif isinstance(value, Mapping):
             value = _freeze(value)
         elif isinstance(value, (list, set)):
             value = tuple(sorted(map(repr, value)))
@@ -266,24 +274,34 @@ def trace_fingerprint(trace: MessageTrace) -> str:
     and the engine-equivalence suite and benchmarks assert event-vs-batched
     byte-identity through it.  Two traces fingerprint equal exactly when
     they recorded the same observations in the same order.
-    """
-    import hashlib
 
+    The digest is over ``repr((time, kind, src, dst, op serial, op kind,
+    op client, round, tag, is_reply, frozen payload))`` of every entry.
+    Everything after ``kind`` belongs to the message, and the SEND, HOLD
+    and DELIVER entries of one message reference the same object in a log
+    nobody appends to any more, so that part is rendered once per message
+    and spliced behind each entry's own ``(time, kind, `` prefix.
+    """
     digest = hashlib.sha256()
+    rendered: dict[int, bytes] = {}
     for time, kind, message in trace.entries:
-        digest.update(repr((
-            time,
-            kind.value,
-            str(message.src),
-            str(message.dst),
-            message.op.serial,
-            message.op.kind,
-            str(message.op.client),
-            message.round_no,
-            message.tag,
-            message.is_reply,
-            _freeze(message.payload),
-        )).encode("utf-8", "backslashreplace"))
+        text = rendered.get(id(message))
+        if text is None:
+            op = message.op
+            # The tail of the full tuple's repr: drop the opening bracket.
+            text = rendered[id(message)] = repr((
+                str(message.src),
+                str(message.dst),
+                op.serial,
+                op.kind,
+                str(op.client),
+                message.round_no,
+                message.tag,
+                message.is_reply,
+                _freeze(message.payload),
+            ))[1:].encode("utf-8", "backslashreplace")
+        digest.update(f"({time!r}, {kind.value!r}, ".encode())
+        digest.update(text)
     return digest.hexdigest()[:24]
 
 

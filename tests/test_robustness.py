@@ -27,19 +27,20 @@ from repro.explore import (
 from repro.robustness import FrontierResult, model_ladder, robustness_frontier
 
 
-def underprovisioned_cluster() -> Cluster:
+def underprovisioned_cluster(engine: str = "event") -> Cluster:
     """Two always-stale objects on a 3t+1 stack sized for one."""
     return (
-        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
+        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
         .with_faults("stale-echo", count=2)
         .with_operations([("write", "v1", 0), ("read", 1, 100)])
     )
 
 
-def timed_stack() -> Cluster:
-    """One always-stale object plus one whose staleness needs a trigger."""
+def timed_stack(engine: str = "event") -> Cluster:
+    """One always-stale object plus one whose staleness needs a trigger
+    (``benchmarks/e2e``'s ``frontier_degrade`` configuration)."""
     return (
-        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
+        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
         .with_faults("stale-echo", count=1)
         .with_faults("timed", count=1, inner="stale-echo", at=99)
         .with_operations([("write", "v1", 0), ("read", 1, 100)])
@@ -375,6 +376,201 @@ class TestFrontier:
             underprovisioned_cluster(), max_holds=2, max_schedules=3000,
         )
         assert via_method.to_dict() == via_function.to_dict()
+
+
+# --------------------------------------------------------------------- #
+# One simulation, many verdicts
+# --------------------------------------------------------------------- #
+
+OPS = [("write", "v1", 0), ("read", 1, 100)]
+
+#: name → (cluster factory by engine, frontier bounds).  ``budget`` is the
+#: benchmark cell again with a schedule budget far below the space, so every
+#: rung stops on its own count of judged schedules.
+SHARING_GRID = {
+    "benchmark": (timed_stack, dict(max_holds=2, max_schedules=3000)),
+    "budget": (timed_stack, dict(max_holds=2, max_schedules=60)),
+    # Three holds deep the atomicity rung stops at violating two-hold sets
+    # that the k-atomic(2) rung expands: the rungs walk different sub-spaces.
+    "deeper": (
+        underprovisioned_cluster, dict(max_k=2, max_holds=3, max_schedules=3000),
+    ),
+    "abd-crash": (
+        lambda engine: Cluster("abd", t=1, engine=engine)
+        .with_faults("crash", count=1).with_operations(OPS),
+        dict(max_holds=2, max_schedules=1000),
+    ),
+    "fast-regular": (
+        lambda engine: Cluster("fast-regular", t=1, engine=engine)
+        .with_operations([("write", "v1", 0), ("read", 1, 120), ("read", 2, 240)]),
+        dict(max_holds=1, max_schedules=500, granularity="round"),
+    ),
+    "mwmr": (
+        lambda engine: Cluster("mwmr-fast-regular", n_writers=2, engine=engine)
+        .with_faults("crash", count=1).with_workload(operations=3, spacing=60),
+        dict(max_k=2, max_holds=1, max_schedules=500),
+    ),
+}
+
+ENGINES = ("event", "batched")
+
+
+def _explore_bounds(bounds: dict) -> dict:
+    """The ``Cluster.explore`` call one rung of ``frontier(**bounds)`` equals."""
+    return {"fault_timing": True, **{k: v for k, v in bounds.items() if k != "max_k"}}
+
+
+class TestFrontierSharesSimulations:
+    """The rungs share simulated schedules and nothing else: every rung
+    still reports what its standalone exploration reports."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("cell", sorted(SHARING_GRID))
+    def test_every_rung_equals_its_standalone_exploration(self, cell, engine):
+        build, bounds = SHARING_GRID[cell]
+        serial = build(engine).frontier(**bounds)
+        assert serial.results and set(serial.results) == set(serial.outcomes)
+        for model, rung in serial.results.items():
+            alone = build(engine).with_checks(model).explore(**_explore_bounds(bounds))
+            # Stats, witnesses, trace hashes, exhausted: the whole payload.
+            assert rung.to_dict() == alone.to_dict(), (cell, engine, model)
+        assert serial.schedules == sum(
+            r.stats.explored for r in serial.results.values()
+        )
+        assert serial.simulated <= serial.schedules
+        pooled = build(engine).frontier(**bounds, parallel=True, max_workers=2)
+        assert pooled.to_dict() == serial.to_dict()
+        assert pooled.simulated == serial.simulated
+        for model, rung in pooled.results.items():
+            assert rung.to_dict() == serial.results[model].to_dict()
+
+    @pytest.mark.parametrize("cell", sorted(SHARING_GRID))
+    def test_a_decision_set_is_simulated_at_most_once(self, cell, monkeypatch):
+        from collections import Counter
+
+        from repro.explore import engine
+
+        runs: Counter = Counter()
+        real = engine.simulate
+
+        def counting(probe):
+            runs[probe.decisions] += 1
+            return real(probe)
+
+        monkeypatch.setattr(engine, "simulate", counting)
+        build, bounds = SHARING_GRID[cell]
+        result = build("event").frontier(**bounds)
+        assert set(runs.values()) == {1}
+        assert result.simulated == len(runs)
+
+    @pytest.fixture(scope="class")
+    def benchmark_frontier(self):
+        build, bounds = SHARING_GRID["benchmark"]
+        return build("event").frontier(**bounds)
+
+    def test_benchmark_cell_simulates_a_third_of_what_it_judges(self, benchmark_frontier):
+        result = benchmark_frontier
+        assert len(result.results) == 3
+        assert (result.schedules, result.simulated) == (525, 175)
+        # The atomicity rung's two minimization runs were hits as well.
+        assert result.results["atomicity"].stats.minimization_runs == 2
+        # A live count beside the golden-pinned payload, never inside it.
+        assert "simulated" not in result.to_dict()
+        assert "simulated" not in result.render()
+
+    def test_rungs_still_search_their_own_sub_space(self):
+        build, bounds = SHARING_GRID["deeper"]
+        result = build("event").frontier(**bounds)
+        explored = {m: r.stats.explored for m, r in result.results.items()}
+        assert explored == {"atomicity": 613, "k-atomic(2)": 643}
+        # The second rung simulated the 30 schedules the first never reached.
+        assert result.simulated == 643 and result.schedules == 613 + 643
+
+    def test_first_rung_certificate_simulates_exactly_what_it_explored(self):
+        build, bounds = SHARING_GRID["abd-crash"]
+        result = build("event").frontier(**bounds)
+        assert list(result.results) == ["atomicity"] and result.certified
+        assert result.simulated == result.results["atomicity"].stats.explored
+        assert result.simulated == result.schedules
+
+    def test_judging_is_pure(self, benchmark_frontier):
+        import copy
+
+        from repro.explore import judge, simulate
+
+        witness = benchmark_frontier.witness
+        record = simulate(witness.probe)
+        before = copy.deepcopy(record)
+        ladder = model_ladder(4)
+        first = [judge(record, (model,)) for model in ladder]
+        second = [judge(record, (model,)) for model in reversed(ladder)]
+        assert first == second[::-1]
+        assert first[0].failures == witness.failures and not first[1].failures
+        assert judge(record, ladder).failures == tuple(
+            pair for outcome in first for pair in outcome.failures
+        )
+        fresh = simulate(witness.probe)
+        for name, history in record.histories.items():
+            assert history.records == fresh.histories[name].records
+            assert history.records == before.histories[name].records
+        assert record.outcome == fresh.outcome == judge(record, ())
+
+    def test_store_refuses_another_configuration(self):
+        from repro.explore import Explorer, SimulationStore, minimize_decisions
+
+        probe = timed_stack()._schedule_probe()
+        store = SimulationStore(probe)
+        # Checks (and decisions) are what probes sharing a store may differ in.
+        rung = dataclasses.replace(probe, checks=("k-atomic(2)",))
+        Explorer(rung, store=store)
+        assert store.run_schedule(
+            rung.with_decisions((FaultTrigger(obj=2, at=0),))
+        ).decisions == (FaultTrigger(obj=2, at=0),)
+        for other in (
+            dataclasses.replace(probe, S=5),
+            dataclasses.replace(probe, engine="batched"),
+            dataclasses.replace(probe, max_events=100),
+            dataclasses.replace(probe, plans=probe.plans[:1]),
+            timed_stack()._schedule_probe(granularity="round"),
+        ):
+            with pytest.raises(ConfigurationError, match="another configuration"):
+                Explorer(other, store=store)
+            with pytest.raises(ConfigurationError, match="another configuration"):
+                minimize_decisions(other, (), store.run_schedule(probe), store=store)
+
+    def test_store_keeps_no_message_or_simulator_alive(self):
+        import gc
+        import pickle
+
+        from repro.explore import SimulationStore, explore_probe
+        from repro.sim.network import Message
+        from repro.sim.simulator import Simulator
+
+        def live() -> int:
+            return sum(
+                1 for obj in gc.get_objects() if isinstance(obj, (Message, Simulator))
+            )
+
+        probe = timed_stack()._schedule_probe()
+        explore_probe(probe, max_holds=1)  # imports and caches settle
+        gc.collect()
+        gc.disable()
+        try:
+            before = live()
+            store = SimulationStore(probe)
+            for model in ("atomicity", "k-atomic(2)"):
+                explore_probe(
+                    dataclasses.replace(probe, checks=(model,)),
+                    max_holds=2, max_schedules=3000, fault_timing=True, store=store,
+                )
+            assert len(store) == 175
+            assert live() > before  # the finished systems wait for the collector
+            gc.collect()
+            # ... and once it ran the store is left holding plain data only.
+            assert live() == before
+            assert len(pickle.loads(pickle.dumps(store))) == 175
+        finally:
+            gc.enable()
 
 
 class TestFrontierNamesItsAxes:

@@ -2,6 +2,9 @@
 
 import io
 import json
+from collections.abc import Mapping
+
+import pytest
 
 from repro.faults.adversary import SilentBehavior
 from repro.faults.schedules import WithholdFrom
@@ -244,3 +247,228 @@ class TestTraceSerialization:
             ),
         )
         assert event.to_dict()["payload"] == {"w": "weird!"}
+
+
+# --------------------------------------------------------------------- #
+# The fingerprint, against the rendering it replaced
+# --------------------------------------------------------------------- #
+
+
+def _freeze(payload):
+    """``repro.sim.tracing._freeze`` as it was before it tested exact types."""
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, Mapping):
+            value = _freeze(value)
+        elif isinstance(value, (list, set)):
+            value = tuple(sorted(map(repr, value)))
+        items.append((key, value))
+    return tuple(items)
+
+
+def fingerprint_oracle(trace):
+    """``trace_fingerprint`` as it was when it rendered every entry whole:
+    the bytes every committed ``trace_hash`` was computed from."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for time, kind, message in trace.entries:
+        digest.update(repr((
+            time,
+            kind.value,
+            str(message.src),
+            str(message.dst),
+            message.op.serial,
+            message.op.kind,
+            str(message.op.client),
+            message.round_no,
+            message.tag,
+            message.is_reply,
+            _freeze(message.payload),
+        )).encode("utf-8", "backslashreplace"))
+    return digest.hexdigest()[:24]
+
+
+class _Proxy(Mapping):
+    """A Mapping that is not a dict."""
+
+    def __init__(self, data):
+        self._data = data
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+class _Rows(list):
+    """A list that is not exactly ``list``."""
+
+
+class _Raw:
+    """A value whose repr carries a lone surrogate past ``repr``'s own
+    escaping, so only the encoder's ``backslashreplace`` handles it."""
+
+    def __repr__(self):
+        return "raw\ud800"
+
+
+def _sweep_cells():
+    from repro.api import available_protocols
+    from repro.api.registry import get_spec
+
+    return [
+        (name, scenario)
+        for name in available_protocols()
+        for scenario in get_spec(name).scenarios
+    ]
+
+
+class TestFingerprintDifferential:
+    @pytest.mark.parametrize("engine", ("event", "batched"))
+    def test_every_protocol_and_advertised_scenario(self, engine):
+        from repro.api import Cluster
+        from repro.sim.tracing import trace_fingerprint
+
+        cells = _sweep_cells()
+        assert len(cells) >= 45
+        for name, scenario in cells:
+            trial = (
+                Cluster(name, t=1, n_readers=2, engine=engine)
+                .with_scenario(scenario)
+                .with_workload(spacing=150, operations=10)
+                .run(trials=1, seed=17, keep_trace=True)
+                .trials[0]
+            )
+            assert trial.trace.entries, (name, scenario)
+            assert trace_fingerprint(trial.trace) == fingerprint_oracle(trial.trace), (
+                name, scenario,
+            )
+
+    @pytest.mark.parametrize("engine", ("event", "batched"))
+    def test_held_dropped_repair_and_truncated_schedules(self, engine, monkeypatch):
+        """Through ``run_schedule`` itself: the traces the explorer hashes."""
+        from repro.api import Cluster
+        from repro.explore import FaultTrigger, HoldLink, engine as explore_engine
+        from repro.sim import tracing
+
+        seen = []
+
+        def checked(trace):
+            digest = tracing.trace_fingerprint(trace)
+            assert digest == fingerprint_oracle(trace)
+            seen.append({kind for _, kind, _ in trace.entries})
+            return digest
+
+        monkeypatch.setattr(explore_engine, "trace_fingerprint", checked)
+        stack = (
+            Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
+            .with_faults("stale-echo", count=1)
+            .with_faults("timed", count=1, inner="stale-echo", at=99)
+            .with_operations([("write", "v1", 0), ("read", 1, 100), ("read", 1, 130)])
+        )
+        probe = stack._schedule_probe()
+        free = explore_engine.run_schedule(probe)
+        assert TraceKind.HOLD not in seen[-1]
+        held = explore_engine.run_schedule(probe.with_decisions(
+            (HoldLink(op=2, obj=3), HoldLink(op=2, obj=4), FaultTrigger(obj=2, at=0))
+        ))
+        # The held read never returns, so the reader's next plan is dropped.
+        assert TraceKind.HOLD in seen[-1] and held.held_messages and held.dropped == 1
+        cut = explore_engine.run_schedule(
+            stack._schedule_probe(max_events=free.events // 2)
+        )
+        assert cut.truncated and cut.trace_hash != free.trace_hash
+        repaired = (
+            Cluster("abd", t=1, S=3, backend="reconfig", engine=engine,
+                    allow_overfault=True)
+            .with_faults("rolling-replace", count=3, base=4, stagger=8)
+            .with_repairs((1, 40), (2, 110), (3, 180))
+            .with_workload(operations=9, reads=0.5, spacing=30)
+        )
+        outcome = explore_engine.run_schedule(repaired._schedule_probe(seed=3))
+        assert outcome.completed and len(seen) == 4
+
+    def test_empty_trace(self):
+        from repro.sim.tracing import trace_fingerprint
+
+        assert trace_fingerprint(MessageTrace()) == fingerprint_oracle(MessageTrace())
+
+    @staticmethod
+    def _hand_built():
+        import types
+        from collections import OrderedDict
+
+        from repro.sim.network import Message
+        from repro.types import OperationId, reader_id, writer_id
+
+        op = OperationId(client=reader_id(1), kind="read", serial=7)
+        payloads = [
+            {},
+            {"b": 1, "a": None, "c": True, "d": 2.5},
+            {"nested": {"z": {"y": [3, 1, 2]}, "a": {"s": {"q", "p"}}}},
+            {"proxy": _Proxy({"k": [1, 2], "j": _Proxy({"i": 0})})},
+            {"readonly": types.MappingProxyType({"b": 2, "a": {"x": 1}})},
+            {"ordered": OrderedDict([("z", 1), ("a", [2, 1])])},
+            {"rows": _Rows([2, 1]), "frozen": frozenset({1}), "pair": (2, 1)},
+            {"text": "caf\u00e9 \u2192 \u22a5", "lone": "\ud800 and \udfff"},
+            {"raw": _Raw(), "in": [_Raw()], "under": {"deep": _Raw()}},
+            _Proxy({"top": {"level": [1]}}),
+        ]
+        trace = MessageTrace()
+        for index, payload in enumerate(payloads):
+            message = Message(
+                src=reader_id(1) if index % 2 else writer_id(), dst=object_id(index + 1),
+                op=op, round_no=index, tag=f"T{index}\u00e9", payload=payload,
+                is_reply=bool(index % 2),
+            )
+            trace.record_send(index, message)
+            if index % 3 == 0:
+                trace.record_hold(index, message)
+            trace.record_delivery(index + 1, message)
+            if index % 4 == 0:
+                trace.record_drop(index + 2, message)
+        # An equal message that is another object is rendered on its own.
+        twin = Message(src=writer_id(), dst=object_id(1), op=op, round_no=0,
+                       tag="T0\u00e9", payload={})
+        trace.record_send(99, twin)
+        return trace
+
+    def test_hand_built_payloads(self):
+        from repro.sim import tracing
+
+        trace = self._hand_built()
+        assert {kind for _, kind, _ in trace.entries} == set(TraceKind)
+        with pytest.raises(UnicodeEncodeError):
+            repr([message.payload for _, _, message in trace.entries]).encode("utf-8")
+        assert tracing.trace_fingerprint(trace) == fingerprint_oracle(trace)
+        for _, _, message in trace.entries:
+            assert tracing._freeze(message.payload) == _freeze(message.payload)
+
+    def test_payload_is_frozen_once_per_message(self, monkeypatch):
+        from repro.sim import tracing
+
+        real, depth, top = tracing._freeze, 0, 0
+
+        def counting(payload):
+            nonlocal depth, top
+            top += depth == 0
+            depth += 1
+            try:
+                return real(payload)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(tracing, "_freeze", counting)
+        system, _, _ = run_abd()
+        for trace in (system.trace, self._hand_built()):
+            top = 0
+            entries = trace.entries
+            messages = {id(message) for _, _, message in entries}
+            assert tracing.trace_fingerprint(trace) == fingerprint_oracle(trace)
+            assert top == len(messages) < len(entries)
