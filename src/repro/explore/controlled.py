@@ -40,6 +40,15 @@ freeze fire" is explored exactly like "which link stays in transit".  Both
 decision kinds share one canonical order and one JSON wire form —
 ``[op, obj, round]`` for holds (the historical layout, so old witnesses
 load unchanged) and ``["fault", obj, at]`` for triggers.
+
+Representation: a :class:`HoldLink` is the *boundary* form — what a probe
+carries, what an outcome reports, what a witness stores, validated on
+construction.  Inside :class:`ControlledDelivery` a link is the plain
+``(op serial, object index, round or 0)`` tuple of
+:attr:`HoldLink.sort_key`: the policy looks one up per message on the
+wire, so the held set is converted once and the delivered links are a set
+of tuples that only :attr:`ControlledDelivery.delivered_links` turns back
+into ``HoldLink`` objects (tuple order *is* the canonical link order).
 """
 
 from __future__ import annotations
@@ -186,6 +195,15 @@ class ControlledDelivery(DeliveryPolicy):
     * :attr:`delivered_links` — links that carried at least one delivered
       message (the expansion alphabet);
     * :attr:`held_messages` — how many messages the chosen holds caught.
+
+    Over a base of uniform latency it declares the base's latency and a
+    hold check (its own link test, then the base's), so a controlled
+    schedule runs on the network's fast path like a free one.  The check
+    records the two observations and never reads them back, and the network
+    asks once per message on either path — which is all the purity the
+    :class:`~repro.sim.network.DeliveryPolicy` contract needs.  Because the
+    check is also what records the expansion alphabet, it is there even for
+    an empty hold set (a method, like ``SelectiveHold.hold_check``).
     """
 
     def __init__(
@@ -217,27 +235,33 @@ class ControlledDelivery(DeliveryPolicy):
                 )
         self.base = base or FifoDelivery()
         self.granularity = granularity
-        self._delivered: dict[HoldLink, int] = {}
+        self._held = frozenset(link.sort_key for link in self.holds)
+        self._by_round = granularity == "round"
+        self._delivered: set[tuple[int, int, int]] = set()
         self.held_messages = 0
+
+    @property
+    def uniform_latency(self) -> int | None:
+        return self.base.uniform_latency
+
+    def hold_check(self, message: Message) -> bool:
+        # Over a base of uniform latency ``delay`` does not read ``now``.
+        return self.delay(message, 0) is None
 
     @property
     def delivered_links(self) -> tuple[HoldLink, ...]:
         """Links that carried delivered traffic, in canonical order."""
-        return canonical_links(self._delivered)
-
-    def _link(self, message: Message) -> HoldLink | None:
-        """The link ``message`` travels on, or None for client↔client."""
-        endpoint = message.src if message.is_reply else message.dst
-        if endpoint.role_value != "object":
-            return None
-        round_no = message.round_no if self.granularity == "round" else None
-        return HoldLink(op=message.op.serial, obj=endpoint.index, round_no=round_no)
+        return tuple(
+            HoldLink(op=op, obj=obj, round_no=round_no or None)
+            for op, obj, round_no in sorted(self._delivered)
+        )
 
     def delay(self, message: Message, now: int) -> int | None:
-        link = self._link(message)
-        if link is None:
+        endpoint = message.src if message.is_reply else message.dst
+        if endpoint.role_value != "object":  # client↔client: not a link
             return self.base.delay(message, now)
-        if link in self.holds:
+        link = (message.op.serial, endpoint.index, message.round_no if self._by_round else 0)
+        if link in self._held:
             self.held_messages += 1
             return None
         delay = self.base.delay(message, now)
@@ -246,5 +270,5 @@ class ControlledDelivery(DeliveryPolicy):
             # alphabet: a link the *base* policy already holds (a scenario
             # policy, a planned skip) would branch into schedules whose
             # extra hold matches nothing — pure duplicate work.
-            self._delivered[link] = self._delivered.get(link, 0) + 1
+            self._delivered.add(link)
         return delay

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable
 
-from repro.sim.network import DeliveryPolicy, FifoDelivery, Message
+from repro.sim.network import DeliveryPolicy, Message, SelectiveHold
 from repro.types import OperationId, ProcessId
 
 
@@ -36,31 +36,34 @@ class SkipRule:
         return message.dst in self.objects
 
 
-class BlockSkipPolicy(DeliveryPolicy):
+class BlockSkipPolicy(SelectiveHold):
     """A delivery policy enforcing a set of :class:`SkipRule`.
 
     Non-matching messages flow through the base policy (unit-latency FIFO by
     default), so the simulated run is synchronous except exactly where the
-    adversary intervenes.
+    adversary intervenes.  Like every policy of this module it is a
+    :class:`~repro.sim.network.SelectiveHold` whose predicate reads the
+    message only, so over a uniform base it declares the shape the batched
+    fast path serves.
     """
 
     def __init__(self, rules: Iterable[SkipRule] = (), base: DeliveryPolicy | None = None) -> None:
         self.rules: list[SkipRule] = list(rules)
-        self.base = base or FifoDelivery()
+        super().__init__(self._skipped, base)
 
     def skip(self, op: OperationId, objects: Collection[ProcessId], round_no: int | None = None) -> "BlockSkipPolicy":
         """Add a rule; returns self for chaining."""
         self.rules.append(SkipRule(op=op, objects=frozenset(objects), round_no=round_no))
         return self
 
-    def delay(self, message: Message, now: int) -> int | None:
+    def _skipped(self, message: Message) -> bool:
         for rule in self.rules:
             if rule.matches(message):
-                return None
-        return self.base.delay(message, now)
+                return True
+        return False
 
 
-class WithholdFrom(DeliveryPolicy):
+class WithholdFrom(SelectiveHold):
     """Hold *replies* travelling from chosen objects to chosen clients.
 
     This is the "keep t correct objects slow forever" adversary: the objects
@@ -77,8 +80,8 @@ class WithholdFrom(DeliveryPolicy):
     ) -> None:
         self.objects = frozenset(objects)
         self.clients = frozenset(clients) if clients is not None else None
-        self.base = base or FifoDelivery()
         self.also_invocations = also_invocations
+        super().__init__(self._targets, base)
 
     def _targets(self, message: Message) -> bool:
         if message.is_reply:
@@ -91,19 +94,12 @@ class WithholdFrom(DeliveryPolicy):
             return self.clients is None or message.src in self.clients
         return False
 
-    def delay(self, message: Message, now: int) -> int | None:
-        if self._targets(message):
-            return None
-        return self.base.delay(message, now)
-
 
 def predicate_policy(
     hold_if: Callable[[Message], bool],
     base: DeliveryPolicy | None = None,
 ) -> DeliveryPolicy:
     """Ad-hoc policy from a predicate (thin wrapper for tests)."""
-    from repro.sim.network import SelectiveHold
-
     return SelectiveHold(hold_if=hold_if, base=base)
 
 
@@ -156,7 +152,7 @@ class PlannedSkip:
         return f"op{self.op} skips {{{block}}} ({rounds}, {direction})"
 
 
-class PlannedSchedulePolicy(DeliveryPolicy):
+class PlannedSchedulePolicy(SelectiveHold):
     """A :class:`BlockSkipPolicy` over plan-addressed :class:`PlannedSkip` rules.
 
     This is what :meth:`repro.api.cluster.Cluster.with_schedule` and
@@ -166,10 +162,10 @@ class PlannedSchedulePolicy(DeliveryPolicy):
 
     def __init__(self, skips: Iterable[PlannedSkip] = (), base: DeliveryPolicy | None = None) -> None:
         self.skips: tuple[PlannedSkip, ...] = tuple(skips)
-        self.base = base or FifoDelivery()
+        super().__init__(self._skipped, base)
 
-    def delay(self, message: Message, now: int) -> int | None:
+    def _skipped(self, message: Message) -> bool:
         for skip in self.skips:
             if skip.matches(message):
-                return None
-        return self.base.delay(message, now)
+                return True
+        return False

@@ -48,17 +48,53 @@ The one semantic caveat is documented on the hooks themselves: custom
 :class:`~repro.sim.process.FaultBehavior`/handler overrides must stay
 object-local (they all are), since cross-object state peeking would
 observe the grouped processing order.
+
+The fast path and its precondition
+----------------------------------
+
+Sending has one fast path and one per-message path, on both engines.  The
+per-message path is :meth:`Network.send <repro.sim.network.Network.send>`:
+ask the policy's ``delay``, park or schedule, keep the channel's FIFO
+watermark.  The fast path — :meth:`~repro.sim.network.Network.send_round`
+for a round's broadcast, and the reply branch of the walk below — writes
+the trace entries, bumps the in-flight count once and parks the delivered
+messages as one run.  Which one serves a network is decided by the *shape
+its policy declares* (:class:`~repro.sim.network.DeliveryPolicy`:
+``uniform_latency`` and ``hold_check``), never by the policy's type:
+
+* **A uniform latency makes the watermark inert.**  Every delivered
+  message lands one constant after its send, so a channel's deliveries
+  are ordered by their sends and the clamp "never before the previous
+  delivery on this channel" never binds; nor does ``delay`` need asking
+  for a number it has already declared.
+* **A pure ``hold_check`` makes the policy dispatch inert.**  The verdict
+  depends on the message alone, so it may be taken at any point between
+  the message's creation and its trace entry — a broadcast takes all its
+  verdicts first and then writes ``SEND`` (and, for a held message,
+  ``HOLD`` plus the :class:`~repro.sim.network.HeldMessage`) at exactly
+  the per-message position.  It is consulted once per message, in send
+  order, so a policy that counts what it sees counts the same.
+* **The release caveat.**  The watermark is inert only while nothing held
+  is released.  :meth:`Network.fast_shape
+  <repro.sim.network.Network.fast_shape>` therefore grants the fast path
+  to a policy that holds only at latency 1 (where the skipped watermark
+  can never exceed ``now + 1``), and withdraws it from a network for good
+  at its first release; the walk re-reads that after every scheduled
+  action, the one place a release can happen mid-drain.
+
+Policies that declare no shape (random delays, anything custom — including
+a subclass that overrides ``delay`` below the class that declared one)
+run entirely on the per-message path, as before.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.network import FifoDelivery, Message
-from repro.sim.rounds import RoundRecord, RoundSpec
-from repro.sim.simulator import ClientOperation, OperationStatus, Simulator
+from repro.sim.network import Message
+from repro.sim.simulator import OperationStatus, Simulator
 from repro.sim.tracing import TraceKind
 
 #: The registered simulation engines, in preference order.
@@ -185,10 +221,6 @@ class BatchedSimulator(Simulator):
         super().__init__(*args, **kwargs)
         self.network.delivery_sink = self.queue.push_message
         self.network.delivery_batch_sink = self.queue.push_run
-        # Under the plain constant-latency FIFO policy, per-message policy
-        # dispatch, watermark bookkeeping and hold checks are provably
-        # inert, so reply sends take an inlined fast path in the walk.
-        self._fast_fifo = type(self.network.policy) is FifoDelivery
 
     def _new_queue(self) -> WaveQueue:  # type: ignore[override]
         return WaveQueue()
@@ -227,8 +259,10 @@ class BatchedSimulator(Simulator):
         deliver_kind = TraceKind.DELIVER
         send_kind = TraceKind.SEND
         drop_kind = TraceKind.DROP
-        fast_fifo = self._fast_fifo
-        latency = network.policy.latency if fast_fifo else 1
+        # Under a declared policy shape reply sends take an inlined fast
+        # path in the walk (see Network.fast_shape for why that is inert).
+        shape = network.fast_shape()
+        latency, hold_check = shape if shape is not None else (1, None)
         by_op = self._by_op
         pending_status = OperationStatus.PENDING
         object_batches = self._object_batches
@@ -259,6 +293,8 @@ class BatchedSimulator(Simulator):
                     if cls is not Message:
                         entry()  # an operation-start action
                         executed += 1
+                        if shape is not None and network._released:
+                            shape = hold_check = None  # it released a held message
                         continue
                     run: Sequence[Message] = (entry,)  # slow-path single delivery
                 else:
@@ -274,7 +310,7 @@ class BatchedSimulator(Simulator):
 
                 if not first.is_reply:
                     # Invocation run: one message per destination object.
-                    out_run: list[Message] | None = [] if fast_fifo else None
+                    out_run: list[Message] | None = [] if shape is not None else None
                     for message in run:
                         dst = message.dst
                         if payloads is None:
@@ -318,13 +354,16 @@ class BatchedSimulator(Simulator):
                             payload=payload,
                             is_reply=True,
                         )
-                        if out_run is not None:
-                            delta += 1
-                            if trace_entries is not None:
-                                trace_entries.append((now, send_kind, reply))
-                            out_run.append(reply)
-                        else:
+                        if out_run is None:
                             network.send(reply)
+                            continue
+                        if trace_entries is not None:
+                            trace_entries.append((now, send_kind, reply))
+                        if hold_check is not None and hold_check(reply):
+                            network.hold(reply)
+                        else:
+                            delta += 1
+                            out_run.append(reply)
                     if out_run:
                         # The run's replies form one contiguous same-round
                         # run in the next wave — park them as one entry.
@@ -451,30 +490,3 @@ class BatchedSimulator(Simulator):
             pid: iter(objects[pid].receive_batch(batch))
             for pid, batch in groups.items()
         }
-
-    # ------------------------------------------------------------------ #
-    # Round starts: one batched send per broadcast
-    # ------------------------------------------------------------------ #
-
-    def _start_round(self, operation: ClientOperation, spec: RoundSpec) -> None:
-        round_no = len(operation.rounds) + 1
-        record = RoundRecord(spec=spec, round_no=round_no, started_at=self.queue.now)
-        operation.rounds.append(record)
-        destinations: Iterable[Any] = spec.destinations or self.object_ids
-        client = operation.client
-        op_id = operation.op_id
-        tag = spec.tag
-        payload = spec.payload
-        if spec.per_object_payload is None:
-            messages = [
-                Message(src=client, dst=dst, op=op_id, round_no=round_no,
-                        tag=tag, payload=payload)
-                for dst in destinations
-            ]
-        else:
-            messages = [
-                Message(src=client, dst=dst, op=op_id, round_no=round_no,
-                        tag=tag, payload=spec.payload_for(dst))
-                for dst in destinations
-            ]
-        self.network.send_round(messages)

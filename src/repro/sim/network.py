@@ -62,7 +62,47 @@ class DeliveryPolicy:
     Return an integer delay to schedule delivery, or ``None`` to hold the
     message indefinitely (it can be released later through
     :meth:`Network.release_held`).
+
+    A policy may also declare its **shape** through two read-only facts,
+    which is what lets the network serve it from the batched fast path
+    (:meth:`Network.send_round`, the reply walk of the batched engine)
+    instead of asking :meth:`delay` message by message:
+
+    * :attr:`uniform_latency` — the constant transit time of every
+      message the policy delivers, or ``None`` (the default) when delays
+      vary or the policy makes no promise.  Declaring it guarantees that
+      ``delay(message, now)`` is either that constant or ``None``, whatever
+      ``message`` and ``now`` are.
+    * :attr:`hold_check` — read only when a latency is declared: a pure
+      ``Message -> bool`` "this message stays in transit", or ``None`` when
+      the policy never holds anything.  Declaring it guarantees that
+      ``delay(message, now) is None`` exactly when ``hold_check(message)``,
+      and that the verdict depends on the message alone — not on virtual
+      time, not on what was sent before.  Every message handed to the
+      network is judged exactly once, in send order — by ``hold_check`` on
+      the fast path, by ``delay`` on the per-message path — so a policy
+      whose two methods share their bookkeeping may *record* what it saw
+      (the explorer's :class:`~repro.explore.controlled.ControlledDelivery`
+      does) as long as its answer never depends on the record.
+
+    A subclass that declares neither stays on the per-message path and
+    only has to implement :meth:`delay`.  A declaration speaks for the
+    ``delay`` body it was written beside, so a subclass that overrides
+    ``delay`` without restating :attr:`uniform_latency` has the inherited
+    declaration withdrawn and is asked message by message again — a
+    time-dependent hold layered over :class:`SelectiveHold` keeps working
+    unchanged.  A policy that can hold writes ``hold_check`` as a method
+    reading the same attributes ``delay`` reads, so the two cannot drift
+    apart when one of them is reassigned.
     """
+
+    uniform_latency: int | None = None
+    hold_check: Callable[[Message], bool] | None = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "delay" in cls.__dict__ and "uniform_latency" not in cls.__dict__:
+            cls.uniform_latency = None
 
     def delay(self, message: Message, now: int) -> int | None:
         raise NotImplementedError
@@ -76,6 +116,10 @@ class FifoDelivery(DeliveryPolicy):
             raise ChannelError("latency must be at least one tick")
         self.latency = latency
 
+    @property
+    def uniform_latency(self) -> int:
+        return self.latency
+
     def delay(self, message: Message, now: int) -> int | None:
         return self.latency
 
@@ -84,7 +128,8 @@ class RandomDelivery(DeliveryPolicy):
     """Deliver after a seeded-random delay in ``[min_latency, max_latency]``.
 
     Useful for shaking out order dependence in protocols; determinism is
-    preserved because the RNG is owned and seeded by the policy.
+    preserved because the RNG is owned and seeded by the policy.  Delays
+    vary, so it declares no shape and runs on the per-message path.
     """
 
     def __init__(self, seed: int = 0, min_latency: int = 1, max_latency: int = 10) -> None:
@@ -102,11 +147,26 @@ class SelectiveHold(DeliveryPolicy):
     """Hold messages matching a predicate; delegate the rest.
 
     The lower-bound adversary uses this to keep chosen replies "in transit".
+    It is also the base class of every "hold predicate over a base" policy
+    (:mod:`repro.faults.schedules`): over a base of uniform latency the
+    shape is the base's latency and ``hold_if`` composed with the base's
+    own hold check, so ``hold_if`` must keep the :attr:`hold_check`
+    promise — a verdict that depends on the message alone.
     """
 
     def __init__(self, hold_if: Callable[[Message], bool], base: DeliveryPolicy | None = None) -> None:
         self.hold_if = hold_if
         self.base = base or FifoDelivery()
+
+    @property
+    def uniform_latency(self) -> int | None:
+        return self.base.uniform_latency
+
+    def hold_check(self, message: Message) -> bool:
+        if self.hold_if(message):
+            return True
+        base_check = self.base.hold_check
+        return base_check is not None and base_check(message)
 
     def delay(self, message: Message, now: int) -> int | None:
         if self.hold_if(message):
@@ -140,6 +200,9 @@ class Network:
         # the quiescence listener (the simulator) is told — this is what
         # lets "wait for all plausibly-correct replies" resolve mid-run.
         self._inflight: dict[tuple[Any, int], int] = {}
+        # Set once a held message has been released: from then on the
+        # watermark is live (see :meth:`fast_shape`).
+        self._released = False
         self.quiescence_listener: Callable[[Any, int], None] | None = None
         # Batch hooks: when set, scheduled deliveries are handed to the sink
         # as ``(deliver_at, message)`` — and whole broadcasts as
@@ -173,11 +236,16 @@ class Network:
             self.trace.record_send(self._queue.now, message)
         delay = self.policy.delay(message, self._queue.now)
         if delay is None:
-            self._held.append(HeldMessage(message=message, sent_at=self._queue.now))
-            if self.trace is not None:
-                self.trace.record_hold(self._queue.now, message)
+            self.hold(message)
             return
         self._schedule_delivery(message, delay)
+
+    def hold(self, message: Message) -> None:
+        """Park ``message`` in transit (its SEND is already on the trace)."""
+        now = self._queue.now
+        self._held.append(HeldMessage(message=message, sent_at=now))
+        if self.trace is not None:
+            self.trace.record_hold(now, message)
 
     def release_held(self, match: Callable[[Message], bool] | None = None, delay: int = 1) -> int:
         """Release held messages (all, or those matching ``match``).
@@ -194,7 +262,40 @@ class Network:
             held.released = True
             self._schedule_delivery(held.message, delay)
             released += 1
+        if released:
+            self._released = True
         return released
+
+    def fast_shape(self) -> tuple[int, Callable[[Message], bool] | None] | None:
+        """``(latency, hold_check)`` when the fast path may serve the policy.
+
+        The fast path skips :meth:`DeliveryPolicy.delay` and the FIFO
+        watermark.  Under a declared uniform latency that is inert while
+        nothing held is ever released — every delivery lands one constant
+        after its send, so channel FIFO holds by monotonicity of virtual
+        time.  A release breaks that in two ways, and both are excluded
+        here rather than paid for per message:
+
+        * a released message must not land before the watermark the
+          per-message path would have kept (last send on its channel plus
+          the latency).  With latency 1 that watermark is at most
+          ``now + 1``, which every release meets; with a larger latency it
+          can lie beyond it — so a policy that holds is served only at
+          latency 1;
+        * traffic *after* a release must not overtake a message released
+          with a longer delay — so the first release ends the fast path for
+          this network.  The watermark it would have kept until then is at
+          most ``now + 1`` on every channel, which is what the per-message
+          path assumes of a channel it has no entry for.
+        """
+        policy = self.policy
+        latency = policy.uniform_latency
+        if latency is None or self._released:
+            return None
+        hold_check = policy.hold_check
+        if hold_check is not None and latency != 1:
+            return None
+        return latency, hold_check
 
     def _schedule_delivery(self, message: Message, delay: int) -> None:
         # Hot path: one call per message on the wire.  Locals, a single
@@ -218,39 +319,52 @@ class Network:
     def send_round(self, messages: Sequence[Message]) -> None:
         """Send one round's whole broadcast in a single call.
 
-        The batched engine's send hook: every message must belong to the
-        same ``(op, round)`` — exactly what a round start produces.
-        Semantically identical to calling :meth:`send` once per message in
-        order.  Under the plain FIFO policy the per-message policy dispatch
-        and watermark bookkeeping are provably inert (every delay is the
-        same constant, so channel FIFO holds by monotonicity of virtual
-        time and nothing is ever held), and the shared round key means the
-        whole broadcast is one trace extend, one in-flight bump and one
-        bucket extend; any other policy flows through the full :meth:`send`
-        semantics message by message.
+        Every message must belong to the same ``(op, round)`` — exactly
+        what a round start produces.  Semantically identical to calling
+        :meth:`send` once per message in order, and that is what happens
+        unless the policy declares a shape (:meth:`fast_shape`).  Under a
+        declared shape the per-message policy dispatch and watermark
+        bookkeeping are provably inert, and the shared round key means the
+        delivered part of the broadcast is one trace extend, one in-flight
+        bump and one bucket extend (one queue event per message without the
+        batch sink).  Held messages are parked with their ``SEND``, ``HOLD``
+        entries at exactly the position :meth:`send` would have put them;
+        the hold verdicts are taken first, which a pure check cannot tell.
         """
-        policy = self.policy
-        if type(policy) is not FifoDelivery:
+        shape = self.fast_shape()
+        if shape is None:
             for message in messages:
                 self.send(message)
             return
-        if not messages:
-            return
+        latency, hold_check = shape
         now = self._queue.now
-        if self.trace is not None:
-            self.trace.record_send_batch(now, messages)
-        first = messages[0]
+        trace = self.trace
+        verdicts = [hold_check(m) for m in messages] if hold_check is not None else ()
+        if any(verdicts):
+            delivered = []
+            for message, held in zip(messages, verdicts):
+                if trace is not None:
+                    trace.record_send(now, message)
+                if held:
+                    self.hold(message)
+                else:
+                    delivered.append(message)
+        else:
+            delivered = messages
+            if trace is not None:
+                trace.record_send_batch(now, messages)
+        if not delivered:
+            return
+        first = delivered[0]
         round_key = (first.op, first.round_no)
         inflight = self._inflight
-        inflight[round_key] = inflight.get(round_key, 0) + len(messages)
-        deliver_at = now + policy.latency
+        inflight[round_key] = inflight.get(round_key, 0) + len(delivered)
         batch_sink = self.delivery_batch_sink
         if batch_sink is not None:
-            batch_sink(deliver_at, messages)
+            batch_sink(now + latency, delivered)
             return
         schedule = self._queue.schedule
-        latency = policy.latency
-        for message in messages:
+        for message in delivered:
             schedule(latency, partial(self._deliver, message))
 
     def _deliver(self, message: Message) -> None:

@@ -282,17 +282,23 @@ class Simulator:
         record = RoundRecord(spec=spec, round_no=round_no, started_at=self.queue.now)
         operation.rounds.append(record)
         destinations: Iterable[ProcessId] = spec.destinations or self.object_ids
-        for dst in destinations:
-            self.network.send(
-                Message(
-                    src=operation.client,
-                    dst=dst,
-                    op=operation.op_id,
-                    round_no=round_no,
-                    tag=spec.tag,
-                    payload=spec.payload_for(dst),
-                )
-            )
+        client = operation.client
+        op_id = operation.op_id
+        tag = spec.tag
+        if spec.per_object_payload is None:
+            payload = spec.payload
+            messages = [
+                Message(src=client, dst=dst, op=op_id, round_no=round_no,
+                        tag=tag, payload=payload)
+                for dst in destinations
+            ]
+        else:
+            messages = [
+                Message(src=client, dst=dst, op=op_id, round_no=round_no,
+                        tag=tag, payload=spec.payload_for(dst))
+                for dst in destinations
+            ]
+        self.network.send_round(messages)
 
     def _complete(self, operation: ClientOperation, result: Any) -> None:
         operation.status = OperationStatus.COMPLETE

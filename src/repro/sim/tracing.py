@@ -266,6 +266,20 @@ def merge_transcripts(traces: Iterable[MessageTrace], op_id: OperationId) -> tup
     return tuple(sorted(entries, key=lambda e: (e.round_no, e.source, e.payload_items)))
 
 
+#: ``, 'send', `` and friends: what follows the time in an entry's repr.
+#: (``kind.value`` is a Python-level descriptor call — once per kind, not
+#: once per entry.)
+_KIND_INFIX = {kind: f", {kind.value!r}, " for kind in TraceKind}
+
+
+class _QuotedNames(dict):
+    """``repr(str(pid))`` per process, rendered on first use."""
+
+    def __missing__(self, pid: ProcessId) -> str:
+        name = self[pid] = repr(str(pid))
+        return name
+
+
 def trace_fingerprint(trace: MessageTrace) -> str:
     """Canonical digest of a full wire trace.
 
@@ -280,28 +294,26 @@ def trace_fingerprint(trace: MessageTrace) -> str:
     Everything after ``kind`` belongs to the message, and the SEND, HOLD
     and DELIVER entries of one message reference the same object in a log
     nobody appends to any more, so that part is rendered once per message
-    and spliced behind each entry's own ``(time, kind, `` prefix.
+    and spliced behind each entry's own ``(time, kind, `` prefix.  The
+    tuple's repr is written out by hand — one f-string per message, each
+    process name rendered once per call — and produces the same bytes.
     """
     digest = hashlib.sha256()
+    update = digest.update
     rendered: dict[int, bytes] = {}
+    names = _QuotedNames()
     for time, kind, message in trace.entries:
         text = rendered.get(id(message))
         if text is None:
             op = message.op
-            # The tail of the full tuple's repr: drop the opening bracket.
-            text = rendered[id(message)] = repr((
-                str(message.src),
-                str(message.dst),
-                op.serial,
-                op.kind,
-                str(op.client),
-                message.round_no,
-                message.tag,
-                message.is_reply,
-                _freeze(message.payload),
-            ))[1:].encode("utf-8", "backslashreplace")
-        digest.update(f"({time!r}, {kind.value!r}, ".encode())
-        digest.update(text)
+            text = rendered[id(message)] = (
+                f"{names[message.src]}, {names[message.dst]}, {op.serial!r}, "
+                f"{op.kind!r}, {names[op.client]}, {message.round_no!r}, "
+                f"{message.tag!r}, {message.is_reply!r}, "
+                f"{_freeze(message.payload)!r})"
+            ).encode("utf-8", "backslashreplace")
+        update(f"({time!r}{_KIND_INFIX[kind]}".encode())
+        update(text)
     return digest.hexdigest()[:24]
 
 

@@ -34,6 +34,8 @@ class Role(enum.Enum):
 
 
 _ROLE_PREFIX = {"object": "s", "writer": "w", "reader": "r", "repair": "q"}
+#: Role → small int, so an identifier's hash is built from ints alone.
+_ROLE_CODE = {"object": 0, "writer": 1, "reader": 2, "repair": 3}
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,11 +46,24 @@ class ProcessId:
     deterministic iteration orders the simulator relies on.  The comparison
     methods are hand-written: every terminated round sorts its repliers,
     and the dataclass-generated operators allocate two field tuples per
-    comparison.
+    comparison.  The hash is precomputed from ints only (the role through
+    a small table), like :class:`Timestamp`'s: identifiers key the
+    simulator's handler, reply and in-flight maps, and the generated hash
+    builds a field tuple and hashes a string on every lookup.  Int-only
+    also means process-independent — the cached value survives pickling
+    into a worker started under another ``PYTHONHASHSEED``.
     """
 
     role_value: str
     index: int
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        code = _ROLE_CODE.get(self.role_value, len(_ROLE_CODE))
+        object.__setattr__(self, "_hash", hash((code, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ProcessId:
@@ -161,6 +176,12 @@ class Timestamp:
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        # The dataclass-generated text, without its recursion guard: both
+        # fields are ints, and the trace fingerprint reprs every timestamp
+        # of every payload.
+        return f"Timestamp(seq={self.seq!r}, writer={self.writer!r})"
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Timestamp:
             return NotImplemented
@@ -219,6 +240,10 @@ class TaggedValue:
     ts: Timestamp
     value: Any
 
+    def __repr__(self) -> str:
+        # The dataclass-generated text (see Timestamp.__repr__).
+        return f"TaggedValue(ts={self.ts!r}, value={self.value!r})"
+
     def __eq__(self, other: object) -> bool:
         # Hand-written for the voucher-counting hot path: the generated
         # dataclass __eq__ allocates two field tuples per comparison.
@@ -250,11 +275,33 @@ _op_counter = itertools.count(1)
 
 @dataclass(frozen=True, slots=True)
 class OperationId:
-    """Unique handle of one read or write operation instance."""
+    """Unique handle of one read or write operation instance.
+
+    Hash and equality are hand-written for the same reason as
+    :class:`ProcessId`'s: every ``inflight[(op, round)]`` and ``by_op[op]``
+    lookup hashes one.  The hash covers client and serial only — ints, so
+    process-independent — which equality refines with the kind.
+    """
 
     client: ProcessId
     kind: str  # "read" | "write"
     serial: int = field(default_factory=lambda: next(_op_counter))
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.client._hash, self.serial)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not OperationId:
+            return NotImplemented
+        return (
+            self.serial == other.serial
+            and self.kind == other.kind
+            and self.client == other.client
+        )
 
     def __str__(self) -> str:
         return f"{self.kind}[{self.client}#{self.serial}]"

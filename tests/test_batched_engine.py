@@ -11,13 +11,17 @@ process-layer batch hooks it is built on.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.api import Cluster, available_protocols, get_spec, sweep
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.tracing import trace_fingerprint
+from repro.explore import HoldLink, run_schedule
+from repro.explore.engine import simulate
+from repro.sim.tracing import MessageTrace, TraceKind, trace_fingerprint
 from repro.faults.adversary import CrashAt
+from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
 from repro.registers.base import RegisterSystem
 from repro.sim.batched import (
     ENGINES,
@@ -26,11 +30,27 @@ from repro.sim.batched import (
     available_engines,
     resolve_engine,
 )
-from repro.sim.network import Message
+from repro.sim.network import (
+    DeliveryPolicy,
+    FifoDelivery,
+    Message,
+    Network,
+    RandomDelivery,
+    SelectiveHold,
+)
 from repro.sim.process import ObjectHandler, ObjectServer
+from repro.sim.rounds import ReplyRule, RoundSpec
 from repro.sim.simulator import Simulator
-from repro.types import fresh_operation_id, object_id, scoped_operation_serials, writer_id
+from repro.types import (
+    fresh_operation_id,
+    object_id,
+    object_ids,
+    reader_id,
+    scoped_operation_serials,
+    writer_id,
+)
 from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.scenarios import FaultPlan, Scenario, register_scenario
 
 #: Registry protocols that run on a single-register-style backend.
 SINGLE_BACKEND_PROTOCOLS = tuple(
@@ -185,6 +205,92 @@ class TestTraceEquivalence:
         assert outcomes[0] == outcomes[1]
 
 
+def strip_engine_deep(value):
+    """``value`` without any ``"engine"`` key, at any depth."""
+    if isinstance(value, dict):
+        return {k: strip_engine_deep(v) for k, v in value.items() if k != "engine"}
+    if isinstance(value, list):
+        return [strip_engine_deep(item) for item in value]
+    return value
+
+
+THREE_OPERATIONS = [("write", "v1", 0), ("read", 1, 60), ("read", 2, 120)]
+
+
+def _register_hold_scenario(name, policy_factory):
+    register_scenario(
+        name,
+        lambda t: Scenario(
+            name=name, fault_plan=FaultPlan("none", 0, None), policy_factory=policy_factory
+        ),
+        overwrite=True,
+    )
+    return name
+
+
+def _parity_cells():
+    """name → (cluster builder taking the engine, explore keywords).
+
+    Every way a controlled schedule reaches the network: both link
+    granularities, holds on the request side (the explorer's) and on the
+    reply side (a base that withholds replies), a planned-skip base, fault
+    triggers, a repair and a crash-recovering durable object.
+    """
+    def plain(engine):
+        return Cluster("fast-regular", t=1, engine=engine).with_operations(THREE_OPERATIONS)
+
+    def planned(engine):
+        return plain(engine).with_schedule((1, (1,)), PlannedSkip(op=2, objects=(2,), round_no=1))
+
+    def scenario(name, factory):
+        def build(engine):
+            return plain(engine).with_scenario(_register_hold_scenario(name, factory))
+        return build
+
+    def overfaulted(engine):
+        return (
+            Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
+            .with_faults("stale-echo", count=2)
+            .with_operations([("write", "v1", 0), ("read", 1, 100)])
+            .check("atomicity")
+        )
+
+    def repaired(engine):
+        return (
+            Cluster("abd", t=1, backend="reconfig", engine=engine)
+            .with_faults("perm-crash", survive_messages=1)
+            .with_repairs((1, 5))
+            .with_workload(operations=2, reads=0.5, spacing=10)
+        )
+
+    def recovering(engine):
+        return (
+            Cluster("abd", t=1, durability="mem", engine=engine)
+            .with_faults("crash-recover")
+            .with_operations(THREE_OPERATIONS)
+        )
+
+    return {
+        "operation": (plain, dict(max_holds=2)),
+        "round": (plain, dict(max_holds=2, granularity="round")),
+        "planned-base-operation": (planned, dict(max_holds=1)),
+        "planned-base-round": (planned, dict(max_holds=2, granularity="round")),
+        "planned-scenario": (
+            scenario("parity-planned", lambda: PlannedSchedulePolicy(
+                [PlannedSkip(op=1, objects=(2,))]
+            )),
+            dict(max_holds=1, granularity="round"),
+        ),
+        "reply-side-holds": (
+            scenario("parity-withheld", lambda: WithholdFrom([object_id(1)])),
+            dict(max_holds=2, granularity="round"),
+        ),
+        "fault-timing": (overfaulted, dict(max_holds=1, fault_timing=True)),
+        "repair": (repaired, dict(max_holds=1, seed=7)),
+        "crash-recover": (recovering, dict(max_holds=1, granularity="round")),
+    }
+
+
 class TestExploreParity:
     """Certify/refute outcomes and witness fingerprints match across engines."""
 
@@ -194,7 +300,7 @@ class TestExploreParity:
         for engine in ENGINES:
             result = (
                 Cluster(name, t=1, engine=engine)
-                .with_operations([("write", "v1", 0), ("read", 1, 60), ("read", 2, 120)])
+                .with_operations(THREE_OPERATIONS)
                 .explore(max_holds=1)
             )
             payload = result.to_dict()
@@ -202,7 +308,42 @@ class TestExploreParity:
             results.append(canonical(payload))
         assert results[0] == results[1]
 
-    def test_refutation_parity(self):
+    @pytest.mark.parametrize("cell", sorted(_parity_cells()))
+    def test_controlled_schedule_grid(self, cell):
+        """The whole result, every witness and every per-schedule outcome."""
+        build, bounds = _parity_cells()[cell]
+        results, outcomes = [], []
+        for engine in ENGINES:
+            cluster = build(engine)
+            result = cluster.explore(**bounds)
+            results.append(result)
+            probe = cluster._schedule_probe(
+                seed=bounds.get("seed", 0),
+                granularity=bounds.get("granularity", "operation"),
+            )
+            free = run_schedule(probe)
+            per_schedule = [free] + [
+                run_schedule(probe.with_decisions((link,))) for link in free.expansions
+            ]
+            outcomes.append([
+                (o.held_messages, o.expansions, o.trace_hash, strip_engine_deep(o.to_dict()))
+                for o in per_schedule
+            ])
+        event, batched = results
+        assert event.stats.explored > 1
+        assert canonical(strip_engine_deep(event.to_dict())) == canonical(
+            strip_engine_deep(batched.to_dict())
+        )
+        assert [strip_engine_deep(w.to_dict()) for w in event.witnesses] == [
+            strip_engine_deep(w.to_dict()) for w in batched.witnesses
+        ]
+        assert outcomes[0] == outcomes[1]
+        if cell in ("reply-side-holds", "planned-base-round"):
+            # The base's own holds show up on the wire, not in the count of
+            # what the explorer's links caught.
+            assert outcomes[0][0][0] == 0 and len(outcomes[0]) > 1
+
+    def test_refutation_parity(self, granularity="operation"):
         witnesses = []
         for engine in ENGINES:
             result = (
@@ -211,7 +352,7 @@ class TestExploreParity:
                 .with_faults("stale-echo", count=2)
                 .with_operations([("write", "v1", 0), ("read", 1, 100)])
                 .check("atomicity")
-                .explore(max_holds=2)
+                .explore(max_holds=2, granularity=granularity)
             )
             assert result.violations >= 1
             witnesses.append(result.witnesses[0])
@@ -220,7 +361,148 @@ class TestExploreParity:
         assert event_witness.failures == batched_witness.failures
         assert event_witness.trace_hash == batched_witness.trace_hash
         # A witness found on one engine replays byte-identically on the other.
-        assert batched_witness.reproduces()
+        for witness, other in zip(witnesses, reversed(ENGINES)):
+            assert witness.probe.engine != other
+            moved = replace(witness, probe=replace(witness.probe, engine=other))
+            assert moved.reproduces()
+
+    def test_refutation_parity_at_round_granularity(self):
+        self.test_refutation_parity(granularity="round")
+
+
+class _Unshaped(DeliveryPolicy):
+    """``inner``'s decisions through ``delay`` alone: no declared shape, so
+    both engines serve it message by message — the reference path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def delay(self, message, now):
+        return self.inner.delay(message, now)
+
+
+class _HoldRepliesFromTick(SelectiveHold):
+    """Overrides ``delay`` alone (a time-dependent hold, like the ablation
+    benchmark's inversion schedule): the inherited shape is withdrawn."""
+
+    def __init__(self, tick):
+        super().__init__(lambda m: False)
+        self.tick = tick
+
+    def delay(self, message, now):
+        if message.is_reply and now >= self.tick:
+            return None
+        return super().delay(message, now)
+
+
+def _count_calls(monkeypatch, owner, *names):
+    """Count calls of ``owner``'s methods ``names`` (still executing them)."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestPolicyShapeFastPath:
+    """Which path a policy takes, counted — no clock involved."""
+
+    def test_controlled_schedule_never_leaves_the_fast_path(self, monkeypatch):
+        probe = (
+            Cluster("fast-regular", t=1, engine="batched")
+            .with_operations(THREE_OPERATIONS)
+            ._schedule_probe(granularity="round")
+        )
+        calls = _count_calls(monkeypatch, Network, "send", "_schedule_delivery")
+        for decisions in ((), (HoldLink(1, 2, 1), HoldLink(2, 1, 1))):
+            outcome = simulate(probe.with_decisions(decisions)).outcome
+            assert outcome.held_messages == len(decisions) and outcome.events
+        assert calls == {"send": 0, "_schedule_delivery": 0}
+
+    @pytest.mark.parametrize("policy", (
+        lambda: RandomDelivery(seed=3),
+        lambda: _Unshaped(FifoDelivery()),
+        lambda: SelectiveHold(lambda m: m.is_reply and m.src == object_id(1), RandomDelivery(seed=3)),
+        lambda: _HoldRepliesFromTick(80),
+    ))
+    def test_unshaped_policies_keep_the_per_message_path(self, monkeypatch, policy):
+        calls = _count_calls(monkeypatch, Network, "send", "_schedule_delivery")
+        with scoped_operation_serials():
+            system = RegisterSystem(
+                get_spec("abd").build(), t=1, engine="batched", policy=policy()
+            )
+            system.write("v1", at=0)
+            system.read(1, at=80)
+            system.run()
+        kinds = [kind for _, kind, _ in system.trace.entries]
+        assert calls["send"] == kinds.count(TraceKind.SEND) > 0
+        assert calls["_schedule_delivery"] == calls["send"] - kinds.count(TraceKind.HOLD)
+
+    def test_time_dependent_hold_over_a_shaped_base_is_honoured(self):
+        """``delay`` overridden below the class that declared the shape: the
+        replies sent from tick 80 on stay in transit on both engines."""
+        traces = []
+        for engine in ENGINES:
+            with scoped_operation_serials():
+                system = RegisterSystem(
+                    get_spec("abd").build(), t=1, engine=engine, policy=_HoldRepliesFromTick(80)
+                )
+                system.write("v1", at=0)
+                system.read(1, at=80)
+                system.run()
+            traces.append([(time, kind, str(m)) for time, kind, m in system.trace.entries])
+            assert [kind for _, kind, _ in traces[-1]].count(TraceKind.HOLD) == 3
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("release_delay", (1, 4))
+    @pytest.mark.parametrize("latency", (1, 3))
+    def test_release_mid_run_matches_per_message_path(self, latency, release_delay):
+        """A held reply released right after the channel's later traffic (the
+        watermark clamps it at latency 3), then traffic right after a slow
+        release (clamped at latency 1): same ticks, same trace, as ``send``
+        would give — on both engines."""
+        release_at = 10 + latency + 1  # the second read's replies are in flight
+
+        def one_round():
+            outcome = yield RoundSpec(tag="Q", payload={}, rule=ReplyRule(min_count=2))
+            return sorted(outcome.replies)
+
+        def run(engine, shaped):
+            policy = SelectiveHold(
+                lambda m: m.is_reply and m.src == object_id(1) and m.op.serial == 1,
+                FifoDelivery(latency),
+            )
+            with scoped_operation_serials():
+                sim = resolve_engine(engine)(
+                    [ObjectServer(pid=pid, handler=_RecordingHandler()) for pid in object_ids(3)],
+                    policy=policy if shaped else _Unshaped(policy),
+                    trace=MessageTrace(),
+                )
+                for at in (0, 10, 10 + 3 * latency):
+                    sim.invoke(reader_id(1), "read", one_round(), at=at)
+                sim.queue.schedule(
+                    release_at, lambda: sim.network.release_held(delay=release_delay)
+                )
+                events = sim.run()
+            from_s1 = [
+                (time, message.op.serial)
+                for time, kind, message in sim.trace.entries
+                if kind is TraceKind.DELIVER and message.src == object_id(1)
+            ]
+            return events, trace_fingerprint(sim.trace), from_s1
+
+        reference = run("event", shaped=False)
+        for engine in ENGINES:
+            assert run(engine, shaped=True) == reference, engine
+        assert run("batched", shaped=False) == reference
+        ticks = {serial: time for time, serial in reference[2]}
+        assert ticks[1] == max(release_at + release_delay, 10 + 2 * latency)
+        assert ticks[2] <= ticks[1] <= ticks[3]
 
 
 class TestWaveQueue:

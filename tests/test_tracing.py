@@ -394,6 +394,37 @@ class TestFingerprintDifferential:
         outcome = explore_engine.run_schedule(repaired._schedule_probe(seed=3))
         assert outcome.completed and len(seen) == 4
 
+    @pytest.mark.parametrize("engine", ("event", "batched"))
+    def test_held_reply_and_client_dropped_traces(self, engine):
+        """All four kinds from a live run: s1's replies stay in transit, and
+        the reader crashes while its first round is on the wire, so what the
+        other objects answer is dropped."""
+        from repro.sim.tracing import trace_fingerprint
+
+        with scoped_operation_serials():
+            system = RegisterSystem(
+                FastRegularProtocol(), t=1, S=4, n_readers=2, engine=engine,
+                policy=WithholdFrom([object_id(1)]),
+            )
+            system.write("v1", at=0)
+            read_op = system.read(1, at=100)
+            simulator = system.simulator
+            simulator.queue.schedule(101, lambda: simulator.abort(read_op))
+            system.run()
+            entries = system.trace.entries
+            assert {kind for _, kind, _ in entries} == set(TraceKind)
+            assert any(kind is TraceKind.HOLD and m.is_reply for _, kind, m in entries)
+            assert any(
+                kind is TraceKind.DROP and m.dst == read_op.client for _, kind, m in entries
+            )
+            assert trace_fingerprint(system.trace) == fingerprint_oracle(system.trace)
+            # The released replies land on the longer log: rendered afresh.
+            before = len(entries)
+            simulator.network.release_held()
+            system.run()
+            assert len(system.trace.entries) > before
+            assert trace_fingerprint(system.trace) == fingerprint_oracle(system.trace)
+
     def test_empty_trace(self):
         from repro.sim.tracing import trace_fingerprint
 

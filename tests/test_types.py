@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.types import (
     BOTTOM,
+    OperationId,
     ProcessId,
     Role,
     TaggedValue,
@@ -113,6 +114,33 @@ class TestTaggedValue:
         assert TaggedValue(Timestamp(1), "a") != TaggedValue(Timestamp(1), "b")
 
 
+class TestGeneratedFormReprs:
+    """The hand-written ``__repr__``s emit what ``@dataclass`` generated: the
+    trace fingerprint hashes these bytes, and every committed ``trace_hash``
+    was computed from the generated form."""
+
+    def test_timestamp(self):
+        assert repr(Timestamp(3)) == "Timestamp(seq=3, writer=0)"
+        assert repr(Timestamp(3, 2)) == "Timestamp(seq=3, writer=2)"
+        assert repr(Timestamp.zero()) == "Timestamp(seq=0, writer=0)"
+
+    def test_tagged_value(self):
+        assert repr(TaggedValue.initial()) == (
+            "TaggedValue(ts=Timestamp(seq=0, writer=0), value='\u22a5')"
+        )
+        assert repr(TaggedValue(Timestamp(2, 1), "caf\u00e9 \u2192 x")) == (
+            "TaggedValue(ts=Timestamp(seq=2, writer=1), value='caf\u00e9 \u2192 x')"
+        )
+        nested = TaggedValue(Timestamp(5), (TaggedValue(Timestamp(4, 3), None), [1, "a"]))
+        assert repr(nested) == (
+            "TaggedValue(ts=Timestamp(seq=5, writer=0), value=(TaggedValue("
+            "ts=Timestamp(seq=4, writer=3), value=None), [1, 'a']))"
+        )
+        assert repr({"pair": nested.value[0]}) == (
+            "{'pair': TaggedValue(ts=Timestamp(seq=4, writer=3), value=None)}"
+        )
+
+
 class TestOperationId:
     def test_serials_unique(self):
         a = fresh_operation_id(reader_id(1), "read")
@@ -128,3 +156,78 @@ class TestOperationId:
         op = fresh_operation_id(writer_id(), "write")
         assert "write" in str(op)
         assert "w" in str(op)
+
+
+class TestIdentifierHashes:
+    """Hashes are computed once, from ints only: they survive pickling and
+    agree with an interpreter running under another string-hash seed —
+    which is what a spawn pool worker is."""
+
+    SAMPLES = (
+        "object_id(3)", "reader_id(2)", "writer_id()", "repair_id(1)",
+        "ProcessId('writer', 4)",
+        "OperationId(reader_id(2), 'read', 7)",
+        "OperationId(writer_id(), 'write', 1)",
+        "OperationId(repair_id(1), 'repair', 12)",
+    )
+
+    @classmethod
+    def _samples(cls):
+        import repro.types as types
+
+        return [eval(source, vars(types)) for source in cls.SAMPLES]
+
+    def test_equal_identifiers_hash_equal(self):
+        for first, second in zip(self._samples(), self._samples()):
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+            assert {first: 1}[second] == 1
+
+    def test_distinct_identifiers_stay_distinct(self):
+        samples = self._samples()
+        assert len(set(samples)) == len(samples)
+        read = OperationId(reader_id(1), "read", 5)
+        assert read != OperationId(reader_id(1), "write", 5)
+        assert read != OperationId(reader_id(2), "read", 5)
+        assert read != OperationId(reader_id(1), "read", 6)
+        assert read != ("read", 5) and object_id(1) != reader_id(1)
+
+    def test_hash_and_eq_survive_pickling(self):
+        import pickle
+
+        for sample in self._samples():
+            clone = pickle.loads(pickle.dumps(sample))
+            assert clone == sample and hash(clone) == hash(sample)
+            assert repr(clone) == repr(sample)
+
+    def test_hashes_agree_across_hash_seeds(self):
+        """A pickled identifier must index the same dict slot in a worker."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        samples = self._samples()
+        script = (
+            "import pickle, sys\n"
+            "samples = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = [type(s)(*[getattr(s, n) for n in s.__match_args__]) for s in samples]\n"
+            "assert fresh == samples\n"
+            "print(hash('seeded'), [hash(s) for s in samples], [hash(s) for s in fresh])\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(repro.__file__).parents[1]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], input=pickle.dumps(samples),
+                env=env, capture_output=True, timeout=60, check=True,
+            )
+            outputs.append(done.stdout.decode().split(" ", 1))
+        (string_hash_1, hashes_1), (string_hash_2, hashes_2) = outputs
+        assert string_hash_1 != string_hash_2  # the seeds really differ
+        expected = [hash(s) for s in samples]
+        assert hashes_1 == hashes_2 == f"{expected} {expected}\n"
