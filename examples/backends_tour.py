@@ -22,7 +22,6 @@ Run:  python examples/backends_tour.py
 """
 
 import json
-import time
 
 from repro.api import Cluster
 
@@ -58,36 +57,6 @@ def sharded_demo() -> None:
     assert verdict.per_key is not None and len(verdict.per_key) == 8
     assert result.worst_write == 1 and result.worst_read == 2  # ABD, per shard
     print("sharded OK — 8 shards on 3 physical objects, atomic per key\n")
-
-
-def engine_demo() -> None:
-    """Same experiment, two simulation engines, byte-identical results.
-
-    The ``batched`` engine executes runs in per-tick delivery waves instead
-    of one heap event per message — same observable behaviour (the results
-    below compare equal apart from the ``engine`` metadata tag), less
-    Python per message, so it is the throughput choice for big sweeps and
-    deep explorations.
-    """
-    base = (
-        Cluster("fast-regular", t=1, n_readers=3)
-        .with_workload(operations=20, spacing=15)
-        .check("atomicity")
-    )
-    results = {}
-    for engine in ("event", "batched"):
-        started = time.perf_counter()
-        results[engine] = base.with_engine(engine).run(trials=4, seed=7)
-        print(f"  {engine:8s}: {time.perf_counter() - started:.3f}s")
-    payloads = {
-        engine: {k: v for k, v in result.to_dict().items() if k != "engine"}
-        for engine, result in results.items()
-    }
-    assert json.dumps(payloads["event"], sort_keys=True) == json.dumps(
-        payloads["batched"], sort_keys=True
-    )
-    assert results["batched"].engine == "batched"
-    print("engines OK — batched run byte-identical to the event engine\n")
 
 
 def recovery_demo() -> None:
@@ -211,7 +180,7 @@ def observability_demo() -> None:
     ``observe=True`` arms the virtual clock on every fault behavior and
     journal, then derives per-operation/per-round spans and a named-metric
     registry from the run's own deterministic bookkeeping — so the dumps
-    are byte-identical across both engines and serial/parallel execution,
+    are byte-identical across serial and parallel execution,
     and an unobserved run's output is untouched.  The same derivation
     backs ``repro run --spans/--metrics/--timeline`` and ``repro stats``.
     """
@@ -284,13 +253,12 @@ def frontier_demo() -> None:
 def main() -> None:
     multi_writer_demo()
     sharded_demo()
-    engine_demo()
     recovery_demo()
     churn_demo()
     spectrum_demo()
     observability_demo()
     frontier_demo()
-    print("backend tour OK — one harness API, five cluster shapes, two engines, "
+    print("backend tour OK — one harness API, five cluster shapes, "
           "durable recovery, online repair, a consistency spectrum, built-in "
           "observability and a certified robustness frontier")
 

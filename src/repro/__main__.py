@@ -486,7 +486,7 @@ def _load_jsonl(path: str) -> dict[tuple, dict]:
     :class:`~repro.axes.RunAxes` the row was written under (absent fields
     mean the default single backend and default axes, so files written
     before backends or an axis existed stay comparable).  Rows produced by
-    different backends, engines, durability modes or consistency models
+    different backends, durability modes or consistency models
     therefore never match each other — a sharded 8-key run is not
     like-for-like with a single-register one even if every other dimension
     agrees.  A later line for the same key supersedes earlier ones, so a

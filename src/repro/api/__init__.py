@@ -18,8 +18,8 @@ experiment needs, addressable as data:
   ``sweep(..., parallel=True)`` fan trials over a process pool with
   results byte-identical to serial execution.
 
-* :mod:`repro.axes` — the seven **run axes** (engine, durability,
-  consistency, observe, repairs, spares, xfer_quorum), declared once as
+* :mod:`repro.axes` — the six **run axes** (durability, consistency,
+  observe, repairs, spares, xfer_quorum), declared once as
   :class:`RunAxes`.  Requests, specs, probes, results, witness JSON,
   ``repro compare`` and the CLI all derive from that record, so *adding a
   run axis* is: declare the field there, read ``request.<name>`` where it
@@ -66,7 +66,6 @@ from repro.api.backends import (
     register_backend,
 )
 from repro.axes import RunAxes
-from repro.sim.batched import ENGINES, available_engines
 from repro.api.cluster import (
     CheckVerdict,
     Cluster,
@@ -105,10 +104,8 @@ __all__ = [
     "get_backend_spec",
     "available_backends",
     "backend_specs",
-    # run axes + simulation engines
+    # run axes
     "RunAxes",
-    "ENGINES",
-    "available_engines",
     # checker registry (repro.consistency)
     "CheckerSpec",
     "checker_specs",

@@ -57,8 +57,8 @@ class BackendRequest(RunAxes):
     Everything here is plain data so it crosses process boundaries; the
     stateful pieces (fault behaviours, protocol instances, delivery
     policies) are created fresh per build.  Protocols, backends and
-    scenarios are referenced by *registry name*.  The run axes (engine,
-    durability, consistency, observe, repairs, spares, xfer_quorum) are
+    scenarios are referenced by *registry name*.  The run axes (durability,
+    consistency, observe, repairs, spares, xfer_quorum) are
     inherited from :class:`~repro.axes.RunAxes` — see there for what each
     one means.  :class:`~repro.api.cluster.TrialSpec` and
     :class:`~repro.explore.engine.ScheduleProbe` extend this class, so a
@@ -414,7 +414,6 @@ def _system_kwargs(
         behaviors=behaviors,
         policy=policy,
         allow_overfault=request.allow_overfault,
-        engine=request.engine,
         durability=request.durability,
     )
 

@@ -727,13 +727,13 @@ class Cluster:
             multi-writer backend automatically.
         keys: key layout for keyed backends — a count or explicit names.
         n_writers: writer family size for multi-writer backends.
-        engine / durability / consistency / observe: the run axes of the
+        durability / consistency / observe: the run axes of the
             same name — see :class:`repro.axes.RunAxes` for what each one
             means.  A non-atomic ``consistency`` routes single/sharded
             layouts onto the ``k-atomic`` backend automatically; conversely
             ``backend="k-atomic"`` without a model defaults to
             ``"k-atomic(2)"``.  The repair axes are set through
-            :meth:`with_repairs`; :attr:`axes` reads all seven back.
+            :meth:`with_repairs`; :attr:`axes` reads all six back.
         protocol_kwargs: forwarded to the protocol factory per trial.
     """
 
@@ -747,7 +747,6 @@ class Cluster:
         backend: str | None = None,
         keys: int | Sequence[str] | None = None,
         n_writers: int | None = None,
-        engine: str = "event",
         durability: str = "none",
         consistency: str = "atomic",
         observe: bool = False,
@@ -776,7 +775,7 @@ class Cluster:
         self._key_skew = 0.0
         self._schedule: tuple[PlannedSkip, ...] = ()
         self._axes = RunAxes(
-            engine=engine, durability=durability, consistency=consistency, observe=observe
+            durability=durability, consistency=consistency, observe=observe
         ).validated()
         if backend is None and self._axes.consistency != "atomic":
             # A bound implies the bounded-stale wrapper whenever the
@@ -927,14 +926,14 @@ class Cluster:
         return clone
 
     def with_axes(self, axes: RunAxes) -> "Cluster":
-        """This configuration under ``axes`` — all seven run axes at once.
+        """This configuration under ``axes`` — all six run axes at once.
 
         The one setter path: the axes are validated
         (:meth:`~repro.axes.RunAxes.validated`), repair settings are
         rejected off the reconfig backend, and a changed consistency model
-        is reconciled with the backend.  ``with_engine`` /
-        ``with_durability`` / ``with_consistency`` / ``with_observe`` /
-        ``with_repairs`` are this with the named fields replaced.
+        is reconciled with the backend.  ``with_durability`` /
+        ``with_consistency`` / ``with_observe`` / ``with_repairs`` are this
+        with the named fields replaced.
         """
         axes = axes.validated()
         if (
@@ -950,12 +949,6 @@ class Cluster:
         if axes.consistency != self._axes.consistency:
             clone._apply_consistency()
         return clone
-
-    def with_engine(self, engine: str) -> "Cluster":
-        """Select the simulation engine trials execute on (same observable
-        results; only the ``engine`` tag of :meth:`RunResult.to_dict`
-        differs) — see :attr:`RunAxes.engine <repro.axes.RunAxes>`."""
-        return self.with_axes(replace(self._axes, engine=engine))
 
     def with_durability(self, durability: str) -> "Cluster":
         """Select the durability seam every trial's objects persist through
@@ -1491,7 +1484,6 @@ def sweep(
     keys: int | Sequence[str] | None = None,
     n_writers: int | None = None,
     key_skew: float = 0.0,
-    engine: str = "event",
     durability: str = "none",
     consistency: str = "atomic",
     observe: bool = False,
@@ -1529,8 +1521,8 @@ def sweep(
             cluster = (
                 Cluster(name, t=t, n_readers=n_readers,
                         backend=backend, keys=keys, n_writers=n_writers,
-                        engine=engine, durability=durability,
-                        consistency=consistency, observe=observe)
+                        durability=durability, consistency=consistency,
+                        observe=observe)
                 .with_scenario(scenario_name)
                 .with_workload(spacing=spacing, operations=operations, key_skew=key_skew)
                 .check(*checks)

@@ -1,7 +1,7 @@
 """The run axes, declared once.
 
 A run is a point in the paper's configuration space (protocol, ``S``, ``t``,
-fault model, workload) *plus* seven harness axes that say how that point is
+fault model, workload) *plus* six harness axes that say how that point is
 executed and served.  :class:`RunAxes` is their only declaration: name,
 default, validator, whether result payloads tag the axis, and its CLI flag.
 Every carrier derives from it instead of re-listing the names —
@@ -27,9 +27,9 @@ Adding a run axis
    fails until you do, and then checks it through specs, pickling, witness
    JSON, result payloads, the compare key and all three CLI subcommands.
 
-This module imports only leaf packages (``sim``, ``storage``,
-``consistency``), so ``registers``, ``api``, ``explore``, ``robustness`` and
-``__main__`` can all import it without cycles.
+This module imports only leaf packages (``storage``, ``consistency``), so
+``registers``, ``api``, ``explore``, ``robustness`` and ``__main__`` can all
+import it without cycles.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.consistency.models import parse_consistency
 from repro.errors import ConfigurationError
-from repro.sim.batched import available_engines, resolve_engine
 from repro.storage import DURABILITIES, resolve_durability
 
 if TYPE_CHECKING:  # pragma: no cover — the facade never needs argparse
@@ -58,11 +57,6 @@ def _axis(
     return field(default=default, metadata={
         "check": check, "tagged": tagged, "flag": flag, "argparse": argparse_kwargs,
     })
-
-
-def _engine_name(name: str) -> str:
-    resolve_engine(name)  # one source of truth for names + errors
-    return name
 
 
 def _repair_steps(steps: Any) -> tuple[tuple[int, int], ...]:
@@ -115,16 +109,9 @@ def _jsonable(value: Any) -> Any:
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class RunAxes:
-    """How one configuration is executed and served — the seven run axes.
+    """How one configuration is executed and served — the six run axes.
 
     Attributes:
-        engine: simulation engine every trial and explored schedule runs on —
-            ``"event"`` (the per-message event loop) or ``"batched"`` (the
-            wave-stepped :class:`~repro.sim.batched.BatchedSimulator`).  Both
-            produce byte-identical outcomes (same histories, event counts and
-            wire-trace fingerprints), so the tag is metadata about *how* a run
-            executed, not what it produced; certificates and witnesses
-            transfer between engines.
         durability: the seam every object handler persists through —
             ``"none"`` (the paper's crash-stop objects), ``"mem"``
             (deterministic in-memory journals) or ``"dir"`` (append-only log
@@ -163,11 +150,6 @@ class RunAxes:
     old JSONL files and committed witnesses stay loadable and comparable.
     """
 
-    engine: str = _axis(
-        "event", check=_engine_name, tagged=True,
-        flag="--engine", choices=available_engines(),
-        help="simulation engine (batched: wave-stepped, identical results, faster)",
-    )
     durability: str = _axis(
         "none", check=resolve_durability, tagged=True,
         flag="--durability", choices=DURABILITIES,
@@ -237,7 +219,7 @@ class RunAxes:
         }
 
     def tags(self) -> str:
-        """``", engine=batched, durability=mem"`` — the render suffix."""
+        """``", durability=mem, consistency=k-atomic(2)"`` — the render suffix."""
         return "".join(f", {name}={value}" for name, value in self.non_default().items())
 
     @staticmethod
@@ -263,13 +245,13 @@ class RunAxes:
 
 _AXES = fields(RunAxes)
 
-#: The seven axis names, in declaration order.
+#: The six axis names, in declaration order.
 AXIS_NAMES: tuple[str, ...] = tuple(axis.name for axis in _AXES)
 
 
 class AxesView:
-    """Mixin for results that hold an ``axes`` record: ``result.engine``,
-    ``result.durability``, … read through to it."""
+    """Mixin for results that hold an ``axes`` record: ``result.durability``,
+    ``result.consistency``, … read through to it."""
 
     __slots__ = ()
 

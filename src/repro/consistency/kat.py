@@ -10,21 +10,21 @@ a valid assignment gives read ``rd`` a write index ``idx(rd)`` such that
 ``rd`` can be *placed* in the open window between ``wr_{idx}`` and
 ``wr_{idx+k}``, consistently with precedence.
 
-Two checkers share the entry point :func:`check_k_atomicity`:
+Two checkers share the entry point :func:`check_k_atomicity`, and each is
+the *same code* as its ``k = 1`` namesake in :mod:`repro.spec`:
 
-* **single-writer** — a greedy pass that generalizes
-  :func:`repro.spec.atomicity.check_swmr_atomicity` and is exact for every
-  ``k`` (the paper's GPO greedy, specialized to the SWMR write order).  The
-  one subtlety is that the k=1 checker's read-monotonicity prefix-maximum is
+* **single-writer** — the greedy pass of
+  :func:`repro.spec.atomicity.check_swmr_atomicity`, exact for every ``k``
+  (the paper's GPO greedy, specialized to the SWMR write order).  The one
+  subtlety is that a read-monotonicity prefix-maximum over *indices* is
   *not* enough for ``k > 1``: two reads may each individually satisfy
   ``idx(rd2) ≥ idx(rd1) − (k−1)`` while no placement of both in their write
   windows respects their precedence.  The greedy therefore tracks the
   *placement segment* of each read — the write gap it sits in, at least its
   index and at least every really-preceding read's segment — and feeds the
   prefix-maximum of segments (not indices) into later floors.  At ``k = 1``
-  segment and index coincide, so the pass degenerates to the atomicity
-  checker exactly, including its greedy-minimal assignment and its
-  diagnosis order.
+  segment and index coincide, so the pass is the atomicity checker exactly,
+  including its greedy-minimal assignment and its diagnosis order.
 * **multi-writer** — the Wing–Gong bitmask search of
   :mod:`repro.spec.linearizability` with the frontier value widened to the
   tuple of the last ``≤ k`` written values; exponential in the worst case,
@@ -38,13 +38,12 @@ smallest ``k`` a history satisfies.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Any, FrozenSet
 
 from repro.errors import SpecificationError
-from repro.spec.atomicity import AtomicityVerdict, _linear_extension_key
+from repro.spec.atomicity import AtomicityVerdict, _greedy_swmr_pass
 from repro.spec.history import History
-from repro.spec.linearizability import _candidate_operations
+from repro.spec.linearizability import _candidate_operations, _search
 from repro.types import BOTTOM
 
 
@@ -59,182 +58,14 @@ def check_k_atomicity(history: History, k: int) -> AtomicityVerdict:
     if k < 1:
         raise SpecificationError(f"k-atomicity needs k >= 1, got {k}")
     if history.single_writer():
-        return _check_swmr_k_atomicity(history, k)
-    ok = _k_search(history, k)
+        return _greedy_swmr_pass(history, k, name_bound=True)
+    ok = _search(_candidate_operations(history), k) is not None
     return AtomicityVerdict(
         ok=ok,
         explanation=(
             "" if ok else f"no {k}-atomic linearization of the multi-writer history exists"
         ),
     )
-
-
-def _check_swmr_k_atomicity(history: History, k: int) -> AtomicityVerdict:
-    """The greedy SWMR pass: ``check_swmr_atomicity`` with k-wide windows."""
-    values = history.written_values()  # values[j] == val_j, values[0] == ⊥
-    writes = history.writes()
-    reads = sorted(history.reads(complete_only=True), key=_linear_extension_key)
-
-    write_invocations = [w.invocation_step for w in writes]
-    write_responses = [w.response_step for w in writes if w.complete]
-
-    # Same ==-defined candidacy with a hash prefilter as the k=1 checker.
-    try:
-        by_value: dict[Any, list[int]] | None = {}
-        for j, val in enumerate(values):
-            by_value.setdefault(val, []).append(j)
-    except TypeError:
-        by_value = None
-
-    assigned: dict[Any, int] = {}
-    # Prefix-maximum of placement *segments* over the processed reads, in
-    # response-step order (a linear extension): ``seg(rd)`` is the write gap
-    # the greedy placed ``rd`` in — ``seg ∈ [idx, idx + k − 1]``, minimal.
-    done_responses: list[int] = []
-    done_prefix_max: list[int] = []
-
-    for read in reads:
-        prefiltered: Any = None
-        if by_value is not None:
-            try:
-                prefiltered = by_value.get(read.value, [])
-            except TypeError:
-                prefiltered = None  # unhashable read value: scan everything
-        if prefiltered is None:
-            prefiltered = range(len(values))
-        candidates = [j for j in prefiltered if values[j] == read.value]
-        if not candidates:
-            return AtomicityVerdict(
-                ok=False,
-                violated_property=1,
-                culprit=read,
-                explanation=(
-                    f"{read.op_id} returned {read.value!r}, which no write ever wrote "
-                    f"(written values: {values[1:]!r}, initial ⊥)"
-                ),
-            )
-
-        # Unchanged from k=1: writes that really precede the read (a prefix
-        # of the complete writes) and writes invoked before it responded.
-        write_floor = bisect_left(write_responses, read.invocation_step)
-        ceiling = bisect_right(write_invocations, read.response_step)
-
-        # Really-preceding reads force this read's segment at or above their
-        # own — the k>1 generalization of read monotonicity.
-        prefix_seg = 0
-        position = bisect_left(done_responses, read.invocation_step)
-        if position:
-            prefix_seg = done_prefix_max[position - 1]
-
-        # The read's segment must be ≥ base (preceding writes and reads) and
-        # ≤ idx + k − 1 (at most k − 1 writes ahead of the value returned),
-        # so feasibility needs idx ≥ base − (k − 1).
-        base = write_floor if write_floor >= prefix_seg else prefix_seg
-        floor = base - (k - 1)
-        if floor < 0:
-            floor = 0
-        at = bisect_left(candidates, floor)
-        if at < len(candidates) and candidates[at] <= ceiling:
-            choice = candidates[at]  # smallest feasible index (greedy-minimal)
-            assigned[read.op_id] = choice
-            seg = choice if choice >= base else base
-            done_responses.append(read.response_step)
-            done_prefix_max.append(
-                seg if not done_prefix_max or seg > done_prefix_max[-1]
-                else done_prefix_max[-1]
-            )
-            continue
-
-        # Diagnose which clause failed, most specific first — the same
-        # order (1 → 3 → 2 → 4) and phrasing family as the k=1 checker.
-        below_ceiling = [j for j in candidates if j <= ceiling]
-        if not below_ceiling:
-            return AtomicityVerdict(
-                ok=False,
-                violated_property=3,
-                culprit=read,
-                explanation=(
-                    f"{read.op_id} returned {read.value!r}, but every write of that value "
-                    f"was invoked only after the read responded (read from the future)"
-                ),
-            )
-        write_limit = write_floor - (k - 1)
-        if write_limit < 0:
-            write_limit = 0
-        if all(j < write_limit for j in below_ceiling):
-            return AtomicityVerdict(
-                ok=False,
-                violated_property=2,
-                culprit=read,
-                explanation=(
-                    f"{read.op_id} returned {read.value!r} (indices {below_ceiling}) although "
-                    f"it succeeds wr_{write_floor}: stale read beyond the k={k} bound"
-                ),
-            )
-        return AtomicityVerdict(
-            ok=False,
-            violated_property=4,
-            culprit=read,
-            explanation=(
-                f"{read.op_id} returned {read.value!r} (indices {below_ceiling}) although a "
-                f"preceding read was already placed in segment {prefix_seg}: "
-                f"new/old inversion beyond the k={k} bound"
-            ),
-        )
-
-    return AtomicityVerdict(ok=True, assignment=assigned)
-
-
-def _k_search(history: History, k: int) -> bool:
-    """Bitmask k-frontier search: linearizability with a k-deep value window."""
-    operations = _candidate_operations(history)
-    total = len(operations)
-    full = (1 << total) - 1
-
-    pred_masks = [0] * total
-    for j, b in enumerate(operations):
-        mask = 0
-        for i, a in enumerate(operations):
-            if i != j and a.precedes(b):
-                mask |= 1 << i
-        pred_masks[j] = mask
-
-    items = [
-        (1 << i, pred_masks[i], record.kind == "write", record.value)
-        for i, record in enumerate(operations)
-    ]
-    optional = [entry for entry, record in zip(items, operations) if not record.complete]
-    seen: set[tuple[int, Any]] = set()
-
-    def explore(done: int, recent: tuple[Any, ...]) -> bool:
-        if done == full:
-            return True
-        key = (done, recent)
-        if key in seen:
-            return False
-        seen.add(key)
-        not_done = ~done
-        for bit, preds, is_write, value in items:
-            if done & bit or preds & not_done:
-                continue
-            if is_write:
-                # The value window keeps the last ≤ k written values; a read
-                # may return any of them (⊥ scrolls out like any value).
-                window = (recent + (value,))[-k:] if k > 1 else (value,)
-                if explore(done | bit, window):
-                    return True
-            elif any(value == held for held in recent):
-                if explore(done | bit, recent):
-                    return True
-        # An incomplete write may also be dropped ("never took effect").
-        for bit, preds, _is_write, _value in optional:
-            if done & bit or preds & not_done:
-                continue
-            if explore(done | bit, recent):
-                return True
-        return False
-
-    return explore(0, (BOTTOM,))
 
 
 def check_k_atomicity_reference(history: History, k: int) -> bool:

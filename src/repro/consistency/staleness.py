@@ -22,6 +22,7 @@ import statistics
 from bisect import bisect_left
 from typing import Any, Mapping
 
+from repro.consistency.bounded import _index_of, _write_index_map
 from repro.spec.atomicity import _linear_extension_key
 from repro.spec.history import History
 
@@ -33,30 +34,12 @@ def read_staleness(history: History) -> list[int | None]:
     excluded from distributions.
     """
     values = history.written_values()
-    writes = history.writes()
-    write_responses = [w.response_step for w in writes if w.complete]
-
-    try:
-        index_of: dict[Any, int] | None = {}
-        for j, value in enumerate(values):
-            index_of.setdefault(value, j)
-    except TypeError:
-        index_of = None
+    write_responses = [w.response_step for w in history.writes() if w.complete]
+    index_of = _write_index_map(values)
 
     samples: list[int | None] = []
     for read in sorted(history.reads(complete_only=True), key=_linear_extension_key):
-        j: int | None = None
-        if index_of is not None:
-            try:
-                j = index_of.get(read.value)
-            except TypeError:
-                j = None
-        if j is None:
-            # Prefilter miss: candidacy is defined by ``==``, like the checkers.
-            for candidate, value in enumerate(values):
-                if value == read.value:
-                    j = candidate
-                    break
+        j = _index_of(read.value, values, index_of)
         if j is None:
             samples.append(None)
             continue

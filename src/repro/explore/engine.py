@@ -494,7 +494,6 @@ class ExploreResult(AxesView):
         payload = {
             "protocol": self.protocol,
             "backend": self.backend,
-            "engine": self.axes.engine,
             "durability": self.axes.durability,
             "t": self.t,
             "S": self.S,

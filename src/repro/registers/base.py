@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.batched import resolve_engine
+from repro.sim.batched import BatchedSimulator
 from repro.sim.network import DeliveryPolicy
 from repro.sim.process import FaultBehavior, ObjectHandler, ObjectServer
 from repro.sim.simulator import ClientOperation, ProtocolGenerator, Simulator
@@ -39,7 +39,6 @@ def _assemble(
     behaviors: Mapping[ProcessId, FaultBehavior] | None,
     policy: DeliveryPolicy | None,
     allow_overfault: bool,
-    engine: str,
     durability: str,
     spares: int = 0,
 ) -> tuple[ProcessId, ...]:
@@ -82,8 +81,7 @@ def _assemble(
     ]
     system.recorder = HistoryRecorder()
     system.trace = MessageTrace()
-    system.engine = engine
-    system.simulator = resolve_engine(engine)(
+    system.simulator = BatchedSimulator(
         system.servers, policy=policy, history=system.recorder, trace=system.trace
     )
     return pool
@@ -173,7 +171,7 @@ class RegisterSystem:
            unless ``allow_overfault`` is set (some experiments deliberately
            exceed the threshold to show where protocols break).
         policy: delivery policy (default unit-latency FIFO).
-        engine / durability: the run axes of the same name — see
+        durability: the run axis of the same name — see
            :class:`repro.axes.RunAxes`.
     """
 
@@ -186,13 +184,12 @@ class RegisterSystem:
         behaviors: Mapping[ProcessId, FaultBehavior] | None = None,
         policy: DeliveryPolicy | None = None,
         allow_overfault: bool = False,
-        engine: str = "event",
         durability: str = "none",
     ) -> None:
         _assemble(
             self, protocol, protocol.object_handler,
             t=t, S=S, behaviors=behaviors, policy=policy,
-            allow_overfault=allow_overfault, engine=engine, durability=durability,
+            allow_overfault=allow_overfault, durability=durability,
         )
         self.protocol = protocol
         self.writer = writer_id()

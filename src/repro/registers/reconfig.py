@@ -144,7 +144,6 @@ class ReconfigRegisterSystem:
         behaviors: Mapping[ProcessId, FaultBehavior] | None = None,
         policy: DeliveryPolicy | None = None,
         allow_overfault: bool = False,
-        engine: str = "event",
         durability: str = "none",
         repairs: tuple[tuple[int, int], ...] = (),
         spares: int | None = None,
@@ -185,7 +184,7 @@ class ReconfigRegisterSystem:
         self.pool = _assemble(
             self, protocol, lambda: ReconfigObjectHandler(protocol.object_handler()),
             t=t, S=S, behaviors=behaviors, policy=policy,
-            allow_overfault=allow_overfault, engine=engine, durability=durability,
+            allow_overfault=allow_overfault, durability=durability,
             spares=spares,
         )
         self.protocol = protocol

@@ -60,7 +60,6 @@ class ShardedRegisterSystem:
         behaviors: Mapping[ProcessId, FaultBehavior] | None = None,
         policy: DeliveryPolicy | None = None,
         allow_overfault: bool = False,
-        engine: str = "event",
         durability: str = "none",
     ) -> None:
         keys = tuple(keys)
@@ -87,7 +86,7 @@ class ShardedRegisterSystem:
         _assemble(
             self, sample, lambda: MultiplexObjectHandler(inner),
             t=t, S=S, behaviors=behaviors, policy=policy,
-            allow_overfault=allow_overfault, engine=engine, durability=durability,
+            allow_overfault=allow_overfault, durability=durability,
         )
         self.protocol = sample  # the substrate face: name + advertised rounds
         self.writers: dict[str, ProcessId] = {

@@ -67,7 +67,6 @@ class MultiWriterRegisterSystem:
         behaviors: Mapping[ProcessId, FaultBehavior] | None = None,
         policy: DeliveryPolicy | None = None,
         allow_overfault: bool = False,
-        engine: str = "event",
         durability: str = "none",
     ) -> None:
         if n_writers < 1:
@@ -76,7 +75,7 @@ class MultiWriterRegisterSystem:
         _assemble(
             self, probe, lambda: MultiplexObjectHandler(probe.object_handler()),
             t=t, S=3 * t + 1 if S is None else S, behaviors=behaviors, policy=policy,
-            allow_overfault=allow_overfault, engine=engine, durability=durability,
+            allow_overfault=allow_overfault, durability=durability,
         )
         self.n_writers = n_writers
         self.n_readers = n_readers
@@ -188,7 +187,6 @@ class NativeMultiWriterSystem:
         behaviors: Mapping[ProcessId, FaultBehavior] | None = None,
         policy: DeliveryPolicy | None = None,
         allow_overfault: bool = False,
-        engine: str = "event",
         durability: str = "none",
     ) -> None:
         if n_writers < 1:
@@ -201,7 +199,7 @@ class NativeMultiWriterSystem:
         _assemble(
             self, protocol, protocol.object_handler,
             t=t, S=S, behaviors=behaviors, policy=policy,
-            allow_overfault=allow_overfault, engine=engine, durability=durability,
+            allow_overfault=allow_overfault, durability=durability,
         )
         self.protocol = protocol
         self.n_writers = n_writers

@@ -140,19 +140,13 @@ class FrontierResult(AxesView):
         (:attr:`simulated`)."""
         return sum(r.stats.explored for r in self.results.values())
 
-    @property
-    def _axes_shown(self) -> dict[str, Any]:
-        """The engine always (every stored frontier row names it), every
-        other tagged axis only away from its default."""
-        return {"engine": self.axes.engine, **self.axes.non_default()}
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "protocol": self.protocol,
             "faults": self.faults,
             "t": self.t,
             "S": self.S,
-            **self._axes_shown,
+            **self.axes.non_default(),
             "ladder": list(self.ladder),
             "bounds": dict(self.bounds),
             "outcomes": {model: self.outcomes[model] for model in self.ladder
@@ -168,9 +162,8 @@ class FrontierResult(AxesView):
     def render(self) -> str:
         """Human-readable summary, ready to print."""
         lines = [
-            f"frontier {self.protocol} — t={self.t}, S={self.S}, "
-            + ", ".join(f"{name}={value}" for name, value in self._axes_shown.items())
-            + f", faults: {self.faults}"
+            f"frontier {self.protocol} — t={self.t}, S={self.S}{self.axes.tags()}"
+            f", faults: {self.faults}"
             + (" [over budget]" if self.degraded else ""),
         ]
         for model in self.ladder:

@@ -8,14 +8,15 @@ malicious.  Clients may crash.
 
 Two execution styles are provided on top of the same process abstractions:
 
-* :class:`~repro.sim.simulator.Simulator` — an event-loop with virtual time
-  and pluggable delivery policies, used for end-to-end protocol runs,
-  randomized testing, and latency benchmarks.
+* :class:`~repro.sim.batched.BatchedSimulator` — virtual time and pluggable
+  delivery policies, walked a delivery wave at a time: what end-to-end
+  protocol runs, randomized testing and latency benchmarks execute on.  Its
+  base class :class:`~repro.sim.simulator.Simulator` is the tests' reference.
 * the scripted partial-run driver in :mod:`repro.core.runs` — used by the
   lower-bound constructions, which need exact per-round, per-block control.
 """
 
-from repro.sim.batched import ENGINES, BatchedSimulator, WaveQueue, resolve_engine
+from repro.sim.batched import BatchedSimulator, WaveQueue
 from repro.sim.events import Event, EventQueue
 from repro.sim.network import DeliveryPolicy, FifoDelivery, HeldMessage, Message, Network, RandomDelivery
 from repro.sim.process import FaultBehavior, ObjectHandler, ObjectServer
@@ -24,10 +25,8 @@ from repro.sim.simulator import ClientOperation, Simulator
 from repro.sim.tracing import MessageTrace, TraceEvent
 
 __all__ = [
-    "ENGINES",
     "BatchedSimulator",
     "WaveQueue",
-    "resolve_engine",
     "Event",
     "EventQueue",
     "Message",

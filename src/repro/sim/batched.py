@@ -1,4 +1,10 @@
-"""Round-stepped batched simulation engine.
+"""Round-stepped batched simulation engine — the production engine.
+
+:func:`repro.registers.base._assemble` builds every register system on
+:class:`BatchedSimulator`; no option selects another engine.  Its base
+class, the per-message :class:`~repro.sim.simulator.Simulator`, is what
+unshaped policies, mis-addressed messages and budget-truncated waves still
+run here, and the reference the tests compare this engine against.
 
 The protocols of the paper are round-structured: a client broadcasts to all
 ``S`` objects, objects reply immediately, and the client advances once a
@@ -92,30 +98,10 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Sequence
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.network import Message
 from repro.sim.simulator import OperationStatus, Simulator
 from repro.sim.tracing import TraceKind
-
-#: The registered simulation engines, in preference order.
-ENGINES = ("event", "batched")
-
-
-def available_engines() -> tuple[str, ...]:
-    """The simulation engines addressable from ``Cluster(engine=...)``."""
-    return ENGINES
-
-
-def resolve_engine(name: str) -> type[Simulator]:
-    """The simulator class registered under engine ``name``."""
-    if name == "event":
-        return Simulator
-    if name == "batched":
-        return BatchedSimulator
-    raise ConfigurationError(
-        f"unknown engine {name!r}; available: {', '.join(ENGINES)}"
-    )
-
 
 class WaveQueue:
     """Virtual-time buckets of scheduled work, popped one wave at a time.

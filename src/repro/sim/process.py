@@ -199,8 +199,9 @@ class ObjectServer:
         proofs, where malicious objects hold genuine states and merely
         *present* old ones.
 
-        The batched engine inlines this dispatch in
-        ``BatchedSimulator._drain`` — keep the two in lockstep.
+        ``BatchedSimulator._drain`` inlines this dispatch; the per-message
+        path and the tests' reference engine call it.  The fault-behaviour ×
+        backend cells of ``tests/test_batched_engine.py`` fail if they drift.
         """
         self.messages_seen += 1
         behavior = self.behavior

@@ -5,6 +5,13 @@ servers, and the set of in-flight client operations.  Client protocols are
 generators over :class:`~repro.sim.rounds.RoundSpec` (see
 :mod:`repro.sim.rounds`); the simulator advances them as replies arrive.
 
+No register system is built on this class directly: the production engine
+is its subclass :class:`~repro.sim.batched.BatchedSimulator`, which replaces
+only the drain loop.  The one-event-at-a-time drain stays as the simplest
+statement of the semantics: the batched engine falls back to it wherever a
+wave cannot be batched, and the tests run whole trials on it as the
+reference the batched engine must match byte for byte.
+
 Quiescence semantics: :meth:`Simulator.run` drains the event queue, then
 repeatedly offers every still-pending round the chance to terminate under its
 ``accept_on_quiescence`` rule; accepting may send new messages (a new round),

@@ -285,7 +285,7 @@ def trace_fingerprint(trace: MessageTrace) -> str:
 
     The load-bearing equality oracle of the harness: the schedule explorer
     uses it as its partial-order-reduction key and witness replay check,
-    and the engine-equivalence suite and benchmarks assert event-vs-batched
+    and the engine-equivalence suite asserts production-vs-reference
     byte-identity through it.  Two traces fingerprint equal exactly when
     they recorded the same observations in the same order.
 

@@ -59,9 +59,22 @@ def check_swmr_atomicity(history: History) -> AtomicityVerdict:
             "this checker implements the paper's single-writer definition; "
             "use repro.spec.linearizability for multi-writer histories"
         )
-    values = history.written_values()  # values[k] == val_k, values[0] == ⊥
+    return _greedy_swmr_pass(history, 1, name_bound=False)
+
+
+def _greedy_swmr_pass(history: History, k: int, *, name_bound: bool) -> AtomicityVerdict:
+    """The greedy pass, for any ``k ≥ 1``: atomicity is k-atomicity at 1.
+
+    Serves :func:`check_swmr_atomicity` and
+    :func:`repro.consistency.kat.check_k_atomicity`; see the latter's module
+    for why ``k > 1`` tracks placement *segments*, which at ``k = 1`` are the
+    paper's indices.  ``name_bound`` only words clauses 2 and 4: k-atomicity
+    verdicts name their bound, atomicity verdicts speak the paper's language.
+    """
+    values = history.written_values()  # values[j] == val_j, values[0] == ⊥
     writes = history.writes()
     reads = sorted(history.reads(complete_only=True), key=_linear_extension_key)
+    bound = f" beyond the k={k} bound" if name_bound else ""
 
     # The single writer is sequential, so write invocation steps are strictly
     # increasing and the complete writes form a prefix with strictly
@@ -80,15 +93,17 @@ def check_swmr_atomicity(history: History) -> AtomicityVerdict:
     # compare with ``==``.
     try:
         by_value: dict[Any, list[int]] | None = {}
-        for k, val in enumerate(values):
-            by_value.setdefault(val, []).append(k)
+        for j, val in enumerate(values):
+            by_value.setdefault(val, []).append(j)
     except TypeError:
         by_value = None
 
     assigned: dict[Any, int] = {}
     # Reads are processed in response-step order (a linear extension), so
-    # "the largest index assigned to a preceding read" is a prefix-maximum
-    # query over the response steps processed so far.
+    # "the highest segment a preceding read was placed in" is a
+    # prefix-maximum query over the response steps processed so far.
+    # ``seg(rd)`` is the write gap the greedy placed ``rd`` in —
+    # ``seg ∈ [idx, idx + k − 1]``, minimal; at ``k = 1`` it is ``idx``.
     done_responses: list[int] = []
     done_prefix_max: list[int] = []
 
@@ -101,7 +116,7 @@ def check_swmr_atomicity(history: History) -> AtomicityVerdict:
                 prefiltered = None  # unhashable read value: scan everything
         if prefiltered is None:
             prefiltered = range(len(values))
-        candidates = [k for k in prefiltered if values[k] == read.value]
+        candidates = [j for j in prefiltered if values[j] == read.value]
         if not candidates:
             return AtomicityVerdict(
                 ok=False,
@@ -113,39 +128,47 @@ def check_swmr_atomicity(history: History) -> AtomicityVerdict:
                 ),
             )
 
-        # Property 2: ``wr_k precedes rd`` iff ``wr_k`` is complete and its
+        # Property 2: ``wr_j precedes rd`` iff ``wr_j`` is complete and its
         # response step is below the read's invocation step — a prefix of
         # ``write_responses``.
         write_floor = bisect_left(write_responses, read.invocation_step)
 
-        # Property 3: wr_k must precede rd or be concurrent with it, i.e.
-        # ¬(rd precedes wr_k) ⇔ ``wr_k`` was invoked at or before the read's
+        # Property 3: wr_j must precede rd or be concurrent with it, i.e.
+        # ¬(rd precedes wr_j) ⇔ ``wr_j`` was invoked at or before the read's
         # response step — a prefix of ``write_invocations``.  Using the same
         # strict/non-strict step comparisons as the precedence predicate
         # keeps the checker consistent with Wing–Gong at tied step numbers.
         ceiling = bisect_right(write_invocations, read.response_step)
 
         # Property 4: reads preceding this one are exactly the processed
-        # reads whose response step is below this invocation step.
-        read_floor = 0
+        # reads whose response step is below this invocation step; they
+        # force this read's segment at or above their own.
+        prefix_seg = 0
         position = bisect_left(done_responses, read.invocation_step)
         if position:
-            read_floor = done_prefix_max[position - 1]
+            prefix_seg = done_prefix_max[position - 1]
 
-        floor = write_floor if write_floor >= read_floor else read_floor
+        # The read's segment must be ≥ base (preceding writes and reads) and
+        # ≤ idx + k − 1 (at most k − 1 writes ahead of the value returned),
+        # so feasibility needs idx ≥ base − (k − 1).
+        base = write_floor if write_floor >= prefix_seg else prefix_seg
+        floor = base - (k - 1)
+        if floor < 0:
+            floor = 0
         at = bisect_left(candidates, floor)
         if at < len(candidates) and candidates[at] <= ceiling:
             choice = candidates[at]  # smallest feasible index (greedy-minimal)
             assigned[read.op_id] = choice
+            seg = choice if choice >= base else base
             done_responses.append(read.response_step)
             done_prefix_max.append(
-                choice if not done_prefix_max or choice > done_prefix_max[-1]
+                seg if not done_prefix_max or seg > done_prefix_max[-1]
                 else done_prefix_max[-1]
             )
             continue
 
         # Diagnose which clause failed, most specific first.
-        below_ceiling = [k for k in candidates if k <= ceiling]
+        below_ceiling = [j for j in candidates if j <= ceiling]
         if not below_ceiling:
             return AtomicityVerdict(
                 ok=False,
@@ -156,23 +179,30 @@ def check_swmr_atomicity(history: History) -> AtomicityVerdict:
                     f"was invoked only after the read responded (read from the future)"
                 ),
             )
-        if all(k < write_floor for k in below_ceiling):
+        write_limit = write_floor - (k - 1)
+        if write_limit < 0:
+            write_limit = 0
+        if all(j < write_limit for j in below_ceiling):
             return AtomicityVerdict(
                 ok=False,
                 violated_property=2,
                 culprit=read,
                 explanation=(
                     f"{read.op_id} returned {read.value!r} (indices {below_ceiling}) although "
-                    f"it succeeds wr_{write_floor}: stale read"
+                    f"it succeeds wr_{write_floor}: stale read{bound}"
                 ),
             )
+        placed = (
+            f"was already placed in segment {prefix_seg}" if name_bound
+            else f"already returned index {prefix_seg}"
+        )
         return AtomicityVerdict(
             ok=False,
             violated_property=4,
             culprit=read,
             explanation=(
                 f"{read.op_id} returned {read.value!r} (indices {below_ceiling}) although a "
-                f"preceding read already returned index {read_floor}: new/old inversion"
+                f"preceding read {placed}: new/old inversion{bound}"
             ),
         )
 

@@ -46,8 +46,13 @@ def _candidate_operations(history: History) -> list[OperationRecord]:
     return complete + pending_writes
 
 
-def _search(operations: list[OperationRecord]) -> list[int] | None:
+def _search(operations: list[OperationRecord], k: int = 1) -> list[int] | None:
     """Shared search core: a linearization as operation indices, or None.
+
+    A read may return any of the last ``k`` written values: at ``k = 1``
+    (linearizability) the frontier carries the current value, at ``k > 1``
+    (:func:`repro.consistency.kat.check_k_atomicity`, multi-writer) the
+    window of them as a tuple — ⊥ scrolls out of it like any value.
 
     Dropped pending writes ("never took effect") are omitted from the
     returned order, matching the definition — a dropped write appears in no
@@ -74,6 +79,7 @@ def _search(operations: list[OperationRecord]) -> list[int] | None:
     optional = [entry for entry, record in zip(items, operations) if not record.complete]
     seen: set[tuple[int, Any]] = set()
     order: list[int] = []
+    single = k == 1  # the frontier is then the bare current value, not a window
 
     def explore(done: int, current: Any) -> bool:
         if done == full:
@@ -88,10 +94,10 @@ def _search(operations: list[OperationRecord]) -> list[int] | None:
                 continue
             if is_write:
                 order.append(i)
-                if explore(done | bit, value):
+                if explore(done | bit, value if single else (current + (value,))[-k:]):
                     return True
                 order.pop()
-            elif value == current:
+            elif (value == current) if single else any(value == held for held in current):
                 order.append(i)
                 if explore(done | bit, current):
                     return True
@@ -106,7 +112,7 @@ def _search(operations: list[OperationRecord]) -> list[int] | None:
                 return True
         return False
 
-    if explore(0, BOTTOM):
+    if explore(0, BOTTOM if single else (BOTTOM,)):
         return order
     return None
 

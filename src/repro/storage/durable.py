@@ -29,12 +29,12 @@ from repro.storage.codec import decode_state, encode_state
 from repro.storage.stable import DirStorage, MemJournal, RecoveredImage, StableStorage
 from repro.types import ProcessId
 
-#: The durability axis, orthogonal to backend and engine.
+#: The durability axis, orthogonal to the backend.
 DURABILITIES: tuple[str, ...] = ("none", "mem", "dir")
 
 
 def resolve_durability(name: str) -> str:
-    """Validate a durability name (same contract as ``resolve_engine``)."""
+    """Validate a durability name; unknown names raise ``ConfigurationError``."""
     if name not in DURABILITIES:
         known = ", ".join(DURABILITIES)
         raise ConfigurationError(f"unknown durability {name!r}; known: {known}")

@@ -4,8 +4,8 @@ Three properties of :mod:`repro.analysis.metrics` and the trace fold under
 it (:meth:`MessageTrace.round_trip_counts`):
 
 * the fold agrees with the one-operation query ``round_trip_count`` on every
-  operation of every registered protocol × advertised scenario on both
-  engines, and on runs with held, dropped and Byzantine-replayed messages,
+  operation of every registered protocol × advertised scenario, and on
+  runs with held, dropped and Byzantine-replayed messages,
   incomplete operations and repair operations;
 * the cross-check raises the documented :class:`SpecificationError`, from
   both entry points, when wire and engine disagree;
@@ -25,7 +25,6 @@ from repro.api import Cluster, available_protocols, get_spec
 from repro.errors import SimulationError, SpecificationError
 from repro.faults.schedules import PlannedSkip
 from repro.obs import derive_metrics, derive_spans
-from repro.sim.batched import ENGINES
 from repro.sim.simulator import OperationStatus
 from repro.sim.tracing import TraceKind
 from repro.types import scoped_operation_serials
@@ -82,26 +81,26 @@ def assert_fold_matches_query(backend):
     assert all(type(rounds) is int for rounds in counts.values())
 
 
-def long_trial(operations, engine="batched"):
+def long_trial(operations):
     """The benchmark's ``trial_long`` configuration at ``operations``."""
     cluster = (
-        Cluster("atomic-fast-regular", t=1, n_readers=2, engine=engine)
+        Cluster("atomic-fast-regular", t=1, n_readers=2)
         .with_faults("stale-echo", count=1)
     )
     return drained(cluster, plans_for(cluster, operations, seed=11, reads=0.5, spacing=40))
 
 
-def adversarial_samples(engine):
+def adversarial_samples():
     """Runs whose traces hold what the grid's scenarios never produce."""
-    held = Cluster("fast-regular", t=1, n_readers=2, engine=engine).with_schedule(
+    held = Cluster("fast-regular", t=1, n_readers=2).with_schedule(
         (1, (1, 2)), PlannedSkip(op=2, objects=(4,), withhold_replies=True)
     )
     churn = (
-        Cluster("abd", t=1, S=3, backend="reconfig", engine=engine, allow_overfault=True)
+        Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True)
         .with_faults("rolling-replace", count=3, base=4, stagger=8)
         .with_repairs((1, 40), (2, 110), (3, 180))
     )
-    plain = Cluster("abd", t=1, n_readers=2, engine=engine)
+    plain = Cluster("abd", t=1, n_readers=2)
     concurrent = [
         OperationPlan(kind="write", client_index=1, value="v", at=0),
         OperationPlan(kind="read", client_index=1, value=None, at=0),
@@ -115,15 +114,13 @@ def adversarial_samples(engine):
 
 
 class TestFoldMatchesQuery:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name,scenario", GRID)
-    def test_every_grid_cell(self, name, scenario, engine):
-        cluster = Cluster(name, t=1, n_readers=2, engine=engine).with_scenario(scenario)
+    def test_every_grid_cell(self, name, scenario):
+        cluster = Cluster(name, t=1, n_readers=2).with_scenario(scenario)
         assert_fold_matches_query(drained(cluster, plans_for(cluster, 10)))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_held_dropped_incomplete_and_repair_operations(self, engine):
-        samples = adversarial_samples(engine)
+    def test_held_dropped_incomplete_and_repair_operations(self):
+        samples = adversarial_samples()
         for backend in samples.values():
             assert_fold_matches_query(backend)
         # The sample is what the docstring says it is.
@@ -154,9 +151,9 @@ class TestFoldMatchesQuery:
         assert backend.trace.round_trip_counts() == {}
 
 
-def entry_points(engine):
+def entry_points():
     """(simulator, trace, re-account callable) for both measure paths."""
-    cluster = Cluster("atomic-fast-regular", t=1, n_readers=2, engine=engine)
+    cluster = Cluster("atomic-fast-regular", t=1, n_readers=2)
     plans = plans_for(cluster, 6)
     with scoped_operation_serials():
         system = cluster.build_system()
@@ -171,10 +168,9 @@ def entry_points(engine):
     ]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestCrossCheckFires:
-    def test_dropped_send_entries_raise_the_documented_error(self, engine):
-        for simulator, trace, reaccount in entry_points(engine):
+    def test_dropped_send_entries_raise_the_documented_error(self):
+        for simulator, trace, reaccount in entry_points():
             reaccount()  # an untampered wire passes
             victim = next(op for op in simulator.operations if op.op_id.kind == "read")
             rounds = victim.rounds_used
@@ -197,8 +193,8 @@ class TestCrossCheckFires:
             report = reaccount(verify_against_wire=False)
             assert 4 in report.read_rounds
 
-    def test_an_operation_missing_from_the_wire_shows_zero(self, engine):
-        for simulator, trace, reaccount in entry_points(engine):
+    def test_an_operation_missing_from_the_wire_shows_zero(self):
+        for simulator, trace, reaccount in entry_points():
             victim = simulator.operations[0]
             trace.entries[:] = [e for e in trace.entries if e[2].op != victim.op_id]
             with pytest.raises(SpecificationError) as caught:
@@ -208,8 +204,8 @@ class TestCrossCheckFires:
                 "but the wire shows 0"
             )
 
-    def test_a_bumped_round_record_raises(self, engine):
-        for simulator, _trace, reaccount in entry_points(engine):
+    def test_a_bumped_round_record_raises(self):
+        for simulator, _trace, reaccount in entry_points():
             victim = next(op for op in simulator.operations if op.op_id.kind == "write")
             victim.rounds.append(victim.rounds[-1])
             with pytest.raises(SpecificationError) as caught:

@@ -52,10 +52,6 @@ RECONFIG = {"backend": "reconfig"}
 ONE_REPAIR = {"repairs": ((1, 40),)}
 
 SAMPLES: dict[str, Sample] = {
-    "engine": Sample(
-        "batched", ("--engine", "batched"),
-        lambda b: type(b.simulator).__name__ == "BatchedSimulator",
-    ),
     "durability": Sample(
         "mem", ("--durability", "mem"),
         lambda b: b.system.storage is not None,
@@ -207,7 +203,7 @@ def test_default_axes_add_no_key_to_a_run_result():
 def test_validation_goes_through_the_declared_checks():
     from repro.errors import ConfigurationError
 
-    for name, bad in [("engine", "warp"), ("durability", "tape"),
+    for name, bad in [("durability", "tape"),
                       ("consistency", "eventual"), ("repairs", ((0, 5),)),
                       ("spares", -1), ("xfer_quorum", 0)]:
         with pytest.raises(ConfigurationError):
@@ -286,49 +282,3 @@ class TestSourceGuards:
                 if annotated & set(AXIS_NAMES):
                     declaring.add(f"{path.relative_to(SRC)}:{node.name}")
         assert declaring == {"axes.py:RunAxes"}
-
-
-class TestCiParityScript:
-    """`.github/scripts/assert_engine_parity.py`: what CI's three verdict-parity
-    steps run instead of three inline copies."""
-
-    @staticmethod
-    def _script():
-        import importlib.util
-
-        path = SRC.parents[1] / ".github" / "scripts" / "assert_engine_parity.py"
-        spec = importlib.util.spec_from_file_location("assert_engine_parity", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.main
-
-    @staticmethod
-    def _rows(tmp_path, cluster: Cluster, **run) -> str:
-        sink = tmp_path / "rows.jsonl"
-        with sink.open("w") as out:
-            for engine in ("event", "batched"):
-                row = cluster.with_engine(engine).run(keep_history=False, **run).to_dict()
-                out.write(json.dumps(row, sort_keys=True) + "\n")
-        return str(sink)
-
-    def test_parity_and_the_follow_on_assertions_hold(self, tmp_path, capsys):
-        rows = self._rows(tmp_path, sample_cluster("consistency"), trials=2, seed=3)
-        check = self._script()
-        assert check([rows, "--expect", "consistency=k-atomic(2)", "--max-staleness", "1"]) == 0
-        assert "verdict parity OK across batched, event" in capsys.readouterr().out
-        with pytest.raises(AssertionError, match="consistency is"):
-            check([rows, "--expect", "consistency=atomic"])
-
-    def test_divergence_and_missing_engines_fail(self, tmp_path):
-        rows = self._rows(tmp_path, sample_cluster("durability"), trials=1, seed=3)
-        check = self._script()
-        event, batched = (json.loads(line) for line in open(rows))
-        one = tmp_path / "one.jsonl"
-        one.write_text(json.dumps(event) + "\n")
-        with pytest.raises(AssertionError, match="one row per engine"):
-            check([str(one)])
-        batched["worst_read"] += 1
-        both = tmp_path / "both.jsonl"
-        both.write_text(json.dumps(event) + "\n" + json.dumps(batched) + "\n")
-        with pytest.raises(AssertionError, match="diverged"):
-            check([str(both)])

@@ -1,35 +1,34 @@
-"""The round-stepped batched engine: equivalence with the event engine.
+"""The production engine against its reference: the differential grid.
 
-The batched engine's contract is *observable byte-identity*: same
-histories, same structured results, same wire traces (event for event, in
+Every system is built on :class:`BatchedSimulator`; the per-message
+:class:`Simulator` is the oracle.  The contract is *observable
+byte-identity*: same histories (step numbers included), same structured
+results (whole ``to_dict()``), same wire traces (event for event, in
 order), same executed event counts, same budget truncation points — for
-every registered protocol, backend, scenario, and adversarial schedule.
-These tests pin that contract, plus the wave-queue mechanics and the
-process-layer batch hooks it is built on.
+every registered protocol, backend, scenario, fault behaviour, policy shape
+and adversarial schedule.  The ``reference_engine`` fixture
+(``tests/conftest.py``) is how a cell runs on the oracle.  These tests pin
+that contract, plus the wave-queue mechanics and the process-layer batch
+hooks the production engine is built on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.api import Cluster, available_protocols, get_spec, sweep
-from repro.errors import ConfigurationError, SimulationError
+from repro.api import Cluster, available_backends, available_protocols, get_spec, sweep
+from repro.api.cluster import build_backend
+from repro.api.faults import available_faults
+from repro.errors import SimulationError
 from repro.explore import HoldLink, run_schedule
 from repro.explore.engine import simulate
 from repro.sim.tracing import MessageTrace, TraceKind, trace_fingerprint
 from repro.faults.adversary import CrashAt
 from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
 from repro.registers.base import RegisterSystem
-from repro.sim.batched import (
-    ENGINES,
-    BatchedSimulator,
-    WaveQueue,
-    available_engines,
-    resolve_engine,
-)
+from repro.sim.batched import BatchedSimulator, WaveQueue
 from repro.sim.network import (
     DeliveryPolicy,
     FifoDelivery,
@@ -49,7 +48,6 @@ from repro.types import (
     scoped_operation_serials,
     writer_id,
 )
-from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import FaultPlan, Scenario, register_scenario
 
 #: Registry protocols that run on a single-register-style backend.
@@ -61,20 +59,13 @@ SINGLE_BACKEND_PROTOCOLS = tuple(
 GRID_SCENARIOS = ("fault-free", "faulted", "schedule")
 
 
-def strip_engine(payload: dict) -> dict:
-    """``to_dict`` minus the engine metadata tag (the only allowed delta)."""
-    payload = dict(payload)
-    payload.pop("engine", None)
-    return payload
-
-
 def canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _grid_cluster(name: str, scenario: str, engine: str) -> Cluster:
+def _grid_cluster(name: str, scenario: str) -> Cluster:
     spec = get_spec(name)
-    cluster = Cluster(name, t=1, n_readers=3, engine=engine)
+    cluster = Cluster(name, t=1, n_readers=3)
     if scenario == "schedule":
         # An adversarial plan-addressed schedule: the write never reaches
         # objects 1 and 2 (spaced reads keep every client sequential).
@@ -98,120 +89,139 @@ def _grid_cluster(name: str, scenario: str, engine: str) -> Cluster:
 class TestEquivalenceGrid:
     """RunResult.to_dict() byte-equality across every protocol × regime."""
 
-    @pytest.mark.parametrize("name", SINGLE_BACKEND_PROTOCOLS)
+    def test_the_fixture_swaps_the_one_name_assemble_constructs(self, reference_engine):
+        def built():
+            return type(RegisterSystem(get_spec("abd").build(), t=1).simulator)
+
+        assert built() is BatchedSimulator
+        with reference_engine():
+            assert built() is Simulator
+            sharded = Cluster("abd", backend="sharded", keys=2).build_system()
+            assert type(sharded.simulator) is Simulator
+        assert built() is BatchedSimulator
+
+    @pytest.mark.parametrize("name", available_protocols())
     @pytest.mark.parametrize("scenario", GRID_SCENARIOS)
-    def test_event_and_batched_results_byte_identical(self, name, scenario):
-        event = _grid_cluster(name, scenario, "event").run(trials=2, seed=5)
-        batched = _grid_cluster(name, scenario, "batched").run(trials=2, seed=5)
-        assert canonical(strip_engine(event.to_dict())) == canonical(
-            strip_engine(batched.to_dict())
-        )
+    def test_production_and_reference_results_byte_identical(
+        self, name, scenario, reference_engine
+    ):
+        production = _grid_cluster(name, scenario).run(trials=2, seed=5)
+        with reference_engine():
+            reference = _grid_cluster(name, scenario).run(trials=2, seed=5)
+        assert canonical(production.to_dict()) == canonical(reference.to_dict())
 
     @pytest.mark.parametrize("name", ("abd", "fast-regular", "secret-token"))
-    def test_parallel_batched_matches_serial_event(self, name):
-        spec = get_spec(name)
-        serial = (
+    def test_parallel_matches_serial(self, name):
+        cluster = (
             Cluster(name, t=1, n_readers=3)
             .with_scenario("fault-free")
             .with_workload(operations=6, spacing=40)
-            .check(spec.default_check())
-            .run(trials=3, seed=11)
+            .check(get_spec(name).default_check())
         )
-        parallel = (
-            Cluster(name, t=1, n_readers=3, engine="batched")
-            .with_scenario("fault-free")
-            .with_workload(operations=6, spacing=40)
-            .check(spec.default_check())
-            .run(trials=3, seed=11, parallel=True)
-        )
-        assert canonical(strip_engine(serial.to_dict())) == canonical(
-            strip_engine(parallel.to_dict())
+        serial = cluster.run(trials=3, seed=11)
+        parallel = cluster.run(trials=3, seed=11, parallel=True)
+        assert canonical(serial.to_dict()) == canonical(parallel.to_dict())
+
+    def test_sweep_matches_reference(self, reference_engine):
+        grid = dict(scenarios=("fault-free",), trials=2, seed=3, checks=("atomicity",))
+        production = sweep(("abd",), **grid)
+        with reference_engine():
+            reference = sweep(("abd",), **grid)
+        assert canonical(production.runs[0].to_dict()) == canonical(
+            reference.runs[0].to_dict()
         )
 
-    def test_sweep_carries_engine_choice(self):
-        event = sweep(("abd",), scenarios=("fault-free",), trials=2, seed=3,
-                      checks=("atomicity",))
-        batched = sweep(("abd",), scenarios=("fault-free",), trials=2, seed=3,
-                        checks=("atomicity",), engine="batched")
-        assert batched.runs[0].engine == "batched"
-        assert canonical(strip_engine(event.runs[0].to_dict())) == canonical(
-            strip_engine(batched.runs[0].to_dict())
-        )
+
+def _observe(cluster, seed=3, max_events=1_000_000):
+    """One trial of ``cluster`` at the backend: executed events (or the
+    budget error), every history's records — step numbers included — and
+    the wire-trace fingerprint."""
+    spec = cluster._trial_specs(1, seed, keep_history=False)[0]
+    with scoped_operation_serials():
+        backend = build_backend(spec)
+        storage = getattr(backend.system, "storage", None)
+        try:
+            for plan in spec.plans():
+                backend.schedule(plan)
+            try:
+                executed = backend.run(max_events=max_events)
+            except SimulationError as caught:
+                executed = str(caught)
+            histories = {key: h.records for key, h in backend.histories().items()}
+            return executed, histories, trace_fingerprint(backend.trace)
+        finally:
+            if storage is not None:
+                storage.close()
+
+
+def _observe_both(reference_engine, cluster, **kwargs):
+    production = _observe(cluster, **kwargs)
+    with reference_engine():
+        reference = _observe(cluster, **kwargs)
+    return production, reference
+
+
+#: One protocol + layout per registered backend, for the fault grid.
+FAULT_GRID_BACKENDS = {
+    "single": ("fast-regular", {}),
+    "sharded": ("fast-regular", dict(backend="sharded", keys=3)),
+    "k-atomic": ("fast-regular", dict(backend="k-atomic")),
+    "multi-writer": ("mwmr-fast-regular", dict(n_writers=2)),
+    "reconfig": ("abd", dict(backend="reconfig")),
+}
 
 
 class TestTraceEquivalence:
-    """Wire traces are byte-identical — the strongest observable artifact."""
-
-    def _fingerprint_run(self, cluster, keys=None, plans=12):
-        with scoped_operation_serials():
-            backend = cluster.build_backend()
-            generator = WorkloadGenerator(seed=3, n_readers=3, spacing=25, keys=keys)
-            for plan in generator.plan(plans):
-                backend.schedule(plan)
-            events = backend.run()
-            return events, trace_fingerprint(backend.trace)
+    """Histories, event counts and wire traces are identical — the strongest
+    observable artifacts, below anything a result payload summarises."""
 
     @pytest.mark.parametrize("backend,keys", [
         ("single", None),
         ("sharded", 4),
         ("sharded", 16),
     ])
-    def test_wire_traces_identical(self, backend, keys):
-        key_names = tuple(f"k{i}" for i in range(1, (keys or 0) + 1)) or None
-        results = [
-            self._fingerprint_run(
-                Cluster("abd", t=1, n_readers=3, backend=backend,
-                        keys=keys, engine=engine),
-                keys=key_names,
-            )
-            for engine in ENGINES
-        ]
-        assert results[0] == results[1]
+    def test_wire_traces_identical(self, backend, keys, reference_engine):
+        cluster = Cluster("abd", t=1, n_readers=3, backend=backend, keys=keys)
+        production, reference = _observe_both(
+            reference_engine, cluster.with_workload(operations=12, spacing=25)
+        )
+        assert production == reference
 
     @pytest.mark.parametrize("protocol", ("mwmr-fast-regular", "mw-abd"))
-    def test_multi_writer_traces_identical(self, protocol):
-        results = [
-            self._fingerprint_run(Cluster(protocol, t=1, n_readers=3, engine=engine))
-            for engine in ENGINES
-        ]
-        assert results[0] == results[1]
+    def test_multi_writer_traces_identical(self, protocol, reference_engine):
+        cluster = Cluster(protocol, t=1, n_readers=3)
+        production, reference = _observe_both(
+            reference_engine, cluster.with_workload(operations=12, spacing=25)
+        )
+        assert production == reference
 
-    @pytest.mark.parametrize("scenario", ("crash", "silent", "replay", "fabricate"))
-    def test_faulted_traces_identical(self, scenario):
-        results = [
-            self._fingerprint_run(
-                Cluster("fast-regular", t=1, n_readers=3, engine=engine)
-                .with_scenario(scenario)
-            )
-            for engine in ENGINES
-        ]
-        assert results[0] == results[1]
+    def test_the_fault_grid_names_every_backend(self):
+        assert set(FAULT_GRID_BACKENDS) == set(available_backends())
+
+    @pytest.mark.parametrize("backend", sorted(FAULT_GRID_BACKENDS))
+    @pytest.mark.parametrize("fault", available_faults())
+    def test_every_fault_behaviour_on_every_backend(self, fault, backend, reference_engine):
+        """``BatchedSimulator._drain`` inlines ``ObjectServer.receive``; a
+        fault hook the two dispatch differently shows up here."""
+        protocol, layout = FAULT_GRID_BACKENDS[backend]
+        cluster = (
+            Cluster(protocol, t=1, n_readers=2, durability="mem", **layout)
+            .with_faults(fault)
+            .with_workload(operations=10, spacing=20)
+        )
+        if backend == "reconfig":
+            cluster = cluster.with_repairs((1, 60))
+        production, reference = _observe_both(reference_engine, cluster, seed=4)
+        assert isinstance(production[0], int) and production[0] > 0
+        assert production == reference
 
     @pytest.mark.parametrize("budget", (10, 37, 64, 101))
-    def test_budget_truncation_identical(self, budget):
+    def test_budget_truncation_identical(self, budget, reference_engine):
         """An exhausted event budget cuts both engines at the same event."""
-        outcomes = []
-        for engine in ENGINES:
-            with scoped_operation_serials():
-                backend = Cluster("abd", t=1, n_readers=3, engine=engine).build_backend()
-                for plan in WorkloadGenerator(seed=3, n_readers=3, spacing=25).plan(12):
-                    backend.schedule(plan)
-                try:
-                    executed = backend.run(max_events=budget)
-                    error = None
-                except SimulationError as caught:
-                    executed, error = None, str(caught)
-                outcomes.append((executed, error, trace_fingerprint(backend.trace)))
-        assert outcomes[0] == outcomes[1]
-
-
-def strip_engine_deep(value):
-    """``value`` without any ``"engine"`` key, at any depth."""
-    if isinstance(value, dict):
-        return {k: strip_engine_deep(v) for k, v in value.items() if k != "engine"}
-    if isinstance(value, list):
-        return [strip_engine_deep(item) for item in value]
-    return value
+        cluster = Cluster("abd", t=1, n_readers=3).with_workload(operations=12, spacing=25)
+        production, reference = _observe_both(reference_engine, cluster, max_events=budget)
+        assert production[0] == f"event budget of {budget} exhausted"
+        assert production == reference
 
 
 THREE_OPERATIONS = [("write", "v1", 0), ("read", 1, 60), ("read", 2, 120)]
@@ -229,47 +239,36 @@ def _register_hold_scenario(name, policy_factory):
 
 
 def _parity_cells():
-    """name → (cluster builder taking the engine, explore keywords).
+    """name → (cluster, explore keywords).
 
     Every way a controlled schedule reaches the network: both link
     granularities, holds on the request side (the explorer's) and on the
     reply side (a base that withholds replies), a planned-skip base, fault
     triggers, a repair and a crash-recovering durable object.
     """
-    def plain(engine):
-        return Cluster("fast-regular", t=1, engine=engine).with_operations(THREE_OPERATIONS)
-
-    def planned(engine):
-        return plain(engine).with_schedule((1, (1,)), PlannedSkip(op=2, objects=(2,), round_no=1))
+    plain = Cluster("fast-regular", t=1).with_operations(THREE_OPERATIONS)
+    planned = plain.with_schedule((1, (1,)), PlannedSkip(op=2, objects=(2,), round_no=1))
 
     def scenario(name, factory):
-        def build(engine):
-            return plain(engine).with_scenario(_register_hold_scenario(name, factory))
-        return build
+        return plain.with_scenario(_register_hold_scenario(name, factory))
 
-    def overfaulted(engine):
-        return (
-            Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
-            .with_faults("stale-echo", count=2)
-            .with_operations([("write", "v1", 0), ("read", 1, 100)])
-            .check("atomicity")
-        )
-
-    def repaired(engine):
-        return (
-            Cluster("abd", t=1, backend="reconfig", engine=engine)
-            .with_faults("perm-crash", survive_messages=1)
-            .with_repairs((1, 5))
-            .with_workload(operations=2, reads=0.5, spacing=10)
-        )
-
-    def recovering(engine):
-        return (
-            Cluster("abd", t=1, durability="mem", engine=engine)
-            .with_faults("crash-recover")
-            .with_operations(THREE_OPERATIONS)
-        )
-
+    overfaulted = (
+        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
+        .with_faults("stale-echo", count=2)
+        .with_operations([("write", "v1", 0), ("read", 1, 100)])
+        .check("atomicity")
+    )
+    repaired = (
+        Cluster("abd", t=1, backend="reconfig")
+        .with_faults("perm-crash", survive_messages=1)
+        .with_repairs((1, 5))
+        .with_workload(operations=2, reads=0.5, spacing=10)
+    )
+    recovering = (
+        Cluster("abd", t=1, durability="mem")
+        .with_faults("crash-recover")
+        .with_operations(THREE_OPERATIONS)
+    )
     return {
         "operation": (plain, dict(max_holds=2)),
         "round": (plain, dict(max_holds=2, granularity="round")),
@@ -292,31 +291,23 @@ def _parity_cells():
 
 
 class TestExploreParity:
-    """Certify/refute outcomes and witness fingerprints match across engines."""
+    """Certify/refute outcomes and witness fingerprints match the reference."""
 
     @pytest.mark.parametrize("name", SINGLE_BACKEND_PROTOCOLS)
-    def test_certification_parity(self, name):
-        results = []
-        for engine in ENGINES:
-            result = (
-                Cluster(name, t=1, engine=engine)
-                .with_operations(THREE_OPERATIONS)
-                .explore(max_holds=1)
-            )
-            payload = result.to_dict()
-            payload.pop("engine")
-            results.append(canonical(payload))
-        assert results[0] == results[1]
+    def test_certification_parity(self, name, reference_engine):
+        cluster = Cluster(name, t=1).with_operations(THREE_OPERATIONS)
+        production = cluster.explore(max_holds=1)
+        with reference_engine():
+            reference = cluster.explore(max_holds=1)
+        assert canonical(production.to_dict()) == canonical(reference.to_dict())
 
     @pytest.mark.parametrize("cell", sorted(_parity_cells()))
-    def test_controlled_schedule_grid(self, cell):
+    def test_controlled_schedule_grid(self, cell, reference_engine):
         """The whole result, every witness and every per-schedule outcome."""
-        build, bounds = _parity_cells()[cell]
-        results, outcomes = [], []
-        for engine in ENGINES:
-            cluster = build(engine)
+        cluster, bounds = _parity_cells()[cell]
+
+        def explore():
             result = cluster.explore(**bounds)
-            results.append(result)
             probe = cluster._schedule_probe(
                 seed=bounds.get("seed", 0),
                 granularity=bounds.get("granularity", "operation"),
@@ -325,49 +316,42 @@ class TestExploreParity:
             per_schedule = [free] + [
                 run_schedule(probe.with_decisions((link,))) for link in free.expansions
             ]
-            outcomes.append([
-                (o.held_messages, o.expansions, o.trace_hash, strip_engine_deep(o.to_dict()))
+            return result, [
+                (o.held_messages, o.expansions, o.trace_hash, o.to_dict())
                 for o in per_schedule
-            ])
-        event, batched = results
-        assert event.stats.explored > 1
-        assert canonical(strip_engine_deep(event.to_dict())) == canonical(
-            strip_engine_deep(batched.to_dict())
-        )
-        assert [strip_engine_deep(w.to_dict()) for w in event.witnesses] == [
-            strip_engine_deep(w.to_dict()) for w in batched.witnesses
+            ]
+
+        production, outcomes = explore()
+        with reference_engine():
+            reference, reference_outcomes = explore()
+        assert production.stats.explored > 1
+        assert canonical(production.to_dict()) == canonical(reference.to_dict())
+        assert [w.to_dict() for w in production.witnesses] == [
+            w.to_dict() for w in reference.witnesses
         ]
-        assert outcomes[0] == outcomes[1]
+        assert outcomes == reference_outcomes
         if cell in ("reply-side-holds", "planned-base-round"):
             # The base's own holds show up on the wire, not in the count of
             # what the explorer's links caught.
-            assert outcomes[0][0][0] == 0 and len(outcomes[0]) > 1
+            assert outcomes[0][0] == 0 and len(outcomes) > 1
 
-    def test_refutation_parity(self, granularity="operation"):
-        witnesses = []
-        for engine in ENGINES:
-            result = (
-                Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True,
-                        engine=engine)
-                .with_faults("stale-echo", count=2)
-                .with_operations([("write", "v1", 0), ("read", 1, 100)])
-                .check("atomicity")
-                .explore(max_holds=2, granularity=granularity)
-            )
-            assert result.violations >= 1
-            witnesses.append(result.witnesses[0])
-        event_witness, batched_witness = witnesses
-        assert event_witness.decisions == batched_witness.decisions
-        assert event_witness.failures == batched_witness.failures
-        assert event_witness.trace_hash == batched_witness.trace_hash
-        # A witness found on one engine replays byte-identically on the other.
-        for witness, other in zip(witnesses, reversed(ENGINES)):
-            assert witness.probe.engine != other
-            moved = replace(witness, probe=replace(witness.probe, engine=other))
-            assert moved.reproduces()
-
-    def test_refutation_parity_at_round_granularity(self):
-        self.test_refutation_parity(granularity="round")
+    @pytest.mark.parametrize("granularity", ("operation", "round"))
+    def test_refutation_parity(self, granularity, reference_engine):
+        cluster = (
+            Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
+            .with_faults("stale-echo", count=2)
+            .with_operations([("write", "v1", 0), ("read", 1, 100)])
+            .check("atomicity")
+        )
+        production = cluster.explore(max_holds=2, granularity=granularity)
+        with reference_engine():
+            reference = cluster.explore(max_holds=2, granularity=granularity)
+            # A witness found on the production engine replays on the reference…
+            assert production.witnesses[0].reproduces()
+        # …and the other way round.
+        assert reference.witnesses[0].reproduces()
+        assert production.violations >= 1
+        assert production.witnesses[0] == reference.witnesses[0]
 
 
 class _Unshaped(DeliveryPolicy):
@@ -414,7 +398,7 @@ class TestPolicyShapeFastPath:
 
     def test_controlled_schedule_never_leaves_the_fast_path(self, monkeypatch):
         probe = (
-            Cluster("fast-regular", t=1, engine="batched")
+            Cluster("fast-regular", t=1)
             .with_operations(THREE_OPERATIONS)
             ._schedule_probe(granularity="round")
         )
@@ -433,9 +417,7 @@ class TestPolicyShapeFastPath:
     def test_unshaped_policies_keep_the_per_message_path(self, monkeypatch, policy):
         calls = _count_calls(monkeypatch, Network, "send", "_schedule_delivery")
         with scoped_operation_serials():
-            system = RegisterSystem(
-                get_spec("abd").build(), t=1, engine="batched", policy=policy()
-            )
+            system = RegisterSystem(get_spec("abd").build(), t=1, policy=policy())
             system.write("v1", at=0)
             system.read(1, at=80)
             system.run()
@@ -443,21 +425,24 @@ class TestPolicyShapeFastPath:
         assert calls["send"] == kinds.count(TraceKind.SEND) > 0
         assert calls["_schedule_delivery"] == calls["send"] - kinds.count(TraceKind.HOLD)
 
-    def test_time_dependent_hold_over_a_shaped_base_is_honoured(self):
+    def test_time_dependent_hold_over_a_shaped_base_is_honoured(self, reference_engine):
         """``delay`` overridden below the class that declared the shape: the
         replies sent from tick 80 on stay in transit on both engines."""
-        traces = []
-        for engine in ENGINES:
+        def run():
             with scoped_operation_serials():
                 system = RegisterSystem(
-                    get_spec("abd").build(), t=1, engine=engine, policy=_HoldRepliesFromTick(80)
+                    get_spec("abd").build(), t=1, policy=_HoldRepliesFromTick(80)
                 )
                 system.write("v1", at=0)
                 system.read(1, at=80)
                 system.run()
-            traces.append([(time, kind, str(m)) for time, kind, m in system.trace.entries])
-            assert [kind for _, kind, _ in traces[-1]].count(TraceKind.HOLD) == 3
-        assert traces[0] == traces[1]
+            trace = [(time, kind, str(m)) for time, kind, m in system.trace.entries]
+            assert [kind for _, kind, _ in trace].count(TraceKind.HOLD) == 3
+            return trace
+
+        production = run()
+        with reference_engine():
+            assert run() == production
 
     @pytest.mark.parametrize("release_delay", (1, 4))
     @pytest.mark.parametrize("latency", (1, 3))
@@ -465,20 +450,20 @@ class TestPolicyShapeFastPath:
         """A held reply released right after the channel's later traffic (the
         watermark clamps it at latency 3), then traffic right after a slow
         release (clamped at latency 1): same ticks, same trace, as ``send``
-        would give — on both engines."""
+        would give — on both engines (bare simulators, no register system)."""
         release_at = 10 + latency + 1  # the second read's replies are in flight
 
         def one_round():
             outcome = yield RoundSpec(tag="Q", payload={}, rule=ReplyRule(min_count=2))
             return sorted(outcome.replies)
 
-        def run(engine, shaped):
+        def run(simulator, shaped):
             policy = SelectiveHold(
                 lambda m: m.is_reply and m.src == object_id(1) and m.op.serial == 1,
                 FifoDelivery(latency),
             )
             with scoped_operation_serials():
-                sim = resolve_engine(engine)(
+                sim = simulator(
                     [ObjectServer(pid=pid, handler=_RecordingHandler()) for pid in object_ids(3)],
                     policy=policy if shaped else _Unshaped(policy),
                     trace=MessageTrace(),
@@ -496,10 +481,10 @@ class TestPolicyShapeFastPath:
             ]
             return events, trace_fingerprint(sim.trace), from_s1
 
-        reference = run("event", shaped=False)
-        for engine in ENGINES:
-            assert run(engine, shaped=True) == reference, engine
-        assert run("batched", shaped=False) == reference
+        reference = run(Simulator, shaped=False)
+        for simulator in (Simulator, BatchedSimulator):
+            assert run(simulator, shaped=True) == reference, simulator
+        assert run(BatchedSimulator, shaped=False) == reference
         ticks = {serial: time for time, serial in reference[2]}
         assert ticks[1] == max(release_at + release_delay, 10 + 2 * latency)
         assert ticks[2] <= ticks[1] <= ticks[3]
@@ -552,39 +537,6 @@ class TestWaveQueue:
             queue.pop_wave()
             times.append(queue.now)
         assert times == [2, 5, 7]
-
-
-class TestEngineRegistry:
-    def test_resolve_engine(self):
-        assert resolve_engine("event") is Simulator
-        assert resolve_engine("batched") is BatchedSimulator
-        assert available_engines() == ENGINES == ("event", "batched")
-        with pytest.raises(ConfigurationError):
-            resolve_engine("warp")
-
-    def test_cluster_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            Cluster("abd", engine="warp")
-        with pytest.raises(ConfigurationError):
-            Cluster("abd").with_engine("warp")
-
-    def test_with_engine_is_fluent_and_immutable(self):
-        base = Cluster("abd", t=1)
-        batched = base.with_engine("batched")
-        assert base.run(trials=1).engine == "event"
-        assert batched.run(trials=1).engine == "batched"
-
-    def test_engine_tag_only_on_non_default_results(self):
-        event = Cluster("abd", t=1).check("atomicity").run(trials=1)
-        batched = Cluster("abd", t=1, engine="batched").check("atomicity").run(trials=1)
-        assert "engine" not in event.to_dict()
-        assert batched.to_dict()["engine"] == "batched"
-
-    def test_register_system_resolves_engine(self):
-        system = RegisterSystem(get_spec("abd").build(), t=1, engine="batched")
-        assert isinstance(system.simulator, BatchedSimulator)
-        with pytest.raises(ConfigurationError):
-            RegisterSystem(get_spec("abd").build(), t=1, engine="warp")
 
 
 class _RecordingHandler(ObjectHandler):
@@ -649,9 +601,7 @@ class TestProcessBatchHooks:
             calls.append((self.pid, len(messages)))
             return original(self, messages)
 
-        system = RegisterSystem(
-            get_spec("abd").build(n_readers=2), t=1, n_readers=2, engine="batched"
-        )
+        system = RegisterSystem(get_spec("abd").build(n_readers=2), t=1, n_readers=2)
         system.read(1, at=0)
         system.read(2, at=0)
         try:
@@ -666,39 +616,16 @@ class TestProcessBatchHooks:
         assert len(calls) == 2 * system.ctx.S
         assert {pid for pid, _ in calls} == set(system.simulator.objects)
 
-    def test_concurrent_rounds_match_event_engine(self):
-        fingerprints = []
-        for engine in ENGINES:
+    def test_concurrent_rounds_match_event_engine(self, reference_engine):
+        def run():
             with scoped_operation_serials():
-                system = RegisterSystem(
-                    get_spec("abd").build(n_readers=3), t=1, n_readers=3, engine=engine
-                )
+                system = RegisterSystem(get_spec("abd").build(n_readers=3), t=1, n_readers=3)
                 system.write("v1", at=0)
                 system.read(1, at=0)
                 system.read(2, at=0)
                 system.read(3, at=0)
-                events = system.run()
-                fingerprints.append((events, trace_fingerprint(system.trace)))
-        assert fingerprints[0] == fingerprints[1]
+                return system.run(), trace_fingerprint(system.trace)
 
-
-class TestEngineJsonlMetadata:
-    def test_jsonl_rows_key_on_engine(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        event_path = tmp_path / "event.jsonl"
-        batched_path = tmp_path / "batched.jsonl"
-        assert main(["run", "--protocol", "abd", "--trials", "1",
-                     "--jsonl", str(event_path)]) == 0
-        assert main(["run", "--protocol", "abd", "--engine", "batched",
-                     "--trials", "1", "--jsonl", str(batched_path)]) == 0
-        event_row = json.loads(event_path.read_text().strip())
-        batched_row = json.loads(batched_path.read_text().strip())
-        assert "engine" not in event_row
-        assert batched_row["engine"] == "batched"
-        # Identical results apart from the tag…
-        assert canonical(strip_engine(event_row)) == canonical(strip_engine(batched_row))
-        # …but compare treats engines as distinct configurations.
-        capsys.readouterr()
-        assert main(["compare", str(event_path), str(batched_path)]) == 0
-        assert "compared 0 run(s)" in capsys.readouterr().out
+        production = run()
+        with reference_engine():
+            assert run() == production

@@ -374,7 +374,9 @@ class TestFrontierCli:
 #: The CLI surface of the three configurable subcommands, written down at the
 #: commit before their flags moved into shared parent parsers:
 #: ``{subcommand: {dest: (default, choices)}}``.  A refactor of the parser may
-#: neither drop nor re-default any of these.
+#: neither drop nor re-default any of these.  (``--engine`` left the table
+#: when the axis was retired: tests/test_old_payloads.py::
+#: test_the_retired_flag_is_gone.)
 PINNED_CLI = {'explore': {'S': (None, None),
                  'allow_overfault': (False, None),
                  'backend': (None, None),
@@ -383,7 +385,6 @@ PINNED_CLI = {'explore': {'S': (None, None),
                  'consistency': ('atomic', None),
                  'count': (1, None),
                  'durability': ('none', ('none', 'mem', 'dir')),
-                 'engine': ('event', ('event', 'batched')),
                  'expect_violation': (False, None),
                  'fault_arg': (None, None),
                  'fault_timing': (False, None),
@@ -419,8 +420,7 @@ PINNED_CLI = {'explore': {'S': (None, None),
                   'backend': (None, None),
                   'count': (1, None),
                   'durability': ('none', ('none', 'mem', 'dir')),
-                  'engine': ('event', ('event', 'batched')),
-                  'expect_strongest': (None, None),
+                   'expect_strongest': (None, None),
                   'fault_arg': (None, None),
                   'faults': (None, None),
                   'granularity': ('operation', ('operation', 'round')),
@@ -454,7 +454,6 @@ PINNED_CLI = {'explore': {'S': (None, None),
              'consistency': ('atomic', None),
              'count': (1, None),
              'durability': ('none', ('none', 'mem', 'dir')),
-             'engine': ('event', ('event', 'batched')),
              'fault_arg': (None, None),
              'faults': (None, None),
              'jsonl': (None, None),

@@ -7,8 +7,8 @@ The acceptance bar for the spectrum subsystem:
   spectrum exactly 2 — atomicity fails, 2-atomicity holds;
 * the measured staleness never exceeds the configured bound − 1;
 * everything — run payloads, verdicts, staleness distributions — is
-  byte-identical across the event/batched engines and serial/parallel
-  execution;
+  byte-identical across the production/reference engines and
+  serial/parallel execution;
 * the explorer refutes k-atomic(1) and certifies k-atomic(2) on the same
   bounded schedule space (the committed ``k1_violation.json`` witness).
 """
@@ -106,22 +106,22 @@ class TestSpectrum:
 
 
 class TestParity:
-    def _payload(self, engine, parallel=False):
+    def _payload(self, parallel=False):
         result = (
-            _spectrum_cluster(engine=engine)
+            _spectrum_cluster()
             .with_workload(operations=12, spacing=25)
             .check("k-atomic(2)")
             .run(trials=3, parallel=parallel, max_workers=2 if parallel else None)
         )
-        payload = result.to_dict()
-        payload.pop("engine", None)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(result.to_dict(), sort_keys=True)
 
-    def test_engines_agree_byte_for_byte(self):
-        assert self._payload("event") == self._payload("batched")
+    def test_engines_agree_byte_for_byte(self, reference_engine):
+        production = self._payload()
+        with reference_engine():
+            assert self._payload() == production
 
     def test_parallel_agrees_byte_for_byte(self):
-        assert self._payload("event") == self._payload("event", parallel=True)
+        assert self._payload() == self._payload(parallel=True)
 
 
 class TestShardedSpectrum:

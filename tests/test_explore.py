@@ -105,14 +105,13 @@ class TestControlledDelivery:
         # 2 ops × 4 objects × 2 rounds each for fast-regular.
         assert len(policy.delivered_links) == 16
 
-    @pytest.mark.parametrize("engine", ("event", "batched"))
     @pytest.mark.parametrize("granularity", ("operation", "round"))
-    def test_links_are_built_at_the_boundary_only(self, engine, granularity, monkeypatch):
+    def test_links_are_built_at_the_boundary_only(self, granularity, monkeypatch):
         """Inside the policy a link is a tuple; one ``simulate`` constructs a
         ``HoldLink`` per reported expansion, not one per message on the wire."""
         from repro.explore.engine import simulate
 
-        probe = small_cluster(engine=engine)._schedule_probe(granularity=granularity)
+        probe = small_cluster()._schedule_probe(granularity=granularity)
         round_no = 1 if granularity == "round" else None
         probe = probe.with_decisions((HoldLink(1, 2, round_no), HoldLink(2, 3, round_no)))
         built = []

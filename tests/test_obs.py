@@ -63,14 +63,10 @@ def obs_dump(result):
 
 class TestCrossEngineParity:
     @pytest.mark.parametrize("config", sorted(GRID))
-    def test_span_and_metric_dumps_identical_across_engines(self, config):
-        dumps = {
-            engine: obs_dump(
-                GRID[config]().with_engine(engine).run(trials=2, seed=3)
-            )
-            for engine in ("event", "batched")
-        }
-        assert dumps["event"] == dumps["batched"]
+    def test_span_and_metric_dumps_identical_across_engines(self, config, reference_engine):
+        production = obs_dump(GRID[config]().run(trials=2, seed=3))
+        with reference_engine():
+            assert obs_dump(GRID[config]().run(trials=2, seed=3)) == production
 
     @pytest.mark.parametrize("config", sorted(GRID))
     def test_span_and_metric_dumps_identical_serial_vs_parallel(self, config):
@@ -118,9 +114,8 @@ class TestOffState:
         payload.pop("elapsed_s")
         assert payload == off.trials[0].to_dict()
 
-    @pytest.mark.parametrize("engine", ("event", "batched"))
-    def test_phase_seconds_ride_beside_the_duration_and_in_no_dump(self, engine):
-        result = GRID["crash-recover"]().with_engine(engine).run(trials=2, seed=1)
+    def test_phase_seconds_ride_beside_the_duration_and_in_no_dump(self):
+        result = GRID["crash-recover"]().run(trials=2, seed=1)
         for trial in result.trials:
             phases = trial.obs["phases_s"]
             assert list(phases) == [

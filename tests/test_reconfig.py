@@ -16,20 +16,17 @@ Covers the PR's acceptance criteria end to end:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.api import Cluster, fault_spec
 from repro.errors import ConfigurationError
-from repro.sim.batched import ENGINES
 from repro.sim.tracing import trace_fingerprint
 from repro.types import scoped_operation_serials
 
 pytestmark = pytest.mark.filterwarnings("error")
 
 
-def churn_cluster(engine="event"):
+def churn_cluster():
     """The acceptance-run shape: every original member replaced once.
 
     rolling-replace kills s1 after 4 deliveries, s2 after 12, s3 after 20;
@@ -39,8 +36,7 @@ def churn_cluster(engine="event"):
     down at any instant).
     """
     return (
-        Cluster("abd", t=1, S=3, backend="reconfig", engine=engine,
-                allow_overfault=True)
+        Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True)
         .with_faults("rolling-replace", count=3, base=4, stagger=8)
         .with_repairs((1, 40), (2, 110), (3, 180))
         .with_workload(operations=9, reads=0.5, spacing=30)
@@ -121,18 +117,15 @@ class TestRepairMechanics:
 
 
 class TestChurnAcceptanceRun:
-    def test_rolling_replacement_is_atomic_on_both_engines(self):
-        results = {}
-        for engine in ENGINES:
-            result = churn_cluster(engine).run(trials=2, seed=3)
-            assert result.ok, f"{engine}: {result.failures()}"
-            assert result.incomplete == 0
-            for trial in result.trials:
-                assert trial.repair_rounds == [2, 2, 2]
-            payload = result.to_dict()
-            payload.pop("engine", None)
-            results[engine] = payload
-        assert results["event"] == results["batched"]
+    def test_rolling_replacement_is_atomic_on_both_engines(self, reference_engine):
+        production = churn_cluster().run(trials=2, seed=3)
+        assert production.ok, production.failures()
+        assert production.incomplete == 0
+        for trial in production.trials:
+            assert trial.repair_rounds == [2, 2, 2]
+        with reference_engine():
+            reference = churn_cluster().run(trials=2, seed=3)
+        assert production.to_dict() == reference.to_dict()
 
     def test_serial_and_parallel_runs_are_byte_identical(self):
         serial = churn_cluster().run(trials=3, seed=3, parallel=False)
@@ -140,18 +133,15 @@ class TestChurnAcceptanceRun:
                                      max_workers=2)
         assert serial.to_dict() == pooled.to_dict()
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_wire_trace_fingerprints_match_across_engines(self, engine):
-        with scoped_operation_serials():
-            result = churn_cluster(engine).run(trials=1, seed=3,
-                                               keep_trace=True)
-        fingerprint = trace_fingerprint(result.trials[0].trace)
-        if not hasattr(type(self), "_seen"):
-            type(self)._seen = {}
-        type(self)._seen[engine] = fingerprint
-        if len(type(self)._seen) == len(ENGINES):
-            values = set(type(self)._seen.values())
-            assert len(values) == 1, type(self)._seen
+    def test_wire_trace_fingerprints_match_across_engines(self, reference_engine):
+        def fingerprint():
+            with scoped_operation_serials():
+                result = churn_cluster().run(trials=1, seed=3, keep_trace=True)
+            return trace_fingerprint(result.trials[0].trace)
+
+        production = fingerprint()
+        with reference_engine():
+            assert fingerprint() == production
 
 
 class TestExploreCertifiesRepair:
@@ -173,18 +163,16 @@ class TestExploreCertifiesRepair:
         assert witness.failures[0][0] == "atomicity"
         assert "stale read" in witness.failures[0][1]
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_refutation_witness_replays_on_engine(self, engine):
+    def test_refutation_witness_replays_on_both_engines(self, reference_engine):
         result = (
             explore_base()
             .with_repairs((1, 5), xfer_quorum=1)
             .explore(max_holds=1)
         )
         witness = result.witnesses[0]
-        witness = dataclasses.replace(
-            witness, probe=dataclasses.replace(witness.probe, engine=engine)
-        )
         assert witness.reproduces()
+        with reference_engine():
+            assert witness.reproduces()
 
 
 class TestReconfigValidation:
@@ -252,21 +240,18 @@ class TestChurnFaults:
         assert result.ok and result.incomplete == 0
 
     @pytest.mark.parametrize("scenario", ["rolling-restart", "crash-storm"])
-    def test_recovery_scenarios_match_across_engines(self, scenario):
-        payloads = {}
-        for engine in ENGINES:
-            result = (
-                Cluster("abd", t=1, S=3, engine=engine, durability="mem")
-                .with_scenario(scenario)
-                .with_workload(operations=8, spacing=25)
-                .check("atomicity")
-                .run(trials=2, seed=5)
-            )
-            assert result.ok, f"{scenario}/{engine}: {result.failures()}"
-            payload = result.to_dict()
-            payload.pop("engine", None)
-            payloads[engine] = payload
-        assert payloads["event"] == payloads["batched"]
+    def test_recovery_scenarios_match_across_engines(self, scenario, reference_engine):
+        cluster = (
+            Cluster("abd", t=1, S=3, durability="mem")
+            .with_scenario(scenario)
+            .with_workload(operations=8, spacing=25)
+            .check("atomicity")
+        )
+        production = cluster.run(trials=2, seed=5)
+        assert production.ok, f"{scenario}: {production.failures()}"
+        with reference_engine():
+            reference = cluster.run(trials=2, seed=5)
+        assert production.to_dict() == reference.to_dict()
 
     @pytest.mark.parametrize("scenario", ["rolling-restart", "crash-storm"])
     def test_recovery_scenarios_require_durability(self, scenario):

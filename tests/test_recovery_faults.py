@@ -3,8 +3,8 @@
 The crash-recover family (``crash-recover``, ``fsync-lag``, ``torn-write``)
 extends the PR-5 engine-equivalence contract: a run with a recovering
 object must produce byte-identical ``RunResult.to_dict()`` payloads and
-wire-trace fingerprints on the event and batched engines, serially and on
-a process pool.  The explorer treats recovery timing as an ordinary choice
+wire-trace fingerprints on the production and reference engines, and
+serially and on a process pool.  The explorer treats recovery timing as an ordinary choice
 point: it certifies a well-provisioned recovery configuration and refutes
 an under-provisioned (fsync-lagged) one with a minimized witness.
 """
@@ -23,19 +23,13 @@ from repro.storage import DURABILITIES
 RECOVERY_FAULTS = ("crash-recover", "fsync-lag", "torn-write")
 
 
-def strip_engine(payload: dict) -> dict:
-    payload = dict(payload)
-    payload.pop("engine", None)
-    return payload
-
-
 def canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _recovering_cluster(engine="event", durability="mem", fault="crash-recover", **kwargs):
+def _recovering_cluster(durability="mem", fault="crash-recover", **kwargs):
     return (
-        Cluster("abd", t=1, n_readers=2, engine=engine, durability=durability)
+        Cluster("abd", t=1, n_readers=2, durability=durability)
         .with_faults(fault, **kwargs)
         .with_workload(operations=8, spacing=40)
         .check("atomicity")
@@ -57,29 +51,24 @@ class TestRecoveryRuns:
             assert set(meter["objects"]) == {"s1", "s2", "s3"}
 
     @pytest.mark.parametrize("fault", RECOVERY_FAULTS)
-    def test_event_and_batched_byte_identical(self, fault):
-        event = _recovering_cluster("event", fault=fault).run(trials=2, seed=9)
-        batched = _recovering_cluster("batched", fault=fault).run(trials=2, seed=9)
-        assert canonical(strip_engine(event.to_dict())) == canonical(
-            strip_engine(batched.to_dict())
-        )
+    def test_production_and_reference_byte_identical(self, fault, reference_engine):
+        production = _recovering_cluster(fault=fault).run(trials=2, seed=9)
+        with reference_engine():
+            reference = _recovering_cluster(fault=fault).run(trials=2, seed=9)
+        assert canonical(production.to_dict()) == canonical(reference.to_dict())
 
-    def test_wire_traces_identical_across_engines(self):
-        runs = [
-            _recovering_cluster(engine).run(trials=1, seed=3, keep_trace=True)
-            for engine in ("event", "batched")
-        ]
-        fingerprints = [
-            trace_fingerprint(run.trials[0].trace) for run in runs
-        ]
-        assert fingerprints[0] == fingerprints[1]
+    def test_wire_traces_identical_across_engines(self, reference_engine):
+        production = _recovering_cluster().run(trials=1, seed=3, keep_trace=True)
+        with reference_engine():
+            reference = _recovering_cluster().run(trials=1, seed=3, keep_trace=True)
+        assert trace_fingerprint(production.trials[0].trace) == trace_fingerprint(
+            reference.trials[0].trace
+        )
 
     def test_parallel_matches_serial(self):
         serial = _recovering_cluster().run(trials=3, seed=11)
-        parallel = _recovering_cluster("batched").run(trials=3, seed=11, parallel=True)
-        assert canonical(strip_engine(serial.to_dict())) == canonical(
-            strip_engine(parallel.to_dict())
-        )
+        parallel = _recovering_cluster().run(trials=3, seed=11, parallel=True)
+        assert canonical(serial.to_dict()) == canonical(parallel.to_dict())
 
     def test_mem_and_dir_retain_identical_bytes(self):
         mem = _recovering_cluster(durability="mem").run(trials=1, seed=5)

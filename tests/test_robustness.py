@@ -27,20 +27,20 @@ from repro.explore import (
 from repro.robustness import FrontierResult, model_ladder, robustness_frontier
 
 
-def underprovisioned_cluster(engine: str = "event") -> Cluster:
+def underprovisioned_cluster() -> Cluster:
     """Two always-stale objects on a 3t+1 stack sized for one."""
     return (
-        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
+        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
         .with_faults("stale-echo", count=2)
         .with_operations([("write", "v1", 0), ("read", 1, 100)])
     )
 
 
-def timed_stack(engine: str = "event") -> Cluster:
+def timed_stack() -> Cluster:
     """One always-stale object plus one whose staleness needs a trigger
     (``benchmarks/e2e``'s ``frontier_degrade`` configuration)."""
     return (
-        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
+        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
         .with_faults("stale-echo", count=1)
         .with_faults("timed", count=1, inner="stale-echo", at=99)
         .with_operations([("write", "v1", 0), ("read", 1, 100)])
@@ -322,30 +322,16 @@ class TestFrontier:
                     if isinstance(d, FaultTrigger)]
         assert triggers == [FaultTrigger(obj=2, at=0)]
 
-    def test_engine_parity(self):
-        """Frontier payloads agree across engines modulo the engine tag."""
-        def normalize(payload):
-            payload = dict(payload)
-            payload.pop("engine")
-            if payload.get("witness"):
-                payload["witness"] = {
-                    key: value for key, value in payload["witness"].items()
-                    if key != "engine"
-                }
-            return payload
+    def test_engine_parity(self, reference_engine):
+        """The whole frontier payload, witness included, matches the reference."""
+        def frontier():
+            return robustness_frontier(
+                underprovisioned_cluster(), max_holds=2, max_schedules=3000,
+            ).to_dict()
 
-        payloads = []
-        for engine in ("event", "batched"):
-            cluster = (
-                Cluster("atomic-fast-regular", t=1, S=4,
-                        allow_overfault=True, engine=engine)
-                .with_faults("stale-echo", count=2)
-                .with_operations([("write", "v1", 0), ("read", 1, 100)])
-            )
-            payloads.append(robustness_frontier(
-                cluster, max_holds=2, max_schedules=3000,
-            ).to_dict())
-        assert normalize(payloads[0]) == normalize(payloads[1])
+        production = frontier()
+        with reference_engine():
+            assert frontier() == production
 
     def test_multi_writer_ladder_applies(self):
         cluster = (
@@ -384,7 +370,7 @@ class TestFrontier:
 
 OPS = [("write", "v1", 0), ("read", 1, 100)]
 
-#: name → (cluster factory by engine, frontier bounds).  ``budget`` is the
+#: name → (cluster factory, frontier bounds).  ``budget`` is the
 #: benchmark cell again with a schedule budget far below the space, so every
 #: rung stops on its own count of judged schedules.
 SHARING_GRID = {
@@ -396,24 +382,21 @@ SHARING_GRID = {
         underprovisioned_cluster, dict(max_k=2, max_holds=3, max_schedules=3000),
     ),
     "abd-crash": (
-        lambda engine: Cluster("abd", t=1, engine=engine)
+        lambda: Cluster("abd", t=1)
         .with_faults("crash", count=1).with_operations(OPS),
         dict(max_holds=2, max_schedules=1000),
     ),
     "fast-regular": (
-        lambda engine: Cluster("fast-regular", t=1, engine=engine)
+        lambda: Cluster("fast-regular", t=1)
         .with_operations([("write", "v1", 0), ("read", 1, 120), ("read", 2, 240)]),
         dict(max_holds=1, max_schedules=500, granularity="round"),
     ),
     "mwmr": (
-        lambda engine: Cluster("mwmr-fast-regular", n_writers=2, engine=engine)
+        lambda: Cluster("mwmr-fast-regular", n_writers=2)
         .with_faults("crash", count=1).with_workload(operations=3, spacing=60),
         dict(max_k=2, max_holds=1, max_schedules=500),
     ),
 }
-
-ENGINES = ("event", "batched")
-
 
 def _explore_bounds(bounds: dict) -> dict:
     """The ``Cluster.explore`` call one rung of ``frontier(**bounds)`` equals."""
@@ -424,21 +407,20 @@ class TestFrontierSharesSimulations:
     """The rungs share simulated schedules and nothing else: every rung
     still reports what its standalone exploration reports."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("cell", sorted(SHARING_GRID))
-    def test_every_rung_equals_its_standalone_exploration(self, cell, engine):
+    def test_every_rung_equals_its_standalone_exploration(self, cell):
         build, bounds = SHARING_GRID[cell]
-        serial = build(engine).frontier(**bounds)
+        serial = build().frontier(**bounds)
         assert serial.results and set(serial.results) == set(serial.outcomes)
         for model, rung in serial.results.items():
-            alone = build(engine).with_checks(model).explore(**_explore_bounds(bounds))
+            alone = build().with_checks(model).explore(**_explore_bounds(bounds))
             # Stats, witnesses, trace hashes, exhausted: the whole payload.
-            assert rung.to_dict() == alone.to_dict(), (cell, engine, model)
+            assert rung.to_dict() == alone.to_dict(), (cell, model)
         assert serial.schedules == sum(
             r.stats.explored for r in serial.results.values()
         )
         assert serial.simulated <= serial.schedules
-        pooled = build(engine).frontier(**bounds, parallel=True, max_workers=2)
+        pooled = build().frontier(**bounds, parallel=True, max_workers=2)
         assert pooled.to_dict() == serial.to_dict()
         assert pooled.simulated == serial.simulated
         for model, rung in pooled.results.items():
@@ -459,14 +441,14 @@ class TestFrontierSharesSimulations:
 
         monkeypatch.setattr(engine, "simulate", counting)
         build, bounds = SHARING_GRID[cell]
-        result = build("event").frontier(**bounds)
+        result = build().frontier(**bounds)
         assert set(runs.values()) == {1}
         assert result.simulated == len(runs)
 
     @pytest.fixture(scope="class")
     def benchmark_frontier(self):
         build, bounds = SHARING_GRID["benchmark"]
-        return build("event").frontier(**bounds)
+        return build().frontier(**bounds)
 
     def test_benchmark_cell_simulates_a_third_of_what_it_judges(self, benchmark_frontier):
         result = benchmark_frontier
@@ -480,7 +462,7 @@ class TestFrontierSharesSimulations:
 
     def test_rungs_still_search_their_own_sub_space(self):
         build, bounds = SHARING_GRID["deeper"]
-        result = build("event").frontier(**bounds)
+        result = build().frontier(**bounds)
         explored = {m: r.stats.explored for m, r in result.results.items()}
         assert explored == {"atomicity": 613, "k-atomic(2)": 643}
         # The second rung simulated the 30 schedules the first never reached.
@@ -488,7 +470,7 @@ class TestFrontierSharesSimulations:
 
     def test_first_rung_certificate_simulates_exactly_what_it_explored(self):
         build, bounds = SHARING_GRID["abd-crash"]
-        result = build("event").frontier(**bounds)
+        result = build().frontier(**bounds)
         assert list(result.results) == ["atomicity"] and result.certified
         assert result.simulated == result.results["atomicity"].stats.explored
         assert result.simulated == result.schedules
@@ -528,7 +510,7 @@ class TestFrontierSharesSimulations:
         ).decisions == (FaultTrigger(obj=2, at=0),)
         for other in (
             dataclasses.replace(probe, S=5),
-            dataclasses.replace(probe, engine="batched"),
+            dataclasses.replace(probe, durability="mem"),
             dataclasses.replace(probe, max_events=100),
             dataclasses.replace(probe, plans=probe.plans[:1]),
             timed_stack()._schedule_probe(granularity="round"),
@@ -575,9 +557,7 @@ class TestFrontierSharesSimulations:
 
 class TestFrontierNamesItsAxes:
     """A frontier says which run axes it was walked under: tagged axes away
-    from their default are written and rendered, default ones add nothing
-    (so every stored frontier row — which always had ``engine`` — is
-    unchanged)."""
+    from their default are written and rendered, default ones add nothing."""
 
     OPS = [("write", "v1", 0), ("read", 1, 100)]
 
@@ -589,21 +569,19 @@ class TestFrontierNamesItsAxes:
     def test_default_axes_add_no_key_and_no_tag(self):
         result = self._frontier()
         payload = result.to_dict()
-        assert payload["engine"] == "event"
         assert "durability" not in payload and "consistency" not in payload
-        assert "t=1, S=3, engine=event, faults: fault-free" in result.render()
+        assert "t=1, S=3, faults: fault-free" in result.render()
 
     def test_durability_is_written_and_rendered(self):
         result = self._frontier(durability="mem")
         assert result.to_dict()["durability"] == "mem"
-        assert "engine=event, durability=mem, faults:" in result.render()
+        assert "t=1, S=3, durability=mem, faults:" in result.render()
         assert result.axes.durability == result.durability == "mem"
 
     def test_consistency_is_written_and_rendered(self):
-        result = self._frontier(consistency="k-atomic(2)", engine="batched")
-        payload = result.to_dict()
-        assert payload["consistency"] == "k-atomic(2)" and payload["engine"] == "batched"
-        assert "engine=batched, consistency=k-atomic(2), faults:" in result.render()
+        result = self._frontier(consistency="k-atomic(2)")
+        assert result.to_dict()["consistency"] == "k-atomic(2)"
+        assert "t=1, S=3, consistency=k-atomic(2), faults:" in result.render()
 
     def test_cli_rows_are_distinguishable(self, tmp_path, capsys):
         import json

@@ -330,8 +330,7 @@ def _sweep_cells():
 
 
 class TestFingerprintDifferential:
-    @pytest.mark.parametrize("engine", ("event", "batched"))
-    def test_every_protocol_and_advertised_scenario(self, engine):
+    def test_every_protocol_and_advertised_scenario(self):
         from repro.api import Cluster
         from repro.sim.tracing import trace_fingerprint
 
@@ -339,7 +338,7 @@ class TestFingerprintDifferential:
         assert len(cells) >= 45
         for name, scenario in cells:
             trial = (
-                Cluster(name, t=1, n_readers=2, engine=engine)
+                Cluster(name, t=1, n_readers=2)
                 .with_scenario(scenario)
                 .with_workload(spacing=150, operations=10)
                 .run(trials=1, seed=17, keep_trace=True)
@@ -350,8 +349,7 @@ class TestFingerprintDifferential:
                 name, scenario,
             )
 
-    @pytest.mark.parametrize("engine", ("event", "batched"))
-    def test_held_dropped_repair_and_truncated_schedules(self, engine, monkeypatch):
+    def test_held_dropped_repair_and_truncated_schedules(self, monkeypatch):
         """Through ``run_schedule`` itself: the traces the explorer hashes."""
         from repro.api import Cluster
         from repro.explore import FaultTrigger, HoldLink, engine as explore_engine
@@ -367,7 +365,7 @@ class TestFingerprintDifferential:
 
         monkeypatch.setattr(explore_engine, "trace_fingerprint", checked)
         stack = (
-            Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True, engine=engine)
+            Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
             .with_faults("stale-echo", count=1)
             .with_faults("timed", count=1, inner="stale-echo", at=99)
             .with_operations([("write", "v1", 0), ("read", 1, 100), ("read", 1, 130)])
@@ -385,8 +383,7 @@ class TestFingerprintDifferential:
         )
         assert cut.truncated and cut.trace_hash != free.trace_hash
         repaired = (
-            Cluster("abd", t=1, S=3, backend="reconfig", engine=engine,
-                    allow_overfault=True)
+            Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True)
             .with_faults("rolling-replace", count=3, base=4, stagger=8)
             .with_repairs((1, 40), (2, 110), (3, 180))
             .with_workload(operations=9, reads=0.5, spacing=30)
@@ -394,8 +391,7 @@ class TestFingerprintDifferential:
         outcome = explore_engine.run_schedule(repaired._schedule_probe(seed=3))
         assert outcome.completed and len(seen) == 4
 
-    @pytest.mark.parametrize("engine", ("event", "batched"))
-    def test_held_reply_and_client_dropped_traces(self, engine):
+    def test_held_reply_and_client_dropped_traces(self):
         """All four kinds from a live run: s1's replies stay in transit, and
         the reader crashes while its first round is on the wire, so what the
         other objects answer is dropped."""
@@ -403,7 +399,7 @@ class TestFingerprintDifferential:
 
         with scoped_operation_serials():
             system = RegisterSystem(
-                FastRegularProtocol(), t=1, S=4, n_readers=2, engine=engine,
+                FastRegularProtocol(), t=1, S=4, n_readers=2,
                 policy=WithholdFrom([object_id(1)]),
             )
             system.write("v1", at=0)
