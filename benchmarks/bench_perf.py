@@ -117,8 +117,10 @@ SWEEP_PROTOCOLS = ("abd", "fast-regular", "secret-token", "atomic-fast-regular")
 #: Concurrency regimes of the simulator meter.  ``spaced`` is the PR-2
 #: baseline shape (sparse waves — the engine-dispatch-heavy regime);
 #: ``concurrent`` keeps eight clients continuously in flight so every tick
-#: carries multi-round waves (the regime the batched engine's per-object
-#: grouping and run batching target).
+#: carries multi-round waves: several invocation runs meet each object in
+#: one wave.  The walk dispatches them one by one, in entry order — this
+#: regime is the standing evidence that doing so costs nothing against the
+#: per-object grouping path the engine once took here (BENCH_history.jsonl).
 SIMULATOR_REGIMES = (
     {"name": "spaced", "n_readers": 4, "spacing": 30, "op_scale": 1},
     {"name": "concurrent", "n_readers": 8, "spacing": 10, "op_scale": 2},

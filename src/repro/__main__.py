@@ -12,7 +12,7 @@ Commands:
                                       resilience classes, advertised rounds.
 * ``list-backends``                 — the system-backend registry: single,
                                       multi-writer, sharded, and plugins.
-* ``list-scenarios`` [--t T]        — the scenario registry: fault plans and
+* ``list-scenarios`` [--t T]        — the scenario registry: declared faults and
                                       workload shapes at threshold ``t``.
 * ``list-checkers``                 — the consistency-checker registry:
                                       atomicity, regularity, safety,
@@ -221,11 +221,10 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     rows = []
     for name in available_scenarios():
         scenario = get_scenario(name, args.t)
-        plan = scenario.fault_plan
-        faults = "none" if plan.maker is None else f"{plan.name}×{plan.effective_count(args.t)}"
         rows.append({
             "name": scenario.name,
-            "faults": faults,
+            "faults": "+".join(f"{fault}×{count}" for fault, count, *_ in scenario.faults)
+                      or "none",
             "reads": f"{scenario.read_fraction:.2f}",
             "spacing": str(scenario.spacing),
             "description": scenario.description,

@@ -136,6 +136,13 @@ class SystemBackend(ABC):
     def histories(self) -> dict[str, History]:
         """One recorded history per key, for per-key consistency checks."""
 
+    def close(self) -> None:
+        """Release the wrapped system's stable stores (journal files, the
+        temporary directory of ``durability="dir"``); called by whoever
+        built the backend, once done reading it."""
+        if self.system.storage is not None:
+            self.system.storage.close()
+
 
 class SingleRegisterBackend(SystemBackend):
     """The default backend: one SWMR register on a ``RegisterSystem``."""

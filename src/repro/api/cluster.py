@@ -51,6 +51,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -457,15 +458,33 @@ class TrialSpec(BackendRequest):
         return generator.plan(self.operations)
 
 
+def _effective_groups(
+    scenario: str | None, fault_groups: tuple[_FaultGroup, ...], t: int
+) -> tuple[_FaultGroup, ...]:
+    """The groups a request materializes: its scenario's declared faults
+    (``(name, count[, kwargs])`` entries), or else its own."""
+    if scenario is None:
+        return fault_groups
+    return tuple(
+        _FaultGroup(fault=fault, count=count, strict=False,
+                    kwargs=tuple(sorted(rest[0].items())) if rest else ())
+        for fault, count, *rest in get_scenario(scenario, t).faults
+    )
+
+
 def _materialize_behaviors(
     scenario: str | None,
     fault_groups: tuple[_FaultGroup, ...],
     t: int,
     allow_overfault: bool,
 ) -> dict[ProcessId, FaultBehavior]:
-    """Fresh fault behaviours for one trial (behaviours are stateful)."""
-    if scenario is not None:
-        return dict(get_scenario(scenario, t).fault_plan.behaviors(t))
+    """Fresh fault behaviours for one trial (behaviours are stateful).
+
+    The one place faults are assigned and clamped, for scenarios and
+    ``with_faults`` alike: objects ``s1, s2, …`` in group order, the total
+    cut to ``t`` unless ``allow_overfault``, a strict group raising instead.
+    """
+    fault_groups = _effective_groups(scenario, fault_groups, t)
     requested = sum(group.count for group in fault_groups)
     budget = requested if allow_overfault else t
     if requested > budget and any(g.strict for g in fault_groups):
@@ -537,18 +556,21 @@ def build_backend(
 
 def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult:
     """Execute one trial against an already-resolved protocol spec."""
+    # Wall-clock marks around the trial's fixed layers; they surface only in
+    # an observed trial's ``obs["phases_s"]``.
+    tick = time.perf_counter
+    started = tick()
     # Operation serials restart at 1 inside the scope, so the recorded
     # history — including the operation ids surfaced in check explanations —
     # is a pure function of the spec, identical in-process and on a worker;
     # on exit the outer count resumes past its watermark, so any system live
     # outside the trial keeps allocating fresh ids.  (The restart is also
     # what makes plan-addressed schedules well-defined: plan k ⇒ serial k.)
-    with scoped_operation_serials():
-        # Wall-clock marks around the trial's fixed layers; they surface
-        # only in an observed trial's ``obs["phases_s"]``.
-        tick = time.perf_counter
-        started = tick()
-        backend = build_backend(spec, protocol_spec)
+    # The backend's stable stores are closed on the way out, after metering
+    # and span derivation have read them.
+    with scoped_operation_serials(), closing(
+        build_backend(spec, protocol_spec)
+    ) as backend:
         built = tick()
         plans = spec.plans()
         planned = tick()
@@ -1028,15 +1050,15 @@ class Cluster:
         return clone
 
     def with_scenario(self, name: str) -> "Cluster":
-        """Adopt a named scenario: its fault plan *and* workload shape."""
+        """Adopt a named scenario: its declared faults *and* workload shape."""
         scenario = get_scenario(name, self._t)
         clone = self._clone()
         clone._scenario = scenario
         clone._fault_groups = ()
         clone._read_fraction = scenario.read_fraction
         clone._spacing = scenario.spacing
-        if scenario.fault_plan.overfault:
-            # Fleet-wide plans (rolling restarts) deliberately exceed t —
+        if scenario.overfault:
+            # Fleet-wide scenarios (rolling restarts) deliberately exceed t —
             # the scenario opts in so the behaviour budget isn't clamped.
             clone._allow_overfault = True
         return clone
@@ -1165,19 +1187,13 @@ class Cluster:
     # ------------------------------------------------------------------ #
 
     def _materialize_faults(self) -> tuple[dict[ProcessId, Any], FaultInventory]:
+        scenario = self._scenario.name if self._scenario is not None else None
         behaviors = _materialize_behaviors(
-            self._scenario.name if self._scenario is not None else None,
-            self._fault_groups,
-            self._t,
-            self._allow_overfault,
+            scenario, self._fault_groups, self._t, self._allow_overfault
         )
-        if self._scenario is not None:
-            plan = self._scenario.fault_plan
-            requested = plan.count if plan.maker is not None else 0
-        else:
-            requested = sum(group.count for group in self._fault_groups)
+        groups = _effective_groups(scenario, self._fault_groups, self._t)
         inventory = FaultInventory(
-            requested=requested,
+            requested=sum(group.count for group in groups),
             effective=len(behaviors),
             assignments={str(pid): b.describe() for pid, b in sorted(behaviors.items())},
         )
@@ -1233,7 +1249,8 @@ class Cluster:
             )
 
     def build_backend(self) -> SystemBackend:
-        """One configured :class:`~repro.api.backends.SystemBackend`."""
+        """One configured :class:`~repro.api.backends.SystemBackend`,
+        owned by the caller: ``close()`` it once done with its journals."""
         return build_backend(BackendRequest(**self._request_fields()), self._spec)
 
     def build_system(self) -> Any:
@@ -1241,7 +1258,8 @@ class Cluster:
 
         Resolves the named backend and returns the harness it wraps: a
         :class:`~repro.registers.base.RegisterSystem` for the default
-        backend, a multi-writer or sharded system otherwise.
+        backend, a multi-writer or sharded system otherwise.  Caller-owned
+        too: ``system.storage.close()`` releases its stable stores, if any.
         """
         return self.build_backend().system
 
@@ -1290,21 +1308,21 @@ class Cluster:
         self._require_scenario_durability()
         behaviors, inventory = self._materialize_faults()
         specs = self._trial_specs(trials, seed, keep_history, keep_trace)
-        probe = self.backend_spec.build(self._spec, specs[0], behaviors)
-        result = RunResult(
-            protocol=self._spec.name,
-            semantics=self._spec.semantics,
-            t=self._t,
-            S=probe.S,
-            n_readers=self._n_readers,
-            scenario=specs[0].scenario_label,
-            faults=inventory,
-            checks=self._checks,
-            backend=specs[0].backend,
-            key_count=len(probe.keys),
-            n_writers=specs[0].n_writers,
-            axes=self._axes,
-        )
+        with closing(self.backend_spec.build(self._spec, specs[0], behaviors)) as probe:
+            result = RunResult(
+                protocol=self._spec.name,
+                semantics=self._spec.semantics,
+                t=self._t,
+                S=probe.S,
+                n_readers=self._n_readers,
+                scenario=specs[0].scenario_label,
+                faults=inventory,
+                checks=self._checks,
+                backend=specs[0].backend,
+                key_count=len(probe.keys),
+                n_writers=specs[0].n_writers,
+                axes=self._axes,
+            )
         return result, specs
 
     def run(
@@ -1400,7 +1418,9 @@ class Cluster:
         ``fault_timing=True`` widens the decision vocabulary to *when*
         each configured fault fires (swept per object over the traffic it
         actually handled); ``symmetry=True`` folds hold sets that differ
-        only by a permutation of interchangeable fault-free objects.
+        only by a permutation of interchangeable fault-free objects.  Both
+        are ignored under ``with_scenario``: a scenario owns the timing of
+        the faults it declares, and its delivery fabric.
         """
         from repro.explore.engine import explore_probe
 

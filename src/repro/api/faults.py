@@ -7,8 +7,15 @@ per object (behaviours can be stateful, so instances are never shared).
 The built-in catalogue covers the behaviours the paper's adversary uses —
 ``crash``, ``silent``, ``stale-echo`` (the replay adversary of the proofs)
 and ``fabricating`` (the unauthenticated worst case) — plus the ``flaky``
-omission behaviour used by the chaos tests.  Registration is lazy (first
-lookup imports :mod:`repro.faults`) so this module stays import-cycle-free.
+omission behaviour used by the chaos tests and the recovery / churn family.
+Registration is lazy (first lookup imports :mod:`repro.faults`) so this
+module stays import-cycle-free.
+
+Every adversary is declared against this registry in one format, ``(name,
+count[, kwargs])`` — ``Cluster.with_faults``, ``--faults``,
+``robustness_frontier(faults=…)`` and the named scenarios alike.  The
+registry only makes behaviours; who gets one, and the clamp to ``t``, is
+:func:`repro.api.cluster._materialize_behaviors`' job alone.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ def _ensure_registered() -> None:
     _BOOTSTRAPPED = True
     from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
     from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
-    from repro.faults.churn import Flap, PermanentCrash, RollingReplace
+    from repro.faults.churn import Flap, PermanentCrash, RollingReplace, RollingRestart
     from repro.faults.recovery import CrashRecoverAt, FsyncLag, TornWrite
 
     register_fault(
@@ -211,6 +218,15 @@ def _ensure_registered() -> None:
         lambda base=3, stagger=6: RollingReplace(base=base, stagger=stagger),
         model="benign",
         description="staggered permanent crashes: s1 dies, then s2, then s3",
+        timing=('base', 'stagger'),
+    )
+    register_fault(
+        "rolling-restart",
+        lambda base=3, stagger=6, rejoin_after=2: RollingRestart(
+            base=base, stagger=stagger, rejoin_after=rejoin_after
+        ),
+        model="benign",
+        description="staggered crash-recovers: s1 restarts, then s2, then s3",
         timing=('base', 'stagger'),
     )
 

@@ -35,7 +35,7 @@ from repro.core.blocks import BlockPartition
 from repro.errors import ConstructionError, ConstructionEscape
 from repro.registers.base import ProtocolContext, RegisterProtocol
 from repro.sim.network import Message
-from repro.sim.process import ObjectServer, copy_state
+from repro.sim.process import ObjectServer
 from repro.sim.rounds import RoundOutcome, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
 from repro.sim.tracing import _freeze
@@ -194,10 +194,6 @@ class RunResult:
                 )
             )
         return History(records)
-
-    def end_state(self, pid: ProcessId) -> dict[str, Any]:
-        """Final state of one object."""
-        return copy_state(self.captures[(*END, pid)])
 
 
 class ScriptedRun:

@@ -42,19 +42,6 @@ class ProtocolError(ReproError):
     """
 
 
-class QuorumUnreachableError(ProtocolError):
-    """An operation can never gather the reply set its quorum rule demands.
-
-    Raised by the round engine when the set of objects that may still reply
-    is provably too small to satisfy the round's termination predicate; this
-    converts an infinite wait into a diagnosable failure.
-    """
-
-
-class OperationAbortedError(ProtocolError):
-    """An in-flight operation was aborted by the harness (client crash)."""
-
-
 class SpecificationError(ReproError):
     """A history handed to a checker is structurally ill-formed.
 

@@ -70,6 +70,7 @@ from __future__ import annotations
 import pickle
 import warnings
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -159,7 +160,7 @@ class ScheduleOutcome:
     #: Per faulted object, how many messages it handled this run — the
     #: discovery set for fault-timing choice points: a trigger at any
     #: ``0..seen`` is a distinct adversary within this schedule's traffic.
-    #: Empty for fault-free and scenario-driven probes.
+    #: Empty for probes with no fault groups (fault-free, scenario-driven).
     fault_counts: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -274,8 +275,9 @@ def simulate(probe: ScheduleProbe) -> SimulatedSchedule:
         )
         return policy
 
-    with scoped_operation_serials():
-        backend = build_backend(probe, adversary=adversary)
+    with scoped_operation_serials(), closing(
+        build_backend(probe, adversary=adversary)
+    ) as backend:
         # A held schedule may block a client forever; that client's later
         # planned invocations are then dropped (a legal partial run), not a
         # sequential-client model violation.
@@ -301,7 +303,7 @@ def simulate(probe: ScheduleProbe) -> SimulatedSchedule:
             1 for op in operations if op.status is OperationStatus.ABORTED
         )
         fault_counts: tuple[tuple[int, int], ...] = ()
-        if probe.fault_groups and probe.scenario is None:
+        if probe.fault_groups:
             fault_counts = tuple(sorted(
                 (server.pid.index, server.messages_seen)
                 for server in backend.simulator.objects.values()
@@ -590,13 +592,15 @@ class Explorer:
             (certification mode).
         fault_timing: also sweep *when* each configured fault fires —
             fault triggers join held links in the decision vocabulary
-            (ignored for scenario-driven and fault-free probes, whose
-            timing is owned by the scenario / vacuous).
+            (ignored for probes with no fault groups of their own:
+            fault-free ones, and scenario-driven ones, whose scenario
+            keeps owning when its declared faults fire).
         symmetry: fold hold sets that differ only by a permutation of the
             interchangeable (fault-free) objects onto one canonical
             representative.  Only sound when nothing else distinguishes
-            those objects, so it is ignored for scenario, planned-schedule,
-            repair and spare-carrying probes.
+            those objects, so it is ignored for planned-schedule, repair,
+            spare-carrying and scenario-driven probes (a scenario owns its
+            delivery fabric, which may tell objects apart).
         store: a :class:`SimulationStore` of ``probe``'s configuration to
             simulate through — what it already holds is judged, not run
             again, and what this search simulates is left in it.  Only the
@@ -637,9 +641,7 @@ class Explorer:
         self.strategy = strategy
         self.minimize = minimize
         self.stop_on_violation = stop_on_violation
-        self.fault_timing = bool(
-            fault_timing and probe.scenario is None and probe.fault_groups
-        )
+        self.fault_timing = bool(fault_timing and probe.fault_groups)
         self.symmetry = bool(
             symmetry
             and probe.scenario is None

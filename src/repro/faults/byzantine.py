@@ -41,10 +41,6 @@ class StateArchive:
         for server in servers:
             bucket[server.pid] = server.snapshot()
 
-    def capture_one(self, label: str, server: ObjectServer) -> None:
-        """Snapshot a single server under ``label``."""
-        self._snapshots.setdefault(label, {})[server.pid] = server.snapshot()
-
     def store(self, label: str, pid: ProcessId, state: Mapping[str, Any]) -> None:
         """Store an explicit state dict under ``label`` for ``pid``."""
         self._snapshots.setdefault(label, {})[pid] = copy_state(dict(state))

@@ -25,9 +25,8 @@ system (:mod:`repro.registers.reconfig`) exists to survive:
     of a fleet-wide rolling replacement or rolling restart.
 
 All of these run entirely through ``before_handle`` phase machines that
-are message-counted and per-message dispatched, so they behave
-byte-identically on both simulation engines (the batched engine funnels
-faulty objects through the same per-message path).
+are message-counted, and every engine dispatches per message in the same
+global order, so they behave byte-identically on both simulation engines.
 """
 
 from __future__ import annotations

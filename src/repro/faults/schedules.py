@@ -11,7 +11,7 @@ not message loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 
 from repro.sim.network import DeliveryPolicy, Message, SelectiveHold
 from repro.types import OperationId, ProcessId
@@ -93,14 +93,6 @@ class WithholdFrom(SelectiveHold):
                 return False
             return self.clients is None or message.src in self.clients
         return False
-
-
-def predicate_policy(
-    hold_if: Callable[[Message], bool],
-    base: DeliveryPolicy | None = None,
-) -> DeliveryPolicy:
-    """Ad-hoc policy from a predicate (thin wrapper for tests)."""
-    return SelectiveHold(hold_if=hold_if, base=base)
 
 
 @dataclass(frozen=True, slots=True)

@@ -319,10 +319,6 @@ class ReconfigRegisterSystem:
         combined = self.recorder.freeze()
         return History([r for r in combined.records if r.op_id.kind != "repair"])
 
-    def full_history(self) -> History:
-        """Every recorded operation, repair steps included (drill-down)."""
-        return self.recorder.freeze()
-
     def server(self, pid: ProcessId) -> ObjectServer:
         """The pool object with identifier ``pid``."""
         return self.simulator.objects[pid]

@@ -146,10 +146,6 @@ class ShardedRegisterSystem:
     # Inspection
     # ------------------------------------------------------------------ #
 
-    def key_of(self, op_id: OperationId) -> str:
-        """The shard an operation addressed."""
-        return self._op_keys[op_id]
-
     def history(self) -> History:
         """The combined cross-shard history (drill-down view)."""
         return self.recorder.freeze()

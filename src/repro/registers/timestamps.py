@@ -3,8 +3,8 @@
 Reply payloads of the Byzantine protocols carry one or more
 :class:`~repro.types.TaggedValue` fields (``pw`` — pre-written, ``w`` —
 written).  This module centralizes the selection arithmetic: extracting
-candidates, counting vouchers, certification at the ``t + 1`` threshold, and
-the freshness maxima the correctness arguments lean on.
+candidates, counting vouchers, and the freshness maximum the correctness
+arguments lean on.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ def pooled_voucher_counts(
     return counts
 
 
-def certified_candidates(counts: Counter, threshold: int) -> list[TaggedValue]:
-    """Values vouched for by at least ``threshold`` distinct objects."""
-    return [pair for pair, n in counts.items() if n >= threshold]
-
-
 def max_candidate(candidates: Iterable[TaggedValue]) -> TaggedValue:
     """Highest-timestamp candidate; ``(0, ⊥)`` when the pool is empty."""
     best = TaggedValue.initial()
@@ -124,19 +119,3 @@ def max_candidate(candidates: Iterable[TaggedValue]) -> TaggedValue:
         if pair.ts > best.ts:
             best = pair
     return best
-
-
-def max_certified(replies: ReplySet, threshold: int, fields: Iterable[str] = ("pw", "w")) -> TaggedValue:
-    """Highest certified candidate in one reply set."""
-    counts = voucher_counts(replies, fields)
-    return max_candidate(certified_candidates(counts, threshold))
-
-
-def newer_reporters(replies: ReplySet, than: TaggedValue, fields: Iterable[str] = ("pw", "w")) -> int:
-    """Objects reporting any pair strictly newer than ``than``."""
-    fields = tuple(fields)
-    count = 0
-    for payload in replies.values():
-        if any(pair.ts > than.ts for pair in reported_pairs(payload, fields)):
-            count += 1
-    return count

@@ -12,16 +12,18 @@ quorum rule is met.  The event engine (:class:`~repro.sim.simulator.Simulator`
 on an :class:`~repro.sim.events.EventQueue`) pays one heap push, one heap
 pop and one callback per message for that traffic.  The
 :class:`BatchedSimulator` executes the *same* runs in **delivery waves**
-instead: all messages due at one virtual tick form a wave, the wave is
-walked one maximal same-round *run* at a time, invocations of multi-round
-waves are grouped by destination object and fed to each object as one
-:meth:`~repro.sim.process.ObjectServer.receive_batch` call (a single
-handler/fault-behaviour dispatch per object per tick), round broadcasts go
-out through one :meth:`~repro.sim.network.Network.send_round` call, and
-reply runs resolve their round rule against the whole same-tick reply set
-instead of re-testing the rule once per message.  In-flight accounting and
-quiescence resolution collapse to one bookkeeping step per run, folded
-into the wave loop.
+instead: all messages due at one virtual tick form a wave, and the wave is
+walked one maximal same-round *run* at a time, in entry order.
+
+What a wave batches is the bookkeeping *around* a run: a round's broadcast
+is one :meth:`~repro.sim.network.Network.send_round` call and one wave entry
+(:meth:`WaveQueue.push_run`), as are the replies it provokes; a reply run
+resolves its round rule against one lookup of the round's record; in-flight
+accounting and quiescence collapse to one step per run.  What it does *not*
+batch is the object's work: every invocation is dispatched on its own,
+through the inlined :meth:`~repro.sim.process.ObjectServer.receive`, at its
+position in the walk — an object replies to each message before it receives
+the next (Definition 1).
 
 Equivalence contract
 --------------------
@@ -29,17 +31,12 @@ Equivalence contract
 The batched engine is *observably identical* to the event engine — not
 merely equivalent in outcomes, but byte-identical in every artifact the
 harness exposes: recorded histories (including global step numbers), wire
-traces (event for event, in order), executed event counts, and budget
-truncation points.  Three facts make this possible:
+traces (event for event, in order), executed event counts, budget
+truncation points, and the order in which handlers and fault behaviours are
+called.  Two facts make this possible:
 
-* **Within one tick nothing is causally connected.**  Every message sent at
-  tick ``T`` is delivered at ``T+1`` or later (delays are at least one),
-  so the effects of one wave entry can never be observed by another entry
-  of the same wave.  Hoisting the object-side handler work into grouped
-  batches is therefore invisible — object state is touched only by that
-  object's own (order-preserved) messages.
-* **Everything order-sensitive stays in entry order.**  The wave is walked
-  in exactly the event queue's ``(time, seq)`` order: trace events, reply
+* **Everything stays in entry order.**  The wave is walked in exactly the
+  event queue's ``(time, seq)`` order: handler calls, trace events, reply
   sends, delivery-policy consultations, history steps and round
   terminations all happen at the same position in the run as they would
   one heap pop at a time.  In particular a round that overshoots its
@@ -49,11 +46,6 @@ truncation points.  Three facts make this possible:
   rest of the run is itself still in flight before that), so one combined
   in-flight update per run fires the quiescence listener at exactly the
   event path's position.
-
-The one semantic caveat is documented on the hooks themselves: custom
-:class:`~repro.sim.process.FaultBehavior`/handler overrides must stay
-object-local (they all are), since cross-object state peeking would
-observe the grouped processing order.
 
 The fast path and its precondition
 ----------------------------------
@@ -251,7 +243,6 @@ class BatchedSimulator(Simulator):
         latency, hold_check = shape if shape is not None else (1, None)
         by_op = self._by_op
         pending_status = OperationStatus.PENDING
-        object_batches = self._object_batches
         budgeted = max_events is not None
         executed = 0
 
@@ -269,9 +260,6 @@ class BatchedSimulator(Simulator):
                     self._run_truncated(wave, max_events - executed)
                     raise SimulationError(f"event budget of {max_events} exhausted")
             out_bucket: list[Any] | None = None  # lazily bound next-tick bucket
-            # A single-entry wave cannot hold two invocation runs, so the
-            # grouping pre-scan is skipped outright for the common case.
-            payloads = object_batches(wave) if len(wave) > 1 else None
 
             for entry in wave:
                 cls = entry.__class__
@@ -299,33 +287,24 @@ class BatchedSimulator(Simulator):
                     out_run: list[Message] | None = [] if shape is not None else None
                     for message in run:
                         dst = message.dst
-                        if payloads is None:
-                            server = objects.get(dst)
-                            if server is None:
-                                network._deliver(message)
-                                continue
-                            # Inlined ObjectServer.receive for the hot
-                            # correct path; faulty objects keep the full
-                            # dispatch.
-                            server.messages_seen += 1
-                            behavior = server.behavior
-                            if behavior is None:
-                                payload = server.handler.handle(server.state, message)
-                            elif not behavior.before_handle(server, message):
-                                payload = None
-                            else:
-                                payload = behavior.reply(
-                                    server, message,
-                                    server.handler.handle(server.state, message),
-                                )
+                        server = objects.get(dst)
+                        if server is None:
+                            # Mis-addressed protocol message: take the
+                            # full event path (its own bookkeeping).
+                            network._deliver(message)
+                            continue
+                        # Inlined ObjectServer.receive.
+                        server.messages_seen += 1
+                        behavior = server.behavior
+                        if behavior is None:
+                            payload = server.handler.handle(server.state, message)
+                        elif not behavior.before_handle(server, message):
+                            payload = None
                         else:
-                            source = payloads.get(dst)
-                            if source is None:
-                                # Mis-addressed protocol message: take the
-                                # full event path (its own bookkeeping).
-                                network._deliver(message)
-                                continue
-                            payload = next(source)
+                            payload = behavior.reply(
+                                server, message,
+                                server.handler.handle(server.state, message),
+                            )
                         delta -= 1
                         if trace_entries is not None:
                             trace_entries.append((now, deliver_kind, message))
@@ -437,42 +416,3 @@ class BatchedSimulator(Simulator):
                 else:
                     item()
                 done += 1
-
-    def _object_batches(self, wave: list[Any]) -> dict[Any, Any] | None:
-        """Per-object reply iterators when grouping pays off, else None.
-
-        Grouping invocations by destination (one ``receive_batch`` — one
-        handler and one fault-behaviour dispatch — per object per tick)
-        only amortizes anything when an object receives more than one
-        message in the wave, i.e. when invocation runs of more than one
-        round land together (concurrent clients, sharded multiplexing).  A
-        wave carrying a single round's broadcast addresses each object
-        once, so it skips the grouping machinery entirely.
-        """
-        objects = self.objects
-        runs = 0
-        for entry in wave:
-            if entry.__class__ is list and not entry[0].is_reply:
-                runs += 1
-                if runs > 1:
-                    break
-        else:
-            return None
-        groups: dict[Any, list[Message]] = {}
-        for entry in wave:
-            if entry.__class__ is list and not entry[0].is_reply:
-                for message in entry:
-                    dst = message.dst
-                    if dst in objects:
-                        group = groups.get(dst)
-                        if group is None:
-                            groups[dst] = [message]
-                        else:
-                            group.append(message)
-        # Hoisting the handler work ahead of the walk is safe: object state
-        # is invisible to every other entry of the same wave (nothing sent
-        # at tick T is seen before T+1).
-        return {
-            pid: iter(objects[pid].receive_batch(batch))
-            for pid, batch in groups.items()
-        }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ChannelError
 from repro.sim.events import EventQueue
@@ -394,22 +394,3 @@ class Network:
         self._inflight.pop(round_key, None)
         if self.quiescence_listener is not None:
             self.quiescence_listener(message.op, message.round_no)
-
-
-def broadcast(
-    network: Network,
-    src: ProcessId,
-    destinations: Iterable[ProcessId],
-    op: OperationId,
-    round_no: int,
-    tag: str,
-    payload: Mapping[str, Any],
-) -> int:
-    """Send one invocation message to every destination; returns the count."""
-    count = 0
-    for dst in destinations:
-        network.send(
-            Message(src=src, dst=dst, op=op, round_no=round_no, tag=tag, payload=payload)
-        )
-        count += 1
-    return count

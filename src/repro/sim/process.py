@@ -11,7 +11,7 @@ behaviour (if any), state snapshotting, and network plumbing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.sim.network import Message, Network
 from repro.types import ProcessId
@@ -41,7 +41,9 @@ class ObjectHandler:
 
     Implementations are pure with respect to the harness: they see a mutable
     ``state`` dict and the invocation message, mutate the state, and return
-    the reply payload.  One handler class per protocol.
+    the reply payload.  One handler class per protocol.  :meth:`handle` is
+    the only dispatch: once per delivered invocation, in global delivery
+    order, on both engines.
     """
 
     def initial_state(self) -> dict[str, Any]:
@@ -52,19 +54,6 @@ class ObjectHandler:
         """Apply ``message`` to ``state`` and return the reply payload."""
         raise NotImplementedError
 
-    def handle_batch(
-        self, state: dict[str, Any], messages: Sequence[Message]
-    ) -> list[Mapping[str, Any]]:
-        """Apply a same-tick delivery wave; one reply payload per message.
-
-        The default applies :meth:`handle` sequentially, which is exactly
-        what the event engine does one dispatch at a time — handlers with
-        wave-amortizable work (shared lookups, batched state updates) may
-        override, as long as the sequential state evolution is preserved.
-        """
-        handle = self.handle
-        return [handle(state, message) for message in messages]
-
 
 class FaultBehavior:
     """How a faulty object deviates from its handler.
@@ -73,6 +62,9 @@ class FaultBehavior:
     may replace it (lie), or suppress it (return ``None`` — silence).  The
     honest state update has already happened when :meth:`reply` runs; a
     behaviour that wants to present forged state must build its own payload.
+    :meth:`before_handle` and :meth:`reply` are called once per delivery, in
+    global delivery order, so a stateful behaviour sees the same interleaving
+    whichever engine runs it.
 
     Observability hooks: when a run is observed, the backend arms ``clock``
     (a zero-argument virtual-time reader) and ``phase_log`` on every
@@ -134,20 +126,6 @@ class FaultBehavior:
     ) -> Mapping[str, Any] | None:
         raise NotImplementedError
 
-    def reply_batch(
-        self, server: "ObjectServer", messages: Sequence[Message]
-    ) -> list[Mapping[str, Any] | None]:
-        """Process a same-tick wave addressed to a faulty object.
-
-        The default funnels every message through the ordinary
-        :meth:`ObjectServer.receive` path, so stateful behaviours observe
-        the identical per-message interleaving of counter increments, state
-        transitions and reply decisions they would see under the event
-        engine — batching must never change what a fault does.
-        """
-        receive = server.receive
-        return [receive(message) for message in messages]
-
     def describe(self) -> str:
         """Human-readable label used by traces and diagrams."""
         return type(self).__name__
@@ -199,9 +177,11 @@ class ObjectServer:
         proofs, where malicious objects hold genuine states and merely
         *present* old ones.
 
-        ``BatchedSimulator._drain`` inlines this dispatch; the per-message
-        path and the tests' reference engine call it.  The fault-behaviour ×
-        backend cells of ``tests/test_batched_engine.py`` fail if they drift.
+        The one object dispatch: ``BatchedSimulator._drain`` inlines it, once
+        per invocation at its position in the walk; the per-message path and
+        the tests' reference engine call it.  The fault-behaviour × backend
+        cells and the dispatch-order test of ``tests/test_batched_engine.py``
+        fail if the two drift.
         """
         self.messages_seen += 1
         behavior = self.behavior
@@ -211,22 +191,6 @@ class ObjectServer:
             return None
         honest = self.handler.handle(self.state, message)
         return behavior.reply(self, message, honest)
-
-    def receive_batch(
-        self, messages: Sequence[Message]
-    ) -> list[Mapping[str, Any] | None]:
-        """Process a whole same-tick delivery wave; one payload per message.
-
-        Correct objects take the batch through a single
-        :meth:`ObjectHandler.handle_batch` call (the batched engine's
-        amortized hot path).  Faulty objects delegate to
-        :meth:`FaultBehavior.reply_batch`, whose default preserves the exact
-        per-message semantics of :meth:`receive` for arbitrary behaviours.
-        """
-        if self.behavior is None:
-            self.messages_seen += len(messages)
-            return self.handler.handle_batch(self.state, messages)
-        return self.behavior.reply_batch(self, messages)
 
     def attach(self, network: Network) -> None:
         """Wire this object into ``network``: reply to every delivery."""

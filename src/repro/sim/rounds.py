@@ -104,10 +104,6 @@ class RoundOutcome:
         """Reply payloads in deterministic (object id) order."""
         return [self.replies[pid] for pid in sorted(self.replies)]
 
-    def from_objects(self) -> tuple[ProcessId, ...]:
-        """The objects that replied, in deterministic order."""
-        return tuple(sorted(self.replies))
-
 
 @dataclass(slots=True)
 class RoundRecord:

@@ -28,7 +28,7 @@ from typing import Any, Generator, Iterable, Mapping, Sequence
 
 from repro.errors import ProtocolError, SimulationError
 from repro.sim.events import EventQueue
-from repro.sim.network import DeliveryPolicy, Message, Network, broadcast
+from repro.sim.network import DeliveryPolicy, Message, Network
 from repro.sim.process import ObjectServer
 from repro.sim.rounds import ReplySet, RoundOutcome, RoundRecord, RoundSpec
 from repro.types import OperationId, ProcessId, fresh_operation_id

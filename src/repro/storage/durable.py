@@ -6,14 +6,11 @@ multiplexed sharded handler, all of them, through the one handler surface —
 so that every state key the handler may have touched is persisted through
 a :class:`~repro.storage.stable.StableStorage` *before* the reply payload
 is returned (write-ahead: no object ever acknowledges an update it has not
-handed to stable storage).  ``handle_batch`` is deliberately not
-overridden: the inherited sequential default funnels every wave through
-:meth:`handle`, so the batched engine persists record-for-record exactly
-like the event engine.
+handed to stable storage).
 
 :class:`StorageRuntime` is the per-system factory: one store per object,
-plus the temporary directory backing ``durability="dir"`` (cleaned up by
-the :class:`~tempfile.TemporaryDirectory` finalizer).
+plus the temporary directory backing ``durability="dir"`` (removed by
+:meth:`StorageRuntime.close`, which whoever built the system calls).
 """
 
 from __future__ import annotations

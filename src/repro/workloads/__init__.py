@@ -8,12 +8,11 @@ motivates.
 """
 
 from repro.workloads.generator import OperationPlan, WorkloadGenerator
-from repro.workloads.scenarios import FaultPlan, Scenario, standard_scenarios
+from repro.workloads.scenarios import Scenario, standard_scenarios
 
 __all__ = [
     "OperationPlan",
     "WorkloadGenerator",
     "Scenario",
-    "FaultPlan",
     "standard_scenarios",
 ]

@@ -15,8 +15,8 @@ from repro.api import (
 from repro.errors import ConfigurationError
 from repro.registers.base import RegisterProtocol
 from repro.sim.process import FaultBehavior
+from repro.workloads import scenarios
 from repro.workloads.scenarios import (
-    FaultPlan,
     Scenario,
     available_scenarios,
     get_scenario,
@@ -136,8 +136,8 @@ class TestScenarioRegistry:
 
     def test_get_scenario_builds_for_threshold(self):
         scenario = get_scenario("crash", t=3)
-        assert scenario.fault_plan.count == 3
-        assert len(scenario.fault_plan.behaviors(3)) == 3
+        assert scenario.faults == (("crash", 3),)
+        assert Cluster("abd", t=3).with_scenario("crash").run().faults.effective == 3
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError, match="fault-free"):
@@ -148,7 +148,7 @@ class TestScenarioRegistry:
             "one-silent",
             lambda t: Scenario(
                 name="one-silent",
-                fault_plan=FaultPlan("one-silent", 1, lambda: get_fault("silent")),
+                faults=(("silent", 1),),
             ),
             overwrite=True,
         )
@@ -161,22 +161,84 @@ class TestScenarioRegistry:
             register_scenario("crash", lambda t: get_scenario("crash", t))
 
 
-class TestFaultPlanClamp:
-    def test_effective_count_reports_the_clamp(self):
-        plan = FaultPlan("crash", 5, lambda: get_fault("crash"))
-        assert plan.effective_count(2) == 2
-        assert len(plan.behaviors(2)) == 2
+#: Every registered scenario's adversary as the parent commit (where each
+#: scenario built its behaviours with its own maker lambda) materialized it:
+#: name → (each faulty object's ``describe()``, count at t = 1, 2, 3).
+SCENARIO_FAULTS = {
+    "fault-free": (None, (0, 0, 0)),
+    "crash": ("crash-after-3", (1, 2, 3)),
+    "silent": ("silent", (1, 2, 3)),
+    "replay": ("stale-echo", (1, 2, 3)),
+    "fabricate": ("fabricating", (1, 2, 3)),
+    "crash-storm": ("flap(survive=2, rejoin=1, cycles=3)", (1, 1, 1)),
+    "rolling-restart": ("rolling-restart(base=3, stagger=6, rejoin=2)", (3, 5, 7)),
+}
 
-    def test_strict_plan_raises_instead_of_clamping(self):
-        plan = FaultPlan("crash", 5, lambda: get_fault("crash"), strict=True)
+
+class TestScenarioFaults:
+    def test_the_table_names_every_built_in_scenario(self):
+        # Built in = registered by the scenarios module itself, whatever
+        # other tests have added to the registry since.
+        assert set(SCENARIO_FAULTS) == {
+            name for name, builder in scenarios._SCENARIOS.items()
+            if builder.__module__ == scenarios.__name__
+        }
+
+    @pytest.mark.parametrize("t", (1, 2, 3))
+    @pytest.mark.parametrize("name", sorted(SCENARIO_FAULTS))
+    def test_registry_resolved_scenarios_materialize_what_their_makers_did(self, name, t):
+        describe, counts = SCENARIO_FAULTS[name]
+        count = counts[t - 1]
+        cluster = Cluster("abd", t=t, durability="mem").with_scenario(name)
+        behaviors, inventory = cluster._materialize_faults()
+        assert inventory.to_dict() == {
+            "requested": count,
+            "effective": count,
+            "assignments": {f"s{index}": describe for index in range(1, count + 1)},
+        }
+        assert [b.describe() for _, b in sorted(behaviors.items())] == [describe] * count
+        # The request still names the scenario and carries no groups of its
+        # own, so stored witnesses and JSONL rows replay with no loader.
+        request = cluster._request_fields()
+        assert request["scenario"] == name and request["fault_groups"] == ()
+
+
+class TestFaultClamp:
+    """One clamp rule, whether the groups come from ``with_faults`` or from
+    a scenario's declaration."""
+
+    @staticmethod
+    def _five_crashes():
+        register_scenario(
+            "five-crashes",
+            lambda t: Scenario(name="five-crashes", faults=(("crash", 5),)),
+            overwrite=True,
+        )
+        return "five-crashes"
+
+    def test_the_inventory_reports_the_clamp(self):
+        for cluster in (
+            Cluster("abd", t=2).with_faults("crash", count=5),
+            Cluster("abd", t=2).with_scenario(self._five_crashes()),
+        ):
+            behaviors, inventory = cluster._materialize_faults()
+            assert (inventory.requested, inventory.effective, len(behaviors)) == (5, 2, 2)
+            assert cluster.run().faults.describe().endswith("(requested 5)")
+
+    def test_strict_raises_instead_of_clamping(self):
         with pytest.raises(ConfigurationError, match="strict"):
-            plan.behaviors(2)
+            Cluster("abd", t=2).with_faults("crash", count=5, strict=True).run()
 
-    def test_strict_plan_within_threshold_is_fine(self):
-        plan = FaultPlan("crash", 2, lambda: get_fault("crash"), strict=True)
-        assert len(plan.behaviors(2)) == 2
+    def test_strict_within_threshold_is_fine(self):
+        result = Cluster("abd", t=2).with_faults("crash", count=2, strict=True).run()
+        assert result.faults.effective == 2
 
-    def test_empty_plan_has_no_effect(self):
-        plan = FaultPlan("none", 0, None, strict=True)
-        assert plan.effective_count(1) == 0
-        assert plan.behaviors(1) == {}
+    def test_an_empty_request_has_no_effect(self):
+        for cluster in (
+            Cluster("abd", t=1).with_faults("crash", count=0, strict=True),
+            Cluster("abd", t=1).with_scenario("fault-free"),
+        ):
+            behaviors, inventory = cluster._materialize_faults()
+            assert behaviors == {} and inventory.to_dict() == {
+                "requested": 0, "effective": 0, "assignments": {},
+            }

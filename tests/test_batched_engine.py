@@ -8,13 +8,14 @@ order), same executed event counts, same budget truncation points — for
 every registered protocol, backend, scenario, fault behaviour, policy shape
 and adversarial schedule.  The ``reference_engine`` fixture
 (``tests/conftest.py``) is how a cell runs on the oracle.  These tests pin
-that contract, plus the wave-queue mechanics and the process-layer batch
-hooks the production engine is built on.
+that contract — down to the global order in which object handlers are
+called — plus the wave-queue mechanics the production engine is built on.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import closing
 
 import pytest
 
@@ -48,7 +49,8 @@ from repro.types import (
     scoped_operation_serials,
     writer_id,
 )
-from repro.workloads.scenarios import FaultPlan, Scenario, register_scenario
+from repro.workloads.generator import OperationPlan
+from repro.workloads.scenarios import Scenario, register_scenario
 
 #: Registry protocols that run on a single-register-style backend.
 SINGLE_BACKEND_PROTOCOLS = tuple(
@@ -134,24 +136,25 @@ class TestEquivalenceGrid:
 
 def _observe(cluster, seed=3, max_events=1_000_000):
     """One trial of ``cluster`` at the backend: executed events (or the
-    budget error), every history's records — step numbers included — and
-    the wire-trace fingerprint."""
+    budget error), every history's records — step numbers included — the
+    wire-trace fingerprint, how many messages each object saw and, under a
+    durability seam, every object's journal records."""
     spec = cluster._trial_specs(1, seed, keep_history=False)[0]
-    with scoped_operation_serials():
-        backend = build_backend(spec)
-        storage = getattr(backend.system, "storage", None)
+    with scoped_operation_serials(), closing(build_backend(spec)) as backend:
+        for plan in spec.plans():
+            backend.schedule(plan)
         try:
-            for plan in spec.plans():
-                backend.schedule(plan)
-            try:
-                executed = backend.run(max_events=max_events)
-            except SimulationError as caught:
-                executed = str(caught)
-            histories = {key: h.records for key, h in backend.histories().items()}
-            return executed, histories, trace_fingerprint(backend.trace)
-        finally:
-            if storage is not None:
-                storage.close()
+            executed = backend.run(max_events=max_events)
+        except SimulationError as caught:
+            executed = str(caught)
+        histories = {key: h.records for key, h in backend.histories().items()}
+        seen = {str(s.pid): s.messages_seen for s in backend.simulator.objects.values()}
+        storage = backend.system.storage
+        journals = (
+            {name: store.records() for name, store in storage.stores.items()}
+            if storage is not None else {}
+        )
+        return executed, histories, trace_fingerprint(backend.trace), seen, journals
 
 
 def _observe_both(reference_engine, cluster, **kwargs):
@@ -171,9 +174,62 @@ FAULT_GRID_BACKENDS = {
 }
 
 
+def _wave_dense_cells():
+    """name → cluster whose schedule lands four invocations on one tick,
+    twice: every object meets several messages in a wave."""
+    def together(*ops):
+        return [op(at) for at in (0, 40) for op in ops]
+
+    def write(value, key=None, writer=1):
+        return lambda at: OperationPlan(
+            kind="write", client_index=writer, value=f"{value}@{at}", at=at, key=key
+        )
+
+    def read(reader, key=None):
+        return lambda at: OperationPlan(
+            kind="read", client_index=reader, value=None, at=at, key=key
+        )
+
+    single = together(write("v"), read(1), read(2), read(3))
+    return {
+        "single": Cluster("abd", t=1, n_readers=3).with_operations(single),
+        "sharded-two-keys": (
+            Cluster("abd", t=1, n_readers=2, backend="sharded", keys=("a", "b"))
+            .with_operations(together(
+                write("x", key="a"), write("y", key="b"),  # one writer per key
+                read(1, key="a"), read(2, key="b"),
+            ))
+        ),
+        "multi-writer": (
+            Cluster("mwmr-fast-regular", t=1, n_readers=2, n_writers=2)
+            .with_operations(together(
+                write("x"), write("y", writer=2), read(1), read(2),
+            ))
+        ),
+        "durable": (
+            Cluster("abd", t=1, n_readers=3, durability="mem")
+            .with_faults("crash-recover", survive_messages=2, rejoin_after=3)
+            .with_operations(single)
+        ),
+    }
+
+
 class TestTraceEquivalence:
     """Histories, event counts and wire traces are identical — the strongest
     observable artifacts, below anything a result payload summarises."""
+
+    @pytest.mark.parametrize("cell", sorted(_wave_dense_cells()))
+    def test_wave_dense_schedules_identical(self, cell, reference_engine):
+        """Several invocation runs per wave — where the walk once grouped
+        handler work per object — down to ``messages_seen`` and the journals."""
+        production, reference = _observe_both(reference_engine, _wave_dense_cells()[cell])
+        executed, histories, _, seen, journals = production
+        assert isinstance(executed, int) and all(
+            record.complete for records in histories.values() for record in records
+        )
+        assert min(seen.values()) >= 8  # no object met fewer than one message per operation
+        assert bool(journals) == (cell == "durable")
+        assert production == reference
 
     @pytest.mark.parametrize("backend,keys", [
         ("single", None),
@@ -231,7 +287,7 @@ def _register_hold_scenario(name, policy_factory):
     register_scenario(
         name,
         lambda t: Scenario(
-            name=name, fault_plan=FaultPlan("none", 0, None), policy_factory=policy_factory
+            name=name, policy_factory=policy_factory
         ),
         overwrite=True,
     )
@@ -540,10 +596,7 @@ class TestWaveQueue:
 
 
 class _RecordingHandler(ObjectHandler):
-    """Echo handler that records how its batch hook is driven."""
-
-    def __init__(self):
-        self.batches = []
+    """Echo handler: replies with how many messages the object has handled."""
 
     def initial_state(self):
         return {"seen": 0}
@@ -552,69 +605,53 @@ class _RecordingHandler(ObjectHandler):
         state["seen"] += 1
         return {"seen": state["seen"]}
 
-    def handle_batch(self, state, messages):
-        self.batches.append(len(messages))
-        return super().handle_batch(state, messages)
+
+class _DispatchLog(ObjectHandler):
+    """``inner`` plus one line per call in a list every object shares: the
+    global order in which the engine dispatches handlers."""
+
+    def __init__(self, inner, pid, log):
+        self.inner, self.pid, self.log = inner, pid, log
+
+    def initial_state(self):
+        return self.inner.initial_state()
+
+    def handle(self, state, message):
+        self.log.append((self.pid.index, message.op.serial, message.round_no))
+        return self.inner.handle(state, message)
 
 
-def _invocation(op, dst, tag="T"):
-    return Message(src=writer_id(), dst=dst, op=op, round_no=1, tag=tag, payload={})
+class TestDispatchOrder:
+    """One dispatch per delivery, in the reference engine's global order."""
 
+    @pytest.mark.parametrize("crashing", (False, True), ids=("correct", "crash-inside-the-wave"))
+    def test_handlers_run_in_the_reference_engines_global_order(
+        self, crashing, reference_engine
+    ):
+        """Three clients invoke at one tick, twice over.  ``CrashAt`` crosses
+        its threshold on the second of the three messages s1 meets first."""
+        def run():
+            log = []
+            behaviors = {object_id(1): CrashAt(survive_messages=1)} if crashing else None
+            with scoped_operation_serials():
+                system = RegisterSystem(
+                    get_spec("abd").build(n_readers=3), t=1, n_readers=3, behaviors=behaviors
+                )
+                for server in system.servers:
+                    server.handler = _DispatchLog(server.handler, server.pid, log)
+                for at in (0, 30):
+                    for reader in (1, 2, 3):
+                        system.read(reader, at=at)
+                events = system.run()
+            assert all(op.complete for op in system.history().records)
+            return events, log, [server.messages_seen for server in system.servers]
 
-class TestProcessBatchHooks:
-    def test_receive_batch_matches_sequential_receive(self):
-        handler = _RecordingHandler()
-        batched = ObjectServer(pid=object_id(1), handler=handler)
-        sequential = ObjectServer(pid=object_id(1), handler=_RecordingHandler())
-        op = fresh_operation_id(writer_id(), "write")
-        messages = [_invocation(op, object_id(1)) for _ in range(4)]
-        replies = batched.receive_batch(messages)
-        expected = [sequential.receive(message) for message in messages]
-        assert replies == expected
-        assert batched.messages_seen == sequential.messages_seen == 4
-        assert handler.batches == [4]  # one handler dispatch for the wave
-
-    def test_faulty_reply_batch_preserves_per_message_counters(self):
-        """CrashAt crossing its threshold inside one wave behaves as if
-        the messages had been dispatched one event at a time."""
-        op = fresh_operation_id(writer_id(), "write")
-        messages = [_invocation(op, object_id(1)) for _ in range(5)]
-        batched = ObjectServer(
-            pid=object_id(1), handler=_RecordingHandler(),
-            behavior=CrashAt(survive_messages=3),
-        )
-        sequential = ObjectServer(
-            pid=object_id(1), handler=_RecordingHandler(),
-            behavior=CrashAt(survive_messages=3),
-        )
-        replies = batched.receive_batch(messages)
-        expected = [sequential.receive(message) for message in messages]
-        assert replies == expected
-        assert [reply is None for reply in replies] == [False] * 3 + [True] * 2
-
-    def test_concurrent_rounds_take_the_grouped_path(self):
-        """Two same-tick broadcasts reach each object as one batch call."""
-        calls = []
-        original = ObjectServer.receive_batch
-
-        def spy(self, messages):
-            calls.append((self.pid, len(messages)))
-            return original(self, messages)
-
-        system = RegisterSystem(get_spec("abd").build(n_readers=2), t=1, n_readers=2)
-        system.read(1, at=0)
-        system.read(2, at=0)
-        try:
-            ObjectServer.receive_batch = spy
-            system.run()
-        finally:
-            ObjectServer.receive_batch = original
-        # Both concurrent reads broadcast at the same tick: each object gets
-        # its two invocations through a single receive_batch dispatch, once
-        # per round of the two-round ABD read.
-        assert calls and all(count == 2 for _, count in calls)
-        assert len(calls) == 2 * system.ctx.S
-        assert {pid for pid, _ in calls} == set(system.simulator.objects)
+        production = run()
+        with reference_engine():
+            assert run() == production
+        # Wave-entry order — a whole broadcast, then the next client's — not
+        # object-major (s1's three messages first).
+        assert production[1][:4] == [(1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1)]
 
     def test_concurrent_rounds_match_event_engine(self, reference_engine):
         def run():

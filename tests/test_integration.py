@@ -8,6 +8,7 @@ kept honest by the test suite.
 
 import pytest
 
+from repro.api.cluster import _materialize_behaviors
 from repro.registers.abd import AbdProtocol
 from repro.registers.base import RegisterSystem
 from repro.registers.bounded_regular import BoundedRegularProtocol
@@ -86,7 +87,7 @@ def test_protocol_meets_spec_under_every_covered_scenario(factory, checker, cove
             protocol,
             t=1,
             n_readers=n_readers,
-            behaviors=scenario.fault_plan.behaviors(t=1),
+            behaviors=_materialize_behaviors(scenario.name, (), 1, False),
         )
         plans = WorkloadGenerator(seed=seed, n_readers=n_readers, spacing=120).plan(8)
         apply_plan(system, plans)

@@ -13,7 +13,6 @@ from repro.sim.network import (
     Network,
     RandomDelivery,
     SelectiveHold,
-    broadcast,
 )
 from repro.sim.tracing import MessageTrace
 from repro.types import fresh_operation_id, object_id, object_ids, reader_id
@@ -85,24 +84,19 @@ class TestNetworkDelivery:
         network.send(make_message())
         queue.run_all()  # no exception: dropped silently (crashed client)
 
-    def test_broadcast_counts(self):
+    def test_send_round_delivers_the_whole_broadcast(self):
         queue = EventQueue()
         network = Network(queue)
         received = []
         for pid in object_ids(4):
             network.attach(pid, received.append)
-        count = broadcast(
-            network,
-            reader_id(1),
-            object_ids(4),
-            fresh_operation_id(reader_id(1), "read"),
-            1,
-            "PING",
-            {},
-        )
+        op = fresh_operation_id(reader_id(1), "read")
+        network.send_round([
+            Message(src=reader_id(1), dst=dst, op=op, round_no=1, tag="PING", payload={})
+            for dst in object_ids(4)
+        ])
         queue.run_all()
-        assert count == 4
-        assert len(received) == 4
+        assert [m.dst for m in received] == list(object_ids(4))
 
 
 class TestHolding:

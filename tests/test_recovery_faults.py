@@ -11,11 +11,15 @@ an under-provisioned (fsync-lagged) one with a minimized witness.
 
 from __future__ import annotations
 
+import gc
+import glob
 import json
+import os
+import tempfile
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, sweep
 from repro.errors import StorageError
 from repro.sim.tracing import trace_fingerprint
 from repro.storage import DURABILITIES
@@ -105,6 +109,36 @@ class TestRecoveryRuns:
         assert "durability" not in plain.to_dict()  # absent means default
         tagged = durable.with_workload(operations=4).run(seed=2)
         assert tagged.to_dict()["durability"] == "mem"
+
+
+def _open_resources():
+    """(this process's open descriptors, live ``repro-storage-*`` directories)."""
+    return (
+        len(os.listdir("/proc/self/fd")),
+        len(glob.glob(os.path.join(tempfile.gettempdir(), "repro-storage-*"))),
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestATrialClosesWhatItOpens:
+    """Journal files and temp directories of ``durability="dir"`` are released
+    by the call that opened them, not whenever the collector gets to them."""
+
+    @pytest.mark.parametrize("call", (
+        lambda cluster: cluster.run(trials=4),
+        lambda cluster: cluster.run(trials=2, parallel=True, max_workers=2),
+        lambda cluster: cluster.with_operations(
+            [("write", "v1", 0), ("read", 1, 40)]
+        ).explore(max_holds=1),
+        lambda _: sweep(("abd",), scenarios=("fault-free", "crash"), trials=2, durability="dir"),
+    ), ids=("run", "run-parallel", "explore", "sweep"))
+    def test_no_descriptor_or_directory_outlives_the_call(self, call):
+        cluster = _recovering_cluster(durability="dir")
+        gc.collect()  # earlier tests' garbage, not ours, out of the baseline
+        before = _open_resources()
+        call(cluster)
+        # No gc.collect() here: the call itself must have closed everything.
+        assert _open_resources() == before
 
 
 class TestRecoveryExploration:

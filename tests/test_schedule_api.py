@@ -14,7 +14,7 @@ from repro.api import Cluster
 from repro.errors import ConfigurationError
 from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip
 from repro.types import object_id
-from repro.workloads.scenarios import FaultPlan, Scenario, register_scenario
+from repro.workloads.scenarios import Scenario, register_scenario
 
 
 def write_read_cluster(**kwargs):
@@ -142,7 +142,6 @@ class TestScenarioPolicies:
             "skip-first-write",
             lambda t: Scenario(
                 name="skip-first-write",
-                fault_plan=FaultPlan("none", 0, None),
                 description="op 1 skips {s1, s2} — a schedule, not a fault",
                 policy_factory=lambda: PlannedSchedulePolicy(
                     [PlannedSkip(op=1, objects=(1, 2))]
@@ -166,7 +165,6 @@ class TestScenarioPolicies:
             "skip-first-write-stacking",
             lambda t: Scenario(
                 name="skip-first-write-stacking",
-                fault_plan=FaultPlan("none", 0, None),
                 policy_factory=lambda: PlannedSchedulePolicy(
                     [PlannedSkip(op=1, objects=(1, 2))]
                 ),

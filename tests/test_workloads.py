@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.cluster import _materialize_behaviors
 from repro.errors import ConfigurationError
 from repro.workloads.generator import OperationPlan, WorkloadGenerator, apply_plan
 from repro.workloads.scenarios import standard_scenarios
@@ -151,15 +152,16 @@ class TestScenarios:
 
     def test_fault_plans_respect_threshold(self):
         for scenario in standard_scenarios(t=2):
-            behaviors = scenario.fault_plan.behaviors(t=2)
-            assert len(behaviors) <= 2
+            behaviors = _materialize_behaviors(scenario.name, (), 2, False)
+            assert len(behaviors) == sum(count for _, count, *_ in scenario.faults) <= 2
 
     def test_fault_free_has_no_behaviors(self):
         scenario = standard_scenarios(t=3)[0]
-        assert scenario.fault_plan.behaviors(t=3) == {}
+        assert scenario.faults == ()
+        assert _materialize_behaviors(scenario.name, (), 3, False) == {}
 
     def test_behaviors_are_fresh_instances(self):
         scenario = standard_scenarios(t=2)[1]
-        behaviors = scenario.fault_plan.behaviors(t=2)
+        behaviors = _materialize_behaviors(scenario.name, (), 2, False)
         instances = list(behaviors.values())
         assert instances[0] is not instances[1]
