@@ -88,6 +88,7 @@ except ImportError:  # direct invocation without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Cluster, get_spec, sweep
+from repro.axes import SearchBounds
 from repro.sim.tracing import trace_fingerprint
 from repro.registers import base as registers_base
 from repro.registers.base import RegisterSystem
@@ -480,7 +481,7 @@ def bench_explore(quick: bool) -> dict:
     # for the trajectory, never asserted).
     from repro.explore import run_schedule
 
-    probe = certify_cluster._schedule_probe(granularity=granularity)
+    probe = certify_cluster._schedule_probe(SearchBounds(granularity=granularity))
     with scoped_operation_serials():
         backend = certify_cluster.build_backend()
         for plan in probe.plans:

@@ -37,12 +37,12 @@ Commands:
   Rows are matched on protocol, scenario, sizes, backend/key layout *and*
   consistency model, so runs from different backends or models are never
   compared as like-for-like.
-* ``explore`` --protocol NAME [--max-holds N] [--strategy bfs|dfs]
-  [--granularity operation|round] [--witness PATH] [--expect-violation] … —
-  bounded model check over held-message schedules: certify the
-  configuration over every bounded schedule or refute it with a minimized,
-  replayable witness (exit 1 on violations, inverted by
-  ``--expect-violation``).
+* ``explore`` --protocol NAME [search bounds] [--witness PATH]
+  [--expect-violation] … — bounded model check over held-message schedules:
+  certify the configuration over every bounded schedule or refute it with a
+  minimized, replayable witness (exit 1 on violations, inverted by
+  ``--expect-violation``).  The bounds and their flags are declared and
+  documented by :class:`repro.axes.SearchBounds`.
 * ``replay`` WITNESS.json — re-execute a saved schedule witness and
   re-check it; exit 0 iff the recorded violation reproduces byte-identically
   (same failed checks, same wire-trace fingerprint).
@@ -569,20 +569,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from repro.axes import SearchBounds
+
     cluster = _cluster_from_args(args)
     checks = _checks_from_args(args)
+    bounds = asdict(SearchBounds.from_args(args))
+    bounds["stop_on_violation"] = args.stop_on_violation
+    bounds["fault_timing"] = args.fault_timing
     result = cluster.check(*checks).explore(
-        max_holds=args.max_holds,
-        max_schedules=args.max_schedules,
-        max_events=args.max_events,
-        granularity=args.granularity,
-        strategy=args.strategy,
-        seed=args.seed,
-        stop_on_violation=args.stop_on_violation,
-        fault_timing=args.fault_timing,
-        symmetry=args.symmetry,
-        parallel=args.parallel,
-        max_workers=args.workers,
+        seed=args.seed, parallel=args.parallel, max_workers=args.workers, **bounds
     )
     print(result.render())
     if args.witness and result.witnesses:
@@ -599,19 +596,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_frontier(args: argparse.Namespace) -> int:
     import json
 
+    from repro.axes import SearchBounds
+
     cluster = _cluster_from_args(args)
+    bounds = SearchBounds.from_args(args).to_payload()
+    bounds["fault_timing"] = not args.no_fault_timing
     result = cluster.frontier(
-        max_k=args.max_k,
-        max_holds=args.max_holds,
-        max_schedules=args.max_schedules,
-        max_events=args.max_events,
-        granularity=args.granularity,
-        strategy=args.strategy,
-        seed=args.seed,
-        fault_timing=not args.no_fault_timing,
-        symmetry=args.symmetry,
-        parallel=args.parallel,
-        max_workers=args.workers,
+        max_k=args.max_k, seed=args.seed,
+        parallel=args.parallel, max_workers=args.workers, **bounds,
     )
     print(result.render())
     if args.jsonl:
@@ -688,11 +680,10 @@ def build_parser() -> argparse.ArgumentParser:
     faults, workload shape and every run-axis flag, declared by
     :meth:`repro.axes.RunAxes.add_cli_flags`), ``checked`` (run + explore —
     scenario and check selection) and ``searched`` (explore + frontier —
-    the schedule-space bounds).
+    the workload and the schedule-space bounds, declared by
+    :meth:`repro.axes.SearchBounds.add_cli_flags`).
     """
-    from repro.axes import RunAxes
-    from repro.explore.controlled import GRANULARITIES
-    from repro.explore.engine import STRATEGIES
+    from repro.axes import RunAxes, SearchBounds
 
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -775,19 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="explicit operation plan entry (repeatable; "
                                "write:VALUE@TIME or read:READER@TIME; "
                                "overrides the generated workload)")
-    searched.add_argument("--max-holds", type=int, default=2,
-                          help="most decisions (held links, fault triggers) a schedule may take")
-    searched.add_argument("--max-schedules", type=int, default=2000,
-                          help="schedule budget (per ladder rung for frontier)")
-    searched.add_argument("--max-events", type=int, default=200_000,
-                          help="simulator event budget per schedule")
-    searched.add_argument("--granularity", choices=GRANULARITIES,
-                          default="operation", help="hold-link granularity")
-    searched.add_argument("--strategy", choices=STRATEGIES, default="bfs",
-                          help="frontier order")
-    searched.add_argument("--symmetry", action="store_true",
-                          help="canonicalize schedules over interchangeable "
-                               "fault-free objects (prunes symmetric twins)")
+    SearchBounds.add_cli_flags(searched)
     searched.add_argument("--witness", default=None, metavar="PATH",
                           help="save the first violation witness (frontier: the "
                                "schedule breaking the next-stronger model) as JSON to PATH")

@@ -145,35 +145,22 @@ class SystemBackend(ABC):
 
 
 class SingleRegisterBackend(SystemBackend):
-    """The default backend: one SWMR register on a ``RegisterSystem``."""
-
-    def schedule(self, plan: OperationPlan) -> None:
-        if plan.key is not None:
-            raise ConfigurationError(
-                "the single backend holds one register — keyed plans need backend='sharded'"
-            )
-        if plan.kind == "write":
-            self.system.write(plan.value, at=plan.at)
-        else:
-            self.system.read(plan.client_index, at=plan.at)
-
-    def histories(self) -> dict[str, History]:
-        return {DEFAULT_KEY: self.system.history()}
-
-
-class ReconfigBackend(SystemBackend):
-    """One SWMR register on a membership that advances through epochs.
-
-    Plan routing matches the single backend; the repair steps carried by
-    the build request are armed by the wrapped system at ``run`` time, so
-    they ride behind the client plans in serial order.
+    """One SWMR register: the default ``single`` backend on a
+    ``RegisterSystem``, and ``reconfig`` on a membership that advances
+    through epochs (the repair steps carried by the build request are armed
+    by the wrapped system at ``run`` time, so they ride behind the client
+    plans in serial order).  ``name`` is the registered backend's.
     """
 
+    def __init__(self, system: Any, name: str = "single") -> None:
+        super().__init__(system)
+        self.name = name
+
     def schedule(self, plan: OperationPlan) -> None:
         if plan.key is not None:
             raise ConfigurationError(
-                "the reconfig backend holds one register — keyed plans need "
-                "backend='sharded'"
+                f"the {self.name} backend holds one register — keyed plans "
+                "need backend='sharded'"
             )
         if plan.kind == "write":
             self.system.write(plan.value, at=plan.at)
@@ -516,7 +503,7 @@ def _build_reconfig(
         xfer_quorum=request.xfer_quorum,
         **_system_kwargs(request, behaviors, policy),
     )
-    return ReconfigBackend(system)
+    return SingleRegisterBackend(system, "reconfig")
 
 
 def _build_k_atomic(

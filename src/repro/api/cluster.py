@@ -66,7 +66,7 @@ from repro.api.backends import (
 )
 from repro.api.faults import fault_spec
 from repro.api.registry import ProtocolSpec, available_protocols, get_spec
-from repro.axes import AxesView, RunAxes
+from repro.axes import AxesView, RunAxes, SearchBounds
 from repro.consistency.models import (  # re-exported: the registry moved to repro.consistency
     CHECKS,
     CheckVerdict,
@@ -1358,11 +1358,7 @@ class Cluster:
         return result
 
     def _schedule_probe(
-        self,
-        *,
-        seed: int = 0,
-        granularity: str = "operation",
-        max_events: int = 200_000,
+        self, bounds: SearchBounds = SearchBounds(), *, seed: int = 0
     ) -> "Any":
         """The :class:`~repro.explore.engine.ScheduleProbe` this
         configuration explores — the shared boundary between
@@ -1374,34 +1370,24 @@ class Cluster:
             **self._request_fields(),
             plans=tuple(self._plans(seed)),
             checks=self._checks or (self._spec.default_check(),),
-            granularity=granularity,
-            max_events=max_events,
+            granularity=bounds.granularity,
+            max_events=bounds.max_events,
         )
 
     def explore(
         self,
         *,
-        max_holds: int = 2,
-        max_schedules: int = 2_000,
-        max_events: int = 200_000,
-        granularity: str = "operation",
-        strategy: str = "bfs",
         seed: int = 0,
-        minimize: bool = True,
-        stop_on_violation: bool = False,
-        fault_timing: bool = False,
-        symmetry: bool = False,
         parallel: bool = False,
         max_workers: int | None = None,
+        **bounds: Any,
     ) -> "Any":
         """Bounded model check: sweep held-message schedules for violations.
 
         Where :meth:`run` simulates *one* schedule per trial, ``explore``
         searches the schedule space: it enumerates which client↔object
-        links the adversary keeps in transit (up to ``max_holds`` at a
-        time, over at most ``max_schedules`` schedules, each capped at
-        ``max_events`` simulator events), runs every schedule through the
-        configured workload/fault setup, and checks the requested
+        links the adversary keeps in transit, runs every schedule through
+        the configured workload/fault setup, and checks the requested
         consistency properties on each recorded history.  Violating
         schedules are delta-debugged to minimal hold sets and returned as
         replayable :class:`~repro.explore.witness.ScheduleWitness` JSON;
@@ -1409,51 +1395,29 @@ class Cluster:
         configuration (see
         :attr:`~repro.explore.engine.ExploreResult.certified`).
 
+        ``bounds`` are the keywords :class:`~repro.axes.SearchBounds`
+        declares and documents, checked before the first schedule runs.
+
         The workload is materialized once (explicit plans, or the
         generated plan for ``seed``) so every schedule replays the same
         operations.  Checks default to the protocol's advertised
         consistency level.  ``parallel=True`` fans each frontier wave over
         the trial engine's process pool with byte-identical results.
-
-        ``fault_timing=True`` widens the decision vocabulary to *when*
-        each configured fault fires (swept per object over the traffic it
-        actually handled); ``symmetry=True`` folds hold sets that differ
-        only by a permutation of interchangeable fault-free objects.  Both
-        are ignored under ``with_scenario``: a scenario owns the timing of
-        the faults it declares, and its delivery fabric.
         """
-        from repro.explore.engine import explore_probe
+        from repro.explore.engine import Explorer
 
-        probe = self._schedule_probe(
-            seed=seed, granularity=granularity, max_events=max_events
-        )
-        return explore_probe(
-            probe,
-            max_holds=max_holds,
-            max_schedules=max_schedules,
-            strategy=strategy,
-            minimize=minimize,
-            stop_on_violation=stop_on_violation,
-            fault_timing=fault_timing,
-            symmetry=symmetry,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
+        search = SearchBounds.of(bounds)
+        explorer = Explorer(self._schedule_probe(search, seed=seed), search)
+        return explorer.run(parallel=parallel, max_workers=max_workers)
 
     def frontier(
         self,
         *,
         max_k: int = 4,
-        max_holds: int = 2,
-        max_schedules: int = 2_000,
-        max_events: int = 200_000,
-        granularity: str = "operation",
-        strategy: str = "bfs",
         seed: int = 0,
-        fault_timing: bool = True,
-        symmetry: bool = False,
         parallel: bool = False,
         max_workers: int | None = None,
+        **bounds: Any,
     ) -> "Any":
         """The certified robustness frontier of this configuration.
 
@@ -1464,23 +1428,14 @@ class Cluster:
         minimized witness refuting the next-stronger one.  Every rung
         reports what ``with_checks(model).explore(...)`` would, but a
         schedule two rungs reach is simulated once and judged twice.  See
-        :func:`repro.robustness.robustness_frontier`.
+        :func:`repro.robustness.robustness_frontier`, which also says what
+        ``bounds`` may hold.
         """
         from repro.robustness import robustness_frontier
 
         return robustness_frontier(
-            self,
-            max_k=max_k,
-            max_holds=max_holds,
-            max_schedules=max_schedules,
-            max_events=max_events,
-            granularity=granularity,
-            strategy=strategy,
-            seed=seed,
-            fault_timing=fault_timing,
-            symmetry=symmetry,
-            parallel=parallel,
-            max_workers=max_workers,
+            self, max_k=max_k, seed=seed,
+            parallel=parallel, max_workers=max_workers, **bounds,
         )
 
 
@@ -1530,9 +1485,18 @@ def sweep(
 
     ``frontier=True`` additionally computes each cell's certified
     robustness frontier (see :meth:`Cluster.frontier`) and attaches its
-    payload as :attr:`RunResult.robustness`; ``frontier_bounds`` overrides
-    the deliberately modest default exploration bounds.
+    payload as :attr:`RunResult.robustness`; ``frontier_bounds`` are that
+    call's keywords, over deliberately modest default bounds.
     """
+    walk = {"max_holds": 1, "max_schedules": 200, "seed": seed, **(frontier_bounds or {})}
+    if frontier:
+        # What the walk would reject is rejected now, before the grid's
+        # first trial is built; the walk's own keywords are not bounds.
+        SearchBounds.of(
+            {name: value for name, value in walk.items()
+             if name not in ("max_k", "seed", "parallel", "max_workers")},
+            stored_only=True,
+        )
     result = SweepResult()
     cells: list[tuple[Cluster, RunResult, list[TrialSpec]]] = []
     for name in protocols if protocols is not None else available_protocols():
@@ -1559,14 +1523,11 @@ def sweep(
         executed = _pool_map(flat, max_workers)
     if executed is None:
         executed = [run_trial(spec) for spec in flat]
-    bounds = {"max_holds": 1, "max_schedules": 200, "seed": seed}
-    if frontier_bounds:
-        bounds.update(frontier_bounds)
     cursor = 0
     for cluster, run_result, specs in cells:
         run_result.trials.extend(executed[cursor:cursor + len(specs)])
         if frontier:
-            run_result.robustness = cluster.frontier(**bounds).to_dict()
+            run_result.robustness = cluster.frontier(**walk).to_dict()
         result.runs.append(run_result)
         cursor += len(specs)
     return result

@@ -1,4 +1,4 @@
-"""The run axes, declared once.
+"""The run axes and the search bounds, each declared once.
 
 A run is a point in the paper's configuration space (protocol, ``S``, ``t``,
 fault model, workload) *plus* six harness axes that say how that point is
@@ -27,6 +27,25 @@ Adding a run axis
    fails until you do, and then checks it through specs, pickling, witness
    JSON, result payloads, the compare key and all three CLI subcommands.
 
+A schedule search is bounded by a second family of parameters, declared the
+same way by :class:`SearchBounds`.  ``Cluster.explore`` / ``Cluster.frontier``
+/ ``robustness_frontier`` / ``sweep(frontier_bounds=…)`` take the bounds as
+keywords and build one validated record (:meth:`SearchBounds.of`) before
+anything runs; the explorer and its result hold the record.
+
+Adding a search bound
+---------------------
+
+1. Declare the field on :class:`SearchBounds` with :func:`_axis` (default,
+   ``check=`` validator naming the field, ``tagged=True`` if stored results
+   name it, ``flag=`` plus argparse keywords to put it on ``repro explore``
+   and ``repro frontier``) and document it in the class docstring.
+2. Read it where it takes effect — the explorer sees it as
+   ``self.bounds.<name>``.
+3. Give it a sample in ``tests/test_search_bounds.py``; the generated round
+   trip fails until you do, and then checks it through every entry point,
+   both result payloads and both CLI subcommands.
+
 This module imports only leaf packages (``storage``, ``consistency``), so
 ``registers``, ``api``, ``explore``, ``robustness`` and ``__main__`` can all
 import it without cycles.
@@ -34,7 +53,8 @@ import it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
+from functools import cache
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.consistency.models import parse_consistency
@@ -53,10 +73,50 @@ def _axis(
     flag: str | None = None,
     **argparse_kwargs: Any,
 ) -> Any:
-    """One axis: default, validator, result-tag participation, CLI flag."""
+    """One axis or bound: default, validator, result-tag participation, CLI flag."""
     return field(default=default, metadata={
         "check": check, "tagged": tagged, "flag": flag, "argparse": argparse_kwargs,
     })
+
+
+@cache
+def _declared(cls: type) -> tuple[Field, ...]:
+    """The fields ``cls`` declares with :func:`_axis` — a carrier that inherits
+    a record adds plain fields of its own, which are not the record's."""
+    return tuple(item for item in fields(cls) if "check" in item.metadata)
+
+
+class _Declared:
+    """What a record does with its declarations, whatever they declare."""
+
+    __slots__ = ()
+
+    def validated(self) -> Any:
+        """This record with every field checked and canonicalised."""
+        return replace(self, **{
+            item.name: item.metadata["check"](getattr(self, item.name))
+            for item in _declared(type(self))
+        })
+
+    @classmethod
+    def add_cli_flags(cls, parser: argparse.ArgumentParser) -> None:
+        """Declare every flag on ``parser`` (dest = the flag's own name)."""
+        for item in _declared(cls):
+            if item.metadata["flag"] is not None:
+                keywords = dict(item.metadata["argparse"])
+                if keywords.get("action") != "append":
+                    keywords["default"] = item.default
+                parser.add_argument(item.metadata["flag"], **keywords)
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> Any:
+        """Read back what :meth:`add_cli_flags` declared (unvalidated)."""
+        values = {}
+        for item in _declared(cls):
+            flag = item.metadata["flag"]
+            given = None if flag is None else getattr(args, flag[2:].replace("-", "_"))
+            values[item.name] = item.default if given is None else _frozen(given)
+        return cls(**values)
 
 
 def _repair_steps(steps: Any) -> tuple[tuple[int, int], ...]:
@@ -108,7 +168,7 @@ def _jsonable(value: Any) -> Any:
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
-class RunAxes:
+class RunAxes(_Declared):
     """How one configuration is executed and served — the six run axes.
 
     Attributes:
@@ -188,18 +248,12 @@ class RunAxes:
         """Every axis by name — the keywords a deriving spec is built from."""
         return {name: getattr(self, name) for name in AXIS_NAMES}
 
-    def validated(self) -> "RunAxes":
-        """This record with every axis checked and canonicalised."""
-        return replace(self, **{
-            axis.name: axis.metadata["check"](getattr(self, axis.name))
-            for axis in _AXES
-        })
-
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "RunAxes":
         """The axes a stored payload ran under; absent means default."""
         return cls(**{
-            axis.name: _frozen(payload.get(axis.name, axis.default)) for axis in _AXES
+            axis.name: _frozen(payload.get(axis.name, axis.default))
+            for axis in _declared(cls)
         })
 
     def to_payload(self) -> dict[str, Any]:
@@ -214,7 +268,7 @@ class RunAxes:
         """
         return {
             axis.name: getattr(self, axis.name)
-            for axis in _AXES
+            for axis in _declared(type(self))
             if axis.metadata["tagged"] and getattr(self, axis.name) != axis.default
         }
 
@@ -222,31 +276,9 @@ class RunAxes:
         """``", durability=mem, consistency=k-atomic(2)"`` — the render suffix."""
         return "".join(f", {name}={value}" for name, value in self.non_default().items())
 
-    @staticmethod
-    def add_cli_flags(parser: argparse.ArgumentParser) -> None:
-        """Declare every axis flag on ``parser`` (dest = the flag's own name)."""
-        for axis in _AXES:
-            if axis.metadata["flag"] is not None:
-                keywords = dict(axis.metadata["argparse"])
-                if keywords.get("action") != "append":
-                    keywords["default"] = axis.default
-                parser.add_argument(axis.metadata["flag"], **keywords)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunAxes":
-        """Read back what :meth:`add_cli_flags` declared (unvalidated)."""
-        values = {}
-        for axis in _AXES:
-            flag = axis.metadata["flag"]
-            given = None if flag is None else getattr(args, flag[2:].replace("-", "_"))
-            values[axis.name] = axis.default if given is None else _frozen(given)
-        return cls(**values)
-
-
-_AXES = fields(RunAxes)
 
 #: The six axis names, in declaration order.
-AXIS_NAMES: tuple[str, ...] = tuple(axis.name for axis in _AXES)
+AXIS_NAMES: tuple[str, ...] = tuple(axis.name for axis in _declared(RunAxes))
 
 
 class AxesView:
@@ -259,3 +291,134 @@ class AxesView:
         if name in AXIS_NAMES:
             return getattr(self.axes, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+# --------------------------------------------------------------------- #
+# Search bounds
+# --------------------------------------------------------------------- #
+
+#: Hold-link granularities: per operation (all rounds) or per round.
+GRANULARITIES = ("operation", "round")
+
+#: Frontier strategies: breadth-first (waves) or depth-first (stack).
+STRATEGIES = ("bfs", "dfs")
+
+
+def _must_be(name: str, wanted: str, accepts: Callable[[Any], bool]) -> Callable[[Any], Any]:
+    """A check whose message names the bound it guards."""
+    def check(value: Any) -> Any:
+        if not accepts(value):
+            raise ConfigurationError(f"{name} must be {wanted}, got {value!r}")
+        return value
+    return check
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class SearchBounds(_Declared):
+    """How far one schedule search reaches — the nine search bounds.
+
+    Attributes:
+        max_holds: most decisions (held links, fault triggers) a schedule
+            may take — the depth of the frontier.  ``0`` runs the free
+            schedule alone.
+        max_schedules: total schedule budget ("max reorderings"); per
+            ladder rung for a robustness frontier, counted in judged
+            schedules.
+        max_events: simulator event budget per schedule.  A schedule that
+            exhausts it is checked as the legal partial run it is, but the
+            search is then never *certified*.
+        granularity: what one held link covers — ``"operation"`` (every
+            round of the operation on that link) or ``"round"``.
+        strategy: frontier order — ``"bfs"`` (waves) or ``"dfs"`` (stack).
+        minimize: delta-debug each violating decision set down to a minimal
+            one before emitting its witness.
+        stop_on_violation: stop the search at the first violating schedule
+            (refutation mode); by default the bounded space is swept fully
+            (certification mode).
+        fault_timing: also sweep *when* each configured fault fires — fault
+            triggers join held links in the decision vocabulary, swept per
+            object over the traffic it actually handled.  Resolves to off
+            for probes with no fault groups of their own: fault-free ones,
+            and scenario-driven ones, whose scenario keeps owning when its
+            declared faults fire.
+        symmetry: fold hold sets that differ only by a permutation of the
+            interchangeable (fault-free) objects onto one canonical
+            representative.  Only sound when nothing else distinguishes
+            those objects, so it resolves to off for planned-schedule,
+            repair, spare-carrying and scenario-driven probes (a scenario
+            owns its delivery fabric, which may tell objects apart).
+
+    ``minimize`` and ``stop_on_violation`` are modes of one exploration: no
+    stored result names them, and a robustness frontier (which always
+    minimizes, and sweeps every rung fully) does not take them.  A record an
+    :class:`~repro.explore.engine.Explorer` reports is *resolved* against
+    its probe: ``fault_timing`` / ``symmetry`` as above, ``granularity`` /
+    ``max_events`` the values the probe carries into every schedule.
+    """
+
+    max_holds: int = _axis(
+        2, check=_must_be("max_holds", "at least 0", lambda n: n >= 0),
+        tagged=True, flag="--max-holds", type=int,
+        help="most decisions (held links, fault triggers) a schedule may take",
+    )
+    max_schedules: int = _axis(
+        2_000, check=_must_be("max_schedules", "at least 1", lambda n: n >= 1),
+        tagged=True, flag="--max-schedules", type=int,
+        help="schedule budget (per ladder rung for frontier)",
+    )
+    max_events: int = _axis(
+        200_000, check=_must_be("max_events", "at least 1", lambda n: n >= 1),
+        tagged=True, flag="--max-events", type=int,
+        help="simulator event budget per schedule",
+    )
+    granularity: str = _axis(
+        "operation", tagged=True,
+        check=_must_be("granularity", f"one of {GRANULARITIES}", GRANULARITIES.__contains__),
+        flag="--granularity", choices=GRANULARITIES, help="hold-link granularity",
+    )
+    strategy: str = _axis(
+        "bfs", tagged=True,
+        check=_must_be("strategy", f"one of {STRATEGIES}", STRATEGIES.__contains__),
+        flag="--strategy", choices=STRATEGIES, help="frontier order",
+    )
+    minimize: bool = _axis(True, check=bool)
+    stop_on_violation: bool = _axis(False, check=bool)
+    fault_timing: bool = _axis(False, check=bool, tagged=True)
+    symmetry: bool = _axis(
+        False, check=bool, tagged=True, flag="--symmetry", action="store_true",
+        help="canonicalize schedules over interchangeable "
+             "fault-free objects (prunes symmetric twins)",
+    )
+
+    @classmethod
+    def of(
+        cls,
+        given: Mapping[str, Any],
+        *,
+        stored_only: bool = False,
+        **defaults: Any,
+    ) -> "SearchBounds":
+        """The validated record of an entry point's keywords ``given``, over
+        that entry point's own ``defaults`` (a frontier sweeps fault timing
+        unless told not to).  A key that names no bound — or, with
+        ``stored_only``, one of the two modes — is rejected by name.
+        """
+        accepted = tuple(cls().to_payload()) if stored_only else BOUND_NAMES
+        unknown = [name for name in given if name not in accepted]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown search bound(s) {', '.join(map(repr, unknown))}; "
+                f"accepted here: {', '.join(accepted)}"
+            )
+        return cls(**{**defaults, **given}).validated()
+
+    def to_payload(self) -> dict[str, Any]:
+        """The seven bounds a stored result names (every one but the modes)."""
+        return {
+            bound.name: getattr(self, bound.name)
+            for bound in _declared(type(self)) if bound.metadata["tagged"]
+        }
+
+
+#: The nine bound names, in declaration order.
+BOUND_NAMES: tuple[str, ...] = tuple(bound.name for bound in _declared(SearchBounds))

@@ -23,7 +23,9 @@ Three layers:
   a plain-data :class:`SimulatedSchedule`) followed by :func:`judge` (the
   requested checkers over that record's histories) — and the
   :class:`Explorer` frontier with sleep-set and transcript-hash
-  partial-order reductions.  Explorations of one configuration that differ
+  partial-order reductions, bounded by one
+  :class:`~repro.axes.SearchBounds` record (the only place the bounds are
+  declared and documented).  Explorations of one configuration that differ
   only in their checks can share a :class:`SimulationStore`, which keeps
   each decision set's simulated record for as long as its holder keeps the
   store, so the set is simulated once and re-judged after that; the
@@ -37,13 +39,13 @@ Entry points: :meth:`repro.api.Cluster.explore` and
 ``python -m repro explore`` / ``python -m repro replay``.
 """
 
+from repro.axes import GRANULARITIES, STRATEGIES
 from repro.explore.controlled import (
     ControlledDelivery,
     Decision,
     FaultTrigger,
     HoldLink,
     canonical_decisions,
-    canonical_links,
     decision_from_json,
 )
 from repro.explore.engine import (
@@ -54,7 +56,6 @@ from repro.explore.engine import (
     ScheduleProbe,
     SimulatedSchedule,
     SimulationStore,
-    explore_probe,
     judge,
     run_schedule,
     simulate,
@@ -62,12 +63,13 @@ from repro.explore.engine import (
 from repro.explore.witness import ScheduleWitness, minimize_decisions
 
 __all__ = [
+    "GRANULARITIES",
+    "STRATEGIES",
     "ControlledDelivery",
     "Decision",
     "FaultTrigger",
     "HoldLink",
     "canonical_decisions",
-    "canonical_links",
     "decision_from_json",
     "Explorer",
     "ExploreResult",
@@ -76,7 +78,6 @@ __all__ = [
     "ScheduleProbe",
     "SimulatedSchedule",
     "SimulationStore",
-    "explore_probe",
     "judge",
     "run_schedule",
     "simulate",

@@ -56,11 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from repro.axes import GRANULARITIES, SearchBounds
 from repro.errors import ConfigurationError
 from repro.sim.network import DeliveryPolicy, FifoDelivery, Message
-
-#: The supported link granularities.
-GRANULARITIES = ("operation", "round")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,17 +168,10 @@ def _decision_key(decision: Decision) -> tuple[int, int, int, int]:
     return (1, *decision.sort_key, 0)
 
 
-def canonical_links(links: Iterable[Decision]) -> tuple[Decision, ...]:
-    """``links`` as a duplicate-free tuple in canonical order.
-
-    Accepts the full decision vocabulary (the historical name is kept —
-    every decision set the engine touches flows through here).
-    """
-    return tuple(sorted(set(links), key=_decision_key))
-
-
-#: Vocabulary-accurate alias for :func:`canonical_links`.
-canonical_decisions = canonical_links
+def canonical_decisions(decisions: Iterable[Decision]) -> tuple[Decision, ...]:
+    """``decisions`` as a duplicate-free tuple in canonical order (holds
+    first) — every decision set the engine touches flows through here."""
+    return tuple(sorted(set(decisions), key=_decision_key))
 
 
 class ControlledDelivery(DeliveryPolicy):
@@ -210,7 +201,7 @@ class ControlledDelivery(DeliveryPolicy):
         self,
         holds: Iterable[HoldLink] = (),
         base: DeliveryPolicy | None = None,
-        granularity: str = "operation",
+        granularity: str = SearchBounds().granularity,
     ) -> None:
         if granularity not in GRANULARITIES:
             raise ConfigurationError(

@@ -77,16 +77,14 @@ from typing import Any, Callable, Sequence
 from repro.api.backends import BackendRequest, get_backend_spec
 from repro.api.cluster import _materialize_behaviors, _pool_map, build_backend, run_check
 from repro.api.registry import get_spec
-from repro.axes import AxesView, RunAxes
+from repro.axes import AxesView, RunAxes, SearchBounds
 from repro.errors import ConfigurationError, SimulationError
 from repro.explore.controlled import (
-    GRANULARITIES,
     ControlledDelivery,
     Decision,
     FaultTrigger,
     HoldLink,
     canonical_decisions,
-    canonical_links,
 )
 from repro.sim.network import DeliveryPolicy
 from repro.sim.simulator import OperationStatus
@@ -94,9 +92,6 @@ from repro.sim.tracing import trace_fingerprint
 from repro.spec.history import History
 from repro.types import scoped_operation_serials
 from repro.workloads.generator import OperationPlan
-
-#: Frontier strategies: breadth-first (waves) or depth-first (stack).
-STRATEGIES = ("bfs", "dfs")
 
 
 # --------------------------------------------------------------------- #
@@ -119,17 +114,18 @@ class ScheduleProbe(BackendRequest):
     which operation's messages land in the dark window or which epoch a
     round observes, so recovery and epoch-transition *timing* are choice
     points like any other.  ``decisions`` is the only field the frontier
-    varies.
+    varies.  Of the :class:`~repro.axes.SearchBounds` a probe carries the
+    two a single schedule needs, ``granularity`` and ``max_events``.
     """
 
     plans: tuple[OperationPlan, ...]
     checks: tuple[str, ...]
-    granularity: str = "operation"
+    granularity: str = SearchBounds().granularity
     #: The schedule under test: held links plus fault triggers, in the
     #: canonical decision order (holds first).  Triggers are applied to the
     #: object behaviours, holds to the delivery policy.
     decisions: tuple[Decision, ...] = ()
-    max_events: int = 200_000
+    max_events: int = SearchBounds().max_events
 
     def with_decisions(self, decisions: Sequence[Decision]) -> "ScheduleProbe":
         return replace(self, decisions=canonical_decisions(decisions))
@@ -462,19 +458,11 @@ class ExploreResult(AxesView):
     n_readers: int
     faults: str
     checks: tuple[str, ...]
-    granularity: str
-    strategy: str
-    max_holds: int
-    max_schedules: int
-    max_events: int
+    #: The search bounds, resolved against the probe (with fault timing on,
+    #: the ``alphabet`` counts held links *and* trigger points).
+    bounds: SearchBounds
     #: The run axes every schedule was evaluated under.
     axes: RunAxes = RunAxes()
-    #: Whether fault-trigger choice points were swept (the ``alphabet``
-    #: then counts held links *and* trigger points).
-    fault_timing: bool = False
-    #: Whether interchangeable fault-free objects were folded onto
-    #: canonical representatives.
-    symmetry: bool = False
     alphabet: int = 0
     exhausted: bool = False
     stats: ExploreStats = field(default_factory=ExploreStats)
@@ -493,21 +481,24 @@ class ExploreResult(AxesView):
         )
 
     def to_dict(self) -> dict[str, Any]:
+        bounds = self.bounds
         payload = {
             "protocol": self.protocol,
             "backend": self.backend,
+            # Always written, unlike the other tagged axes (the stored format).
             "durability": self.axes.durability,
+            **self.axes.non_default(),
             "t": self.t,
             "S": self.S,
             "n_readers": self.n_readers,
             "faults": self.faults,
             "checks": list(self.checks),
-            "granularity": self.granularity,
-            "strategy": self.strategy,
+            "granularity": bounds.granularity,
+            "strategy": bounds.strategy,
             "bounds": {
-                "max_holds": self.max_holds,
-                "max_schedules": self.max_schedules,
-                "max_events": self.max_events,
+                "max_holds": bounds.max_holds,
+                "max_schedules": bounds.max_schedules,
+                "max_events": bounds.max_events,
             },
             "alphabet": self.alphabet,
             "exhausted": self.exhausted,
@@ -517,27 +508,28 @@ class ExploreResult(AxesView):
         }
         # New keys only when the new machinery was on: default-off payloads
         # stay byte-identical to the pre-timing schema.
-        if self.fault_timing:
+        if bounds.fault_timing:
             payload["fault_timing"] = True
-        if self.symmetry:
+        if bounds.symmetry:
             payload["symmetry"] = True
         return payload
 
     def render(self) -> str:
         """Human-readable summary, ready to print."""
+        bounds = self.bounds
         mode_tag = ""
-        if self.fault_timing:
+        if bounds.fault_timing:
             mode_tag += ", fault-timing"
-        if self.symmetry:
+        if bounds.symmetry:
             mode_tag += ", symmetry"
-        unit = "decision(s)" if self.fault_timing else "link(s)"
+        unit = "decision(s)" if bounds.fault_timing else "link(s)"
         lines = [
             f"explore {self.protocol} [{', '.join(self.checks)}] — "
             f"t={self.t}, S={self.S}, {self.n_readers} readers{self.axes.tags()}, "
             f"faults: {self.faults}",
-            f"  strategy={self.strategy}, granularity={self.granularity}"
-            f"{mode_tag}, bounds: max_holds={self.max_holds}, "
-            f"max_schedules={self.max_schedules}, max_events={self.max_events}",
+            f"  strategy={bounds.strategy}, granularity={bounds.granularity}"
+            f"{mode_tag}, bounds: max_holds={bounds.max_holds}, "
+            f"max_schedules={bounds.max_schedules}, max_events={bounds.max_events}",
             f"  explored {self.stats.explored} schedule(s) over "
             f"{self.alphabet} {unit}, deepest hold set: {self.stats.deepest}",
             f"  pruning: {self.stats.pruned_duplicate} duplicate trace(s), "
@@ -582,25 +574,9 @@ class Explorer:
     Args:
         probe: the configuration under test (its ``decisions`` must be
             empty — the explorer owns that field).
-        max_holds: most links a schedule may hold (frontier depth).
-        max_schedules: total schedule budget ("max reorderings").
-        strategy: ``"bfs"`` (waves, default) or ``"dfs"`` (stack).
-        minimize: delta-debug each violating hold set down to a minimal one
-            before emitting its witness.
-        stop_on_violation: stop the search at the first violating schedule
-            (refutation mode); by default the bounded space is swept fully
-            (certification mode).
-        fault_timing: also sweep *when* each configured fault fires —
-            fault triggers join held links in the decision vocabulary
-            (ignored for probes with no fault groups of their own:
-            fault-free ones, and scenario-driven ones, whose scenario
-            keeps owning when its declared faults fire).
-        symmetry: fold hold sets that differ only by a permutation of the
-            interchangeable (fault-free) objects onto one canonical
-            representative.  Only sound when nothing else distinguishes
-            those objects, so it is ignored for planned-schedule, repair,
-            spare-carrying and scenario-driven probes (a scenario owns its
-            delivery fabric, which may tell objects apart).
+        bounds: how far to search — a *validated*
+            :class:`~repro.axes.SearchBounds`, which documents every bound.
+            :attr:`bounds` is that record resolved against ``probe``.
         store: a :class:`SimulationStore` of ``probe``'s configuration to
             simulate through — what it already holds is judged, not run
             again, and what this search simulates is left in it.  Only the
@@ -611,46 +587,29 @@ class Explorer:
     def __init__(
         self,
         probe: ScheduleProbe,
-        *,
-        max_holds: int = 2,
-        max_schedules: int = 2_000,
-        strategy: str = "bfs",
-        minimize: bool = True,
-        stop_on_violation: bool = False,
-        fault_timing: bool = False,
-        symmetry: bool = False,
+        bounds: SearchBounds = SearchBounds(),
         store: SimulationStore | None = None,
     ) -> None:
         if probe.decisions:
             raise ConfigurationError("the explorer starts from the empty schedule")
-        if probe.granularity not in GRANULARITIES:
-            raise ConfigurationError(
-                f"granularity must be one of {GRANULARITIES}, got {probe.granularity!r}"
-            )
-        if strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be one of {STRATEGIES}, got {strategy!r}"
-            )
-        if max_holds < 0 or max_schedules < 1:
-            raise ConfigurationError("bounds must be positive")
         self.probe = probe
         self.store = store
         self._run_schedule = schedule_runner(probe, store)
-        self.max_holds = max_holds
-        self.max_schedules = max_schedules
-        self.strategy = strategy
-        self.minimize = minimize
-        self.stop_on_violation = stop_on_violation
-        self.fault_timing = bool(fault_timing and probe.fault_groups)
-        self.symmetry = bool(
-            symmetry
-            and probe.scenario is None
-            and not probe.repairs
-            and not probe.schedule
-            and probe.spares is None
+        self.bounds = replace(
+            bounds,
+            granularity=probe.granularity,
+            max_events=probe.max_events,
+            fault_timing=bool(bounds.fault_timing and probe.fault_groups),
+            symmetry=bool(
+                bounds.symmetry
+                and probe.scenario is None
+                and not probe.repairs
+                and not probe.schedule
+                and probe.spares is None
+            ),
         )
         self._relabel_from = 1
-        if self.symmetry:
+        if self.bounds.symmetry:
             behaviors = _materialize_behaviors(
                 probe.scenario, probe.fault_groups, probe.t, probe.allow_overfault
             )
@@ -742,6 +701,7 @@ class Explorer:
         # The root runs first, alone and in-process: configuration errors
         # surface immediately, and its outcome seeds S (for reporting) and
         # the expansion alphabet.
+        bounds = self.bounds
         root_outcome = self._run_schedule(self.probe)
         result = self._result_shell()
         stats = result.stats
@@ -759,7 +719,7 @@ class Explorer:
 
         def enqueue(decisions: tuple[Decision, ...], extra: Decision) -> None:
             child = canonical_decisions(decisions + (extra,))
-            if self.symmetry:
+            if bounds.symmetry:
                 canonical = self._canonicalize(child)
                 if canonical != child:
                     stats.pruned_symmetry += 1
@@ -787,10 +747,10 @@ class Explorer:
             if outcome.violating:
                 stats.violating += 1
                 violations.append((decisions, outcome))
-                if self.stop_on_violation:
+                if bounds.stop_on_violation:
                     stop = True
                 return  # supersets of a violating hold set add only noise
-            if len(decisions) >= self.max_holds:
+            if len(decisions) >= bounds.max_holds:
                 return
             active = set(outcome.expansions)
             stats.pruned_inactive += len(alphabet - active - set(decisions))
@@ -799,7 +759,7 @@ class Explorer:
                 if link in decisions:
                     continue
                 enqueue(decisions, link)
-            if self.fault_timing:
+            if bounds.fault_timing:
                 # One trigger per object; the swept range is discovered
                 # from this run's own traffic — ``at == seen`` is the
                 # "fires after everything observed" representative.
@@ -816,11 +776,11 @@ class Explorer:
 
         absorb((), root_outcome)
 
-        while frontier and not stop and stats.explored < self.max_schedules:
-            if self.strategy == "dfs":
+        while frontier and not stop and stats.explored < bounds.max_schedules:
+            if bounds.strategy == "dfs":
                 batch = [frontier.pop()]
             else:
-                budget = self.max_schedules - stats.explored
+                budget = bounds.max_schedules - stats.explored
                 batch = [frontier.popleft() for _ in range(min(budget, len(frontier)))]
             if parallel and len(batch) > 1:
                 pairs = zip(batch, self._evaluate(batch, parallel, max_workers))
@@ -838,7 +798,7 @@ class Explorer:
                 if stop:
                     break
 
-        result.exhausted = not frontier and not stop and stats.explored <= self.max_schedules
+        result.exhausted = not frontier and not stop and stats.explored <= bounds.max_schedules
         result.alphabet = len(alphabet) + len(trigger_alphabet)
         self._attach_witnesses(result, violations)
         return result
@@ -878,13 +838,7 @@ class Explorer:
             n_readers=self.probe.n_readers,
             faults=faults,
             checks=self.probe.checks,
-            granularity=self.probe.granularity,
-            strategy=self.strategy,
-            max_holds=self.max_holds,
-            max_schedules=self.max_schedules,
-            max_events=self.probe.max_events,
-            fault_timing=self.fault_timing,
-            symmetry=self.symmetry,
+            bounds=self.bounds,
         )
 
     def _attach_witnesses(
@@ -897,7 +851,7 @@ class Explorer:
         emitted: set[tuple[tuple[Decision, ...], tuple[str, ...]]] = set()
         for decisions, outcome in violations:
             minimal, final_outcome = outcome.decisions, outcome
-            if self.minimize:
+            if self.bounds.minimize:
                 minimal, final_outcome, runs = minimize_decisions(
                     self.probe, decisions, outcome, store=self.store
                 )
@@ -911,31 +865,3 @@ class Explorer:
                 outcome=final_outcome,
             ))
 
-
-def explore_probe(
-    probe: ScheduleProbe,
-    *,
-    max_holds: int = 2,
-    max_schedules: int = 2_000,
-    strategy: str = "bfs",
-    minimize: bool = True,
-    stop_on_violation: bool = False,
-    fault_timing: bool = False,
-    symmetry: bool = False,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    store: SimulationStore | None = None,
-) -> ExploreResult:
-    """Convenience wrapper: build an :class:`Explorer` and run it."""
-    explorer = Explorer(
-        probe,
-        max_holds=max_holds,
-        max_schedules=max_schedules,
-        strategy=strategy,
-        minimize=minimize,
-        stop_on_violation=stop_on_violation,
-        fault_timing=fault_timing,
-        symmetry=symmetry,
-        store=store,
-    )
-    return explorer.run(parallel=parallel, max_workers=max_workers)

@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.explore.controlled import (
     Decision,
     HoldLink,
-    canonical_links,
+    canonical_decisions,
     decision_from_json,
 )
 from repro.explore.engine import (
@@ -65,7 +65,7 @@ def minimize_decisions(
     """
     run = schedule_runner(probe, store)
     target = {name for name, _ in outcome.failures}
-    current = list(canonical_links(decisions))
+    current = list(canonical_decisions(decisions))
     best = outcome
     runs = 0
     shrunk = True
@@ -109,8 +109,8 @@ class ScheduleWitness:
     ) -> "ScheduleWitness":
         return cls(
             probe=probe.with_decisions(decisions),
-            decisions=canonical_links(decisions),
-            discovered=canonical_links(discovered),
+            decisions=canonical_decisions(decisions),
+            discovered=canonical_decisions(discovered),
             failures=outcome.failures,
             trace_hash=outcome.trace_hash,
         )
@@ -250,12 +250,11 @@ class ScheduleWitness:
                 for plan in data["plans"]
             ),
             checks=tuple(data["checks"]),
-            granularity=data.get("granularity", "operation"),
             decisions=decisions,
-            max_events=data.get("max_events", 200_000),
-            # Axes absent from the file mean their defaults — what every
-            # witness recorded before the axis existed ran under — so the
-            # corpus stays replayable.
+            # Axes (and the two bounds a probe carries) absent from the file
+            # mean their defaults — what every witness recorded before they
+            # existed ran under — so the corpus stays replayable.
+            **{name: data[name] for name in ("granularity", "max_events") if name in data},
             **RunAxes.from_payload(data).axis_values(),
         )
         return cls(

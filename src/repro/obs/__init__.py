@@ -4,7 +4,7 @@ Everything here is post-hoc — derived from bookkeeping the engines
 already keep byte-identical across the event and batched simulators —
 so observability adds no hot-path cost when off and no determinism
 hazard when on.  See :mod:`repro.obs.spans` for the span vocabulary,
-:mod:`repro.obs.metrics` for metric names and sinks, and
+:mod:`repro.obs.metrics` for metric names, and
 :mod:`repro.obs.export` for the output formats.
 """
 
@@ -15,21 +15,12 @@ from repro.obs.export import (
     summarize_spans,
     write_chrome_trace,
 )
-from repro.obs.metrics import (
-    RESERVOIR_SIZE,
-    MetricsRegistry,
-    MetricsSink,
-    StreamingSink,
-    derive_metrics,
-)
+from repro.obs.metrics import MetricsRegistry, derive_metrics
 from repro.obs.spans import REPAIR_PHASES, derive_spans
 
 __all__ = [
     "REPAIR_PHASES",
-    "RESERVOIR_SIZE",
     "MetricsRegistry",
-    "MetricsSink",
-    "StreamingSink",
     "chrome_trace_events",
     "derive_metrics",
     "derive_spans",

@@ -1,19 +1,11 @@
-"""Named counters and histograms with pluggable, bounded-memory sinks.
+"""Named counters and histograms, folded from a run's spans and wire trace.
 
-A :class:`MetricsSink` receives ``count``/``observe`` calls and renders a
-deterministic ``snapshot()`` — a sorted list of plain-data records, one
-per metric.  Two sinks ship built in:
-
-* :class:`MetricsRegistry` — exact: every histogram sample is retained.
-  The default for per-trial derivation, where sample counts are small and
-  byte-identical snapshots across engines matter.
-* :class:`StreamingSink` — bounded memory: histograms keep exact running
-  ``count``/``sum``/``min``/``max`` plus a fixed-size reservoir
-  (Vitter's algorithm R, deterministically seeded per metric name) for
-  quantile estimates.  Sized for million-operation streaming runs: memory
-  is O(metrics × reservoir), independent of sample count.  While a
-  histogram has at most ``reservoir`` samples its snapshot is exactly the
-  registry's, so small runs can swap sinks without changing output.
+:class:`MetricsRegistry` receives ``count``/``observe`` calls and renders a
+deterministic ``snapshot()`` — a sorted list of plain-data records, one per
+metric.  It is exact (every histogram sample is retained):
+:func:`derive_metrics` is handed a finished trial's span list and trace, so
+sample counts are what that trial already holds in memory, and
+byte-identical snapshots across engines matter.
 
 Metric vocabulary used by :func:`derive_metrics`:
 
@@ -35,14 +27,9 @@ Metric vocabulary used by :func:`derive_metrics`:
 
 from __future__ import annotations
 
-import random
-import zlib
 from typing import Any, Iterable, Sequence
 
 from repro.sim.tracing import MessageTrace
-
-#: Default reservoir size of the streaming sink (per histogram).
-RESERVOIR_SIZE = 512
 
 #: Quantiles reported in every histogram snapshot.
 _QUANTILES = ((50, "p50"), (90, "p90"), (99, "p99"))
@@ -54,136 +41,42 @@ def _quantile(ordered: Sequence[float], percentile: int) -> float:
     return ordered[min(rank, len(ordered) - 1)]
 
 
-def _histogram_record(
-    name: str, count: int, total: float, low: float, high: float,
-    ordered: Sequence[float],
-) -> dict[str, Any]:
-    record: dict[str, Any] = {
-        "metric": name,
-        "type": "histogram",
-        "count": count,
-        "sum": total,
-        "min": low,
-        "max": high,
-        "mean": round(total / count, 6),
-    }
-    for percentile, label in _QUANTILES:
-        record[label] = _quantile(ordered, percentile)
-    return record
-
-
-class MetricsSink:
-    """The sink protocol: named counters plus histogram observations."""
-
-    def count(self, name: str, value: int = 1) -> None:
-        """Add ``value`` to the counter ``name``."""
-        raise NotImplementedError
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the histogram ``name``."""
-        raise NotImplementedError
-
-    def snapshot(self) -> list[dict[str, Any]]:
-        """Plain-data records, sorted by metric name (deterministic)."""
-        raise NotImplementedError
-
-
-class MetricsRegistry(MetricsSink):
-    """Exact sink: retains every histogram sample."""
+class MetricsRegistry:
+    """Named counters plus histogram observations, every sample retained."""
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._series: dict[str, list[float]] = {}
 
     def count(self, name: str, value: int = 1) -> None:
+        """Add ``value`` to the counter ``name``."""
         self._counters[name] = self._counters.get(name, 0) + value
 
     def observe(self, name: str, value: float) -> None:
+        """Record one sample into the histogram ``name``."""
         self._series.setdefault(name, []).append(value)
 
     def snapshot(self) -> list[dict[str, Any]]:
+        """Plain-data records, sorted by metric name (deterministic)."""
         records: list[dict[str, Any]] = [
             {"metric": name, "type": "counter", "value": value}
             for name, value in self._counters.items()
         ]
         for name, samples in self._series.items():
             ordered = sorted(samples)
-            records.append(_histogram_record(
-                name, len(samples), sum(samples), ordered[0], ordered[-1], ordered,
-            ))
-        records.sort(key=lambda record: record["metric"])
-        return records
-
-
-class _Reservoir:
-    """Running stats plus a fixed-size deterministic sample (algorithm R)."""
-
-    __slots__ = ("count", "total", "low", "high", "sample", "_rng", "_cap")
-
-    def __init__(self, name: str, cap: int) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.low = 0.0
-        self.high = 0.0
-        self.sample: list[float] = []
-        # Seeded per metric name so the retained sample is a pure function
-        # of the observation sequence — identical across engines and runs.
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
-        self._cap = cap
-
-    def add(self, value: float) -> None:
-        if self.count == 0:
-            self.low = self.high = value
-        else:
-            if value < self.low:
-                self.low = value
-            if value > self.high:
-                self.high = value
-        if self.count < self._cap:
-            self.sample.append(value)
-        else:
-            slot = self._rng.randint(0, self.count)
-            if slot < self._cap:
-                self.sample[slot] = value
-        self.count += 1
-        self.total += value
-
-
-class StreamingSink(MetricsSink):
-    """Bounded-memory sink: exact counters, reservoir-sampled histograms."""
-
-    def __init__(self, reservoir: int = RESERVOIR_SIZE) -> None:
-        if reservoir < 1:
-            raise ValueError("reservoir must hold at least one sample")
-        self._counters: dict[str, int] = {}
-        self._reservoirs: dict[str, _Reservoir] = {}
-        self._cap = reservoir
-
-    def count(self, name: str, value: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + value
-
-    def observe(self, name: str, value: float) -> None:
-        reservoir = self._reservoirs.get(name)
-        if reservoir is None:
-            self._reservoirs[name] = reservoir = _Reservoir(name, self._cap)
-        reservoir.add(value)
-
-    def snapshot(self) -> list[dict[str, Any]]:
-        records: list[dict[str, Any]] = [
-            {"metric": name, "type": "counter", "value": value}
-            for name, value in self._counters.items()
-        ]
-        for name, reservoir in self._reservoirs.items():
-            # sum is exact; quantiles come from the (possibly sampled)
-            # reservoir.  Integer totals stay integers so small runs match
-            # the exact registry byte for byte.
-            total = reservoir.total
-            if total == int(total):
-                total = int(total)
-            records.append(_histogram_record(
-                name, reservoir.count, total, reservoir.low, reservoir.high,
-                sorted(reservoir.sample),
-            ))
+            total = sum(samples)
+            record: dict[str, Any] = {
+                "metric": name,
+                "type": "histogram",
+                "count": len(samples),
+                "sum": total,
+                "min": ordered[0],
+                "max": ordered[-1],
+                "mean": round(total / len(samples), 6),
+            }
+            for percentile, label in _QUANTILES:
+                record[label] = _quantile(ordered, percentile)
+            records.append(record)
         records.sort(key=lambda record: record["metric"])
         return records
 
@@ -194,17 +87,15 @@ def derive_metrics(
     *,
     events: int = 0,
     staleness: Iterable[int] = (),
-    sink: MetricsSink | None = None,
 ) -> list[dict[str, Any]]:
     """Fold a run's spans and wire trace into a metrics snapshot.
 
     Pure data in, pure data out: feed the records :func:`derive_spans`
     built (plus the trace for per-tag message counters, the executed
-    event count, and optional staleness samples) into ``sink`` — the
-    exact :class:`MetricsRegistry` by default — and return its snapshot.
+    event count, and optional staleness samples) into a
+    :class:`MetricsRegistry` and return its snapshot.
     """
-    if sink is None:
-        sink = MetricsRegistry()
+    sink = MetricsRegistry()
     for _time, kind, message in trace.entries:
         sink.count(f"messages.{kind.value}.{message.tag}")
     for span in spans:

@@ -53,7 +53,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.axes import AxesView, RunAxes
+from repro.axes import BOUND_NAMES, AxesView, RunAxes, SearchBounds
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -221,6 +221,12 @@ def _as_cluster(
                 "pass the fault budget either on the cluster "
                 "(with_faults) or as the faults= argument, not both"
             )
+        if cluster_kwargs:
+            raise ConfigurationError(
+                f"unknown frontier keyword(s) {', '.join(map(repr, cluster_kwargs))}: "
+                f"a configured cluster takes the search bounds "
+                f"({', '.join(SearchBounds().to_payload())}) and no construction keywords"
+            )
         return protocol
     # Over-budget configurations are the point of a frontier, so the
     # ad-hoc path always builds with allow_overfault=True; degradation is
@@ -247,17 +253,10 @@ def robustness_frontier(
     S: int | None = None,
     n_readers: int = 2,
     max_k: int = 4,
-    max_holds: int = 2,
-    max_schedules: int = 2_000,
-    max_events: int = 200_000,
-    granularity: str = "operation",
-    strategy: str = "bfs",
     seed: int = 0,
-    fault_timing: bool = True,
-    symmetry: bool = False,
     parallel: bool = False,
     max_workers: int | None = None,
-    **cluster_kwargs: Any,
+    **keywords: Any,
 ) -> FrontierResult:
     """Certify the strongest model ``protocol`` serves under ``faults``.
 
@@ -269,6 +268,12 @@ def robustness_frontier(
     ``allow_overfault=True`` so over-budget configurations degrade instead
     of erroring.
 
+    ``keywords`` are search bounds — the seven a stored result names (see
+    :class:`~repro.axes.SearchBounds`; a frontier always minimizes and
+    sweeps every rung fully), with ``fault_timing`` on unless told
+    otherwise, checked before the first schedule runs — and, with a
+    protocol name, further :class:`~repro.api.Cluster` keywords.
+
     The walk: evaluate atomicity; if refuted, binary-search the monotone
     ``k-atomic(2..max_k)`` segment for the smallest certified bound; if
     none certifies, scan regularity then safety (single-writer only).
@@ -279,43 +284,25 @@ def robustness_frontier(
     The rungs share their simulations (see the module docstring): a
     schedule is simulated once and judged once per rung that reaches it.
     """
-    from repro.explore.engine import SimulationStore, explore_probe
+    from repro.explore.engine import Explorer, SimulationStore
 
-    cluster = _as_cluster(
-        protocol, faults, t=t, S=S, n_readers=n_readers, **cluster_kwargs
+    search = SearchBounds.of(
+        {name: keywords.pop(name) for name in BOUND_NAMES if name in keywords},
+        stored_only=True, fault_timing=True,
     )
+    cluster = _as_cluster(protocol, faults, t=t, S=S, n_readers=n_readers, **keywords)
     _, inventory = cluster._materialize_faults()
     ladder = model_ladder(max_k, multi_writer=cluster._writer_count() > 1)
-    bounds = {
-        "max_holds": max_holds,
-        "max_schedules": max_schedules,
-        "max_events": max_events,
-        "max_k": max_k,
-        "granularity": granularity,
-        "strategy": strategy,
-        "seed": seed,
-        "fault_timing": fault_timing,
-        "symmetry": symmetry,
-    }
 
-    probe = cluster._schedule_probe(
-        seed=seed, granularity=granularity, max_events=max_events
-    )
+    probe = cluster._schedule_probe(search, seed=seed)
     store = SimulationStore(probe)
     results: dict[str, "ExploreResult"] = {}
 
     def evaluate(model: str) -> "ExploreResult":
         if model not in results:
-            results[model] = explore_probe(
-                replace(probe, checks=cluster.with_checks(model)._checks),
-                max_holds=max_holds,
-                max_schedules=max_schedules,
-                strategy=strategy,
-                fault_timing=fault_timing,
-                symmetry=symmetry,
-                parallel=parallel,
-                max_workers=max_workers,
-                store=store,
+            rung = replace(probe, checks=cluster.with_checks(model)._checks)
+            results[model] = Explorer(rung, search, store).run(
+                parallel=parallel, max_workers=max_workers
             )
         return results[model]
 
@@ -366,7 +353,8 @@ def robustness_frontier(
         S=atomic.S,
         axes=cluster.axes,
         ladder=ladder,
-        bounds=bounds,
+        # The bounds as requested: a rung reports how its own resolved.
+        bounds={**search.to_payload(), "max_k": max_k, "seed": seed},
         outcomes={model: _status(res) for model, res in results.items()},
         strongest=strongest,
         refuted=refuted,

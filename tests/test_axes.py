@@ -7,8 +7,8 @@ probe that it *took effect* on a built backend.  The first test pins the table
 to ``dataclasses.fields(RunAxes)``: adding a field to
 :class:`repro.axes.RunAxes` without a sample fails it, and with one the axis
 is checked through ``Cluster → TrialSpec → pickle → backend``, ``Cluster →
-ScheduleProbe → witness JSON``, ``RunResult → JSON → compare key`` and the
-three CLI subcommands with no further edits.
+ScheduleProbe → witness JSON``, ``RunResult → JSON → compare key``, the
+``ExploreResult`` payload and the three CLI subcommands with no further edits.
 """
 
 from __future__ import annotations
@@ -169,6 +169,20 @@ def test_run_result_to_json_to_compare_key(name, tmp_path, capsys):
     # Rows are like-for-like exactly when no tagged axis separates them.
     expected = "compared 0 run(s)" if tagged else "compared 1 run(s)"
     assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", TAGGED)
+def test_explore_result_names_the_tagged_axis(name):
+    payload = jsonable(sample_cluster(name).explore(max_holds=0).to_dict())
+    assert payload[name] == SAMPLES[name].value
+    assert RunAxes.from_payload(payload).non_default() == {name: SAMPLES[name].value}
+    default = jsonable(
+        Cluster("abd", t=1).with_workload(operations=4, spacing=30)
+        .explore(max_holds=0).to_dict()
+    )
+    # durability is the one axis an exploration has always written.
+    assert set(default) & set(AXIS_NAMES) == {"durability"}
+    assert RunAxes.from_payload(default) == RunAxes()
 
 
 @pytest.mark.parametrize("name", SAMPLED)

@@ -22,6 +22,7 @@ import pytest
 from repro.api import Cluster, available_backends, available_protocols, get_spec, sweep
 from repro.api.cluster import build_backend
 from repro.api.faults import available_faults
+from repro.axes import SearchBounds
 from repro.errors import SimulationError
 from repro.explore import HoldLink, run_schedule
 from repro.explore.engine import simulate
@@ -365,8 +366,8 @@ class TestExploreParity:
         def explore():
             result = cluster.explore(**bounds)
             probe = cluster._schedule_probe(
+                SearchBounds(granularity=bounds.get("granularity", "operation")),
                 seed=bounds.get("seed", 0),
-                granularity=bounds.get("granularity", "operation"),
             )
             free = run_schedule(probe)
             per_schedule = [free] + [
@@ -456,7 +457,7 @@ class TestPolicyShapeFastPath:
         probe = (
             Cluster("fast-regular", t=1)
             .with_operations(THREE_OPERATIONS)
-            ._schedule_probe(granularity="round")
+            ._schedule_probe(SearchBounds(granularity="round"))
         )
         calls = _count_calls(monkeypatch, Network, "send", "_schedule_delivery")
         for decisions in ((), (HoldLink(1, 2, 1), HoldLink(2, 1, 1))):

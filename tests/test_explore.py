@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.api import Cluster, protocol_specs
+from repro.axes import SearchBounds
 from repro.errors import ConfigurationError
 from repro.explore import (
     ControlledDelivery,
@@ -13,7 +14,7 @@ from repro.explore import (
     HoldLink,
     ScheduleProbe,
     ScheduleWitness,
-    canonical_links,
+    canonical_decisions,
     minimize_decisions,
     run_schedule,
 )
@@ -53,9 +54,9 @@ class TestHoldLink:
         with pytest.raises(ConfigurationError):
             HoldLink(op=1, obj=1, round_no=0)
 
-    def test_canonical_links_dedups_and_orders(self):
+    def test_canonical_decisions_dedups_and_orders(self):
         links = (HoldLink(2, 1), HoldLink(1, 3), HoldLink(2, 1), HoldLink(1, 2))
-        assert canonical_links(links) == (
+        assert canonical_decisions(links) == (
             HoldLink(1, 2), HoldLink(1, 3), HoldLink(2, 1),
         )
 
@@ -111,7 +112,7 @@ class TestControlledDelivery:
         ``HoldLink`` per reported expansion, not one per message on the wire."""
         from repro.explore.engine import simulate
 
-        probe = small_cluster()._schedule_probe(granularity=granularity)
+        probe = small_cluster()._schedule_probe(SearchBounds(granularity=granularity))
         round_no = 1 if granularity == "round" else None
         probe = probe.with_decisions((HoldLink(1, 2, round_no), HoldLink(2, 3, round_no)))
         built = []
@@ -125,7 +126,7 @@ class TestControlledDelivery:
         outcome = simulate(probe).outcome
         assert outcome.held_messages >= 2 and outcome.events > 2 * len(outcome.expansions)
         assert built and len(built) <= len(outcome.expansions) + len(outcome.decisions)
-        assert tuple(built) == outcome.expansions == canonical_links(outcome.expansions)
+        assert tuple(built) == outcome.expansions == canonical_decisions(outcome.expansions)
 
     def test_granularity_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -8,9 +8,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.obs import (
-    RESERVOIR_SIZE,
     MetricsRegistry,
-    StreamingSink,
     chrome_trace_events,
     dump_metrics_jsonl,
     dump_spans_jsonl,
@@ -195,38 +193,22 @@ class TestSpanContent:
         assert "staleness.lag" in bounded_names
 
 
-class TestSinks:
-    def test_streaming_matches_exact_registry_under_reservoir_size(self):
-        exact, streaming = MetricsRegistry(), StreamingSink()
-        samples = [(i * 37) % 101 for i in range(RESERVOIR_SIZE)]
-        for sink in (exact, streaming):
-            sink.count("ops.read", 7)
-            sink.count("ops.read", 3)
-            for sample in samples:
-                sink.observe("quorum.wait", sample)
-        assert exact.snapshot() == streaming.snapshot()
-
-    def test_streaming_is_bounded_and_deterministic_above_reservoir_size(self):
-        def fill():
-            sink = StreamingSink(reservoir=64)
-            for i in range(10_000):
-                sink.observe("quorum.wait", (i * 13) % 997)
-            return sink
-
-        a, b = fill(), fill()
-        assert len(a._reservoirs["quorum.wait"].sample) == 64
-        snapshot = a.snapshot()
-        assert snapshot == b.snapshot()
-        (record,) = snapshot
-        assert record["count"] == 10_000
-        assert record["sum"] == sum((i * 13) % 997 for i in range(10_000))
-        assert record["min"] == 0 and record["max"] == 996
-        for label in ("p50", "p90", "p99"):
-            assert 0 <= record[label] <= 996
-
-    def test_streaming_rejects_empty_reservoir(self):
-        with pytest.raises(ValueError):
-            StreamingSink(reservoir=0)
+class TestMetricsRegistry:
+    def test_snapshot_has_exact_counters_and_nearest_rank_quantiles(self):
+        registry = MetricsRegistry()
+        registry.count("ops.read", 7)
+        registry.count("ops.read", 3)
+        samples = [(i * 37) % 101 for i in range(512)]
+        for sample in samples:
+            registry.observe("quorum.wait", sample)
+        ordered = sorted(samples)
+        assert registry.snapshot() == [
+            {"metric": "ops.read", "type": "counter", "value": 10},
+            {"metric": "quorum.wait", "type": "histogram", "count": 512,
+             "sum": sum(samples), "min": 0, "max": 100,
+             "mean": round(sum(samples) / 512, 6),
+             "p50": ordered[255], "p90": ordered[460], "p99": ordered[506]},
+        ]
 
 
 class TestExporters:

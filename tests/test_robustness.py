@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.api.cluster import sweep
+from repro.axes import SearchBounds
 from repro.errors import ConfigurationError
 from repro.explore import (
     ControlledDelivery,
@@ -513,7 +514,7 @@ class TestFrontierSharesSimulations:
             dataclasses.replace(probe, durability="mem"),
             dataclasses.replace(probe, max_events=100),
             dataclasses.replace(probe, plans=probe.plans[:1]),
-            timed_stack()._schedule_probe(granularity="round"),
+            timed_stack()._schedule_probe(SearchBounds(granularity="round")),
         ):
             with pytest.raises(ConfigurationError, match="another configuration"):
                 Explorer(other, store=store)
@@ -524,7 +525,7 @@ class TestFrontierSharesSimulations:
         import gc
         import pickle
 
-        from repro.explore import SimulationStore, explore_probe
+        from repro.explore import Explorer, SimulationStore
         from repro.sim.network import Message
         from repro.sim.simulator import Simulator
 
@@ -534,17 +535,18 @@ class TestFrontierSharesSimulations:
             )
 
         probe = timed_stack()._schedule_probe()
-        explore_probe(probe, max_holds=1)  # imports and caches settle
+        Explorer(probe, SearchBounds(max_holds=1)).run()  # imports and caches settle
         gc.collect()
         gc.disable()
         try:
             before = live()
             store = SimulationStore(probe)
             for model in ("atomicity", "k-atomic(2)"):
-                explore_probe(
+                Explorer(
                     dataclasses.replace(probe, checks=(model,)),
-                    max_holds=2, max_schedules=3000, fault_timing=True, store=store,
-                )
+                    SearchBounds(max_holds=2, max_schedules=3000, fault_timing=True),
+                    store,
+                ).run()
             assert len(store) == 175
             assert live() > before  # the finished systems wait for the collector
             gc.collect()

@@ -352,6 +352,7 @@ class TestFingerprintDifferential:
     def test_held_dropped_repair_and_truncated_schedules(self, monkeypatch):
         """Through ``run_schedule`` itself: the traces the explorer hashes."""
         from repro.api import Cluster
+        from repro.axes import SearchBounds
         from repro.explore import FaultTrigger, HoldLink, engine as explore_engine
         from repro.sim import tracing
 
@@ -379,7 +380,7 @@ class TestFingerprintDifferential:
         # The held read never returns, so the reader's next plan is dropped.
         assert TraceKind.HOLD in seen[-1] and held.held_messages and held.dropped == 1
         cut = explore_engine.run_schedule(
-            stack._schedule_probe(max_events=free.events // 2)
+            stack._schedule_probe(SearchBounds(max_events=free.events // 2))
         )
         assert cut.truncated and cut.trace_hash != free.trace_hash
         repaired = (
