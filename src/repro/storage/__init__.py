@@ -16,6 +16,16 @@ orthogonal **durability axis** that makes them crash-*recover*:
 * :mod:`repro.storage.meter` — :class:`SpaceMeter`, per-object retained
   bytes/records/timestamps with GC of superseded values.
 
+**The medium contract** (``durability="dir"``; spelled out on
+:class:`~repro.storage.stable.DirStorage`): nothing is on disk before a
+store's first ``put`` — not its log, not the runtime's directory; one file
+handle per store for its whole life, through which ``gc`` / ``recover`` /
+``crash`` rewrite or cut the log in place; ``sync`` *flushes* to the
+operating system and ``os.fsync`` is still **not** called (durability is the
+journal's watermark, modelled).  The seam pays for bytes that change: no read
+walks the journal, a frozen value is encoded once per system, and a journal
+value is decoded once per ``SpaceMeter.measure()``.
+
 The crash-recover *fault behaviours* that exploit this seam live in
 :mod:`repro.faults.recovery`; the axis is threaded through
 :class:`~repro.api.cluster.Cluster`, the backend registry, both

@@ -37,9 +37,21 @@ from typing import Any
 from repro.types import ProcessId, TaggedValue, Timestamp
 
 
+# One encoder for the life of the process: ``json.dumps`` with non-default
+# separators builds a fresh ``JSONEncoder`` per call, and the write-ahead diff
+# encodes every state key after every delivered message.
+_ENCODE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def _pack(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    # The model types before the containers: they are what protocol state is
+    # made of, and no container branch could claim them.
+    if isinstance(value, TaggedValue):
+        return {"tv": [_pack(value.ts), _pack(value.value)]}
+    if isinstance(value, Timestamp):
+        return {"ts": [value.seq, value.writer]}
     if isinstance(value, dict):
         return {"m": [[_pack(key), _pack(item)] for key, item in value.items()]}
     if isinstance(value, list):
@@ -50,10 +62,6 @@ def _pack(value: Any) -> Any:
         packed = [_pack(item) for item in value]
         packed.sort(key=lambda item: json.dumps(item, ensure_ascii=False))
         return {"s": packed}
-    if isinstance(value, Timestamp):
-        return {"ts": [value.seq, value.writer]}
-    if isinstance(value, TaggedValue):
-        return {"tv": [_pack(value.ts), _pack(value.value)]}
     if isinstance(value, ProcessId):
         return {"pid": [value.role_value, value.index]}
     raise TypeError(f"cannot encode {type(value).__name__} for stable storage")
@@ -64,6 +72,10 @@ def _unpack(value: Any) -> Any:
         return value
     if isinstance(value, dict):
         (tag, payload), = value.items()
+        if tag == "tv":
+            return TaggedValue(_unpack(payload[0]), _unpack(payload[1]))
+        if tag == "ts":
+            return Timestamp(payload[0], payload[1])
         if tag == "m":
             return {_unpack(key): _unpack(item) for key, item in payload}
         if tag == "l":
@@ -72,10 +84,6 @@ def _unpack(value: Any) -> Any:
             return tuple(_unpack(item) for item in payload)
         if tag == "s":
             return {_unpack(item) for item in payload}
-        if tag == "ts":
-            return Timestamp(payload[0], payload[1])
-        if tag == "tv":
-            return TaggedValue(_unpack(payload[0]), _unpack(payload[1]))
         if tag == "pid":
             return ProcessId(payload[0], payload[1])
         raise ValueError(f"unknown storage codec tag {tag!r}")
@@ -100,9 +108,7 @@ def unpack_value(value: Any) -> Any:
 
 def encode_state(value: Any) -> bytes:
     """Serialize one protocol state value to deterministic bytes."""
-    return json.dumps(
-        _pack(value), ensure_ascii=False, separators=(",", ":")
-    ).encode("utf-8")
+    return _ENCODE(_pack(value)).encode("utf-8")
 
 
 def decode_state(data: bytes) -> Any:

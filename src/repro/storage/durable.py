@@ -8,14 +8,19 @@ a :class:`~repro.storage.stable.StableStorage` *before* the reply payload
 is returned (write-ahead: no object ever acknowledges an update it has not
 handed to stable storage).
 
-:class:`StorageRuntime` is the per-system factory: one store per object,
-plus the temporary directory backing ``durability="dir"`` (removed by
-:meth:`StorageRuntime.close`, which whoever built the system calls).
+:class:`StorageRuntime` is the per-system factory: one store per object.
+At ``durability="dir"`` it reserves a private directory *name*; the first
+store that appends a record creates the directory and its own log file, so
+a system that is built but never run (a validation probe) touches no disk.
+:meth:`StorageRuntime.close`, which whoever built the system calls, removes
+exactly the files and the directory that came into being.
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
+from contextlib import suppress
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -24,7 +29,7 @@ from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.storage.codec import decode_state, encode_state
 from repro.storage.stable import DirStorage, MemJournal, RecoveredImage, StableStorage
-from repro.types import ProcessId
+from repro.types import ProcessId, TaggedValue, Timestamp
 
 #: The durability axis, orthogonal to the backend.
 DURABILITIES: tuple[str, ...] = ("none", "mem", "dir")
@@ -38,12 +43,26 @@ def resolve_durability(name: str) -> str:
     return name
 
 
+#: Leaves nothing can change after construction; a value made only of them
+#: (directly, or as a tagged value's payload) always encodes to the same bytes.
+_FROZEN = frozenset({type(None), bool, int, float, str, Timestamp, ProcessId})
+
+
+def _is_frozen(value: Any) -> bool:
+    kind = type(value)
+    return kind in _FROZEN or (kind is TaggedValue and type(value.value) in _FROZEN)
+
+
 class DurableObjectHandler(ObjectHandler):
     """Write-ahead persistence around an inner protocol handler."""
 
     def __init__(self, inner: ObjectHandler, store: StableStorage) -> None:
         self.inner = inner
         self.store = store
+        # id(value) -> (value, its bytes), frozen values only: the same
+        # object is never encoded twice.  A runtime shares one map between
+        # its handlers, since a write hands every object the same value.
+        self._encoded: dict[int, tuple[Any, bytes]] = {}
 
     def initial_state(self) -> dict[str, Any]:
         return self.inner.initial_state()
@@ -53,8 +72,15 @@ class DurableObjectHandler(ObjectHandler):
         store = self.store
         if not store.frozen:
             dirty = False
+            remembered = self._encoded
             for key, value in state.items():
-                encoded = encode_state(value)
+                known = remembered.get(id(value))
+                if known is not None and known[0] is value:
+                    encoded = known[1]
+                else:
+                    encoded = encode_state(value)
+                    if _is_frozen(value):
+                        remembered[id(value)] = (value, encoded)
                 if store.get(key) != encoded:
                     store.put(key, encoded)
                     dirty = True
@@ -86,9 +112,11 @@ class StorageRuntime:
             )
         self.durability = durability
         self.stores: dict[str, StableStorage] = {}
-        self._tmp: tempfile.TemporaryDirectory[str] | None = None
+        self._encoded: dict[int, tuple[Any, bytes]] = {}
+        self._root: Path | None = None
         if durability == "dir":
-            self._tmp = tempfile.TemporaryDirectory(prefix="repro-storage-")
+            # A name nobody else will pick (64 random bits), not a directory yet.
+            self._root = Path(tempfile.gettempdir(), f"repro-storage-{os.urandom(8).hex()}")
 
     @classmethod
     def create(cls, durability: str) -> "StorageRuntime | None":
@@ -102,16 +130,25 @@ class StorageRuntime:
         name = str(pid)
         if name in self.stores:
             raise ConfigurationError(f"object {name} already has a stable store")
-        if self._tmp is not None:
-            store: StableStorage = DirStorage(Path(self._tmp.name) / f"{name}.log")
+        if self._root is not None:
+            store: StableStorage = DirStorage(self._root / f"{name}.log")
         else:
             store = MemJournal()
         self.stores[name] = store
-        return DurableObjectHandler(handler, store)
+        wrapped = DurableObjectHandler(handler, store)
+        wrapped._encoded = self._encoded
+        return wrapped
 
     def close(self) -> None:
         for store in self.stores.values():
             store.close()
-        if self._tmp is not None:
-            self._tmp.cleanup()
-            self._tmp = None
+        if self._root is not None:
+            # A log exists iff its store ever opened a handle, the directory
+            # iff some log does; tolerating "already gone" keeps a second
+            # close harmless.
+            logs = [s.path for s in self.stores.values() if s._fh is not None]
+            for log in logs:
+                log.unlink(missing_ok=True)
+            if logs:
+                with suppress(FileNotFoundError):
+                    self._root.rmdir()

@@ -14,19 +14,24 @@ Two implementations share the journal logic:
   tests and the schedule explorer (no filesystem in the state space).
 * :class:`DirStorage` — one append-only log file per object under a temp
   dir; the on-disk frame is ``>II`` (payload length, CRC-32) followed by
-  ``key \\0 value`` bytes, and recovery genuinely re-parses the file.
+  ``key \\0 value`` bytes, and recovery genuinely re-parses the file.  Its
+  docstring states the medium contract: nothing on disk before the first
+  ``put``, one handle per store, rewrite in place, ``flush`` but no ``fsync``.
 
-Both account retained space with the same frame arithmetic, so the space
-meter reports comparable byte counts whichever backend a run uses.
+Both account retained space with the same frame arithmetic — the base class
+keeps the running frame-byte total per record — so the space meter reports
+comparable byte counts whichever backend a run uses, and no read
+(``get`` / ``keys`` / ``stats``) ever walks the journal.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from typing import BinaryIO
 
 from repro.errors import StorageError
 
@@ -103,6 +108,11 @@ class StableStorage:
 
     def __init__(self) -> None:
         self._records: list[tuple[str, bytes]] = []
+        # Two views ``put`` keeps in step with the records, so that no read
+        # walks the journal; only the operations that drop or reorder
+        # records (``crash`` / ``recover`` / ``gc``) rebuild them.
+        self._ends: list[int] = []  # frame bytes up to and including record i
+        self._latest: dict[str, bytes] = {}  # newest value per key, first-append order
         self.synced: int = 0
         self.lag: int = 0
         self.frozen: bool = False
@@ -120,7 +130,9 @@ class StableStorage:
         if self.frozen:
             raise StorageError("cannot append to a frozen (crashed) store")
         self._records.append((key, value))
-        self._append_medium(key, value)
+        self._latest[key] = value
+        ends = self._ends
+        ends.append((ends[-1] if ends else 0) + self._append_medium(key, value))
 
     def sync(self) -> None:
         """Advance the durability watermark, honouring the ``lag`` knob."""
@@ -128,28 +140,21 @@ class StableStorage:
         self.synced = max(before, len(self._records) - self.lag)
         self._sync_medium()
         if self.clock is not None and self.synced > before:
-            newly = self._records[before : self.synced]
             self.sync_log.append((
                 self.clock(),
-                len(newly),
-                sum(_frame_size(key, value) for key, value in newly),
+                self.synced - before,
+                self._bytes(self.synced) - self._bytes(before),
             ))
 
     # -- read path -----------------------------------------------------
 
     def get(self, key: str) -> bytes | None:
         """Latest acknowledged value for ``key`` (the live machine's view)."""
-        for stored, value in reversed(self._records):
-            if stored == key:
-                return value
-        return None
+        return self._latest.get(key)
 
     def keys(self) -> tuple[str, ...]:
         """Keys with at least one record, in first-append order."""
-        seen: dict[str, None] = {}
-        for key, _ in self._records:
-            seen.setdefault(key)
-        return tuple(seen)
+        return tuple(self._latest)
 
     # -- crash / recovery ----------------------------------------------
 
@@ -158,6 +163,8 @@ class StableStorage:
         lost = len(self._records) - self.synced
         if lost > 0:
             del self._records[self.synced :]
+            del self._ends[self.synced :]
+            self._latest = dict(self._records)
             if self._torn_index is not None and self._torn_index >= len(self._records):
                 self._torn_index = None
         self._truncate_medium(self.synced)
@@ -184,17 +191,11 @@ class StableStorage:
         torn = self._torn_index is not None and self._torn_index < limit
         if torn:
             limit = self._torn_index
-        replayed = self._recover_medium(limit)
-        state: dict[str, bytes] = {}
-        for key, value in replayed:
-            state[key] = value
-        self._records = replayed
-        self.synced = len(replayed)
-        self._torn_index = None
+        self._adopt(self._recover_medium(limit))
         return RecoveredImage(
-            state=state,
-            replayed=len(replayed),
-            discarded=total - len(replayed),
+            state=dict(self._latest),
+            replayed=self.synced,
+            discarded=total - self.synced,
             torn_detected=torn,
         )
 
@@ -203,7 +204,7 @@ class StableStorage:
     def stats(self) -> StorageStats:
         """Frame bytes and record counts currently retained."""
         return StorageStats(
-            retained_bytes=sum(_frame_size(k, v) for k, v in self._records),
+            retained_bytes=self._bytes(len(self._records)),
             records=len(self._records),
             synced_records=self.synced,
         )
@@ -219,21 +220,28 @@ class StableStorage:
         The compacted journal is durable by construction (it only contains
         values that were already retained).
         """
-        before = sum(_frame_size(k, v) for k, v in self._records)
-        latest: dict[str, bytes] = {}
-        for key, value in self._records:
-            latest[key] = value
-        compacted = list(latest.items())
-        self._records = compacted
-        self.synced = len(compacted)
+        before = self._bytes(len(self._records))
+        self._adopt(list(self._latest.items()))
+        self._rewrite_medium(self._records)
+        return before - self._bytes(len(self._records))
+
+    def _adopt(self, records: list[tuple[str, bytes]]) -> None:
+        """Install ``records`` as the whole journal, all of it durable."""
+        self._records = records
+        self._ends = list(accumulate(_frame_size(k, v) for k, v in records))
+        self._latest = dict(records)
+        self.synced = len(records)
         self._torn_index = None
-        self._rewrite_medium(compacted)
-        return before - sum(_frame_size(k, v) for k, v in compacted)
+
+    def _bytes(self, count: int) -> int:
+        """Frame bytes of the first ``count`` records."""
+        return self._ends[count - 1] if count else 0
 
     # -- medium hooks (in-memory store: no-ops) ------------------------
 
-    def _append_medium(self, key: str, value: bytes) -> None:
-        pass
+    def _append_medium(self, key: str, value: bytes) -> int:
+        """Append one frame to the medium; return its size in bytes."""
+        return _frame_size(key, value)
 
     def _sync_medium(self) -> None:
         pass
@@ -262,78 +270,89 @@ class MemJournal(StableStorage):
 class DirStorage(StableStorage):
     """One append-only log file per object — the ``durability="dir"`` seam.
 
-    The constructor replays any existing log at ``path`` (reopen-after-
-    restart), silently dropping a torn tail; everything replayed from disk
-    is durable by definition.  ``crash``/``tear_last`` damage the physical
-    file, and :meth:`StableStorage.recover` re-parses it, so recovery
-    exercises the real frame validation rather than the in-memory mirror.
+    The medium contract:
+
+    * **Nothing on disk before the first** ``put``.  A store built on a path
+      that does not exist creates neither the file nor (one level of) its
+      missing directory until a record is appended; one that is never
+      written leaves no trace.
+    * **One handle per store**, opened once — by the first ``put``
+      (exclusively: the file must still not exist), or by the constructor
+      when ``path`` already holds a log, which is replayed (reopen-after-
+      restart: a torn tail is cut off, everything replayed is durable by
+      definition).  Its position is the end of the log between calls;
+      ``close`` releases it.
+    * **Rewrite in place.**  ``gc`` and ``recover`` write the surviving
+      frames over the file through that handle and cut it where they end;
+      ``crash`` / ``tear_last`` cut through it too.  ``recover`` re-parses
+      the physical file, so recovery exercises the real frame validation
+      rather than the in-memory mirror.
+    * ``sync`` **flushes**: the frames reach the operating system, which is
+      what every later read of the file (and a reopen) sees.  ``os.fsync`` is
+      still *not* called — the watermark models durability, the medium does
+      not survive a host power cut.
     """
 
     def __init__(self, path: str | Path) -> None:
         super().__init__()
         self.path = Path(path)
-        self._offsets: list[int] = []  # cumulative end offset per record
+        self._fh: BinaryIO | None = None
         if self.path.exists():
-            records, valid_end, _torn = _parse_log(self.path.read_bytes())
-            if valid_end != self.path.stat().st_size:
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(valid_end)
-            self._records = records
-            self.synced = len(records)
-            pos = 0
-            for key, value in records:
-                pos += _frame_size(key, value)
-                self._offsets.append(pos)
-        self._fh = open(self.path, "ab")
+            self._fh = open(self.path, "r+b")
+            records, valid_end, torn = _parse_log(self._fh.read())
+            if torn:
+                self._cut(valid_end)
+            self._adopt(records)
 
-    def _append_medium(self, key: str, value: bytes) -> None:
-        self._fh.write(_frame(key, value))
-        end = (self._offsets[-1] if self._offsets else 0) + _frame_size(key, value)
-        self._offsets.append(end)
+    def _cut(self, size: int) -> None:
+        """Make the file ``size`` bytes long and append from there."""
+        self._fh.truncate(size)  # flushes what was written first
+        self._fh.seek(size)
+
+    def _append_medium(self, key: str, value: bytes) -> int:
+        if self._fh is None:
+            if not self.path.parent.exists():
+                self.path.parent.mkdir(mode=0o700)
+            self._fh = open(self.path, "x+b")
+        frame = _frame(key, value)
+        self._fh.write(frame)
+        return len(frame)
 
     def _sync_medium(self) -> None:
-        self._fh.flush()
+        if self._fh is not None:
+            self._fh.flush()
 
     def _truncate_medium(self, keep_records: int) -> None:
-        self._fh.flush()
-        keep_bytes = self._offsets[keep_records - 1] if keep_records else 0
-        os.truncate(self.path, keep_bytes)
-        del self._offsets[keep_records:]
+        if self._fh is not None:
+            self._cut(self._bytes(keep_records))
 
     def _tear_medium(self) -> None:
-        self._fh.flush()
-        start = self._offsets[-2] if len(self._offsets) > 1 else 0
-        end = self._offsets[-1]
+        end = self._bytes(len(self._records))
+        start = self._bytes(len(self._records) - 1)
         # Cut inside the record: keep at most half its frame, so either the
         # header or the payload is incomplete and replay must reject it.
-        os.truncate(self.path, start + (end - start) // 2)
+        self._cut(start + (end - start) // 2)
 
     def _rewrite_medium(self, records: list[tuple[str, bytes]]) -> None:
-        self._fh.close()
-        with open(self.path, "wb") as fh:
-            for key, value in records:
-                fh.write(_frame(key, value))
-        self._offsets = []
-        pos = 0
-        for key, value in records:
-            pos += _frame_size(key, value)
-            self._offsets.append(pos)
-        self._fh = open(self.path, "ab")
+        if self._fh is not None:
+            # Overwrite, then cut at the new end — never through an empty
+            # file: ext4 answers truncate-to-zero-then-rewrite by allocating
+            # the blocks at close, which makes removing a trial's log ~10x
+            # dearer than the rewrite itself.
+            data = b"".join(_frame(key, value) for key, value in records)
+            self._fh.seek(0)
+            self._fh.write(data)
+            self._cut(len(data))
 
     def _recover_medium(self, limit: int) -> list[tuple[str, bytes]]:
-        self._fh.flush()
-        data = self.path.read_bytes()
-        records, _valid_end, _torn = _parse_log(data)
+        if self._fh is None:
+            return []
+        self._fh.seek(0)  # flushes what was appended, then reads from the top
+        records, _valid_end, _torn = _parse_log(self._fh.read())
         survivors = records[:limit]
         self._rewrite_medium(survivors)
         return survivors
 
     def close(self) -> None:
-        if not self._fh.closed:
+        if self._fh is not None:
             self._fh.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
-        try:
-            self.close()
-        except Exception:
-            pass
