@@ -103,7 +103,7 @@ from repro.types import (
     scoped_operation_serials,
     writer_id,
 )
-from repro.workloads.generator import WorkloadGenerator, apply_plan
+from repro.workloads.generator import WorkloadGenerator
 
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 11
@@ -171,7 +171,8 @@ def bench_simulator(quick: bool) -> dict:
             plans = WorkloadGenerator(
                 seed=seed, n_readers=regime["n_readers"], spacing=regime["spacing"]
             ).plan(operations * regime["op_scale"])
-            apply_plan(system, plans)
+            for plan in plans:
+                system.schedule(plan)
             started = time.perf_counter()
             events = system.run()
             elapsed = time.perf_counter() - started

@@ -91,7 +91,7 @@ def _cmd_write_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_latency(_args: argparse.Namespace) -> int:
-    from repro.analysis.metrics import measure_latency
+    from repro.analysis.metrics import measure_backend_latency
     from repro.analysis.tables import format_table
     from repro.registers.abd import AbdProtocol
     from repro.registers.base import RegisterSystem
@@ -112,7 +112,7 @@ def _cmd_latency(_args: argparse.Namespace) -> int:
     rows = []
     for name, factory in suite:
         system = RegisterSystem(factory(), t=1, n_readers=2)
-        report = measure_latency(
+        report = measure_backend_latency(
             system, WorkloadGenerator(seed=1, spacing=150).plan(10), scenario="fault-free"
         )
         rows.append({

@@ -1,8 +1,8 @@
 """Round-trip latency accounting.
 
 The paper's complexity metric is communication round-trips per operation.
-:func:`measure_latency` replays a workload against a register system and
-reports, per operation kind, the worst/mean rounds used — cross-checked
+:func:`measure_backend_latency` replays a workload against a built system
+and reports, per operation kind, the worst/mean rounds used — cross-checked
 against the wire (the message trace) so the engine cannot misreport its own
 round count.
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import SpecificationError
-from repro.registers.base import RegisterSystem
+from repro.registers.base import SystemBackend
 from repro.sim.simulator import OperationStatus
-from repro.workloads.generator import OperationPlan, apply_plan
+from repro.workloads.generator import OperationPlan
 
 
 @dataclass(slots=True)
@@ -39,8 +39,8 @@ class LatencyReport:
     repair_rounds: list[int] = field(default_factory=list)
     incomplete: int = 0
     #: Simulator events the run executed and the wall-clock seconds it
-    #: took (backend path only; the event count is deterministic, the
-    #: duration is not and never enters byte-compared dumps).
+    #: took (the event count is deterministic, the duration is not and
+    #: never enters byte-compared dumps).
     events: int = 0
     elapsed_s: float = 0.0
     #: Wall-clock seconds of the layers :func:`measure_backend_latency`
@@ -75,7 +75,7 @@ class LatencyReport:
         }
 
 
-def _account_rounds(simulator, trace, report: LatencyReport, verify_against_wire: bool) -> None:
+def _account_rounds(simulator, trace, report: LatencyReport) -> None:
     """Fold every executed operation's round count into ``report``.
 
     The wire is read once, whatever the number of operations:
@@ -83,19 +83,18 @@ def _account_rounds(simulator, trace, report: LatencyReport, verify_against_wire
     trace into one int per operation and each completed operation is then
     compared against its entry.
     """
-    on_wire_by_op = trace.round_trip_counts() if verify_against_wire else {}
+    on_wire_by_op = trace.round_trip_counts()
     for operation in simulator.operations:
         if operation.status is not OperationStatus.COMPLETE:
             report.incomplete += 1
             continue
         rounds = operation.rounds_used
-        if verify_against_wire:
-            on_wire = on_wire_by_op.get(operation.op_id, 0)
-            if on_wire != rounds:
-                raise SpecificationError(
-                    f"engine counted {rounds} rounds for {operation.op_id} "
-                    f"but the wire shows {on_wire}"
-                )
+        on_wire = on_wire_by_op.get(operation.op_id, 0)
+        if on_wire != rounds:
+            raise SpecificationError(
+                f"engine counted {rounds} rounds for {operation.op_id} "
+                f"but the wire shows {on_wire}"
+            )
         if operation.op_id.kind == "write":
             report.write_rounds.append(rounds)
         elif operation.op_id.kind == "repair":
@@ -104,32 +103,18 @@ def _account_rounds(simulator, trace, report: LatencyReport, verify_against_wire
             report.read_rounds.append(rounds)
 
 
-def measure_latency(
-    system: RegisterSystem,
-    plans: list[OperationPlan],
-    scenario: str = "",
-    verify_against_wire: bool = True,
-) -> LatencyReport:
-    """Replay ``plans`` on ``system`` and account rounds per operation."""
-    apply_plan(system, plans)
-    system.run()
-    report = LatencyReport(protocol=system.protocol.name, scenario=scenario)
-    _account_rounds(system.simulator, system.trace, report, verify_against_wire)
-    return report
-
-
 def measure_backend_latency(
-    backend,
+    backend: SystemBackend,
     plans: list[OperationPlan],
     scenario: str = "",
-    verify_against_wire: bool = True,
 ) -> LatencyReport:
-    """Replay ``plans`` through a :class:`~repro.api.backends.SystemBackend`.
+    """Replay ``plans`` on a built system and account rounds per operation.
 
-    The backend routes each plan to its register/writer (key-aware for
-    sharded clusters, writer-index-aware for MWMR systems); the accounting
-    is the same wire-cross-checked rounds-per-operation fold as
-    :func:`measure_latency`.
+    The system routes each plan to its register/writer
+    (:meth:`~repro.registers.base.SystemBackend.schedule`: key-aware for
+    sharded clusters, writer-index-aware for MWMR systems), runs to
+    quiescence, and every executed operation's rounds are folded into the
+    report, cross-checked against the wire.
     """
     started = time.perf_counter()
     for plan in plans:
@@ -140,7 +125,7 @@ def measure_backend_latency(
     report = LatencyReport(protocol=backend.label, scenario=scenario)
     report.events = events
     report.elapsed_s = drained - scheduled
-    _account_rounds(backend.simulator, backend.trace, report, verify_against_wire)
+    _account_rounds(backend.simulator, backend.trace, report)
     report.phases_s = {
         "schedule": scheduled - started,
         "drain": report.elapsed_s,

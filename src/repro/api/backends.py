@@ -1,17 +1,23 @@
-"""System backends: one harness API over single, multi-writer and sharded clusters.
+"""System backends: the registry that turns a protocol into a running system.
 
 A **backend** is the piece of the facade that turns a protocol registry
-entry into a *running storage system* and back into histories and round
-accounting.  The :class:`Cluster` builder, the trial engine, the CLI and
-the benchmarks all talk to systems exclusively through this interface, so
-a new cluster shape (a batched simulator, a k-atomic store, …) slots in by
-registering one :class:`BackendSpec` — no consumer changes.
+entry into a *running storage system*.  The :class:`Cluster` builder, the
+trial engine, the explorer, the CLI and the benchmarks all build systems
+through this registry, so a new cluster shape slots in by registering one
+:class:`BackendSpec` — no consumer changes.
 
-Three backends ship built in:
+A built system *is* its backend: every register system derives from
+:class:`~repro.registers.base.SystemBackend`, which holds the lifecycle —
+build → :meth:`~repro.registers.base.SystemBackend.schedule` (one call per
+:class:`~repro.workloads.generator.OperationPlan`) → ``run`` →
+``histories`` (one per key), with rounds accounted by
+:func:`repro.analysis.metrics.measure_backend_latency` against the system's
+simulator and wire trace, and ``close`` releasing its stable stores.
 
-* ``single`` — today's :class:`~repro.registers.base.RegisterSystem`
-  (one SWMR register, one writer).  The default; behaviour and structured
-  results are byte-identical to the pre-backend facade.
+Five backends ship built in:
+
+* ``single`` — :class:`~repro.registers.base.RegisterSystem` (one SWMR
+  register, one writer).  The default.
 * ``multi-writer`` — the SWMR→MWMR transformation
   (:class:`~repro.registers.transform_mwmr.MultiWriterRegisterSystem`) for
   registered :class:`MultiWriterStackProtocol` stacks, or
@@ -21,30 +27,24 @@ Three backends ship built in:
   (:class:`~repro.registers.sharded.ShardedRegisterSystem`): one register
   per key, one protocol instance each, every shard multiplexed onto the
   same physical objects; consistency is checked per key.
-
-The lifecycle is build → :meth:`SystemBackend.schedule` (one call per
-:class:`~repro.workloads.generator.OperationPlan`) → :meth:`run` →
-:meth:`histories` (one per key) with rounds accounted by
-:func:`repro.analysis.metrics.measure_backend_latency` against the shared
-simulator and wire trace.
+* ``reconfig`` — :class:`~repro.registers.reconfig.ReconfigRegisterSystem`,
+  a membership advancing through epochs by online repair.
+* ``k-atomic`` — :class:`KAtomicBackend`, a bounded-stale view over a
+  single or sharded system; the one backend that is not itself a system.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.api.registry import ProtocolSpec
 from repro.axes import RunAxes
 from repro.errors import ConfigurationError
+from repro.registers.base import RegisterSystem, SystemBackend
 from repro.sim.network import DeliveryPolicy
 from repro.spec.history import History
 from repro.types import ProcessId
-from repro.workloads.generator import OperationPlan
-
-#: The key name single-register backends report their one history under.
-DEFAULT_KEY = "default"
 
 #: Key layout a sharded cluster gets when none is configured.
 DEFAULT_SHARD_KEYS = ("k1", "k2")
@@ -84,173 +84,34 @@ class BackendRequest(RunAxes):
     schedule: tuple[Any, ...] = ()
 
 
-class SystemBackend(ABC):
-    """A built storage system behind the harness API.
+class KAtomicBackend:
+    """Bounded-stale reads: a k-lag view over an atomic system.
 
-    Concrete backends wrap one simulated system and expose the uniform
-    surface the trial engine drives: ``schedule`` routes one operation
-    plan, ``run`` executes to quiescence, ``histories`` returns one
-    recorded history per key, and ``simulator``/``trace`` feed the shared
-    round accounting.  ``system`` is the wrapped harness — the low-level
-    escape hatch ``Cluster.build_system()`` hands out.
-    """
-
-    #: Logical register names this backend hosts (one entry for
-    #: single-register backends).
-    keys: tuple[str, ...] = (DEFAULT_KEY,)
-
-    def __init__(self, system: Any) -> None:
-        self.system = system
-        self.simulator = system.simulator
-        self.trace = system.trace
-        self.ctx = system.ctx
-
-    @property
-    def S(self) -> int:
-        """Physical object count of the wrapped system."""
-        return self.ctx.S
-
-    @property
-    def label(self) -> str:
-        """Protocol label for latency reports."""
-        return self.system.protocol.name
-
-    @abstractmethod
-    def schedule(self, plan: OperationPlan) -> None:
-        """Route one operation plan into the wrapped system."""
-
-    def run(self, max_events: int | None = 1_000_000) -> int:
-        """Run to quiescence; returns the simulator event count.
-
-        ``max_events`` bounds the run (the schedule explorer's per-schedule
-        budget); an exhausted budget raises
-        :class:`~repro.errors.SimulationError`.
-        """
-        return self.system.run(max_events=max_events)
-
-    def history(self) -> History:
-        """The combined history across all keys (drill-down view)."""
-        return self.system.history()
-
-    @abstractmethod
-    def histories(self) -> dict[str, History]:
-        """One recorded history per key, for per-key consistency checks."""
-
-    def close(self) -> None:
-        """Release the wrapped system's stable stores (journal files, the
-        temporary directory of ``durability="dir"``); called by whoever
-        built the backend, once done reading it."""
-        if self.system.storage is not None:
-            self.system.storage.close()
-
-
-class SingleRegisterBackend(SystemBackend):
-    """One SWMR register: the default ``single`` backend on a
-    ``RegisterSystem``, and ``reconfig`` on a membership that advances
-    through epochs (the repair steps carried by the build request are armed
-    by the wrapped system at ``run`` time, so they ride behind the client
-    plans in serial order).  ``name`` is the registered backend's.
-    """
-
-    def __init__(self, system: Any, name: str = "single") -> None:
-        super().__init__(system)
-        self.name = name
-
-    def schedule(self, plan: OperationPlan) -> None:
-        if plan.key is not None:
-            raise ConfigurationError(
-                f"the {self.name} backend holds one register — keyed plans "
-                "need backend='sharded'"
-            )
-        if plan.kind == "write":
-            self.system.write(plan.value, at=plan.at)
-        else:
-            self.system.read(plan.client_index, at=plan.at)
-
-    def histories(self) -> dict[str, History]:
-        return {DEFAULT_KEY: self.system.history()}
-
-
-class MultiWriterBackend(SystemBackend):
-    """One MWMR register; write plans route by writer index."""
-
-    @property
-    def label(self) -> str:
-        return self._label
-
-    def __init__(self, system: Any, label: str) -> None:
-        super().__init__(system)
-        self._label = label
-
-    def schedule(self, plan: OperationPlan) -> None:
-        if plan.key is not None:
-            raise ConfigurationError(
-                "the multi-writer backend holds one register — keyed plans "
-                "need backend='sharded'"
-            )
-        if plan.kind == "write":
-            self.system.write(plan.client_index, plan.value, at=plan.at)
-        else:
-            self.system.read(plan.client_index, at=plan.at)
-
-    def histories(self) -> dict[str, History]:
-        return {DEFAULT_KEY: self.system.history()}
-
-
-class ShardedBackend(SystemBackend):
-    """Many named registers; plans route by key."""
-
-    def __init__(self, system: Any) -> None:
-        super().__init__(system)
-        self.keys = system.keys
-
-    def schedule(self, plan: OperationPlan) -> None:
-        if plan.key is None:
-            raise ConfigurationError(
-                "the sharded backend needs a key on every plan — generate the "
-                "workload with keys= or give explicit plans a key"
-            )
-        if plan.kind == "write":
-            self.system.write(plan.key, plan.value, at=plan.at)
-        else:
-            self.system.read(plan.key, plan.client_index, at=plan.at)
-
-    def histories(self) -> dict[str, History]:
-        return self.system.histories()
-
-
-class KAtomicBackend(SystemBackend):
-    """Bounded-stale reads: an atomic inner system behind a k-lag view.
-
-    Wraps the single or sharded backend (chosen by the key layout) and
-    serves its recorded histories through
+    Wraps the single or sharded system (chosen by the key layout) and serves
+    its recorded histories through
     :func:`repro.consistency.bounded.bounded_stale_view`: every complete
     read is rewritten to the value ``bound − 1`` writes older than the one
-    the inner register returned — the observable behaviour of a replica
-    lagging the primary by a fixed window.  The view is a pure function of
-    the inner history, so rounds, traces, and transformed histories are
-    byte-identical across simulation engines and serial/parallel execution
-    exactly like the inner backend's.
+    the wrapped register returned — the observable behaviour of a replica
+    lagging the primary by a fixed window.  Everything else (``schedule``,
+    ``run``, ``simulator``, ``trace``, ``close``, …) is the wrapped
+    system's own, so rounds and traces are byte-identical across simulation
+    engines and serial/parallel execution exactly like the system's; the
+    view is a pure function of its histories and shares that identity.
     """
 
-    def __init__(self, inner: SystemBackend, bound: int) -> None:
-        super().__init__(inner.system)
-        self.inner = inner
+    def __init__(self, system: SystemBackend, bound: int) -> None:
+        self.system = system
         self.bound = bound
-        self.keys = inner.keys
 
-    @property
-    def label(self) -> str:
-        return self.inner.label
-
-    def schedule(self, plan: OperationPlan) -> None:
-        self.inner.schedule(plan)
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names the view does not define itself.
+        return getattr(self.system, name)
 
     def history(self) -> History:
         from repro.consistency.bounded import bounded_stale_view
 
         if len(self.keys) <= 1:
-            return bounded_stale_view(self.inner.history(), self.bound)
+            return bounded_stale_view(self.system.history(), self.bound)
         # Keyed layouts lag each key's register independently; the combined
         # drill-down view merges the per-key transforms back in step order.
         records = [r for h in self.histories().values() for r in h.records]
@@ -262,7 +123,7 @@ class KAtomicBackend(SystemBackend):
 
         return {
             key: bounded_stale_view(history, self.bound)
-            for key, history in self.inner.histories().items()
+            for key, history in self.system.histories().items()
         }
 
 
@@ -428,13 +289,9 @@ def _build_single(
     behaviors: Mapping[ProcessId, Any],
     policy: DeliveryPolicy | None = None,
 ) -> SystemBackend:
-    from repro.registers.base import RegisterSystem
-
     protocol = _build_protocol(protocol_spec, request)
     _reject_stack(protocol, protocol_spec, "single")
-    return SingleRegisterBackend(
-        RegisterSystem(protocol, **_system_kwargs(request, behaviors, policy))
-    )
+    return RegisterSystem(protocol, **_system_kwargs(request, behaviors, policy))
 
 
 def _build_multi_writer(
@@ -452,20 +309,16 @@ def _build_multi_writer(
     protocol = _build_protocol(protocol_spec, request)
     keywords = _system_kwargs(request, behaviors, policy)
     if isinstance(protocol, MultiWriterStackProtocol):
-        system: Any = MultiWriterRegisterSystem(
+        return MultiWriterRegisterSystem(
             protocol.substrate_factory, n_writers=request.n_writers, **keywords
         )
-    elif hasattr(protocol, "write_generator_for"):
-        system = NativeMultiWriterSystem(
-            protocol, n_writers=request.n_writers, **keywords
-        )
-    else:
-        raise ConfigurationError(
-            f"protocol {protocol_spec.name!r} is single-writer only; the "
-            "multi-writer backend needs an MWMR stack (mwmr-*) or a native "
-            "multi-writer protocol (write_generator_for)"
-        )
-    return MultiWriterBackend(system, label=protocol.name)
+    if hasattr(protocol, "write_generator_for"):
+        return NativeMultiWriterSystem(protocol, n_writers=request.n_writers, **keywords)
+    raise ConfigurationError(
+        f"protocol {protocol_spec.name!r} is single-writer only; the "
+        "multi-writer backend needs an MWMR stack (mwmr-*) or a native "
+        "multi-writer protocol (write_generator_for)"
+    )
 
 
 def _build_sharded(
@@ -478,12 +331,11 @@ def _build_sharded(
 
     probe = _build_protocol(protocol_spec, request)
     _reject_stack(probe, protocol_spec, "sharded")
-    system = ShardedRegisterSystem(
+    return ShardedRegisterSystem(
         lambda: _build_protocol(protocol_spec, request),
         keys=request.keys or DEFAULT_SHARD_KEYS,
         **_system_kwargs(request, behaviors, policy),
     )
-    return ShardedBackend(system)
 
 
 def _build_reconfig(
@@ -496,14 +348,13 @@ def _build_reconfig(
 
     protocol = _build_protocol(protocol_spec, request)
     _reject_stack(protocol, protocol_spec, "reconfig")
-    system = ReconfigRegisterSystem(
+    return ReconfigRegisterSystem(
         protocol,
         repairs=request.repairs,
         spares=request.spares,
         xfer_quorum=request.xfer_quorum,
         **_system_kwargs(request, behaviors, policy),
     )
-    return SingleRegisterBackend(system, "reconfig")
 
 
 def _build_k_atomic(
@@ -511,7 +362,7 @@ def _build_k_atomic(
     request: BackendRequest,
     behaviors: Mapping[ProcessId, Any],
     policy: DeliveryPolicy | None = None,
-) -> SystemBackend:
+) -> KAtomicBackend:
     from repro.consistency.models import DEFAULT_K, consistency_bound
 
     bound = (
@@ -520,8 +371,8 @@ def _build_k_atomic(
         if request.consistency == "atomic"
         else consistency_bound(request.consistency)
     )
-    inner_builder = _build_sharded if request.keys else _build_single
-    return KAtomicBackend(inner_builder(protocol_spec, request, behaviors, policy), bound)
+    builder = _build_sharded if request.keys else _build_single
+    return KAtomicBackend(builder(protocol_spec, request, behaviors, policy), bound)
 
 
 register_backend(BackendSpec(

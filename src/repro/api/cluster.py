@@ -586,7 +586,7 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
             # report is plain data, a pure function of the delivered message
             # sequence, so it is byte-identical across engines and across
             # serial/parallel execution like everything else in the result.
-            storage = SpaceMeter(backend.system.storage).measure()
+            storage = SpaceMeter(backend.storage).measure()
         staleness = None
         if spec.consistency != "atomic":
             # Measure the lag the served reads actually exhibited.  A pure
@@ -1249,19 +1249,14 @@ class Cluster:
             )
 
     def build_backend(self) -> SystemBackend:
-        """One configured :class:`~repro.api.backends.SystemBackend`,
-        owned by the caller: ``close()`` it once done with its journals."""
-        return build_backend(BackendRequest(**self._request_fields()), self._spec)
+        """The configured system, owned by the caller: ``close()`` it once
+        done with its journals.
 
-    def build_system(self) -> Any:
-        """The configured low-level system — the escape hatch.
-
-        Resolves the named backend and returns the harness it wraps: a
-        :class:`~repro.registers.base.RegisterSystem` for the default
-        backend, a multi-writer or sharded system otherwise.  Caller-owned
-        too: ``system.storage.close()`` releases its stable stores, if any.
+        A :class:`~repro.registers.base.RegisterSystem` for the default
+        backend, the multi-writer, sharded or reconfigurable system
+        otherwise — or, for ``k-atomic``, the view whose ``.system`` is one.
         """
-        return self.build_backend().system
+        return build_backend(BackendRequest(**self._request_fields()), self._spec)
 
     # ------------------------------------------------------------------ #
     # Execution

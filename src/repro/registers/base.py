@@ -11,26 +11,139 @@ all expressed over the round abstraction of :mod:`repro.sim.rounds`.  The
 simulator — objects, fault behaviours, history recording, tracing — so tests,
 examples and benchmarks can say ``system.write(1); system.read(1);
 system.run()`` and then check the resulting history.
+
+Every register system — this module's :class:`RegisterSystem`, the
+reconfigurable, multi-writer and sharded ones — is a :class:`SystemBackend`:
+:func:`_assemble` builds its objects, recorder, trace and simulator, and the
+base class holds the surface the harness drives (``schedule`` one operation
+plan, ``run``, ``histories``, ``close``).  A built system *is* the backend
+:mod:`repro.api.backends` hands to the trial engine.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.batched import BatchedSimulator
 from repro.sim.network import DeliveryPolicy
 from repro.sim.process import FaultBehavior, ObjectHandler, ObjectServer
-from repro.sim.simulator import ClientOperation, ProtocolGenerator, Simulator
+from repro.sim.simulator import ClientOperation, ProtocolGenerator
 from repro.sim.tracing import MessageTrace
 from repro.spec.history import History, HistoryRecorder
 from repro.storage import StorageRuntime
 from repro.types import BOTTOM, ProcessId, object_ids, reader_id, reader_ids, writer_id
 
+if TYPE_CHECKING:
+    from repro.workloads.generator import OperationPlan
+
+#: The key name single-register systems report their one history under.
+DEFAULT_KEY = "default"
+
+
+class SystemBackend(ABC):
+    """A built storage system behind the harness API.
+
+    The uniform surface the trial engine, the explorer, the CLI and the
+    benchmarks drive: :meth:`schedule` routes one operation plan, :meth:`run`
+    executes to quiescence, :meth:`histories` returns one recorded history
+    per key, and ``simulator`` / ``trace`` (set by :func:`_assemble`) feed
+    the shared round accounting
+    (:func:`repro.analysis.metrics.measure_backend_latency`).  Built systems
+    are caller-owned: :meth:`close` releases their stable stores.
+    """
+
+    #: Logical register names this system hosts (one entry for
+    #: single-register systems).
+    keys: tuple[str, ...] = (DEFAULT_KEY,)
+    #: The registered backend a single-register system serves, as its
+    #: keyed-plan rejection names it.
+    backend_name = "single"
+
+    @property
+    def system(self) -> SystemBackend:
+        """The register harness: the system itself (a view over a system
+        answers the system it wraps)."""
+        return self
+
+    @property
+    def S(self) -> int:
+        """Object count (one epoch's, on a reconfigurable system)."""
+        return self.ctx.S
+
+    @property
+    def label(self) -> str:
+        """Protocol label for latency reports."""
+        return self.protocol.name
+
+    @abstractmethod
+    def schedule(self, plan: OperationPlan) -> None:
+        """Route one operation plan into this system."""
+
+    def _one_register(self, plan: OperationPlan) -> None:
+        """Refuse a keyed plan: this system holds one register."""
+        if plan.key is not None:
+            raise ConfigurationError(
+                f"the {self.backend_name} backend holds one register — keyed plans "
+                "need backend='sharded'"
+            )
+
+    @staticmethod
+    def _writable(value: Any) -> None:
+        """The initial value ⊥ is reserved (paper §2.2: "not a valid input
+        value for a write")."""
+        if value == BOTTOM:
+            raise ConfigurationError("⊥ is reserved for the initial value and cannot be written")
+
+    def run(self, max_events: int | None = 1_000_000) -> int:
+        """Run the simulation to its quiescent fixed point.
+
+        Returns the number of simulator events executed.  ``max_events``
+        bounds the run (``None``: unbounded); exhausting the budget raises
+        :class:`~repro.errors.SimulationError`.
+        """
+        return self.simulator.run(max_events=max_events)
+
+    def history(self) -> History:
+        """The operation history recorded so far (all keys combined)."""
+        return self.recorder.freeze()
+
+    def histories(self) -> dict[str, History]:
+        """One recorded history per key, for per-key consistency checks."""
+        return {DEFAULT_KEY: self.history()}
+
+    def server(self, pid: ProcessId) -> ObjectServer:
+        """The object server with identifier ``pid``."""
+        return self.simulator.objects[pid]
+
+    def max_rounds(self, kind: str) -> int:
+        """Worst-case rounds used by completed operations of ``kind``."""
+        return self.simulator.max_rounds_used(kind)
+
+    def close(self) -> None:
+        """Release the stable stores (journal files, the temporary
+        directory of ``durability="dir"``); called by whoever built the
+        system, once done reading it."""
+        if self.storage is not None:
+            self.storage.close()
+
+
+def _default_size(protocol: RegisterProtocol, t: int) -> int:
+    """Smallest standard threshold configuration ``protocol`` accepts:
+    2t+1 for crash protocols, 3t+1 Byzantine, 4t+1 masking."""
+    for size in sorted({1, t + 1, 2 * t + 1, 3 * t + 1, 4 * t + 1}):
+        try:
+            protocol.validate_configuration(size, t)
+            return size
+        except ConfigurationError:
+            continue
+    raise ConfigurationError(f"no default size found for {protocol.name} with t={t}")
+
 
 def _assemble(
-    system: Any,
+    system: SystemBackend,
     sample: "RegisterProtocol",
     handler_factory: Callable[[], ObjectHandler],
     *,
@@ -53,7 +166,7 @@ def _assemble(
     the pool's object ids are returned.
     """
     if S is None:
-        S = RegisterSystem._default_size(sample, t)
+        S = _default_size(sample, t)
     sample.validate_configuration(S, t)
     behaviors = dict(behaviors or {})
     if len(behaviors) > t and not allow_overfault:
@@ -158,7 +271,7 @@ class RegisterProtocol:
         return f"{self.name}: {self.write_rounds}-round writes, {reads}-round reads"
 
 
-class RegisterSystem:
+class RegisterSystem(SystemBackend):
     """A protocol instantiated on a simulated storage system.
 
     Args:
@@ -195,30 +308,13 @@ class RegisterSystem:
         self.writer = writer_id()
         self.readers = reader_ids(n_readers)
 
-    @staticmethod
-    def _default_size(protocol: RegisterProtocol, t: int) -> int:
-        # Smallest standard threshold configuration the protocol accepts:
-        # 2t+1 for crash protocols, 3t+1 Byzantine, 4t+1 masking.
-        for size in sorted({1, t + 1, 2 * t + 1, 3 * t + 1, 4 * t + 1}):
-            try:
-                protocol.validate_configuration(size, t)
-                return size
-            except ConfigurationError:
-                continue
-        raise ConfigurationError(f"no default size found for {protocol.name} with t={t}")
-
     # ------------------------------------------------------------------ #
     # Operations
     # ------------------------------------------------------------------ #
 
     def write(self, value: Any, at: int = 0) -> ClientOperation:
-        """Schedule a write of ``value`` at relative virtual time ``at``.
-
-        The initial value ⊥ is reserved (paper §2.2: "not a valid input
-        value for a write").
-        """
-        if value == BOTTOM:
-            raise ConfigurationError("⊥ is reserved for the initial value and cannot be written")
+        """Schedule a write of ``value`` at relative virtual time ``at``."""
+        self._writable(value)
         generator = self.protocol.write_generator(self.ctx, value)
         return self.simulator.invoke(self.writer, "write", generator, at=at, declared_value=value)
 
@@ -228,27 +324,10 @@ class RegisterSystem:
         generator = self.protocol.read_generator(self.ctx, reader)
         return self.simulator.invoke(reader, "read", generator, at=at)
 
-    def run(self, max_events: int | None = 1_000_000) -> int:
-        """Run the simulation to its quiescent fixed point.
-
-        Returns the number of simulator events executed.  ``max_events``
-        bounds the run (``None``: unbounded); exhausting the budget raises
-        :class:`~repro.errors.SimulationError`.
-        """
-        return self.simulator.run(max_events=max_events)
-
-    # ------------------------------------------------------------------ #
-    # Inspection
-    # ------------------------------------------------------------------ #
-
-    def history(self) -> History:
-        """The operation history recorded so far."""
-        return self.recorder.freeze()
-
-    def server(self, pid: ProcessId) -> ObjectServer:
-        """The object server with identifier ``pid``."""
-        return self.simulator.objects[pid]
-
-    def max_rounds(self, kind: str) -> int:
-        """Worst-case rounds used by completed operations of ``kind``."""
-        return self.simulator.max_rounds_used(kind)
+    def schedule(self, plan: OperationPlan) -> None:
+        """Writes go to the writer, reads to reader ``plan.client_index``."""
+        self._one_register(plan)
+        if plan.kind == "write":
+            self.write(plan.value, at=plan.at)
+        else:
+            self.read(plan.client_index, at=plan.at)

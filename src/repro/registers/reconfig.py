@@ -44,16 +44,17 @@ from repro.errors import ConfigurationError
 from repro.registers.base import (
     RegisterProtocol,
     RegisterSystem,
+    SystemBackend,
     _assemble,
+    _default_size,
     resolve_reader,
 )
 from repro.sim.network import DeliveryPolicy, Message
-from repro.sim.process import FaultBehavior, ObjectHandler, ObjectServer
+from repro.sim.process import FaultBehavior, ObjectHandler
 from repro.sim.simulator import ClientOperation, ProtocolGenerator
 from repro.sim.rounds import ReplyRule, RoundSpec
 from repro.spec.history import History
 from repro.types import (
-    BOTTOM,
     ProcessId,
     TaggedValue,
     object_id,
@@ -117,7 +118,7 @@ def _check_transferable(protocol: RegisterProtocol) -> None:
         )
 
 
-class ReconfigRegisterSystem:
+class ReconfigRegisterSystem(SystemBackend):
     """A register protocol on a membership that advances through epochs.
 
     Args:
@@ -135,6 +136,8 @@ class ReconfigRegisterSystem:
             explorer can refute it.
     """
 
+    backend_name = "reconfig"
+
     def __init__(
         self,
         protocol: RegisterProtocol,
@@ -150,7 +153,7 @@ class ReconfigRegisterSystem:
         xfer_quorum: int | None = None,
     ) -> None:
         if S is None:
-            S = RegisterSystem._default_size(protocol, t)
+            S = _default_size(protocol, t)
         protocol.validate_configuration(S, t)
         _check_transferable(protocol)
         repairs = tuple((int(member), int(at)) for member, at in repairs)
@@ -290,8 +293,7 @@ class ReconfigRegisterSystem:
 
     def write(self, value: Any, at: int = 0) -> ClientOperation:
         """Schedule a write of ``value`` at relative virtual time ``at``."""
-        if value == BOTTOM:
-            raise ConfigurationError("⊥ is reserved for the initial value and cannot be written")
+        self._writable(value)
         generator = self._scoped(self.protocol.write_generator(self.ctx, value))
         return self.simulator.invoke(self.writer, "write", generator, at=at, declared_value=value)
 
@@ -301,14 +303,13 @@ class ReconfigRegisterSystem:
         generator = self._scoped(self.protocol.read_generator(self.ctx, reader))
         return self.simulator.invoke(reader, "read", generator, at=at)
 
+    # Plans route as on a fixed membership; repairs are armed by ``run``.
+    schedule = RegisterSystem.schedule
+
     def run(self, max_events: int | None = 1_000_000) -> int:
         """Arm the repair steps, then run the simulation to quiescence."""
         self._arm_repairs()
-        return self.simulator.run(max_events=max_events)
-
-    # ------------------------------------------------------------------ #
-    # Inspection
-    # ------------------------------------------------------------------ #
+        return super().run(max_events)
 
     def history(self) -> History:
         """The client-operation history — repair steps excluded.
@@ -318,11 +319,3 @@ class ReconfigRegisterSystem:
         """
         combined = self.recorder.freeze()
         return History([r for r in combined.records if r.op_id.kind != "repair"])
-
-    def server(self, pid: ProcessId) -> ObjectServer:
-        """The pool object with identifier ``pid``."""
-        return self.simulator.objects[pid]
-
-    def max_rounds(self, kind: str) -> int:
-        """Worst-case rounds used by completed operations of ``kind``."""
-        return self.simulator.max_rounds_used(kind)

@@ -23,19 +23,22 @@ never latency.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.registers.base import RegisterProtocol, _assemble, resolve_reader
+from repro.registers.base import RegisterProtocol, SystemBackend, _assemble, resolve_reader
 from repro.registers.multiplex import MultiplexObjectHandler, multiplex
 from repro.sim.network import DeliveryPolicy
 from repro.sim.process import FaultBehavior
 from repro.sim.simulator import ClientOperation, ProtocolGenerator
 from repro.spec.history import History
-from repro.types import BOTTOM, OperationId, ProcessId, reader_ids
+from repro.types import OperationId, ProcessId, reader_ids
+
+if TYPE_CHECKING:
+    from repro.workloads.generator import OperationPlan
 
 
-class ShardedRegisterSystem:
+class ShardedRegisterSystem(SystemBackend):
     """One SWMR register per key, multiplexed over shared physical objects.
 
     Args:
@@ -110,8 +113,7 @@ class ShardedRegisterSystem:
     def write(self, key: str, value: Any, at: int = 0) -> ClientOperation:
         """Schedule a write of ``value`` into shard ``key`` by its writer."""
         protocol = self._protocol_for(key)
-        if value == BOTTOM:
-            raise ConfigurationError("⊥ is reserved for the initial value and cannot be written")
+        self._writable(value)
         inner = protocol.write_generator(self.ctx, value)
 
         def generator() -> ProtocolGenerator:
@@ -138,17 +140,18 @@ class ShardedRegisterSystem:
         self._op_keys[operation.op_id] = key
         return operation
 
-    def run(self, max_events: int | None = 1_000_000) -> int:
-        """Run the simulation to quiescence; returns the event count."""
-        return self.simulator.run(max_events=max_events)
-
-    # ------------------------------------------------------------------ #
-    # Inspection
-    # ------------------------------------------------------------------ #
-
-    def history(self) -> History:
-        """The combined cross-shard history (drill-down view)."""
-        return self.recorder.freeze()
+    def schedule(self, plan: OperationPlan) -> None:
+        """Plans route by key: writes to the key's writer, reads to reader
+        ``plan.client_index``."""
+        if plan.key is None:
+            raise ConfigurationError(
+                "the sharded backend needs a key on every plan — generate the "
+                "workload with keys= or give explicit plans a key"
+            )
+        if plan.kind == "write":
+            self.write(plan.key, plan.value, at=plan.at)
+        else:
+            self.read(plan.key, plan.client_index, at=plan.at)
 
     def histories(self) -> dict[str, History]:
         """One per-key history; each is an ordinary SWMR history."""
@@ -157,7 +160,3 @@ class ShardedRegisterSystem:
         for record in combined.records:
             per_key[self._op_keys[record.op_id]].append(record)
         return {key: History(records) for key, records in per_key.items()}
-
-    def max_rounds(self, kind: str) -> int:
-        """Worst-case rounds used by completed operations of ``kind``."""
-        return self.simulator.max_rounds_used(kind)

@@ -22,13 +22,14 @@ substrate handler, regardless of nesting depth.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.api.registry import register_protocol
 from repro.errors import ConfigurationError
 from repro.registers.base import (
     ProtocolContext,
     RegisterProtocol,
+    SystemBackend,
     _assemble,
     resolve_reader,
 )
@@ -38,11 +39,33 @@ from repro.registers.transform_atomic import RegularToAtomicProtocol
 from repro.sim.network import DeliveryPolicy
 from repro.sim.process import FaultBehavior
 from repro.sim.simulator import ClientOperation, ProtocolGenerator
-from repro.spec.history import History
-from repro.types import BOTTOM, ProcessId, TaggedValue, Timestamp, reader_id, reader_ids
+from repro.types import ProcessId, TaggedValue, Timestamp, reader_id, reader_ids
+
+if TYPE_CHECKING:
+    from repro.workloads.generator import OperationPlan
 
 
-class MultiWriterRegisterSystem:
+class _WriterFamily(SystemBackend):
+    """What both multi-writer systems share: one register, many writers."""
+
+    backend_name = "multi-writer"
+
+    def schedule(self, plan: OperationPlan) -> None:
+        """Writes route to writer ``plan.client_index``, reads to reader
+        ``plan.client_index``."""
+        self._one_register(plan)
+        if plan.kind == "write":
+            self.write(plan.client_index, plan.value, at=plan.at)
+        else:
+            self.read(plan.client_index, at=plan.at)
+
+    def _writer_pid(self, writer_index: int) -> ProcessId:
+        if not 1 <= writer_index <= self.n_writers:
+            raise ConfigurationError(f"writer index {writer_index} out of range")
+        return ProcessId("writer", writer_index)
+
+
+class MultiWriterRegisterSystem(_WriterFamily):
     """A complete MWMR atomic storage system on simulated Byzantine objects.
 
     Unlike :class:`~repro.registers.base.RegisterSystem` (single writer),
@@ -53,7 +76,7 @@ class MultiWriterRegisterSystem:
     Args:
         substrate_factory: produces fresh regular-register substrate
             instances (e.g. ``lambda: FastRegularProtocol()``).
-        t: fault threshold; ``S`` defaults to ``3t + 1``.
+        t: fault threshold; ``S`` defaults to the substrate's minimum for ``t``.
         n_writers / n_readers: the MWMR client population.
     """
 
@@ -74,7 +97,7 @@ class MultiWriterRegisterSystem:
         probe = substrate_factory()
         _assemble(
             self, probe, lambda: MultiplexObjectHandler(probe.object_handler()),
-            t=t, S=3 * t + 1 if S is None else S, behaviors=behaviors, policy=policy,
+            t=t, S=S, behaviors=behaviors, policy=policy,
             allow_overfault=allow_overfault, durability=durability,
         )
         self.n_writers = n_writers
@@ -90,14 +113,13 @@ class MultiWriterRegisterSystem:
         self.read_rounds = sample.read_rounds
         self.write_rounds = sample.read_rounds + sample.write_rounds
 
+    @property
+    def label(self) -> str:
+        return f"mwmr[{self._registers[1].substrate_name}]"
+
     # ------------------------------------------------------------------ #
     # Personas
     # ------------------------------------------------------------------ #
-
-    def _writer_pid(self, writer_index: int) -> ProcessId:
-        if not 1 <= writer_index <= self.n_writers:
-            raise ConfigurationError(f"writer index {writer_index} out of range")
-        return ProcessId("writer", writer_index)
 
     def _writer_persona(self, writer_index: int) -> ProcessId:
         """Reader persona a writer uses when scanning registers."""
@@ -127,8 +149,7 @@ class MultiWriterRegisterSystem:
 
     def write(self, writer_index: int, value: Any, at: int = 0) -> ClientOperation:
         """Schedule a multi-writer write of ``value`` by writer ``writer_index``."""
-        if value == BOTTOM:
-            raise ConfigurationError("⊥ is reserved for the initial value and cannot be written")
+        self._writable(value)
         writer_pid = self._writer_pid(writer_index)  # validates the index
         persona = self._writer_persona(writer_index)
         scan = self._scan_generator(persona)
@@ -157,16 +178,8 @@ class MultiWriterRegisterSystem:
 
         return self.simulator.invoke(reader_id(1000 + reader_index), "read", generator(), at=at)
 
-    def run(self, max_events: int | None = 1_000_000) -> int:
-        """Run the simulation to quiescence; returns the event count."""
-        return self.simulator.run(max_events=max_events)
 
-    def history(self) -> History:
-        """The recorded multi-writer history (check with ``is_linearizable``)."""
-        return self.recorder.freeze()
-
-
-class NativeMultiWriterSystem:
+class NativeMultiWriterSystem(_WriterFamily):
     """Multi-writer harness over a *natively* MWMR register protocol.
 
     Some protocols (classical multi-writer ABD) are multi-writer by
@@ -210,28 +223,16 @@ class NativeMultiWriterSystem:
 
     def write(self, writer_index: int, value: Any, at: int = 0) -> ClientOperation:
         """Schedule a write of ``value`` by writer ``writer_index``."""
-        if value == BOTTOM:
-            raise ConfigurationError("⊥ is reserved for the initial value and cannot be written")
-        if not 1 <= writer_index <= self.n_writers:
-            raise ConfigurationError(f"writer index {writer_index} out of range")
+        self._writable(value)
+        writer_pid = self._writer_pid(writer_index)  # validates the index
         generator = self.protocol.write_generator_for(self.ctx, writer_index, value)
-        return self.simulator.invoke(
-            ProcessId("writer", writer_index), "write", generator, at=at, declared_value=value
-        )
+        return self.simulator.invoke(writer_pid, "write", generator, at=at, declared_value=value)
 
     def read(self, reader_index: int = 1, at: int = 0) -> ClientOperation:
         """Schedule a read by reader ``r_{reader_index}``."""
         reader = resolve_reader(self.readers, reader_index)
         generator = self.protocol.read_generator(self.ctx, reader)
         return self.simulator.invoke(reader, "read", generator, at=at)
-
-    def run(self, max_events: int | None = 1_000_000) -> int:
-        """Run the simulation to quiescence; returns the event count."""
-        return self.simulator.run(max_events=max_events)
-
-    def history(self) -> History:
-        """The recorded multi-writer history."""
-        return self.recorder.freeze()
 
 
 # --------------------------------------------------------------------- #

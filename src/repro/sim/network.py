@@ -377,15 +377,8 @@ class Network:
             # A crashed/detached client: the message is dropped on the floor,
             # which is indistinguishable from the client never reading it.
             self.trace.record_drop(self._queue.now, message)
-        self.finish_delivery(message)
-
-    def finish_delivery(self, message: Message) -> None:
-        """Post-delivery bookkeeping: in-flight counts and round quiescence.
-
-        Factored out of :meth:`_deliver` so the batched engine (which
-        dispatches deliveries itself, wave by wave) shares the exact
-        quiescence-notification semantics of the event path.
-        """
+        # In-flight count of the message's round; the last delivery
+        # notifies round quiescence.
         round_key = (message.op, message.round_no)
         remaining = self._inflight.get(round_key, 1) - 1
         if remaining > 0:

@@ -167,11 +167,3 @@ class WorkloadGenerator:
             streams[plan.key].append(plan)
         return streams
 
-
-def apply_plan(system, plans: list[OperationPlan]) -> None:
-    """Replay a schedule against a :class:`~repro.registers.base.RegisterSystem`."""
-    for plan in plans:
-        if plan.kind == "write":
-            system.write(plan.value, at=plan.at)
-        else:
-            system.read(plan.client_index, at=plan.at)

@@ -7,20 +7,15 @@ it (:meth:`MessageTrace.round_trip_counts`):
   operation of every registered protocol × advertised scenario, and on
   runs with held, dropped and Byzantine-replayed messages,
   incomplete operations and repair operations;
-* the cross-check raises the documented :class:`SpecificationError`, from
-  both entry points, when wire and engine disagree;
+* the cross-check raises the documented :class:`SpecificationError` when
+  wire and engine disagree;
 * accounting and the obs derivations read the trace a constant number of
   times whatever the run length — counted, never timed.
 """
 
 import pytest
 
-from repro.analysis.metrics import (
-    LatencyReport,
-    _account_rounds,
-    measure_backend_latency,
-    measure_latency,
-)
+from repro.analysis.metrics import LatencyReport, _account_rounds, measure_backend_latency
 from repro.api import Cluster, available_protocols, get_spec
 from repro.errors import SimulationError, SpecificationError
 from repro.faults.schedules import PlannedSkip
@@ -151,68 +146,57 @@ class TestFoldMatchesQuery:
         assert backend.trace.round_trip_counts() == {}
 
 
-def entry_points():
-    """(simulator, trace, re-account callable) for both measure paths."""
+def accounted():
+    """(simulator, trace, re-account callable) of one measured system."""
     cluster = Cluster("atomic-fast-regular", t=1, n_readers=2)
-    plans = plans_for(cluster, 6)
     with scoped_operation_serials():
-        system = cluster.build_system()
-        measure_latency(system, plans)
         backend = cluster.build_backend()
-        measure_backend_latency(backend, plans)
-    return [
-        (system.simulator, system.trace,
-         lambda **kw: measure_latency(system, [], **kw)),
-        (backend.simulator, backend.trace,
-         lambda **kw: measure_backend_latency(backend, [], **kw)),
-    ]
+        measure_backend_latency(backend, plans_for(cluster, 6))
+    return backend.simulator, backend.trace, lambda: measure_backend_latency(backend, [])
 
 
 class TestCrossCheckFires:
     def test_dropped_send_entries_raise_the_documented_error(self):
-        for simulator, trace, reaccount in entry_points():
-            reaccount()  # an untampered wire passes
-            victim = next(op for op in simulator.operations if op.op_id.kind == "read")
-            rounds = victim.rounds_used
-            assert rounds == 4
-            trace.entries[:] = [
-                entry for entry in trace.entries
-                if not (
-                    entry[1] is TraceKind.SEND
-                    and not entry[2].is_reply
-                    and entry[2].op == victim.op_id
-                    and entry[2].round_no == rounds
-                )
-            ]
-            with pytest.raises(SpecificationError) as caught:
-                reaccount()
-            assert str(caught.value) == (
-                f"engine counted 4 rounds for {victim.op_id} but the wire shows 3"
+        simulator, trace, reaccount = accounted()
+        reaccount()  # an untampered wire passes
+        victim = next(op for op in simulator.operations if op.op_id.kind == "read")
+        rounds = victim.rounds_used
+        assert rounds == 4
+        trace.entries[:] = [
+            entry for entry in trace.entries
+            if not (
+                entry[1] is TraceKind.SEND
+                and not entry[2].is_reply
+                and entry[2].op == victim.op_id
+                and entry[2].round_no == rounds
             )
-            # Opting out of the cross-check still accounts the engine's count.
-            report = reaccount(verify_against_wire=False)
-            assert 4 in report.read_rounds
+        ]
+        with pytest.raises(SpecificationError) as caught:
+            reaccount()
+        assert str(caught.value) == (
+            f"engine counted 4 rounds for {victim.op_id} but the wire shows 3"
+        )
 
     def test_an_operation_missing_from_the_wire_shows_zero(self):
-        for simulator, trace, reaccount in entry_points():
-            victim = simulator.operations[0]
-            trace.entries[:] = [e for e in trace.entries if e[2].op != victim.op_id]
-            with pytest.raises(SpecificationError) as caught:
-                reaccount()
-            assert str(caught.value) == (
-                f"engine counted {victim.rounds_used} rounds for {victim.op_id} "
-                "but the wire shows 0"
-            )
+        simulator, trace, reaccount = accounted()
+        victim = simulator.operations[0]
+        trace.entries[:] = [e for e in trace.entries if e[2].op != victim.op_id]
+        with pytest.raises(SpecificationError) as caught:
+            reaccount()
+        assert str(caught.value) == (
+            f"engine counted {victim.rounds_used} rounds for {victim.op_id} "
+            "but the wire shows 0"
+        )
 
     def test_a_bumped_round_record_raises(self):
-        for simulator, _trace, reaccount in entry_points():
-            victim = next(op for op in simulator.operations if op.op_id.kind == "write")
-            victim.rounds.append(victim.rounds[-1])
-            with pytest.raises(SpecificationError) as caught:
-                reaccount()
-            assert str(caught.value) == (
-                f"engine counted 3 rounds for {victim.op_id} but the wire shows 2"
-            )
+        simulator, _trace, reaccount = accounted()
+        victim = next(op for op in simulator.operations if op.op_id.kind == "write")
+        victim.rounds.append(victim.rounds[-1])
+        with pytest.raises(SpecificationError) as caught:
+            reaccount()
+        assert str(caught.value) == (
+            f"engine counted 3 rounds for {victim.op_id} but the wire shows 2"
+        )
 
 
 class CountingEntries(list):
@@ -243,7 +227,7 @@ class TestTraceIsReadAConstantNumberOfTimes:
     def test_account_rounds(self):
         def account(backend):
             report = LatencyReport(protocol="p", scenario="s")
-            _account_rounds(backend.simulator, backend.trace, report, True)
+            _account_rounds(backend.simulator, backend.trace, report)
             assert len(report.read_rounds) + len(report.write_rounds) == len(
                 backend.simulator.operations
             )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import measure_latency
+from repro.analysis.metrics import measure_backend_latency
 from repro.analysis.tables import Table, format_table
 from repro.cost.model import CloudCostModel
 from repro.errors import ConfigurationError
@@ -15,7 +15,7 @@ class TestMetrics:
     def test_abd_latency_report(self):
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
         plans = WorkloadGenerator(seed=1, spacing=60).plan(10)
-        report = measure_latency(system, plans, scenario="fault-free")
+        report = measure_backend_latency(system, plans, scenario="fault-free")
         assert report.worst_write == 1
         assert report.worst_read == 2
         assert report.incomplete == 0
@@ -24,20 +24,21 @@ class TestMetrics:
     def test_wire_cross_check_active(self):
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
         plans = WorkloadGenerator(seed=2, spacing=60).plan(6)
-        report = measure_latency(system, plans, verify_against_wire=True)
+        report = measure_backend_latency(system, plans)
         assert report.worst_read == 2  # would have raised on mismatch
 
     def test_report_row_formatting(self):
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
-        report = measure_latency(system, WorkloadGenerator(seed=3, spacing=60).plan(4),
-                                 scenario="x")
+        report = measure_backend_latency(
+            system, WorkloadGenerator(seed=3, spacing=60).plan(4), scenario="x"
+        )
         row = report.row()
         assert row["protocol"] == "abd"
         assert "/" in row["writes (worst/mean)"]
 
     def test_empty_report_defaults(self):
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
-        report = measure_latency(system, [])
+        report = measure_backend_latency(system, [])
         assert report.worst_read == 0
         assert report.mean_write == 0.0
 

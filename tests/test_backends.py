@@ -1,16 +1,20 @@
-"""Tests for the system-backend registry and the three built-in backends."""
+"""Tests for the system-backend registry and the built-in backends."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.api import (
     Cluster,
+    SystemBackend,
     available_backends,
     backend_specs,
     get_backend_spec,
     get_spec,
 )
+from repro.api.backends import KAtomicBackend
 from repro.errors import ConfigurationError
 from repro.registers.base import RegisterSystem
 from repro.registers.reconfig import ReconfigRegisterSystem
@@ -64,18 +68,20 @@ class TestDefaultBackendEquivalence:
         payload = Cluster("abd").run(seed=0).to_dict()
         assert "backend" not in payload and "keys" not in payload
 
-    def test_build_system_returns_the_wrapped_harness(self):
-        assert isinstance(Cluster("abd").build_system(), RegisterSystem)
-        assert isinstance(
-            Cluster("mwmr-fast-regular").build_system(), MultiWriterRegisterSystem
+    def test_build_backend_returns_the_system(self):
+        assert type(Cluster("abd").build_backend()) is RegisterSystem
+        assert type(Cluster("mwmr-fast-regular").build_backend()) is MultiWriterRegisterSystem
+        assert (
+            type(Cluster("mw-abd", backend="multi-writer").build_backend())
+            is NativeMultiWriterSystem
         )
-        assert isinstance(
-            Cluster("mw-abd", backend="multi-writer").build_system(),
-            NativeMultiWriterSystem,
+        assert (
+            type(Cluster("abd", backend="sharded", keys=3).build_backend())
+            is ShardedRegisterSystem
         )
-        assert isinstance(
-            Cluster("abd", backend="sharded", keys=3).build_system(),
-            ShardedRegisterSystem,
+        assert (
+            type(Cluster("abd", backend="reconfig").build_backend())
+            is ReconfigRegisterSystem
         )
 
 
@@ -375,3 +381,209 @@ class TestShardedSystemDirectly:
         system = ShardedRegisterSystem(AbdProtocol, keys=("a",), t=1)
         with pytest.raises(ConfigurationError, match="reserved"):
             system.write("a", BOTTOM)
+
+
+# --------------------------------------------------------------------- #
+# One surface: a built system is its own backend
+# --------------------------------------------------------------------- #
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: One cluster per registered backend (both multi-writer systems, both
+#: k-atomic layouts) and what its built system did with one plan at the
+#: parent of the fold, where wrappers routed the plans:
+#: (S, keys, events, operations, trace fingerprint prefix, combined
+#: history length, per-key (kind, client, value) records).
+SURFACE = {
+    "single": (
+        Cluster("abd"),
+        (3, ("default",), 48, 6, "c860bbf23cd90dca", 6, {"default": [
+            ("write", "w", "v1"), ("read", "r1", "v1"), ("write", "w", "v2"),
+            ("write", "w", "v3"), ("write", "w", "v4"), ("write", "w", "v5")]}),
+    ),
+    "reconfig": (
+        Cluster("abd", backend="reconfig").with_repairs((1, 30)),
+        (3, ("default",), 57, 7, "e32d20103189ec8b", 6, {"default": [
+            ("write", "w", "v1"), ("read", "r1", "v1"), ("write", "w", "v2"),
+            ("write", "w", "v3"), ("write", "w", "v4"), ("write", "w", "v5")]}),
+    ),
+    "multi-writer": (
+        Cluster("mwmr-fast-regular"),
+        (4, ("default",), 278, 6, "43b2fc5fc4514ee0", 6, {"default": [
+            ("write", "w", "v1"), ("write", "w", "v2"), ("read", "r1001", "v2"),
+            ("write", "w", "v3"), ("write", "w", "v4"), ("write", "w", "v5")]}),
+    ),
+    "multi-writer-native": (
+        Cluster("mw-abd", backend="multi-writer"),
+        (3, ("default",), 78, 6, "f0ebf2887a9ded0a", 6, {"default": [
+            ("write", "w", "v1"), ("write", "w", "v2"), ("read", "r1", "v2"),
+            ("write", "w", "v3"), ("write", "w", "v4"), ("write", "w", "v5")]}),
+    ),
+    "sharded": (
+        Cluster("abd", backend="sharded", keys=2),
+        (3, ("k1", "k2"), 66, 6, "8cb8758141e392ef", 6, {
+            "k1": [("write", "w", "v1"), ("write", "w", "v2"), ("read", "r1", "v2")],
+            "k2": [("read", "r1", "⊥"), ("read", "r1", "⊥"), ("read", "r1", "⊥")]}),
+    ),
+    "k-atomic": (
+        Cluster("abd", backend="k-atomic"),
+        (3, ("default",), 48, 6, "c860bbf23cd90dca", 6, {"default": [
+            ("write", "w", "v1"), ("read", "r1", "⊥"), ("write", "w", "v2"),
+            ("write", "w", "v3"), ("write", "w", "v4"), ("write", "w", "v5")]}),
+    ),
+    "k-atomic-keyed": (
+        Cluster("abd", backend="k-atomic", keys=2),
+        (3, ("k1", "k2"), 66, 6, "8cb8758141e392ef", 6, {
+            "k1": [("write", "w", "v1"), ("write", "w", "v2"), ("read", "r1", "v1")],
+            "k2": [("read", "r1", "⊥"), ("read", "r1", "⊥"), ("read", "r1", "⊥")]}),
+    ),
+}
+
+#: The routing refusals, as the parent's wrapper classes worded them.
+ONE_REGISTER = "the {} backend holds one register — keyed plans need backend='sharded'"
+NEEDS_A_KEY = (
+    "the sharded backend needs a key on every plan — generate the workload "
+    "with keys= or give explicit plans a key"
+)
+BOTTOM_RESERVED = "⊥ is reserved for the initial value and cannot be written"
+
+
+def _plans(cluster):
+    from repro.workloads.generator import WorkloadGenerator
+
+    return WorkloadGenerator(
+        seed=3, n_readers=2,
+        n_writers=2 if cluster.backend_spec.multi_writer else 1,
+        read_fraction=0.5, spacing=20, keys=cluster._key_names() or None,
+    ).plan(6)
+
+
+def _plan(kind="write", key=None, value="x"):
+    from repro.workloads.generator import OperationPlan
+
+    return OperationPlan(kind=kind, client_index=1, value=value, at=0, key=key)
+
+
+class TestOneSurface:
+    def test_every_registered_backend_builds_a_system_or_a_view_over_one(self):
+        for name in available_backends():
+            protocol = "mw-abd" if name == "multi-writer" else "abd"
+            backend = Cluster(protocol, backend=name).build_backend()
+            if name == "k-atomic":
+                assert type(backend) is KAtomicBackend
+                assert isinstance(backend.system, SystemBackend)
+            else:
+                assert isinstance(backend, SystemBackend)
+                assert backend.system is backend
+        assert isinstance(Cluster("mwmr-fast-regular").build_backend(), SystemBackend)
+
+    @pytest.mark.parametrize("name", sorted(SURFACE))
+    def test_the_surface_behaves_as_before_the_fold(self, name):
+        from repro.sim.tracing import trace_fingerprint
+        from repro.types import scoped_operation_serials
+
+        cluster, expected = SURFACE[name]
+        with scoped_operation_serials():
+            backend = cluster.build_backend()
+            for plan in _plans(cluster):
+                backend.schedule(plan)
+            events = backend.run()
+            histories = {
+                key: [(r.kind, str(r.client), r.value) for r in history.records]
+                for key, history in backend.histories().items()
+            }
+            observed = (
+                backend.S, backend.keys, events, len(backend.simulator.operations),
+                trace_fingerprint(backend.trace)[:16], len(backend.history().records),
+                histories,
+            )
+            # A drained system runs again to the same fixed point: no new events.
+            assert backend.run() == 0
+            backend.close()
+        assert observed == expected
+
+    @pytest.mark.parametrize("name", sorted(SURFACE))
+    def test_close_releases_the_stable_stores(self, name):
+        cluster = SURFACE[name][0].with_durability("dir")
+        backend = cluster.build_backend()
+        for plan in _plans(cluster):
+            backend.schedule(plan)
+        backend.run()
+        root = backend.storage._root
+        assert root.is_dir()
+        backend.close()
+        assert not root.exists()
+
+    @pytest.mark.parametrize("name,backend", [
+        ("single", "single"),
+        ("reconfig", "reconfig"),
+        ("multi-writer", "multi-writer"),
+        ("multi-writer-native", "multi-writer"),
+        ("k-atomic", "single"),
+    ])
+    def test_a_keyed_plan_is_refused_on_one_register(self, name, backend):
+        system = SURFACE[name][0].build_backend()
+        for kind in ("write", "read"):
+            with pytest.raises(ConfigurationError) as error:
+                system.schedule(_plan(kind, key="k1"))
+            assert str(error.value) == ONE_REGISTER.format(backend)
+
+    @pytest.mark.parametrize("name", ["sharded", "k-atomic-keyed"])
+    def test_an_unkeyed_plan_is_refused_on_shards(self, name):
+        system = SURFACE[name][0].build_backend()
+        for kind in ("write", "read"):
+            with pytest.raises(ConfigurationError) as error:
+                system.schedule(_plan(kind))
+            assert str(error.value) == NEEDS_A_KEY
+
+    @pytest.mark.parametrize("name", sorted(SURFACE))
+    def test_bottom_is_not_writable_anywhere(self, name):
+        from repro.types import BOTTOM
+
+        system = SURFACE[name][0].build_backend()
+        key = "k1" if len(system.keys) > 1 else None
+        with pytest.raises(ConfigurationError) as error:
+            system.schedule(_plan(key=key, value=BOTTOM))
+        assert str(error.value) == BOTTOM_RESERVED
+
+    def test_latency_reports_take_the_system_label(self):
+        from repro.analysis.metrics import measure_backend_latency
+
+        labels = {
+            name: measure_backend_latency(cluster.build_backend(), []).protocol
+            for name, (cluster, _) in SURFACE.items()
+        }
+        assert labels == {
+            "single": "abd", "reconfig": "abd", "sharded": "abd",
+            "k-atomic": "abd", "k-atomic-keyed": "abd",
+            "multi-writer": "mwmr[fast-regular[replay]]",
+            "multi-writer-native": "mw-abd",
+        }
+
+    def test_a_direct_mwmr_system_takes_the_default_size_rule(self):
+        from repro.registers.abd import AbdProtocol
+        from repro.registers.fast_regular import FastRegularProtocol
+        from repro.registers.secret_token import SecretTokenProtocol
+
+        # A crash substrate gets 2t+1 like every other system; both
+        # registered stacks resolve to 3t+1 either way.
+        assert MultiWriterRegisterSystem(AbdProtocol, t=1).S == 3
+        assert MultiWriterRegisterSystem(AbdProtocol, t=2).S == 5
+        assert MultiWriterRegisterSystem(lambda: FastRegularProtocol("replay"), t=2).S == 7
+        assert MultiWriterRegisterSystem(SecretTokenProtocol, t=1).S == 4
+        assert Cluster("mwmr-secret-token", t=2).run().S == 7
+
+    def test_the_retired_layers_stay_retired(self):
+        retired = re.compile(
+            r"class (SingleRegisterBackend|MultiWriterBackend|ShardedBackend)\b"
+            r"|def (measure_latency|apply_plan|build_system|finish_delivery)\b"
+            r"|verify_against_wire"
+        )
+        hits = [
+            f"{path.relative_to(ROOT)}:{number}"
+            for folder in ("src", "benchmarks", "examples")
+            for path in sorted((ROOT / folder).rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if retired.search(line)
+        ]
+        assert hits == []

@@ -99,7 +99,7 @@ class TestEquivalenceGrid:
         assert built() is BatchedSimulator
         with reference_engine():
             assert built() is Simulator
-            sharded = Cluster("abd", backend="sharded", keys=2).build_system()
+            sharded = Cluster("abd", backend="sharded", keys=2).build_backend()
             assert type(sharded.simulator) is Simulator
         assert built() is BatchedSimulator
 
@@ -150,7 +150,7 @@ def _observe(cluster, seed=3, max_events=1_000_000):
             executed = str(caught)
         histories = {key: h.records for key, h in backend.histories().items()}
         seen = {str(s.pid): s.messages_seen for s in backend.simulator.objects.values()}
-        storage = backend.system.storage
+        storage = backend.storage
         journals = (
             {name: store.records() for name, store in storage.stores.items()}
             if storage is not None else {}

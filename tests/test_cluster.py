@@ -44,8 +44,8 @@ class TestBuilderFluency:
         with pytest.raises(ConfigurationError, match="read/write"):
             Cluster("abd").with_operations([("scan", 1, 0)])
 
-    def test_build_system_escape_hatch(self):
-        system = Cluster("fast-regular", t=1).with_faults("silent").build_system()
+    def test_build_backend_is_the_system(self):
+        system = Cluster("fast-regular", t=1).with_faults("silent").build_backend()
         assert isinstance(system, RegisterSystem)
         assert system.ctx.S == 4
         assert sum(1 for s in system.servers if s.behavior is not None) == 1

@@ -19,7 +19,7 @@ from repro.registers.transform_atomic import RegularToAtomicProtocol
 from repro.sim.network import RandomDelivery
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.spec.regularity import check_swmr_regularity
-from repro.workloads.generator import WorkloadGenerator, apply_plan
+from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.scenarios import standard_scenarios
 
 #: (factory, consistency checker, scenarios the protocol's model covers)
@@ -89,8 +89,8 @@ def test_protocol_meets_spec_under_every_covered_scenario(factory, checker, cove
             n_readers=n_readers,
             behaviors=_materialize_behaviors(scenario.name, (), 1, False),
         )
-        plans = WorkloadGenerator(seed=seed, n_readers=n_readers, spacing=120).plan(8)
-        apply_plan(system, plans)
+        for plan in WorkloadGenerator(seed=seed, n_readers=n_readers, spacing=120).plan(8):
+            system.schedule(plan)
         system.run()
         history = system.history()
         complete = [op for op in history.records if op.complete]
@@ -108,8 +108,8 @@ def test_protocol_meets_spec_under_concurrency(factory, checker, covered):
         protocol, t=1, n_readers=n_readers,
         policy=RandomDelivery(seed=13, max_latency=5),
     )
-    plans = WorkloadGenerator(seed=29, n_readers=n_readers, spacing=8).plan(10)
-    apply_plan(system, plans)
+    for plan in WorkloadGenerator(seed=29, n_readers=n_readers, spacing=8).plan(10):
+        system.schedule(plan)
     system.run()
     history = system.history()
     verdict = checker(history)

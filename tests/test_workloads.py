@@ -4,7 +4,7 @@ import pytest
 
 from repro.api.cluster import _materialize_behaviors
 from repro.errors import ConfigurationError
-from repro.workloads.generator import OperationPlan, WorkloadGenerator, apply_plan
+from repro.workloads.generator import OperationPlan, WorkloadGenerator
 from repro.workloads.scenarios import standard_scenarios
 
 
@@ -54,13 +54,14 @@ class TestGenerator:
         with pytest.raises(ConfigurationError):
             WorkloadGenerator(spacing=-1)
 
-    def test_apply_plan_drives_register_system(self):
+    def test_plans_drive_a_register_system(self):
         from repro.registers.abd import AbdProtocol
         from repro.registers.base import RegisterSystem
         from repro.spec.atomicity import check_swmr_atomicity
 
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
-        apply_plan(system, WorkloadGenerator(seed=7, spacing=50).plan(12))
+        for plan in WorkloadGenerator(seed=7, spacing=50).plan(12):
+            system.schedule(plan)
         system.run()
         history = system.history()
         assert len(history.complete()) == 12
