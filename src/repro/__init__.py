@@ -111,7 +111,6 @@ from repro.api import (
     available_checks,
     available_faults,
     available_protocols,
-    get_fault,
     get_protocol,
     sweep,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "SweepResult",
     "sweep",
     "get_protocol",
-    "get_fault",
     "available_protocols",
     "available_faults",
     "available_checks",

@@ -2,9 +2,9 @@
 
 The paper's complexity metric is communication round-trips per operation.
 :func:`measure_backend_latency` replays a workload against a built system
-and reports, per operation kind, the worst/mean rounds used — cross-checked
-against the wire (the message trace) so the engine cannot misreport its own
-round count.
+and reports the rounds each operation used, per operation kind —
+cross-checked against the wire (the message trace) so the engine cannot
+misreport its own round count.
 
 Cost: the cross-check reads the wire trace once per run (one fold into an
 int per operation, then one dict lookup per completed operation), so the
@@ -15,10 +15,8 @@ counts the passes over the trace so a per-operation rescan cannot return.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.errors import SpecificationError
 from repro.registers.base import SystemBackend
@@ -55,24 +53,6 @@ class LatencyReport:
     @property
     def worst_read(self) -> int:
         return max(self.read_rounds, default=0)
-
-    @property
-    def mean_write(self) -> float:
-        return statistics.fmean(self.write_rounds) if self.write_rounds else 0.0
-
-    @property
-    def mean_read(self) -> float:
-        return statistics.fmean(self.read_rounds) if self.read_rounds else 0.0
-
-    def row(self) -> dict[str, str]:
-        """A formatted table row."""
-        return {
-            "protocol": self.protocol,
-            "scenario": self.scenario,
-            "writes (worst/mean)": f"{self.worst_write}/{self.mean_write:.2f}",
-            "reads (worst/mean)": f"{self.worst_read}/{self.mean_read:.2f}",
-            "incomplete": str(self.incomplete),
-        }
 
 
 def _account_rounds(simulator, trace, report: LatencyReport) -> None:

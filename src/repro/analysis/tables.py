@@ -7,24 +7,7 @@ in one place so every experiment's output looks uniform in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-
-@dataclass(slots=True)
-class Table:
-    """An ordered collection of homogeneous string rows."""
-
-    title: str
-    columns: Sequence[str]
-    rows: list[Mapping[str, str]] = field(default_factory=list)
-
-    def add(self, row: Mapping[str, str]) -> None:
-        """Append one row (missing keys render empty)."""
-        self.rows.append(row)
-
-    def render(self) -> str:
-        return format_table(self.title, self.columns, self.rows)
 
 
 def format_table(title: str, columns: Sequence[str], rows: Iterable[Mapping[str, str]]) -> str:

@@ -53,7 +53,6 @@ from repro.api.faults import (
     available_faults,
     fault_spec,
     fault_specs,
-    get_fault,
     register_fault,
 )
 from repro.api.backends import (
@@ -92,7 +91,6 @@ __all__ = [
     # fault registry
     "FaultSpec",
     "register_fault",
-    "get_fault",
     "fault_spec",
     "fault_specs",
     "available_faults",

@@ -84,6 +84,12 @@ class BackendRequest(RunAxes):
     schedule: tuple[Any, ...] = ()
 
 
+def _forward(name: str) -> property:
+    """A read-only attribute of :class:`KAtomicBackend` answering its
+    system's ``name``."""
+    return property(lambda view: getattr(view.system, name))
+
+
 class KAtomicBackend:
     """Bounded-stale reads: a k-lag view over an atomic system.
 
@@ -92,20 +98,27 @@ class KAtomicBackend:
     :func:`repro.consistency.bounded.bounded_stale_view`: every complete
     read is rewritten to the value ``bound − 1`` writes older than the one
     the wrapped register returned — the observable behaviour of a replica
-    lagging the primary by a fixed window.  Everything else (``schedule``,
-    ``run``, ``simulator``, ``trace``, ``close``, …) is the wrapped
-    system's own, so rounds and traces are byte-identical across simulation
-    engines and serial/parallel execution exactly like the system's; the
-    view is a pure function of its histories and shares that identity.
+    lagging the primary by a fixed window.  The nine forwarded names below
+    are the wrapped system's own, so rounds and traces are byte-identical
+    across serial/parallel execution exactly like the system's; the view is
+    a pure function of its histories and shares that identity.  Any other
+    name is an :class:`AttributeError` — reach the system through
+    ``system``.
     """
+
+    schedule = _forward("schedule")
+    run = _forward("run")
+    close = _forward("close")
+    simulator = _forward("simulator")
+    trace = _forward("trace")
+    storage = _forward("storage")
+    keys = _forward("keys")
+    label = _forward("label")
+    S = _forward("S")
 
     def __init__(self, system: SystemBackend, bound: int) -> None:
         self.system = system
         self.bound = bound
-
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for names the view does not define itself.
-        return getattr(self.system, name)
 
     def history(self) -> History:
         from repro.consistency.bounded import bounded_stale_view
@@ -167,16 +180,6 @@ class BackendSpec:
         if request.observe:
             _arm_observability(backend)
         return backend
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly metadata (the builder callable omitted)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "keyed": self.keyed,
-            "multi_writer": self.multi_writer,
-            "aliases": list(self.aliases),
-        }
 
 
 def _arm_observability(backend: SystemBackend) -> None:

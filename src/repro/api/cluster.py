@@ -237,16 +237,6 @@ class RunResult(AxesView):
         return max((trial.worst_read for trial in self.trials), default=0)
 
     @property
-    def mean_write(self) -> float:
-        rounds = [r for trial in self.trials for r in trial.write_rounds]
-        return statistics.fmean(rounds) if rounds else 0.0
-
-    @property
-    def mean_read(self) -> float:
-        rounds = [r for trial in self.trials for r in trial.read_rounds]
-        return statistics.fmean(rounds) if rounds else 0.0
-
-    @property
     def incomplete(self) -> int:
         return sum(trial.incomplete for trial in self.trials)
 
@@ -297,21 +287,6 @@ class RunResult(AxesView):
             payload["robustness"] = self.robustness
         return payload
 
-    def row(self) -> dict[str, str]:
-        """One aggregate table row (the latency-matrix shape)."""
-        checks = ",".join(
-            f"{name}:{'ok' if all(t.checks[name].ok for t in self.trials) else 'FAIL'}"
-            for name in self.checks
-        ) or "-"
-        return {
-            "protocol": self.protocol,
-            "scenario": self.scenario,
-            "writes (worst/mean)": f"{self.worst_write}/{self.mean_write:.2f}",
-            "reads (worst/mean)": f"{self.worst_read}/{self.mean_read:.2f}",
-            "incomplete": str(self.incomplete),
-            "checks": checks,
-        }
-
     def render(self) -> str:
         """Per-trial table plus the fault inventory, ready to print."""
         rows = []
@@ -344,7 +319,7 @@ class RunResult(AxesView):
 
 @dataclass(slots=True)
 class SweepResult:
-    """Results of a protocol × scenario sweep, renderable as one table."""
+    """Results of a protocol × scenario sweep."""
 
     runs: list[RunResult] = field(default_factory=list)
 
@@ -367,11 +342,6 @@ class SweepResult:
 
     def to_dict(self) -> dict[str, Any]:
         return {"runs": [run.to_dict() for run in self.runs]}
-
-    def table(self, title: str = "protocol × scenario sweep") -> str:
-        columns = ("protocol", "scenario", "writes (worst/mean)", "reads (worst/mean)",
-                   "incomplete", "checks")
-        return format_table(title, columns, [run.row() for run in self.runs])
 
 
 # --------------------------------------------------------------------- #
@@ -928,34 +898,14 @@ class Cluster:
         )
         return clone
 
-    def with_backend(
-        self,
-        backend: str | None = None,
-        *,
-        keys: int | Sequence[str] | None = None,
-        n_writers: int | None = None,
-    ) -> "Cluster":
-        """Select the system backend and its layout (keys, writer family).
-
-        ``with_backend("sharded", keys=8)`` turns the cluster into eight
-        named registers on the same physical objects;
-        ``with_backend("multi-writer", n_writers=3)`` drives a writer
-        family.  Omitting ``backend`` keeps the current one and adjusts
-        only the layout.
-        """
-        clone = self._clone()
-        clone._configure_backend(backend, keys, n_writers)
-        return clone
-
     def with_axes(self, axes: RunAxes) -> "Cluster":
         """This configuration under ``axes`` — all six run axes at once.
 
         The one setter path: the axes are validated
         (:meth:`~repro.axes.RunAxes.validated`), repair settings are
         rejected off the reconfig backend, and a changed consistency model
-        is reconciled with the backend.  ``with_durability`` /
-        ``with_consistency`` / ``with_observe`` / ``with_repairs`` are this
-        with the named fields replaced.
+        is reconciled with the backend.  ``with_repairs`` is this with the
+        repair fields replaced.
         """
         axes = axes.validated()
         if (
@@ -971,34 +921,6 @@ class Cluster:
         if axes.consistency != self._axes.consistency:
             clone._apply_consistency()
         return clone
-
-    def with_durability(self, durability: str) -> "Cluster":
-        """Select the durability seam every trial's objects persist through
-        — see :attr:`RunAxes.durability <repro.axes.RunAxes>`."""
-        return self.with_axes(replace(self._axes, durability=durability))
-
-    def with_consistency(self, consistency: str) -> "Cluster":
-        """Select the consistency model the cluster serves.
-
-        ``"k-atomic(N)"`` (or bare ``"k-atomic"``, bound
-        :data:`~repro.consistency.models.DEFAULT_K`) routes single/sharded
-        layouts onto the ``k-atomic`` backend — see
-        :attr:`RunAxes.consistency <repro.axes.RunAxes>`.  ``"atomic"`` on a
-        cluster already built on the ``k-atomic`` backend keeps that
-        backend's default bound — drop the backend via
-        ``with_backend("single")`` first to serve atomic reads again.
-        """
-        clone = self.with_axes(replace(self._axes, consistency=consistency))
-        # Also when the model is unchanged: a backend swapped in underneath
-        # it (with_backend) is routed back onto the k-atomic wrapper.
-        clone._apply_consistency()
-        return clone
-
-    def with_observe(self, observe: bool = True) -> "Cluster":
-        """Enable the observability layer — see :mod:`repro.obs` and
-        :attr:`RunAxes.observe <repro.axes.RunAxes>`.  Off (the default),
-        results are byte-identical to an unobserved cluster's."""
-        return self.with_axes(replace(self._axes, observe=observe))
 
     def with_schedule(self, *steps: PlannedSkip | tuple) -> "Cluster":
         """Install plan-addressed adversarial skip rules (stacking).

@@ -85,18 +85,6 @@ class FaultSpec:
                 f"{', '.join(repr(k) for k in unknown)}; accepted: {accepted}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "name": self.name,
-            "model": self.model,
-            "aliases": list(self.aliases),
-            "description": self.description,
-            "params": self.params(),
-        }
-        if self.timing:
-            payload["timing"] = list(self.timing)
-        return payload
-
 
 _FAULTS: dict[str, FaultSpec] = {}
 _ALIASES: dict[str, str] = {}
@@ -256,11 +244,6 @@ def fault_spec(name: str) -> FaultSpec:
         raise ConfigurationError(
             f"unknown fault behaviour {name!r}; available: {', '.join(available_faults())}"
         ) from None
-
-
-def get_fault(name: str, **kwargs: Any) -> Any:
-    """A fresh behaviour instance of the fault registered under ``name``."""
-    return fault_spec(name).build(**kwargs)
 
 
 def available_faults() -> tuple[str, ...]:

@@ -24,8 +24,8 @@ protocol modules at import time (that would be circular).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
@@ -83,21 +83,6 @@ class ProtocolSpec:
         if self.read_round_bound is not None and t is not None:
             return f"{self.read_round_bound(t)} (t={t})"
         return "O(t)"
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly metadata (factories and callables omitted)."""
-        return {
-            "name": self.name,
-            "model": self.model,
-            "semantics": self.semantics,
-            "resilience": self.resilience,
-            "write_rounds": self.write_rounds,
-            "read_rounds": self.read_rounds,
-            "scenarios": list(self.scenarios),
-            "aliases": list(self.aliases),
-            "description": self.description,
-            "backend": self.backend,
-        }
 
 
 _PROTOCOLS: dict[str, ProtocolSpec] = {}

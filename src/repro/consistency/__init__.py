@@ -3,9 +3,8 @@
 Three layers over one vocabulary of consistency-model strings:
 
 * **verification** (:mod:`~repro.consistency.kat`) —
-  :func:`check_k_atomicity` (exact SWMR greedy + MWMR k-frontier search),
-  the brute-force :func:`check_k_atomicity_reference` oracle, and
-  :func:`atomicity_spectrum`;
+  :func:`check_k_atomicity` (exact SWMR greedy + MWMR k-frontier search)
+  and the brute-force :func:`check_k_atomicity_reference` oracle;
 * **measurement** (:mod:`~repro.consistency.staleness`) — per-read
   staleness samples and their distribution;
 * **dispatch** (:mod:`~repro.consistency.models`) — the checker registry
@@ -15,11 +14,7 @@ Three layers over one vocabulary of consistency-model strings:
 """
 
 from repro.consistency.bounded import bounded_stale_view
-from repro.consistency.kat import (
-    atomicity_spectrum,
-    check_k_atomicity,
-    check_k_atomicity_reference,
-)
+from repro.consistency.kat import check_k_atomicity, check_k_atomicity_reference
 from repro.consistency.models import (
     CHECKS,
     DEFAULT_K,
@@ -40,7 +35,6 @@ __all__ = [
     "DEFAULT_K",
     "CheckVerdict",
     "CheckerSpec",
-    "atomicity_spectrum",
     "available_checks",
     "bounded_stale_view",
     "canonical_check_name",

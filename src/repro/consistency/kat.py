@@ -32,8 +32,7 @@ the *same code* as its ``k = 1`` namesake in :mod:`repro.spec`:
 
 :func:`check_k_atomicity_reference` preserves a frozenset-frontier
 brute-force search as the differential-testing oracle (the same pattern as
-``is_linearizable_reference``), and :func:`atomicity_spectrum` reports the
-smallest ``k`` a history satisfies.
+``is_linearizable_reference``).
 """
 
 from __future__ import annotations
@@ -114,20 +113,3 @@ def check_k_atomicity_reference(history: History, k: int) -> bool:
         return False
 
     return explore(frozenset(), (BOTTOM,))
-
-
-def atomicity_spectrum(history: History, max_k: int | None = None) -> int | None:
-    """The smallest ``k`` for which ``history`` is k-atomic, or ``None``.
-
-    ``k = 1`` means the history is atomic.  Any history whose reads all
-    return *some* written (or initial) value without reading from the
-    future satisfies ``k = len(writes) + 1``, so the scan is bounded; a
-    ``None`` result means validity itself (or a future read) is broken and
-    no ``k`` helps.  ``max_k`` caps the scan for callers that only care
-    about a prefix of the spectrum.
-    """
-    limit = max_k if max_k is not None else len(history.writes()) + 1
-    for k in range(1, limit + 1):
-        if check_k_atomicity(history, k).ok:
-            return k
-    return None

@@ -126,14 +126,6 @@ class CheckerSpec:
     parametric: bool = False
     aliases: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "parametric": self.parametric,
-            "aliases": list(self.aliases),
-        }
-
 
 _CHECKER_SPECS: tuple[CheckerSpec, ...] = (
     CheckerSpec(

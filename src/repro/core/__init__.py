@@ -19,7 +19,6 @@
 from repro.core.recurrence import (
     closed_form,
     max_write_rounds,
-    recurrence_sequence,
     resilience_bound,
     t_k,
 )
@@ -31,7 +30,6 @@ from repro.core.write_bound import WriteLowerBoundConstruction
 
 __all__ = [
     "t_k",
-    "recurrence_sequence",
     "closed_form",
     "max_write_rounds",
     "resilience_bound",

@@ -32,13 +32,6 @@ def t_k(k: int) -> int:
     return t_k(k - 1) + 2 * t_k(k - 2) + 1
 
 
-def recurrence_sequence(up_to: int) -> list[int]:
-    """``[t_1, t_2, …, t_up_to]``."""
-    if up_to < 1:
-        raise ConfigurationError("up_to must be at least 1")
-    return [t_k(k) for k in range(1, up_to + 1)]
-
-
 def closed_form(k: int) -> int:
     """``(2^{k+2} − (−1)^k − 3) / 6`` — must equal :func:`t_k` exactly."""
     if k < 0:

@@ -113,9 +113,6 @@ class Restore:
     point: CaptureKey
     note: str = ""
 
-    def __repr__(self) -> str:  # source is bulky; keep reprs readable
-        return f"Restore({self.block}, point={self.point}, note={self.note!r})"
-
 
 Step = StartWrite | StartRead | Deliver | TerminateRound | Restore
 Script = list[Step]
@@ -154,16 +151,6 @@ class RunResult:
     op_order: list[str]
     malicious_blocks: set[str]
     script: Script
-
-    def transcript(self, op: str, round_no: int) -> tuple[tuple[ProcessId, Any], ...] | None:
-        """Frozen reply set of a terminated round; None if not terminated."""
-        state = self.ops[op]
-        index = round_no - 1
-        if index >= len(state.terminated) or not state.terminated[index]:
-            return None
-        return tuple(
-            sorted((pid, _freeze(payload)) for pid, payload in state.replies[index].items())
-        )
 
     def returned(self, op: str) -> Any:
         """Result of a completed operation (None when incomplete)."""

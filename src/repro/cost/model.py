@@ -25,14 +25,6 @@ class CostEstimate:
     dollars: float
     latency_ms: float
 
-    def row(self) -> dict[str, str]:
-        return {
-            "rounds": str(self.rounds),
-            "requests": str(self.requests),
-            "cost ($/Mop)": f"{self.dollars * 1e6:.2f}",
-            "latency (ms)": f"{self.latency_ms:.1f}",
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class CloudCostModel:

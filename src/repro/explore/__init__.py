@@ -26,12 +26,8 @@ Three layers:
   partial-order reductions, bounded by one
   :class:`~repro.axes.SearchBounds` record (the only place the bounds are
   declared and documented).  Explorations of one configuration that differ
-  only in their checks can share a :class:`SimulationStore`, which keeps
-  each decision set's simulated record for as long as its holder keeps the
-  store, so the set is simulated once and re-judged after that; the
-  robustness frontier holds one for the length of one call.  Each search
-  still expands what *its* checker lets through, so what is shared is the
-  simulations, not the statistics;
+  only in their checks can share a :class:`SimulationStore` (described
+  there);
 * :mod:`repro.explore.witness` — delta-debugged minimization plus JSON
   round-tripping and deterministic replay.
 

@@ -6,7 +6,7 @@ messages stay (indefinitely) in transit*.  :class:`ControlledDelivery`
 exposes that choice to the schedule explorer: every message on the wire is
 mapped to a **link** — a :class:`HoldLink` — and the policy holds every
 message of the links the explorer selected, exactly the way
-:class:`~repro.faults.schedules.BlockSkipPolicy` /
+:class:`~repro.faults.schedules.PlannedSchedulePolicy` /
 :class:`~repro.faults.schedules.WithholdFrom` realize hand-written
 adversarial schedules.  While a schedule runs, the policy also records
 which links carried at least one delivered message: that set is the

@@ -53,11 +53,8 @@ fingerprints the wire trace; it never reads ``probe.checks`` and returns a
 :class:`SimulatedSchedule` — plain picklable data with no system behind it.
 :func:`judge` runs the requested checkers over that record's histories and
 fills in ``failures`` / ``passed``.  Searches that differ only in their
-checks (the rungs of :func:`repro.robustness.robustness_frontier`) can
-therefore share a :class:`SimulationStore`: each decision set is simulated
-once and judged once per search that reaches it.  A store changes how
-often :func:`simulate` runs, never a result; an explorer without one
-simulates every schedule it judges.
+checks can therefore share a :class:`SimulationStore` (described there); an
+explorer without one simulates every schedule it judges.
 
 Determinism: probes are evaluated in *waves* (the whole frontier for BFS,
 single nodes for DFS) and every wave is mapped either in-process or over
@@ -162,25 +159,6 @@ class ScheduleOutcome:
     @property
     def violating(self) -> bool:
         return bool(self.failures)
-
-    def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "decisions": [link.to_json() for link in self.decisions],
-            "failures": [list(pair) for pair in self.failures],
-            "passed": list(self.passed),
-            "completed": self.completed,
-            "incomplete": self.incomplete,
-            "dropped": self.dropped,
-            "held_messages": self.held_messages,
-            "events": self.events,
-            "truncated": self.truncated,
-            "trace_hash": self.trace_hash,
-        }
-        if self.fault_counts:
-            # New key, only for fault-carrying probes: fault-free outcomes
-            # keep the exact pre-timing payload.
-            payload["fault_counts"] = [list(pair) for pair in self.fault_counts]
-        return payload
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,13 +320,20 @@ def judge(simulated: SimulatedSchedule, checks: Sequence[str]) -> ScheduleOutcom
 class SimulationStore:
     """What one configuration's schedules simulated to, kept for re-judging.
 
-    The rungs of a robustness frontier run one stack over one workload and
-    differ only in the checker, so a schedule one rung simulated is the
-    schedule the next rung would simulate.  The store maps the canonical
-    decision tuple to its :class:`SimulatedSchedule`; whoever holds it
-    simulates a decision set at most once.  It is bound to the probe it
+    Searches that differ only in their checks — the rungs of
+    :func:`repro.robustness.robustness_frontier` run one stack over one
+    workload under several checkers — simulate the same schedules.  The
+    store maps each canonical decision tuple to its
+    :class:`SimulatedSchedule` (the checker-independent outcome fields and
+    the frozen histories, plain picklable data with no system, trace or
+    message behind it), so whoever holds it simulates a decision set once
+    and after that only runs :func:`judge` on it; on a process pool only
+    the sets nobody simulated yet go to workers.  It is bound to the probe it
     was created for — everything except ``checks`` and ``decisions`` — and
-    refuses any other.
+    refuses any other.  It lives as long as its holder keeps it (the
+    frontier: one call).  A store changes how often :func:`simulate` runs,
+    never a result: each search still expands what *its* checker lets
+    through, so what is shared is the simulations, not the statistics.
     """
 
     def __init__(self, probe: ScheduleProbe) -> None:

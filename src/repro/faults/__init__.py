@@ -6,11 +6,11 @@ The paper's model allows clients to crash and up to ``t`` objects to be
 * benign endpoint faults — silence, crash-at-time (:mod:`repro.faults.adversary`);
 * crash-recover faults — machines that go dark and rejoin from durable
   storage, with fsync-lag and torn-write damage (:mod:`repro.faults.recovery`);
-* Byzantine behaviours — state replay ("forge state to σ", exactly the
-  adversary of the proofs) and fabrication of arbitrary well-typed states
+* Byzantine behaviours — stale echo (a genuine past state, the adversary
+  of the proofs) and fabrication of arbitrary well-typed states
   (:mod:`repro.faults.byzantine`);
-* adversarial delivery schedules — block skipping and reply withholding
-  (:mod:`repro.faults.schedules`);
+* adversarial delivery schedules — plan-addressed block skipping and reply
+  withholding (:mod:`repro.faults.schedules`);
 * fault timing as data — :class:`~repro.faults.timing.TimedFault` defers
   any registered behaviour to an explicit per-object trigger point, the
   choice the schedule explorer sweeps (:mod:`repro.faults.timing`).
@@ -19,19 +19,8 @@ The paper's model allows clients to crash and up to ``t`` objects to be
 from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
 from repro.faults.recovery import CrashRecoverAt, FsyncLag, TornWrite
 from repro.faults.timing import TimedFault, timed_fault
-from repro.faults.byzantine import (
-    FabricatingBehavior,
-    ReplayBehavior,
-    StateArchive,
-    StaleEchoBehavior,
-)
-from repro.faults.schedules import (
-    BlockSkipPolicy,
-    PlannedSchedulePolicy,
-    PlannedSkip,
-    SkipRule,
-    WithholdFrom,
-)
+from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
+from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
 
 __all__ = [
     "SilentBehavior",
@@ -40,14 +29,10 @@ __all__ = [
     "FsyncLag",
     "TornWrite",
     "flaky_behavior",
-    "StateArchive",
-    "ReplayBehavior",
     "StaleEchoBehavior",
     "FabricatingBehavior",
     "TimedFault",
     "timed_fault",
-    "BlockSkipPolicy",
-    "SkipRule",
     "WithholdFrom",
     "PlannedSkip",
     "PlannedSchedulePolicy",

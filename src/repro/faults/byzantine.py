@@ -1,11 +1,14 @@
-"""Byzantine object behaviours: state replay and fabrication.
+"""Byzantine object behaviours: stale echo and fabrication.
 
 The lower-bound proofs never need "creative" Byzantine objects: every forgery
 in the paper is of the form *"objects in block B forge their state to σ
 before replying to rd"* where σ is a **genuine** protocol state captured in
-some other partial run.  :class:`ReplayBehavior` implements exactly that: it
-computes the reply the honest handler would give *from a snapshot state*
-instead of the current one.
+some other partial run.  The constructions' scripted executor forges state
+directly (:class:`repro.core.runs.Restore`); on the simulated system
+:class:`StaleEchoBehavior` is that adversary for one σ — it computes the
+reply the honest handler would give *from a frozen genuine state* instead of
+the current one, frozen at construction or, under a ``timed()`` trigger, at
+firing time.
 
 Fabrication (inventing states that never occurred, e.g. sky-high timestamps)
 is stronger and only possible because data is unauthenticated;
@@ -15,114 +18,17 @@ unauthenticated model from the secret-token model of [DMSS09].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.errors import ConfigurationError
 from repro.sim.network import Message
 from repro.sim.process import FaultBehavior, ObjectServer, copy_state
-from repro.types import ProcessId
-
-
-class StateArchive:
-    """Labelled per-object state snapshots (the σ's of the proofs).
-
-    Labels are free-form strings such as ``"sigma_2"`` ("state after the
-    write's rounds 1..2").  Snapshots are deep copies, immune to later
-    mutation of the live objects.
-    """
-
-    def __init__(self) -> None:
-        self._snapshots: dict[str, dict[ProcessId, dict[str, Any]]] = {}
-
-    def capture(self, label: str, servers: Iterable[ObjectServer]) -> None:
-        """Snapshot the current state of every server under ``label``."""
-        bucket = self._snapshots.setdefault(label, {})
-        for server in servers:
-            bucket[server.pid] = server.snapshot()
-
-    def store(self, label: str, pid: ProcessId, state: Mapping[str, Any]) -> None:
-        """Store an explicit state dict under ``label`` for ``pid``."""
-        self._snapshots.setdefault(label, {})[pid] = copy_state(dict(state))
-
-    def get(self, label: str, pid: ProcessId) -> dict[str, Any]:
-        """Deep copy of the snapshot of ``pid`` under ``label``."""
-        try:
-            return copy_state(self._snapshots[label][pid])
-        except KeyError:
-            raise ConfigurationError(f"no snapshot {label!r} for {pid}") from None
-
-    def has(self, label: str, pid: ProcessId | None = None) -> bool:
-        """Whether ``label`` (and optionally ``pid``) is archived."""
-        if label not in self._snapshots:
-            return False
-        if pid is None:
-            return True
-        return pid in self._snapshots[label]
-
-    def labels(self) -> tuple[str, ...]:
-        """All labels, sorted."""
-        return tuple(sorted(self._snapshots))
-
-
-@dataclass(slots=True)
-class ReplayRule:
-    """Forge replies matching ``matcher`` from snapshot ``label``."""
-
-    matcher: Callable[[Message], bool]
-    label: str
-
-
-class ReplayBehavior(FaultBehavior):
-    """Reply from archived snapshots instead of the live state.
-
-    Rules are checked in order; the first matching rule selects the snapshot
-    the honest handler is evaluated against.  Without a match the object
-    answers honestly (from its live state), which mirrors the proofs: the
-    malicious blocks behave correctly toward every operation except the ones
-    they target.
-
-    The handler runs against a *copy* of the snapshot, so a forged reply
-    never perturbs the archive or the live state.
-    """
-
-    def __init__(self, archive: StateArchive, rules: Iterable[ReplayRule] = ()) -> None:
-        self.archive = archive
-        self.rules: list[ReplayRule] = list(rules)
-        self._announced = False
-
-    def forge(self, matcher: Callable[[Message], bool], label: str) -> "ReplayBehavior":
-        """Append a rule; returns self for chaining."""
-        self.rules.append(ReplayRule(matcher=matcher, label=label))
-        return self
-
-    def reply(
-        self,
-        server: ObjectServer,
-        message: Message,
-        honest_payload: Mapping[str, Any],
-    ) -> Mapping[str, Any] | None:
-        for rule in self.rules:
-            if rule.matcher(message):
-                if not self._announced:
-                    self._announced = True
-                    self.log_phase("replay")
-                if not self.archive.has(rule.label, server.pid):
-                    return None  # no such past: the safest lie is silence
-                forged_state = self.archive.get(rule.label, server.pid)
-                return server.handler.handle(forged_state, message)
-        return honest_payload
-
-    def describe(self) -> str:
-        return f"replay({len(self.rules)} rules)"
 
 
 class StaleEchoBehavior(FaultBehavior):
     """Freeze at construction time: forever reply from that one snapshot.
 
-    Equivalent to a replay behaviour with a single catch-all rule; kept as a
-    distinct class because "echo an old genuine state" is the canonical
-    attack against naive fast reads and deserves a name in test output.
+    "Echo an old genuine state" is the canonical attack against naive fast
+    reads; the fault registry names it ``stale-echo`` (alias ``replay``).
     """
 
     def __init__(self, frozen_state: Mapping[str, Any]) -> None:

@@ -5,7 +5,9 @@ receives the round's invocation (and hence never replies to it), while every
 other object receives it and replies.  On the event-loop simulator this is a
 delivery policy that holds the matching invocation messages; held messages
 stay "in transit", so a skipped round is a legitimate partial-run phenomenon,
-not message loss.
+not message loss.  Rules address operations by *plan position*
+(:class:`PlannedSkip`), so they are plain data while an experiment is still
+being configured.
 """
 
 from __future__ import annotations
@@ -14,53 +16,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable
 
 from repro.sim.network import DeliveryPolicy, Message, SelectiveHold
-from repro.types import OperationId, ProcessId
-
-
-@dataclass(frozen=True, slots=True)
-class SkipRule:
-    """Hold invocations of ``op`` round ``round_no`` aimed at ``objects``.
-
-    ``round_no`` of ``None`` means every round of the operation.
-    """
-
-    op: OperationId
-    objects: frozenset[ProcessId]
-    round_no: int | None = None
-
-    def matches(self, message: Message) -> bool:
-        if message.is_reply or message.op != self.op:
-            return False
-        if self.round_no is not None and message.round_no != self.round_no:
-            return False
-        return message.dst in self.objects
-
-
-class BlockSkipPolicy(SelectiveHold):
-    """A delivery policy enforcing a set of :class:`SkipRule`.
-
-    Non-matching messages flow through the base policy (unit-latency FIFO by
-    default), so the simulated run is synchronous except exactly where the
-    adversary intervenes.  Like every policy of this module it is a
-    :class:`~repro.sim.network.SelectiveHold` whose predicate reads the
-    message only, so over a uniform base it declares the shape the batched
-    fast path serves.
-    """
-
-    def __init__(self, rules: Iterable[SkipRule] = (), base: DeliveryPolicy | None = None) -> None:
-        self.rules: list[SkipRule] = list(rules)
-        super().__init__(self._skipped, base)
-
-    def skip(self, op: OperationId, objects: Collection[ProcessId], round_no: int | None = None) -> "BlockSkipPolicy":
-        """Add a rule; returns self for chaining."""
-        self.rules.append(SkipRule(op=op, objects=frozenset(objects), round_no=round_no))
-        return self
-
-    def _skipped(self, message: Message) -> bool:
-        for rule in self.rules:
-            if rule.matches(message):
-                return True
-        return False
+from repro.types import ProcessId
 
 
 class WithholdFrom(SelectiveHold):
@@ -68,7 +24,7 @@ class WithholdFrom(SelectiveHold):
 
     This is the "keep t correct objects slow forever" adversary: the objects
     are perfectly correct, but their replies sit in transit beyond the end of
-    the partial run.  ``release`` on the network ends the blackout.
+    the partial run.
     """
 
     def __init__(
@@ -97,11 +53,10 @@ class WithholdFrom(SelectiveHold):
 
 @dataclass(frozen=True, slots=True)
 class PlannedSkip:
-    """A :class:`SkipRule` addressed by *plan position* instead of a live id.
+    """Hold the invocations of one planned operation aimed at a block.
 
-    ``SkipRule`` needs the :class:`~repro.types.OperationId` of an already
-    invoked operation, which does not exist while an experiment is still
-    being configured.  ``PlannedSkip`` carries the same fact as plain data:
+    An :class:`~repro.types.OperationId` does not exist while an experiment
+    is still being configured, so the rule carries the fact as plain data:
     ``op`` is the 1-based position of the operation in the trial's schedule
     (the trial engine runs every trial under
     :func:`repro.types.scoped_operation_serials`, so plan position ``k``
@@ -112,7 +67,7 @@ class PlannedSkip:
     :class:`WithholdFrom` counterpart: the objects still *receive and
     apply* the invocation, but the client never hears back (the "correct
     but slow forever" adversary).  Without it the rule matches invocations
-    only, exactly like :class:`SkipRule`.
+    only.
 
     Being a frozen plain-data record, planned skips pickle and serialize,
     so scheduled trials run on process pools and round-trip through
@@ -145,7 +100,7 @@ class PlannedSkip:
 
 
 class PlannedSchedulePolicy(SelectiveHold):
-    """A :class:`BlockSkipPolicy` over plan-addressed :class:`PlannedSkip` rules.
+    """A delivery policy enforcing plan-addressed :class:`PlannedSkip` rules.
 
     This is what :meth:`repro.api.cluster.Cluster.with_schedule` and
     schedule-bearing scenarios compile to at trial time; non-matching

@@ -10,24 +10,15 @@ from repro.quorums.threshold import (
     ByzantineThresholds,
     CrashThresholds,
     certification_threshold,
-    max_tolerable_faults,
     optimal_resilience_objects,
 )
-from repro.quorums.analysis import (
-    intersection_size,
-    is_dissemination_system,
-    is_masking_system,
-    quorum_availability,
-)
+from repro.quorums.analysis import is_masking_system, quorum_availability
 
 __all__ = [
     "CrashThresholds",
     "ByzantineThresholds",
     "optimal_resilience_objects",
-    "max_tolerable_faults",
     "certification_threshold",
-    "intersection_size",
     "quorum_availability",
     "is_masking_system",
-    "is_dissemination_system",
 ]

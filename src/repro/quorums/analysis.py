@@ -1,10 +1,10 @@
 """Set-system analysis of quorum families.
 
 Beyond threshold systems, the library can analyse explicit quorum families
-(sets of object subsets): intersection sizes, availability under fault sets,
-and the Malkhi–Reiter classification (dissemination vs masking systems).
-These back the resilience-frontier benchmark (E7) and give property tests a
-second, independent route to the threshold arithmetic.
+(sets of object subsets): availability under fault sets and the
+Malkhi–Reiter masking condition.  These back the resilience-frontier
+benchmark (E7) and give property tests a second, independent route to the
+threshold arithmetic.
 """
 
 from __future__ import annotations
@@ -18,40 +18,9 @@ from repro.types import ProcessId
 QuorumFamily = Collection[FrozenSet[ProcessId]]
 
 
-def intersection_size(family: QuorumFamily) -> int:
-    """Minimum pairwise intersection size over the family.
-
-    A family of fewer than two quorums has no pair; by convention the
-    minimum is then the size of the single quorum (or 0 for an empty family).
-    """
-    quorums = list(family)
-    if not quorums:
-        return 0
-    if len(quorums) == 1:
-        return len(quorums[0])
-    return min(len(a & b) for a, b in combinations(quorums, 2))
-
-
 def quorum_availability(family: QuorumFamily, faulty: AbstractSet[ProcessId]) -> bool:
     """True when some quorum avoids every faulty object (liveness)."""
     return any(not (quorum & faulty) for quorum in family)
-
-
-def is_dissemination_system(family: QuorumFamily, fault_sets: Iterable[AbstractSet[ProcessId]]) -> bool:
-    """Malkhi–Reiter dissemination condition (self-verifying data).
-
-    Any two quorums intersect outside every fault set, and some quorum
-    survives every fault set.  Sufficient for *authenticated* storage only.
-    """
-    quorums = list(family)
-    if not quorums:
-        raise ConfigurationError("empty quorum family")
-    fault_list = [frozenset(b) for b in fault_sets]
-    for a, b in combinations(quorums, 2):
-        core = a & b
-        if any(core <= bad for bad in fault_list):
-            return False
-    return all(quorum_availability(quorums, bad) for bad in fault_list)
 
 
 def is_masking_system(family: QuorumFamily, fault_sets: Iterable[AbstractSet[ProcessId]]) -> bool:

@@ -20,13 +20,6 @@ def optimal_resilience_objects(t: int) -> int:
     return 3 * t + 1
 
 
-def max_tolerable_faults(S: int) -> int:
-    """Largest ``t`` with ``3t + 1 <= S`` (Byzantine, unauthenticated)."""
-    if S < 1:
-        raise ConfigurationError("need at least one object")
-    return (S - 1) // 3
-
-
 def certification_threshold(t: int) -> int:
     """Votes needed so at least one voucher is correct: ``t + 1``."""
     if t < 0:
@@ -59,15 +52,6 @@ class CrashThresholds:
     def quorum(self) -> int:
         """Majority quorum size: any two quorums intersect."""
         return self.S // 2 + 1
-
-    @property
-    def wait_for(self) -> int:
-        """Replies a client can always safely wait for: ``S − t``."""
-        return self.S - self.t
-
-    def quorums_intersect(self) -> bool:
-        """Sanity: two quorums share at least one object."""
-        return 2 * self.quorum - self.S >= 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,19 +98,6 @@ class ByzantineThresholds:
     def certify(self) -> int:
         """Identical reports guaranteeing genuineness: ``t + 1``."""
         return certification_threshold(self.t)
-
-    @property
-    def is_optimal(self) -> bool:
-        """True exactly when ``S = 3t + 1``."""
-        return self.S == 3 * self.t + 1
-
-    def reply_sets_intersect_correctly(self) -> bool:
-        """Two quorums share at least one *correct* object."""
-        return 2 * self.quorum - self.S - self.t >= 1
-
-    def correct_holders_after_complete_phase(self) -> int:
-        """Correct objects guaranteed to store a phase acked by a quorum."""
-        return self.quorum - self.t
 
     def freshness_witnesses(self) -> int:
         """Correct fresh holders guaranteed inside any later reply set.

@@ -265,11 +265,6 @@ class RegisterProtocol:
         """Generator implementing ``read()`` for ``reader``."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """One-line summary used by benchmark tables."""
-        reads = "unbounded" if self.read_rounds is None else str(self.read_rounds)
-        return f"{self.name}: {self.write_rounds}-round writes, {reads}-round reads"
-
 
 class RegisterSystem(SystemBackend):
     """A protocol instantiated on a simulated storage system.

@@ -204,16 +204,6 @@ class ReconfigRegisterSystem(SystemBackend):
     # Epoch machinery
     # ------------------------------------------------------------------ #
 
-    @property
-    def members(self) -> tuple[ProcessId, ...]:
-        """The current epoch's membership (replacements in place)."""
-        return self._members
-
-    @property
-    def epoch(self) -> int:
-        """Completed epoch transitions so far."""
-        return self.completed_repairs
-
     def _scoped(self, inner: ProtocolGenerator) -> ProtocolGenerator:
         """Pin each implicit-destination round to the epoch at round start.
 

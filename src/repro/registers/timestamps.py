@@ -10,20 +10,10 @@ arguments lean on.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from repro.sim.rounds import ReplySet
 from repro.types import ProcessId, TaggedValue
-
-
-def reported_pairs(payload: Mapping[str, Any], fields: Iterable[str]) -> list[TaggedValue]:
-    """The tagged values a single reply vouches for."""
-    pairs = []
-    for name in fields:
-        value = payload.get(name)
-        if isinstance(value, TaggedValue):
-            pairs.append(value)
-    return pairs
 
 
 def voucher_counts(replies: ReplySet, fields: Iterable[str] = ("pw", "w")) -> Counter:

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from repro.api.registry import register_protocol
 from repro.errors import ConfigurationError
 from repro.registers.base import (
-    ProtocolContext,
     RegisterProtocol,
     SystemBackend,
     _assemble,
@@ -247,8 +246,9 @@ class MultiWriterStackProtocol(RegisterProtocol):
     writer, a shared writer family), not a drop-in
     :class:`~repro.registers.base.RegisterProtocol` — so this class carries
     the substrate factory and the round accounting for the registry and the
-    multi-writer backend, and refuses to produce single-register generators:
-    running it requires ``backend="multi-writer"``.
+    multi-writer backend and defines no single-register generators: running
+    it requires ``backend="multi-writer"`` (the other backends refuse a stack
+    before building anything).
     """
 
     def __init__(self, name: str, substrate_factory: Callable[[], RegisterProtocol]) -> None:
@@ -262,21 +262,6 @@ class MultiWriterStackProtocol(RegisterProtocol):
 
     def validate_configuration(self, S: int, t: int) -> None:
         self.substrate_factory().validate_configuration(S, t)
-
-    def _not_single_register(self) -> ConfigurationError:
-        return ConfigurationError(
-            f"{self.name} is a multi-writer stack; run it through the "
-            "multi-writer backend (Cluster resolves it automatically)"
-        )
-
-    def object_handler(self):
-        raise self._not_single_register()
-
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
-        raise self._not_single_register()
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        raise self._not_single_register()
 
 
 def _mwmr_over_fast_regular() -> MultiWriterStackProtocol:

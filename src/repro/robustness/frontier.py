@@ -30,14 +30,8 @@ checker applied to each schedule's history: robustness *between* models is
 a question asked of one set of executions under several specifications.
 So the frontier builds the :class:`~repro.explore.engine.ScheduleProbe`
 once, replaces only its ``checks`` per rung, and hands every rung's
-explorer one :class:`~repro.explore.engine.SimulationStore`.  The store
-holds, per canonical decision tuple, what
-:func:`~repro.explore.engine.simulate` returned — the checker-independent
-outcome fields and the frozen histories, plain picklable data with no
-system, trace or message behind it — and a rung that meets a decision set
-an earlier rung simulated runs only :func:`~repro.explore.engine.judge`
-on the stored record.  The store lives for one :func:`robustness_frontier`
-call and is dropped when it returns.
+explorer one :class:`~repro.explore.engine.SimulationStore` (described
+there) for the length of one :func:`robustness_frontier` call.
 
 Rungs still *search* on their own: a schedule that violates atomicity is
 not expanded on the atomicity rung but is on ``k-atomic(2)``, so each rung

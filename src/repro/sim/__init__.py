@@ -18,7 +18,7 @@ Two execution styles are provided on top of the same process abstractions:
 
 from repro.sim.batched import BatchedSimulator, WaveQueue
 from repro.sim.events import Event, EventQueue
-from repro.sim.network import DeliveryPolicy, FifoDelivery, HeldMessage, Message, Network, RandomDelivery
+from repro.sim.network import DeliveryPolicy, FifoDelivery, Message, Network
 from repro.sim.process import FaultBehavior, ObjectHandler, ObjectServer
 from repro.sim.rounds import ReplyRule, RoundOutcome, RoundSpec
 from repro.sim.simulator import ClientOperation, Simulator
@@ -30,11 +30,9 @@ __all__ = [
     "Event",
     "EventQueue",
     "Message",
-    "HeldMessage",
     "Network",
     "DeliveryPolicy",
     "FifoDelivery",
-    "RandomDelivery",
     "ObjectHandler",
     "ObjectServer",
     "FaultBehavior",

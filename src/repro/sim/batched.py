@@ -69,16 +69,9 @@ its policy declares* (:class:`~repro.sim.network.DeliveryPolicy`:
   depends on the message alone, so it may be taken at any point between
   the message's creation and its trace entry — a broadcast takes all its
   verdicts first and then writes ``SEND`` (and, for a held message,
-  ``HOLD`` plus the :class:`~repro.sim.network.HeldMessage`) at exactly
-  the per-message position.  It is consulted once per message, in send
-  order, so a policy that counts what it sees counts the same.
-* **The release caveat.**  The watermark is inert only while nothing held
-  is released.  :meth:`Network.fast_shape
-  <repro.sim.network.Network.fast_shape>` therefore grants the fast path
-  to a policy that holds only at latency 1 (where the skipped watermark
-  can never exceed ``now + 1``), and withdraws it from a network for good
-  at its first release; the walk re-reads that after every scheduled
-  action, the one place a release can happen mid-drain.
+  ``HOLD``) at exactly the per-message position.  It is consulted once per
+  message, in send order, so a policy that counts what it sees counts the
+  same.
 
 Policies that declare no shape (random delays, anything custom — including
 a subclass that overrides ``delay`` below the class that declared one)
@@ -99,7 +92,7 @@ class WaveQueue:
     """Virtual-time buckets of scheduled work, popped one wave at a time.
 
     Drop-in for the scheduling surface the simulator and network use
-    (``now``, ``schedule``, emptiness), but instead of a heap it keeps one
+    (``now``, ``schedule``), but instead of a heap it keeps one
     FIFO list per virtual tick.  Entries are either zero-argument callables
     (operation starts) or in-transit :class:`~repro.sim.network.Message`
     deliveries pushed through the network's delivery sinks.  Appends
@@ -124,15 +117,6 @@ class WaveQueue:
     def now(self) -> int:
         """Current virtual time (time of the last popped wave)."""
         return self._now
-
-    def __len__(self) -> int:
-        return sum(
-            sum(len(entry) if entry.__class__ is list else 1 for entry in bucket)
-            for bucket in self._buckets.values()
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self._buckets)
 
     def schedule(self, delay: int, action: Callable[[], Any], label: str = "") -> None:
         """Schedule ``action`` to run ``delay`` ticks from now."""
@@ -168,20 +152,6 @@ class WaveQueue:
             heapq.heappush(self._times, deliver_at)
         else:
             bucket.append(messages)
-
-    def peek_time(self) -> int | None:
-        """Virtual time of the next wave, or None when nothing is scheduled."""
-        if not self._times:
-            return None
-        return self._times[0]
-
-    def pop_wave(self) -> list[Any]:
-        """Remove and return the earliest wave, advancing time to it."""
-        if not self._times:
-            raise SimulationError("pop from an empty wave queue")
-        time = heapq.heappop(self._times)
-        self._now = time
-        return self._buckets.pop(time)
 
 
 class BatchedSimulator(Simulator):
@@ -236,7 +206,6 @@ class BatchedSimulator(Simulator):
         trace_entries = trace.entries if trace is not None else None
         deliver_kind = TraceKind.DELIVER
         send_kind = TraceKind.SEND
-        drop_kind = TraceKind.DROP
         # Under a declared policy shape reply sends take an inlined fast
         # path in the walk (see Network.fast_shape for why that is inert).
         shape = network.fast_shape()
@@ -267,8 +236,6 @@ class BatchedSimulator(Simulator):
                     if cls is not Message:
                         entry()  # an operation-start action
                         executed += 1
-                        if shape is not None and network._released:
-                            shape = hold_check = None  # it released a held message
                         continue
                     run: Sequence[Message] = (entry,)  # slow-path single delivery
                 else:
@@ -344,8 +311,9 @@ class BatchedSimulator(Simulator):
                     client = first.dst
                     if client not in handlers:
                         # Crashed/aborted client: replies dropped on the floor.
-                        if trace_entries is not None:
-                            trace_entries.extend([(now, drop_kind, m) for m in run])
+                        if trace is not None:
+                            for message in run:
+                                trace.record_drop(now, message)
                     else:
                         operation = by_op.get(op_id)
                         record = None

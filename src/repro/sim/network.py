@@ -10,7 +10,6 @@ message is "in transit" at the end of a partial run).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Mapping, Sequence
@@ -42,26 +41,12 @@ class Message:
     payload: Mapping[str, Any]
     is_reply: bool = False
 
-    def __str__(self) -> str:
-        arrow = "<-" if self.is_reply else "->"
-        return f"{self.src}{arrow}{self.dst} {self.op} rnd{self.round_no} {self.tag}"
-
-
-@dataclass(slots=True)
-class HeldMessage:
-    """A message the delivery policy left in transit indefinitely."""
-
-    message: Message
-    sent_at: int
-    released: bool = False
-
 
 class DeliveryPolicy:
     """Strategy deciding the in-transit delay of every message.
 
     Return an integer delay to schedule delivery, or ``None`` to hold the
-    message indefinitely (it can be released later through
-    :meth:`Network.release_held`).
+    message indefinitely (it stays in transit for the rest of the run).
 
     A policy may also declare its **shape** through two read-only facts,
     which is what lets the network serve it from the batched fast path
@@ -124,25 +109,6 @@ class FifoDelivery(DeliveryPolicy):
         return self.latency
 
 
-class RandomDelivery(DeliveryPolicy):
-    """Deliver after a seeded-random delay in ``[min_latency, max_latency]``.
-
-    Useful for shaking out order dependence in protocols; determinism is
-    preserved because the RNG is owned and seeded by the policy.  Delays
-    vary, so it declares no shape and runs on the per-message path.
-    """
-
-    def __init__(self, seed: int = 0, min_latency: int = 1, max_latency: int = 10) -> None:
-        if not 1 <= min_latency <= max_latency:
-            raise ChannelError("need 1 <= min_latency <= max_latency")
-        self._rng = random.Random(seed)
-        self.min_latency = min_latency
-        self.max_latency = max_latency
-
-    def delay(self, message: Message, now: int) -> int | None:
-        return self._rng.randint(self.min_latency, self.max_latency)
-
-
 class SelectiveHold(DeliveryPolicy):
     """Hold messages matching a predicate; delegate the rest.
 
@@ -178,7 +144,7 @@ class Network:
     """The message fabric binding processes to the event queue.
 
     Responsibilities: route messages, enforce per-channel FIFO order, apply
-    the delivery policy, park held messages, and notify an optional trace.
+    the delivery policy, and notify an optional trace.
     """
 
     def __init__(
@@ -191,7 +157,6 @@ class Network:
         self.policy = policy or FifoDelivery()
         self.trace = trace
         self._handlers: dict[ProcessId, Callable[[Message], None]] = {}
-        self._held: list[HeldMessage] = []
         # Per-channel watermark of the latest scheduled delivery time,
         # used to keep channels FIFO under variable delays.
         self._fifo_watermark: dict[tuple[ProcessId, ProcessId], int] = {}
@@ -200,9 +165,6 @@ class Network:
         # the quiescence listener (the simulator) is told — this is what
         # lets "wait for all plausibly-correct replies" resolve mid-run.
         self._inflight: dict[tuple[Any, int], int] = {}
-        # Set once a held message has been released: from then on the
-        # watermark is live (see :meth:`fast_shape`).
-        self._released = False
         self.quiescence_listener: Callable[[Any, int], None] | None = None
         # Batch hooks: when set, scheduled deliveries are handed to the sink
         # as ``(deliver_at, message)`` — and whole broadcasts as
@@ -220,11 +182,6 @@ class Network:
         """Remove a process (it stops receiving; models a crashed client)."""
         self._handlers.pop(pid, None)
 
-    @property
-    def held_messages(self) -> tuple[HeldMessage, ...]:
-        """Messages currently parked in transit."""
-        return tuple(h for h in self._held if not h.released)
-
     def send(self, message: Message) -> None:
         """Hand ``message`` to the fabric.
 
@@ -241,61 +198,25 @@ class Network:
         self._schedule_delivery(message, delay)
 
     def hold(self, message: Message) -> None:
-        """Park ``message`` in transit (its SEND is already on the trace)."""
-        now = self._queue.now
-        self._held.append(HeldMessage(message=message, sent_at=now))
+        """Leave ``message`` in transit for good (its SEND is already on the
+        trace); the trace records the HOLD."""
         if self.trace is not None:
-            self.trace.record_hold(now, message)
-
-    def release_held(self, match: Callable[[Message], bool] | None = None, delay: int = 1) -> int:
-        """Release held messages (all, or those matching ``match``).
-
-        Returns the number of messages released.  Released messages are
-        delivered in their original send order, preserving channel FIFO.
-        """
-        released = 0
-        for held in self._held:
-            if held.released:
-                continue
-            if match is not None and not match(held.message):
-                continue
-            held.released = True
-            self._schedule_delivery(held.message, delay)
-            released += 1
-        if released:
-            self._released = True
-        return released
+            self.trace.record_hold(self._queue.now, message)
 
     def fast_shape(self) -> tuple[int, Callable[[Message], bool] | None] | None:
         """``(latency, hold_check)`` when the fast path may serve the policy.
 
         The fast path skips :meth:`DeliveryPolicy.delay` and the FIFO
-        watermark.  Under a declared uniform latency that is inert while
-        nothing held is ever released — every delivery lands one constant
-        after its send, so channel FIFO holds by monotonicity of virtual
-        time.  A release breaks that in two ways, and both are excluded
-        here rather than paid for per message:
-
-        * a released message must not land before the watermark the
-          per-message path would have kept (last send on its channel plus
-          the latency).  With latency 1 that watermark is at most
-          ``now + 1``, which every release meets; with a larger latency it
-          can lie beyond it — so a policy that holds is served only at
-          latency 1;
-        * traffic *after* a release must not overtake a message released
-          with a longer delay — so the first release ends the fast path for
-          this network.  The watermark it would have kept until then is at
-          most ``now + 1`` on every channel, which is what the per-message
-          path assumes of a channel it has no entry for.
+        watermark.  Under a declared uniform latency both are inert: every
+        delivery lands one constant after its send, so channel FIFO holds
+        by monotonicity of virtual time, and a held message never lands at
+        all.
         """
         policy = self.policy
         latency = policy.uniform_latency
-        if latency is None or self._released:
+        if latency is None:
             return None
-        hold_check = policy.hold_check
-        if hold_check is not None and latency != 1:
-            return None
-        return latency, hold_check
+        return latency, policy.hold_check
 
     def _schedule_delivery(self, message: Message, delay: int) -> None:
         # Hot path: one call per message on the wire.  Locals, a single

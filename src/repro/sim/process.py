@@ -127,8 +127,8 @@ class FaultBehavior:
         raise NotImplementedError
 
     def describe(self) -> str:
-        """Human-readable label used by traces and diagrams."""
-        return type(self).__name__
+        """Human-readable label used by fault inventories and span dumps."""
+        raise NotImplementedError
 
 
 @dataclass(slots=True)
@@ -151,11 +151,6 @@ class ObjectServer:
     def __post_init__(self) -> None:
         if not self.state:
             self.state = self.handler.initial_state()
-
-    @property
-    def is_faulty(self) -> bool:
-        """True when a fault behaviour is installed."""
-        return self.behavior is not None
 
     def snapshot(self) -> dict[str, Any]:
         """Copy of the current protocol state (σ in the proofs)."""

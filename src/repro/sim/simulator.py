@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable, Mapping, Sequence
+from typing import Any, Generator, Iterable, Sequence
 
 from repro.errors import ProtocolError, SimulationError
 from repro.sim.events import EventQueue
 from repro.sim.network import DeliveryPolicy, Message, Network
 from repro.sim.process import ObjectServer
-from repro.sim.rounds import ReplySet, RoundOutcome, RoundRecord, RoundSpec
+from repro.sim.rounds import RoundOutcome, RoundRecord, RoundSpec
 from repro.types import OperationId, ProcessId, fresh_operation_id
 
 #: A client protocol: a generator yielding RoundSpec and returning the
@@ -136,15 +136,6 @@ class Simulator:
     def object_ids(self) -> tuple[ProcessId, ...]:
         """All object identifiers in deterministic order."""
         return self._object_ids
-
-    @property
-    def now(self) -> int:
-        """Current virtual time."""
-        return self.queue.now
-
-    def faulty_objects(self) -> tuple[ProcessId, ...]:
-        """Identifiers of objects with an installed fault behaviour."""
-        return tuple(pid for pid in self.object_ids if self.objects[pid].is_faulty)
 
     def invoke(
         self,

@@ -1,18 +1,11 @@
 """Message traces: the observable record of a simulation run.
 
 A :class:`MessageTrace` collects every send/hold/delivery with its virtual
-time.  Traces serve three purposes: debugging, latency accounting (rounds are
-recounted from the wire, cross-checking the engine's own bookkeeping), and
-extracting per-client *reply transcripts* — the basis of the
-indistinguishability arguments in the lower-bound constructions (a reader
-cannot distinguish two runs in which it receives identical reply sequences).
-
-Cost model: every query scans the whole log once.  Per-operation queries
-(``round_trip_count``, ``replies_for_operation``, ...) are for looking at a
-few operations; anything that runs once per trial over *all* operations —
-the round accounting — goes through the one-pass
-:meth:`MessageTrace.round_trip_counts` fold instead, so a trial stays linear
-in its length.
+time.  Traces serve debugging (``--trace`` dumps), latency accounting (rounds
+are recounted from the wire, cross-checking the engine's own bookkeeping,
+through the one-pass :meth:`MessageTrace.round_trip_counts` fold, so a trial
+stays linear in its length), observability spans, and the wire-trace
+fingerprint the explorer and the witnesses compare runs by.
 """
 
 from __future__ import annotations
@@ -20,7 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.sim.network import Message
@@ -50,12 +43,13 @@ class TraceEvent:
         Payload values that are not JSON primitives (tagged values,
         timestamps, nested protocol state) are rendered through the
         type-tagged storage codec (:func:`repro.storage.codec.pack_value`),
-        so dumps round-trip deterministically via
-        :func:`~repro.storage.codec.unpack_value`.  Primitives pass through
-        unchanged — dumps of primitive-only payloads are byte-identical to
-        the older ``str()`` rendering, and old dumps remain readable (the
-        tagged objects simply replace the lossy strings).  Values outside
-        the codec's vocabulary still fall back to ``str``.
+        so dumps round-trip deterministically through the same codec
+        (:func:`~repro.storage.codec.decode_state` of a value's JSON).
+        Primitives pass through unchanged — dumps of primitive-only
+        payloads are byte-identical to the older ``str()`` rendering, and
+        old dumps remain readable (the tagged objects simply replace the
+        lossy strings).  Values outside the codec's vocabulary still fall
+        back to ``str``.
         """
         from repro.storage.codec import pack_value
 
@@ -79,25 +73,6 @@ class TraceEvent:
             "reply": message.is_reply,
             "payload": payload,
         }
-
-
-@dataclass(frozen=True, slots=True)
-class TranscriptEntry:
-    """One reply as the client observed it (payload made hashable)."""
-
-    round_no: int
-    source: ProcessId
-    tag: str
-    payload_items: tuple[tuple[str, Any], ...]
-
-    @classmethod
-    def from_message(cls, message: Message) -> "TranscriptEntry":
-        return cls(
-            round_no=message.round_no,
-            source=message.src,
-            tag=message.tag,
-            payload_items=_freeze(message.payload),
-        )
 
 
 def _freeze(payload: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -183,53 +158,15 @@ class MessageTrace:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def delivered_to(self, pid: ProcessId) -> list[Message]:
-        """Messages actually delivered to ``pid``, in delivery order."""
-        return [
-            message
-            for _, kind, message in self.entries
-            if kind is TraceKind.DELIVER and message.dst == pid
-        ]
-
-    def replies_for_operation(self, op_id: OperationId) -> list[Message]:
-        """Replies delivered to the invoking client of ``op_id``."""
-        return [
-            message
-            for _, kind, message in self.entries
-            if kind is TraceKind.DELIVER
-            and message.is_reply
-            and message.op == op_id
-        ]
-
-    def client_transcript(self, op_id: OperationId) -> tuple[TranscriptEntry, ...]:
-        """The reply transcript of one operation (order-insensitive form).
-
-        Two partial runs are indistinguishable to a reader exactly when the
-        transcripts of its operations are equal as multisets per round; the
-        tuple returned here is sorted to make that comparison a plain ``==``.
-        """
-        entries = [TranscriptEntry.from_message(m) for m in self.replies_for_operation(op_id)]
-        return tuple(sorted(entries, key=lambda e: (e.round_no, e.source, e.payload_items)))
-
-    def messages_between(self, src: ProcessId, dst: ProcessId) -> list[Message]:
-        """All sends from ``src`` to ``dst`` in send order."""
-        return [
-            message
-            for _, kind, message in self.entries
-            if kind is TraceKind.SEND
-            and message.src == src
-            and message.dst == dst
-        ]
-
     def round_trip_counts(self) -> dict[OperationId, int]:
         """Rounds observed on the wire for every operation, in one pass.
 
         Maps each operation with at least one client-side SEND to the
         highest round number it sent; operations that never reached the
-        wire are absent (``.get(op, 0)`` gives :meth:`round_trip_count`'s
-        answer for them).  The state is one int per operation — this is the
-        fold the per-trial round accounting runs, so its cost must stay
-        linear in the trace and its memory independent of it.
+        wire are absent (``.get(op, 0)`` counts them as zero rounds).  The
+        state is one int per operation — this is the fold the per-trial
+        round accounting runs, so its cost must stay linear in the trace
+        and its memory independent of it.
         """
         send = TraceKind.SEND
         counts: dict[OperationId, int] = {}
@@ -240,30 +177,6 @@ class MessageTrace:
                 if seen is None or message.round_no > seen:
                     counts[op] = message.round_no
         return counts
-
-    def round_trip_count(self, op_id: OperationId) -> int:
-        """Rounds observed on the wire for ``op_id`` (max round number sent).
-
-        The one-operation query: a full scan of the trace per call.  Code
-        that needs the count of many operations uses
-        :meth:`round_trip_counts`; the tests pin the two against each other.
-        """
-        rounds = {
-            message.round_no
-            for _, kind, message in self.entries
-            if kind is TraceKind.SEND
-            and not message.is_reply
-            and message.op == op_id
-        }
-        return max(rounds, default=0)
-
-
-def merge_transcripts(traces: Iterable[MessageTrace], op_id: OperationId) -> tuple[TranscriptEntry, ...]:
-    """Union of transcripts for ``op_id`` across several traces, sorted."""
-    entries: list[TranscriptEntry] = []
-    for trace in traces:
-        entries.extend(trace.client_transcript(op_id))
-    return tuple(sorted(entries, key=lambda e: (e.round_no, e.source, e.payload_items)))
 
 
 #: ``, 'send', `` and friends: what follows the time in an entry's repr.

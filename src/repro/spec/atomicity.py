@@ -48,9 +48,6 @@ class AtomicityVerdict:
     explanation: str = ""
     assignment: dict[Any, int] = field(default_factory=dict)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def check_swmr_atomicity(history: History) -> AtomicityVerdict:
     """Check the four-property SWMR atomicity definition on ``history``."""

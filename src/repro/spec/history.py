@@ -10,7 +10,7 @@ well-defined even when virtual times collide.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.errors import SpecificationError
@@ -121,9 +121,6 @@ class History:
     # Accessors
     # ------------------------------------------------------------------ #
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def reads(self, complete_only: bool = True) -> list[OperationRecord]:
         """Read operations, by default only the complete ones."""
         return [
@@ -142,10 +139,6 @@ class History:
     def written_values(self) -> list[Any]:
         """``val_0 = ⊥`` followed by ``val_1 .. val_n`` in write order."""
         return [BOTTOM] + [w.value for w in self.writes()]
-
-    def complete(self) -> list[OperationRecord]:
-        """All complete operations."""
-        return [r for r in self.records if r.complete]
 
     def single_writer(self) -> bool:
         """Whether all writes come from one client."""

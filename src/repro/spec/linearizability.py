@@ -13,9 +13,9 @@ operations is one ``int``, each operation's predecessors are a precomputed
 mask, and "all predecessors placed" is ``pred_mask & ~done == 0``.  Memo
 keys are ``(done, current)`` pairs of an int and a value — hashing an int is
 an order of magnitude cheaper than hashing the ``frozenset`` frontiers the
-first implementation used.  :func:`is_linearizable` and
-:func:`linearization_witness` share one search core; the witness is
-accumulated with append/pop backtracking instead of quadratic list copies.
+first implementation used.  The search core (shared with
+:func:`repro.consistency.kat.check_k_atomicity`) accumulates the order it
+finds with append/pop backtracking instead of quadratic list copies.
 
 Incomplete operations are handled per the standard definition: an incomplete
 write may be taken to have happened (placed in the order) or not (dropped);
@@ -120,19 +120,6 @@ def _search(operations: list[OperationRecord], k: int = 1) -> list[int] | None:
 def is_linearizable(history: History) -> bool:
     """Whether ``history`` is linearizable as a read/write register."""
     return _search(_candidate_operations(history)) is not None
-
-
-def linearization_witness(history: History) -> list[OperationRecord] | None:
-    """A concrete linearization order, or None when none exists.
-
-    Same search as :func:`is_linearizable` (literally the same core); used
-    by tests and by certificate rendering.
-    """
-    operations = _candidate_operations(history)
-    indices = _search(operations)
-    if indices is None:
-        return None
-    return [operations[i] for i in indices]
 
 
 def is_linearizable_reference(history: History) -> bool:

@@ -101,11 +101,6 @@ def pack_value(value: Any) -> Any:
     return _pack(value)
 
 
-def unpack_value(value: Any) -> Any:
-    """Inverse of :func:`pack_value`."""
-    return _unpack(value)
-
-
 def encode_state(value: Any) -> bytes:
     """Serialize one protocol state value to deterministic bytes."""
     return _ENCODE(_pack(value)).encode("utf-8")

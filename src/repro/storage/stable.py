@@ -152,10 +152,6 @@ class StableStorage:
         """Latest acknowledged value for ``key`` (the live machine's view)."""
         return self._latest.get(key)
 
-    def keys(self) -> tuple[str, ...]:
-        """Keys with at least one record, in first-append order."""
-        return tuple(self._latest)
-
     # -- crash / recovery ----------------------------------------------
 
     def crash(self) -> int:

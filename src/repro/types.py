@@ -43,15 +43,16 @@ class ProcessId:
     """Identifier of a process: a role plus an index within that role.
 
     Ordering is lexicographic on ``(role.value, index)`` which gives the
-    deterministic iteration orders the simulator relies on.  The comparison
-    methods are hand-written: every terminated round sorts its repliers,
-    and the dataclass-generated operators allocate two field tuples per
-    comparison.  The hash is precomputed from ints only (the role through
-    a small table), like :class:`Timestamp`'s: identifiers key the
-    simulator's handler, reply and in-flight maps, and the generated hash
-    builds a field tuple and hashes a string on every lookup.  Int-only
-    also means process-independent — the cached value survives pickling
-    into a worker started under another ``PYTHONHASHSEED``.
+    deterministic iteration orders the simulator relies on.  ``<`` (and
+    ``>`` by reflection) is hand-written: every terminated round sorts its
+    repliers, and the dataclass-generated operators allocate two field
+    tuples per comparison.  The hash is precomputed from ints only (the
+    role through a small table), like :class:`Timestamp`'s: identifiers
+    key the simulator's handler, reply and in-flight maps, and the
+    generated hash builds a field tuple and hashes a string on every
+    lookup.  Int-only also means process-independent — the cached value
+    survives pickling into a worker started under another
+    ``PYTHONHASHSEED``.
     """
 
     role_value: str
@@ -76,32 +77,6 @@ class ProcessId:
         role = self.role_value
         other_role = other.role_value
         return role < other_role or (role == other_role and self.index < other.index)
-
-    def __le__(self, other: "ProcessId") -> bool:
-        if other.__class__ is not ProcessId:
-            return NotImplemented
-        role = self.role_value
-        other_role = other.role_value
-        return role < other_role or (role == other_role and self.index <= other.index)
-
-    def __gt__(self, other: "ProcessId") -> bool:
-        if other.__class__ is not ProcessId:
-            return NotImplemented
-        role = self.role_value
-        other_role = other.role_value
-        return role > other_role or (role == other_role and self.index > other.index)
-
-    def __ge__(self, other: "ProcessId") -> bool:
-        if other.__class__ is not ProcessId:
-            return NotImplemented
-        role = self.role_value
-        other_role = other.role_value
-        return role > other_role or (role == other_role and self.index >= other.index)
-
-    @property
-    def role(self) -> Role:
-        """Return the :class:`Role` this identifier belongs to."""
-        return Role(self.role_value)
 
     def __str__(self) -> str:
         prefix = _ROLE_PREFIX[self.role_value]
@@ -155,15 +130,15 @@ class Timestamp:
     client index), giving the usual lexicographic MWMR order.  ``seq == 0``
     is reserved for the initial value ⊥.
 
-    Ordering is lexicographic on ``(seq, writer)``.  The comparison methods
-    are hand-written rather than dataclass-generated: protocols compare
-    timestamps once per delivered message (every STORE/WRITE handler runs
-    ``incoming.ts > state[...].ts``), and the generated operators allocate
-    two field tuples per comparison on that hot path.  The hash is
-    precomputed: voucher counting hashes timestamps (inside tagged values)
-    several times per terminated round, and both fields are ints, so the
-    cached value is process-independent (safe under pickling, unlike
-    anything involving seeded string hashes).
+    Ordering is lexicographic on ``(seq, writer)``.  ``>`` (and ``<`` by
+    reflection) is hand-written rather than dataclass-generated: protocols
+    compare timestamps once per delivered message (every STORE/WRITE
+    handler runs ``incoming.ts > state[...].ts``), and the generated
+    operators allocate two field tuples per comparison on that hot path.
+    The hash is precomputed: voucher counting hashes timestamps (inside
+    tagged values) several times per terminated round, and both fields are
+    ints, so the cached value is process-independent (safe under pickling,
+    unlike anything involving seeded string hashes).
     """
 
     seq: int
@@ -187,33 +162,12 @@ class Timestamp:
             return NotImplemented
         return self.seq == other.seq and self.writer == other.writer
 
-    def __lt__(self, other: "Timestamp") -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        seq = self.seq
-        other_seq = other.seq
-        return seq < other_seq or (seq == other_seq and self.writer < other.writer)
-
-    def __le__(self, other: "Timestamp") -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        seq = self.seq
-        other_seq = other.seq
-        return seq < other_seq or (seq == other_seq and self.writer <= other.writer)
-
     def __gt__(self, other: "Timestamp") -> bool:
         if other.__class__ is not Timestamp:
             return NotImplemented
         seq = self.seq
         other_seq = other.seq
         return seq > other_seq or (seq == other_seq and self.writer > other.writer)
-
-    def __ge__(self, other: "Timestamp") -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        seq = self.seq
-        other_seq = other.seq
-        return seq > other_seq or (seq == other_seq and self.writer >= other.writer)
 
     @classmethod
     def zero(cls) -> "Timestamp":
@@ -223,11 +177,6 @@ class Timestamp:
     def next_for(self, writer: int = 0) -> "Timestamp":
         """Successor timestamp owned by ``writer``."""
         return Timestamp(self.seq + 1, writer)
-
-    def __str__(self) -> str:
-        if self.writer:
-            return f"{self.seq}.{self.writer}"
-        return str(self.seq)
 
 
 _ZERO = Timestamp(0, 0)
@@ -260,13 +209,6 @@ class TaggedValue:
         """
         return _INITIAL
 
-    def newer_than(self, other: "TaggedValue") -> bool:
-        """True when this pair carries a strictly larger timestamp."""
-        return self.ts > other.ts
-
-    def __str__(self) -> str:
-        return f"({self.ts}, {self.value!r})"
-
 
 _INITIAL = TaggedValue(_ZERO, BOTTOM)
 
@@ -277,10 +219,10 @@ _op_counter = itertools.count(1)
 class OperationId:
     """Unique handle of one read or write operation instance.
 
-    Hash and equality are hand-written for the same reason as
-    :class:`ProcessId`'s: every ``inflight[(op, round)]`` and ``by_op[op]``
-    lookup hashes one.  The hash covers client and serial only — ints, so
-    process-independent — which equality refines with the kind.
+    The hash is hand-written for the same reason as :class:`ProcessId`'s:
+    every ``inflight[(op, round)]`` and ``by_op[op]`` lookup hashes one.  It
+    covers client and serial only — ints, so process-independent — which
+    the generated equality refines with the kind.
     """
 
     client: ProcessId
@@ -293,15 +235,6 @@ class OperationId:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not OperationId:
-            return NotImplemented
-        return (
-            self.serial == other.serial
-            and self.kind == other.kind
-            and self.client == other.client
-        )
 
     def __str__(self) -> str:
         return f"{self.kind}[{self.client}#{self.serial}]"

@@ -8,11 +8,10 @@ motivates.
 """
 
 from repro.workloads.generator import OperationPlan, WorkloadGenerator
-from repro.workloads.scenarios import Scenario, standard_scenarios
+from repro.workloads.scenarios import Scenario
 
 __all__ = [
     "OperationPlan",
     "WorkloadGenerator",
     "Scenario",
-    "standard_scenarios",
 ]

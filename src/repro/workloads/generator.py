@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 
@@ -149,21 +149,3 @@ class WorkloadGenerator:
             # under unit-latency delivery).
             busy_until[busy] = at + 500
         return plans
-
-    def streams(self, n_operations: int) -> Iterator[OperationPlan]:
-        """Generator variant of :meth:`plan`."""
-        yield from self.plan(n_operations)
-
-    def key_streams(self, n_operations: int) -> dict[str, list[OperationPlan]]:
-        """One operation stream per key, in schedule order.
-
-        Requires a keyed generator; the streams partition :meth:`plan`'s
-        output, so replaying every stream replays the whole schedule.
-        """
-        if self.keys is None:
-            raise ConfigurationError("key_streams needs a generator built with keys=")
-        streams: dict[str, list[OperationPlan]] = {key: [] for key in self.keys}
-        for plan in self.plan(n_operations):
-            streams[plan.key].append(plan)
-        return streams
-

@@ -17,13 +17,10 @@ resolves, assigns and clamps them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.faults.byzantine import StaleEchoBehavior
 from repro.sim.network import DeliveryPolicy
-from repro.sim.process import FaultBehavior, ObjectServer
-from repro.types import ProcessId
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,9 +62,6 @@ class Scenario:
 
 #: name → builder mapping a threshold ``t`` to a concrete :class:`Scenario`.
 _SCENARIOS: dict[str, Callable[[int], Scenario]] = {}
-
-#: Canonical presentation order of the built-in sweep.
-_STANDARD_ORDER = ("fault-free", "crash", "silent", "replay", "fabricate")
 
 
 def register_scenario(
@@ -160,27 +154,3 @@ register_scenario(
         requires_durability=True,
     ),
 )
-
-
-def standard_scenarios(t: int) -> list[Scenario]:
-    """The scenario sweep used by tests and the latency benchmarks.
-
-    Four adversary regimes beyond fault-free: crash, silent, replay
-    (stale-echo — the adversary class of the paper's proofs), and
-    fabrication (the unauthenticated worst case).
-    """
-    return [get_scenario(name, t) for name in _STANDARD_ORDER]
-
-
-def freeze_stale_echo(servers: list[ObjectServer], behaviors: Mapping[ProcessId, FaultBehavior]) -> None:
-    """Re-freeze stale-echo behaviours at the objects' *current* states.
-
-    ``standard_scenarios`` builds :class:`StaleEchoBehavior` with an empty
-    frozen state (objects echo their pristine initial state).  Call this
-    after some writes have landed to model "echo an old-but-genuine state"
-    instead of "echo ⊥".
-    """
-    for pid, behavior in behaviors.items():
-        if isinstance(behavior, StaleEchoBehavior):
-            server = next(s for s in servers if s.pid == pid)
-            behavior.__init__(server.snapshot())  # re-freeze in place

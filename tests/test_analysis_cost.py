@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.metrics import measure_backend_latency
-from repro.analysis.tables import Table, format_table
+from repro.analysis.tables import format_table
 from repro.cost.model import CloudCostModel
 from repro.errors import ConfigurationError
 from repro.registers.abd import AbdProtocol
@@ -19,7 +19,7 @@ class TestMetrics:
         assert report.worst_write == 1
         assert report.worst_read == 2
         assert report.incomplete == 0
-        assert report.mean_read == 2.0
+        assert set(report.read_rounds) == {2}
 
     def test_wire_cross_check_active(self):
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
@@ -27,20 +27,11 @@ class TestMetrics:
         report = measure_backend_latency(system, plans)
         assert report.worst_read == 2  # would have raised on mismatch
 
-    def test_report_row_formatting(self):
-        system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
-        report = measure_backend_latency(
-            system, WorkloadGenerator(seed=3, spacing=60).plan(4), scenario="x"
-        )
-        row = report.row()
-        assert row["protocol"] == "abd"
-        assert "/" in row["writes (worst/mean)"]
-
     def test_empty_report_defaults(self):
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
         report = measure_backend_latency(system, [])
         assert report.worst_read == 0
-        assert report.mean_write == 0.0
+        assert report.write_rounds == []
 
 
 class TestTables:
@@ -50,11 +41,6 @@ class TestTables:
         assert lines[0] == "== T =="
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
-
-    def test_table_add_and_render(self):
-        table = Table(title="x", columns=("c",))
-        table.add({"c": "v"})
-        assert "v" in table.render()
 
     def test_missing_cells_render_empty(self):
         text = format_table("T", ["a", "b"], [{"a": "1"}])
@@ -90,8 +76,3 @@ class TestCostModel:
             CloudCostModel(S=1, rtt_ms=-1)
         with pytest.raises(ConfigurationError):
             CloudCostModel(S=1).operation(-1)
-
-    def test_row_formatting(self):
-        row = CloudCostModel(S=4).operation(2).row()
-        assert row["rounds"] == "2"
-        assert "cost ($/Mop)" in row

@@ -201,10 +201,6 @@ class TestCheckerInterface:
         with pytest.raises(SpecificationError):
             check_swmr_atomicity(History(records))
 
-    def test_verdict_truthiness(self):
-        verdict = check_swmr_atomicity(History([]))
-        assert bool(verdict) is True
-
     def test_explanation_names_culprit_value(self):
         verdict = check_swmr_atomicity(HistoryBuilder().write("a").read(1, "z").history())
         assert "'z'" in verdict.explanation

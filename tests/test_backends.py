@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,6 @@ from repro.api import (
     Cluster,
     SystemBackend,
     available_backends,
-    backend_specs,
     get_backend_spec,
     get_spec,
 )
@@ -42,11 +42,6 @@ class TestBackendRegistry:
             get_backend_spec("raft")
         with pytest.raises(ConfigurationError, match="unknown backend"):
             Cluster("abd", backend="paxos")
-
-    def test_metadata_is_serializable(self):
-        for spec in backend_specs():
-            payload = json.dumps(spec.to_dict())
-            assert spec.name in payload
 
     def test_protocols_advertise_their_backend(self):
         assert get_spec("abd").backend == "single"
@@ -114,9 +109,9 @@ class TestBackendValidation:
 
 
 def _crashed():
-    from repro.api import get_fault
+    from repro.api import fault_spec
 
-    return get_fault("crash")
+    return fault_spec("crash").build()
 
 
 #: Each system class built with whatever ``behaviors`` the test hands it.
@@ -477,6 +472,20 @@ class TestOneSurface:
                 assert backend.system is backend
         assert isinstance(Cluster("mwmr-fast-regular").build_backend(), SystemBackend)
 
+    @pytest.mark.parametrize("keys", (None, 3), ids=("single", "keyed"))
+    def test_the_k_atomic_view_forwards_nine_names_and_no_other(self, keys):
+        view = Cluster("abd", backend="k-atomic", keys=keys).build_backend()
+        system = view.system
+        for name in ("simulator", "trace", "storage", "keys", "label", "S"):
+            assert getattr(view, name) is getattr(system, name), name
+        for name in ("schedule", "run", "close"):
+            assert getattr(view, name) == getattr(system, name), name
+        # Anything else a system has is reached through ``view.system``.
+        for name in ("ctx", "recorder", "server", "max_rounds", "no_such_name"):
+            with pytest.raises(AttributeError):
+                getattr(view, name)
+        view.close()
+
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_the_surface_behaves_as_before_the_fold(self, name):
         from repro.sim.tracing import trace_fingerprint
@@ -504,7 +513,8 @@ class TestOneSurface:
 
     @pytest.mark.parametrize("name", sorted(SURFACE))
     def test_close_releases_the_stable_stores(self, name):
-        cluster = SURFACE[name][0].with_durability("dir")
+        cluster = SURFACE[name][0]
+        cluster = cluster.with_axes(replace(cluster.axes, durability="dir"))
         backend = cluster.build_backend()
         for plan in _plans(cluster):
             backend.schedule(plan)

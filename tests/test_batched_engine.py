@@ -26,32 +26,19 @@ from repro.axes import SearchBounds
 from repro.errors import SimulationError
 from repro.explore import HoldLink, run_schedule
 from repro.explore.engine import simulate
-from repro.sim.tracing import MessageTrace, TraceKind, trace_fingerprint
+from repro.sim.tracing import TraceKind, trace_fingerprint
 from repro.faults.adversary import CrashAt
 from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
 from repro.registers.base import RegisterSystem
 from repro.sim.batched import BatchedSimulator, WaveQueue
-from repro.sim.network import (
-    DeliveryPolicy,
-    FifoDelivery,
-    Message,
-    Network,
-    RandomDelivery,
-    SelectiveHold,
-)
-from repro.sim.process import ObjectHandler, ObjectServer
-from repro.sim.rounds import ReplyRule, RoundSpec
+from repro.sim.network import DeliveryPolicy, FifoDelivery, Network, SelectiveHold
+from repro.sim.process import ObjectHandler
 from repro.sim.simulator import Simulator
-from repro.types import (
-    fresh_operation_id,
-    object_id,
-    object_ids,
-    reader_id,
-    scoped_operation_serials,
-    writer_id,
-)
+from repro.types import object_id, scoped_operation_serials
 from repro.workloads.generator import OperationPlan
 from repro.workloads.scenarios import Scenario, register_scenario
+
+from helpers import RandomDelivery
 
 #: Registry protocols that run on a single-register-style backend.
 SINGLE_BACKEND_PROTOCOLS = tuple(
@@ -370,12 +357,8 @@ class TestExploreParity:
                 seed=bounds.get("seed", 0),
             )
             free = run_schedule(probe)
-            per_schedule = [free] + [
+            return result, [free] + [
                 run_schedule(probe.with_decisions((link,))) for link in free.expansions
-            ]
-            return result, [
-                (o.held_messages, o.expansions, o.trace_hash, o.to_dict())
-                for o in per_schedule
             ]
 
         production, outcomes = explore()
@@ -390,7 +373,7 @@ class TestExploreParity:
         if cell in ("reply-side-holds", "planned-base-round"):
             # The base's own holds show up on the wire, not in the count of
             # what the explorer's links caught.
-            assert outcomes[0][0] == 0 and len(outcomes) > 1
+            assert outcomes[0].held_messages == 0 and len(outcomes) > 1
 
     @pytest.mark.parametrize("granularity", ("operation", "round"))
     def test_refutation_parity(self, granularity, reference_engine):
@@ -501,110 +484,49 @@ class TestPolicyShapeFastPath:
         with reference_engine():
             assert run() == production
 
-    @pytest.mark.parametrize("release_delay", (1, 4))
     @pytest.mark.parametrize("latency", (1, 3))
-    def test_release_mid_run_matches_per_message_path(self, latency, release_delay):
-        """A held reply released right after the channel's later traffic (the
-        watermark clamps it at latency 3), then traffic right after a slow
-        release (clamped at latency 1): same ticks, same trace, as ``send``
-        would give — on both engines (bare simulators, no register system)."""
-        release_at = 10 + latency + 1  # the second read's replies are in flight
+    def test_a_hold_over_any_uniform_latency_takes_the_fast_path(
+        self, monkeypatch, latency, reference_engine
+    ):
+        """Nothing held is ever released, so a holding policy is served from
+        the fast path at any declared latency — and matches the per-message
+        path, on both engines, event for event."""
+        def policy():
+            return SelectiveHold(lambda m: m.is_reply and m.src == object_id(1),
+                                 FifoDelivery(latency))
 
-        def one_round():
-            outcome = yield RoundSpec(tag="Q", payload={}, rule=ReplyRule(min_count=2))
-            return sorted(outcome.replies)
-
-        def run(simulator, shaped):
-            policy = SelectiveHold(
-                lambda m: m.is_reply and m.src == object_id(1) and m.op.serial == 1,
-                FifoDelivery(latency),
-            )
+        def run(make):
             with scoped_operation_serials():
-                sim = simulator(
-                    [ObjectServer(pid=pid, handler=_RecordingHandler()) for pid in object_ids(3)],
-                    policy=policy if shaped else _Unshaped(policy),
-                    trace=MessageTrace(),
-                )
-                for at in (0, 10, 10 + 3 * latency):
-                    sim.invoke(reader_id(1), "read", one_round(), at=at)
-                sim.queue.schedule(
-                    release_at, lambda: sim.network.release_held(delay=release_delay)
-                )
-                events = sim.run()
-            from_s1 = [
-                (time, message.op.serial)
-                for time, kind, message in sim.trace.entries
-                if kind is TraceKind.DELIVER and message.src == object_id(1)
+                system = RegisterSystem(get_spec("abd").build(), t=1, policy=make())
+                system.write("v1", at=0)
+                system.read(1, at=80)
+                events = system.run()
+            return events, trace_fingerprint(system.trace), [
+                (r.kind, r.value, r.responded_at) for r in system.history().records
             ]
-            return events, trace_fingerprint(sim.trace), from_s1
 
-        reference = run(Simulator, shaped=False)
-        for simulator in (Simulator, BatchedSimulator):
-            assert run(simulator, shaped=True) == reference, simulator
-        assert run(BatchedSimulator, shaped=False) == reference
-        ticks = {serial: time for time, serial in reference[2]}
-        assert ticks[1] == max(release_at + release_delay, 10 + 2 * latency)
-        assert ticks[2] <= ticks[1] <= ticks[3]
+        calls = _count_calls(monkeypatch, Network, "send")
+        fast = run(policy)
+        assert calls["send"] == 0
+        assert run(lambda: _Unshaped(policy())) == fast and calls["send"] > 0
+        with reference_engine():
+            assert run(policy) == fast
 
 
 class TestWaveQueue:
     def test_schedule_preserves_order_within_a_tick(self):
         queue = WaveQueue()
-        seen = []
-        queue.schedule(1, lambda: seen.append("a"))
-        queue.schedule(1, lambda: seen.append("b"))
-        queue.schedule(0, lambda: seen.append("now"))
-        assert queue.peek_time() == 0
-        for entry in queue.pop_wave():
-            entry()
-        assert queue.now == 0 and seen == ["now"]
-        for entry in queue.pop_wave():
-            entry()
-        assert queue.now == 1 and seen == ["now", "a", "b"]
-        assert not queue and queue.peek_time() is None
+        first, second, now = (lambda: None), (lambda: None), (lambda: None)
+        queue.schedule(1, first)
+        queue.schedule(1, second)
+        queue.schedule(0, now)
+        # One FIFO bucket per tick, each tick pushed once onto the time heap.
+        assert queue._buckets == {1: [first, second], 0: [now]}
+        assert sorted(queue._times) == [0, 1] and queue.now == 0
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             WaveQueue().schedule(-1, lambda: None)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            WaveQueue().pop_wave()
-
-    def test_len_counts_run_entries_expanded(self):
-        queue = WaveQueue()
-        op = fresh_operation_id(writer_id(), "write")
-        messages = [
-            Message(src=writer_id(), dst=object_id(i), op=op, round_no=1,
-                    tag="T", payload={})
-            for i in (1, 2, 3)
-        ]
-        queue.push_run(5, messages)
-        queue.push_message(5, messages[0])
-        queue.schedule(2, lambda: None)
-        assert len(queue) == 5  # 3-message run + 1 single + 1 action
-
-    def test_waves_pop_in_time_order(self):
-        queue = WaveQueue()
-        queue.schedule(7, lambda: "late")
-        queue.schedule(2, lambda: "early")
-        queue.schedule(5, lambda: "mid")
-        times = []
-        while queue:
-            queue.pop_wave()
-            times.append(queue.now)
-        assert times == [2, 5, 7]
-
-
-class _RecordingHandler(ObjectHandler):
-    """Echo handler: replies with how many messages the object has handled."""
-
-    def initial_state(self):
-        return {"seen": 0}
-
-    def handle(self, state, message):
-        state["seen"] += 1
-        return {"seen": state["seen"]}
 
 
 class _DispatchLog(ObjectHandler):

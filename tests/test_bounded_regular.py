@@ -6,9 +6,10 @@ from repro.faults.adversary import SilentBehavior
 from repro.faults.byzantine import FabricatingBehavior
 from repro.registers.base import RegisterSystem
 from repro.registers.bounded_regular import BoundedRegularProtocol
-from repro.sim.network import RandomDelivery
 from repro.spec.regularity import check_swmr_regularity
 from repro.types import object_id
+
+from helpers import RandomDelivery
 
 
 def make_system(t=1, behaviors=None, policy=None):

@@ -89,7 +89,7 @@ class TestRun:
         assert payload["faults"]["effective"] == 2
         assert len(payload["trials"]) == 2
         assert payload["trials"][0]["checks"]["regularity"]["ok"] is True
-        assert "2/" in result.row()["writes (worst/mean)"]
+        assert result.worst_write == 2
         assert "fast-regular" in result.render()
 
     def test_check_failures_are_recorded_not_raised(self):
@@ -152,10 +152,8 @@ class TestSweep:
         assert [run.scenario for run in result.runs] == list(get_spec("abd").scenarios)
         assert result.worst_rounds("abd") == (1, 2)
 
-    def test_sweep_table_renders_every_cell(self):
+    def test_sweep_runs_every_cell(self):
         result = sweep(["abd", "secret-token"], t=1, operations=6, checks=("regularity",))
-        table = result.table("sweep")
-        assert "abd" in table and "secret-token" in table
         assert result.protocols() == ("abd", "secret-token")
         assert all(run.trials[0].checks["regularity"].ok for run in result.runs)
 

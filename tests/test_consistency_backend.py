@@ -16,14 +16,16 @@ The acceptance bar for the spectrum subsystem:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import main
 from repro.api import Cluster, protocol_specs
-from repro.consistency import atomicity_spectrum, bounded_stale_view, read_staleness
+from repro.consistency import bounded_stale_view, read_staleness
 from repro.errors import ConfigurationError, SpecificationError
-from repro.types import BOTTOM
+
+from helpers import atomicity_spectrum
 
 #: The witness scenario: w2 overlaps the read, so the lagged view returns
 #: the previous value while the schedule decides whether w2 is visible.
@@ -157,9 +159,10 @@ class TestRoutingAndErrors:
         )
         assert result.consistency == "k-atomic(2)"
 
-    def test_with_consistency_is_fluent(self):
+    def test_with_axes_routes_a_bound_onto_the_k_atomic_backend(self):
+        plain = Cluster("abd")
         result = (
-            Cluster("abd").with_consistency("k-atomic(3)")
+            plain.with_axes(replace(plain.axes, consistency="k-atomic(3)"))
             .with_workload(operations=4).run(trials=1)
         )
         assert result.consistency == "k-atomic(3)"

@@ -20,6 +20,7 @@ from repro.explore import (
 )
 from repro.registers.base import RegisterSystem
 from repro.registers.fast_regular import FastRegularProtocol
+from repro.sim.tracing import TraceKind
 from repro.workloads.generator import OperationPlan
 
 
@@ -85,10 +86,10 @@ class TestControlledDelivery:
         # The held link never shows up as delivered ...
         assert HoldLink(1, 3) not in policy.delivered_links
         # ... and its messages are parked in transit, not lost.
-        held = system.simulator.network.held_messages
+        held = [m for _, kind, m in system.trace.entries if kind is TraceKind.HOLD]
         assert held and all(
-            (message.message.dst.index == 3 and not message.message.is_reply)
-            or (message.message.src.index == 3 and message.message.is_reply)
+            (message.dst.index == 3 and not message.is_reply)
+            or (message.src.index == 3 and message.is_reply)
             for message in held
         )
 

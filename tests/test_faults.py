@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
-from repro.faults.byzantine import (
-    FabricatingBehavior,
-    ReplayBehavior,
-    StaleEchoBehavior,
-    StateArchive,
-)
-from repro.faults.schedules import BlockSkipPolicy, SkipRule, WithholdFrom
+from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
+from repro.faults.schedules import WithholdFrom
 from repro.registers.abd import STORE, AbdObjectHandler, QUERY
 from repro.sim.network import Message
 from repro.sim.process import ObjectServer
@@ -80,66 +74,6 @@ class TestBenignBehaviors:
             flaky_behavior(p_reply=1.5)
 
 
-class TestStateArchive:
-    def test_capture_and_get_are_deep_copies(self):
-        server = make_server()
-        server.receive(store_message(1, "x"))
-        archive = StateArchive()
-        archive.capture("sigma1", [server])
-        server.receive(store_message(2, "y"))
-        snapshot = archive.get("sigma1", server.pid)
-        assert snapshot["tv"].value == "x"
-
-    def test_missing_snapshot_raises(self):
-        archive = StateArchive()
-        with pytest.raises(ConfigurationError):
-            archive.get("nope", object_id(1))
-
-    def test_has_and_labels(self):
-        archive = StateArchive()
-        archive.store("a", object_id(1), {"k": 1})
-        assert archive.has("a")
-        assert archive.has("a", object_id(1))
-        assert not archive.has("a", object_id(2))
-        assert archive.labels() == ("a",)
-
-
-class TestReplayBehavior:
-    def test_forges_from_snapshot_on_match(self):
-        server = make_server()
-        server.receive(store_message(1, "old"))
-        archive = StateArchive()
-        archive.capture("old", [server])
-        server.receive(store_message(2, "new"))
-        server.behavior = ReplayBehavior(archive).forge(
-            matcher=lambda m: m.tag == QUERY, label="old"
-        )
-        reply = server.receive(query_message())
-        assert reply["tv"].value == "old"
-
-    def test_honest_when_no_rule_matches(self):
-        server = make_server()
-        server.receive(store_message(1, "x"))
-        server.behavior = ReplayBehavior(StateArchive())
-        reply = server.receive(query_message())
-        assert reply["tv"].value == "x"
-
-    def test_silent_when_snapshot_missing(self):
-        server = make_server(
-            ReplayBehavior(StateArchive()).forge(lambda m: True, "ghost")
-        )
-        assert server.receive(query_message()) is None
-
-    def test_forged_reply_does_not_corrupt_live_state(self):
-        server = make_server()
-        server.receive(store_message(2, "live"))
-        archive = StateArchive()
-        archive.store("zero", server.pid, {"tv": TaggedValue.initial()})
-        server.behavior = ReplayBehavior(archive).forge(lambda m: m.tag == QUERY, "zero")
-        server.receive(query_message())
-        assert server.state["tv"].value == "live"
-
-
 class TestStaleEcho:
     def test_echoes_frozen_state_forever(self):
         server = make_server()
@@ -177,34 +111,6 @@ class TestFabrication:
 
 
 class TestSchedules:
-    def test_skip_rule_matches_invocations_only(self):
-        op = fresh_operation_id(reader_id(1), "read")
-        rule = SkipRule(op=op, objects=frozenset({object_id(1)}), round_no=1)
-        invocation = Message(
-            src=reader_id(1), dst=object_id(1), op=op, round_no=1, tag="Q", payload={}
-        )
-        reply = Message(
-            src=object_id(1), dst=reader_id(1), op=op, round_no=1, tag="Q",
-            payload={}, is_reply=True,
-        )
-        assert rule.matches(invocation)
-        assert not rule.matches(reply)
-
-    def test_block_skip_policy_holds_matches(self):
-        op = fresh_operation_id(reader_id(1), "read")
-        policy = BlockSkipPolicy().skip(op, [object_id(2)], round_no=1)
-        held = Message(src=reader_id(1), dst=object_id(2), op=op, round_no=1, tag="Q", payload={})
-        passed = Message(src=reader_id(1), dst=object_id(3), op=op, round_no=1, tag="Q", payload={})
-        assert policy.delay(held, 0) is None
-        assert policy.delay(passed, 0) == 1
-
-    def test_skip_all_rounds_when_round_none(self):
-        op = fresh_operation_id(reader_id(1), "read")
-        policy = BlockSkipPolicy().skip(op, [object_id(1)])
-        for round_no in (1, 2, 3):
-            msg = Message(src=reader_id(1), dst=object_id(1), op=op, round_no=round_no, tag="Q", payload={})
-            assert policy.delay(msg, 0) is None
-
     def test_withhold_from_targets_replies(self):
         policy = WithholdFrom(objects=[object_id(1)])
         op = fresh_operation_id(reader_id(1), "read")

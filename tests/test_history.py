@@ -27,7 +27,7 @@ class TestRecorder:
         recorder.record_invocation(op, kind="write", value="x", time=0)
         recorder.record_response(op, value="x", time=5)
         history = recorder.freeze()
-        assert len(history) == 1
+        assert len(history.records) == 1
         assert history.writes()[0].complete
 
     def test_read_value_set_at_response(self):

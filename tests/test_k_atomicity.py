@@ -20,7 +20,6 @@ import pytest
 
 from repro.api import Cluster, protocol_specs
 from repro.consistency import (
-    atomicity_spectrum,
     canonical_check_name,
     check_k_atomicity,
     check_k_atomicity_reference,
@@ -32,6 +31,8 @@ from repro.spec.atomicity import check_swmr_atomicity
 from repro.spec.history import History, OperationRecord
 from repro.spec.linearizability import is_linearizable
 from repro.types import BOTTOM, fresh_operation_id, reader_id, writer_id
+
+from helpers import atomicity_spectrum
 
 
 class HistoryBuilder:

@@ -7,11 +7,19 @@ from hypothesis import given, settings, strategies as st
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.spec.history import History, OperationRecord
 from repro.spec.linearizability import (
+    _candidate_operations,
+    _search,
     is_linearizable,
     is_linearizable_reference,
-    linearization_witness,
 )
 from repro.types import BOTTOM, ProcessId, fresh_operation_id, reader_id, writer_id
+
+
+def linearization_witness(history):
+    """The order the search core found, as records (None: not linearizable)."""
+    operations = _candidate_operations(history)
+    indices = _search(operations)
+    return None if indices is None else [operations[i] for i in indices]
 
 
 def op(kind, client, inv, resp, value):

@@ -6,9 +6,10 @@ from repro.faults.adversary import SilentBehavior
 from repro.faults.byzantine import StaleEchoBehavior
 from repro.registers.base import RegisterSystem
 from repro.registers.lucky import LuckyAtomicProtocol
-from repro.sim.network import RandomDelivery
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.types import object_id
+
+from helpers import RandomDelivery
 
 
 def make_system(t=1, behaviors=None, policy=None, n_readers=2):

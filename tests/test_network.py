@@ -11,11 +11,12 @@ from repro.sim.network import (
     FifoDelivery,
     Message,
     Network,
-    RandomDelivery,
     SelectiveHold,
 )
-from repro.sim.tracing import MessageTrace
+from repro.sim.tracing import MessageTrace, TraceKind
 from repro.types import fresh_operation_id, object_id, object_ids, reader_id
+
+from helpers import RandomDelivery
 
 
 def make_message(dst_index=1, tag="PING", is_reply=False, src=None):
@@ -99,52 +100,21 @@ class TestNetworkDelivery:
         assert [m.dst for m in received] == list(object_ids(4))
 
 
+def held_tags(trace):
+    return [m.tag for _, kind, m in trace.entries if kind is TraceKind.HOLD]
+
+
 class TestHolding:
     def test_selective_hold_parks_messages(self):
-        queue = EventQueue()
-        network = Network(queue, policy=SelectiveHold(lambda m: m.tag == "SLOW"))
+        queue, trace = EventQueue(), MessageTrace()
+        network = Network(queue, policy=SelectiveHold(lambda m: m.tag == "SLOW"), trace=trace)
         received = []
         network.attach(object_id(1), lambda m: received.append(m.tag))
         network.send(make_message(tag="SLOW"))
         network.send(make_message(tag="FAST"))
         queue.run_all()
         assert received == ["FAST"]
-        assert len(network.held_messages) == 1
-
-    def test_release_held_delivers(self):
-        queue = EventQueue()
-        network = Network(queue, policy=SelectiveHold(lambda m: True))
-        received = []
-        network.attach(object_id(1), lambda m: received.append(m.tag))
-        network.send(make_message(tag="a"))
-        queue.run_all()
-        assert received == []
-        assert network.release_held() == 1
-        queue.run_all()
-        assert received == ["a"]
-        assert network.held_messages == ()
-
-    def test_release_with_filter(self):
-        queue = EventQueue()
-        network = Network(queue, policy=SelectiveHold(lambda m: True))
-        received = []
-        network.attach(object_id(1), lambda m: received.append(m.tag))
-        network.send(make_message(tag="x"))
-        network.send(make_message(tag="y"))
-        assert network.release_held(match=lambda m: m.tag == "y") == 1
-        queue.run_all()
-        assert received == ["y"]
-
-    def test_release_preserves_channel_fifo(self):
-        queue = EventQueue()
-        network = Network(queue, policy=SelectiveHold(lambda m: True))
-        received = []
-        network.attach(object_id(1), lambda m: received.append(m.tag))
-        for i in range(5):
-            network.send(make_message(tag=f"m{i}"))
-        network.release_held()
-        queue.run_all()
-        assert received == [f"m{i}" for i in range(5)]
+        assert held_tags(trace) == ["SLOW"]
 
 
 def _is_reply(message):
@@ -202,8 +172,8 @@ class TestPolicyShape:
         assert SelectiveHold(lambda m: False).uniform_latency == 1
         assert policy.uniform_latency is None
         assert Restated(lambda m: False).uniform_latency == 1
-        queue = EventQueue()
-        network = Network(queue, policy=policy)
+        queue, trace = EventQueue(), MessageTrace()
+        network = Network(queue, policy=policy, trace=trace)
         assert network.fast_shape() is None
         delivered = []
         network.attach(object_id(1), lambda m: delivered.append(m.tag))
@@ -211,9 +181,9 @@ class TestPolicyShape:
         queue.schedule(6, lambda: network.send_round([make_message(tag="late")]))
         queue.run_all()
         assert delivered == ["early"]
-        assert [h.message.tag for h in network.held_messages] == ["late"]
+        assert held_tags(trace) == ["late"]
 
-    def test_fast_shape_is_granted_only_where_the_watermark_is_inert(self):
+    def test_fast_shape_is_granted_to_every_declared_latency(self):
         def hold(m):
             return m.tag == "SLOW"
 
@@ -223,18 +193,10 @@ class TestPolicyShape:
         assert shape(FifoDelivery(3)) == (3, None)
         held_over_fifo = SelectiveHold(hold, FifoDelivery(1))
         assert shape(held_over_fifo) == (1, held_over_fifo.hold_check)
-        # A policy that holds is served only at latency 1 ...
-        assert shape(SelectiveHold(hold, FifoDelivery(3))) is None
+        # A held message never lands, so holding is served at any latency.
+        held_over_slow = SelectiveHold(hold, FifoDelivery(3))
+        assert shape(held_over_slow) == (3, held_over_slow.hold_check)
         assert shape(RandomDelivery()) is None
-        # ... and only until the first release.
-        network = Network(EventQueue(), policy=SelectiveHold(hold))
-        network.attach(object_id(1), lambda m: None)
-        network.send_round([make_message(tag="SLOW")])
-        assert network.fast_shape() is not None
-        assert network.release_held(match=lambda m: False) == 0
-        assert network.fast_shape() is not None
-        assert network.release_held() == 1
-        assert network.fast_shape() is None
 
     def test_send_round_places_held_messages_like_send(self):
         """SEND,HOLD of a held message sit where the per-message path puts them."""
@@ -253,7 +215,7 @@ class TestPolicyShape:
             queue.run_all()
             return (
                 [(time, kind, m.dst) for time, kind, m in trace.entries],
-                [(h.message.dst, h.sent_at) for h in network.held_messages],
+                [(m.dst, time) for time, kind, m in trace.entries if kind is TraceKind.HOLD],
             )
 
         def hold(m):
@@ -265,43 +227,3 @@ class TestPolicyShape:
         everything = run(SelectiveHold(lambda m: True))
         assert everything == run(Unshaped(SelectiveHold(lambda m: True)))
         assert len(everything[1]) == 4
-
-    @pytest.mark.parametrize("release_delay", (1, 4))
-    @pytest.mark.parametrize("latency", (1, 3))
-    def test_release_amid_same_channel_traffic_matches_per_message_path(
-        self, latency, release_delay
-    ):
-        """The FIFO watermark the fast path skips is inert only while nothing
-        held is released: a release right after later traffic on the channel
-        (clamped by the watermark at latency 3), and traffic right after a
-        slow release (clamped at latency 1), land where ``send`` puts them."""
-        op = fresh_operation_id(reader_id(1), "read")
-
-        def run(policy):
-            queue, trace = EventQueue(), MessageTrace()
-            network = Network(queue, policy=policy, trace=trace)
-            delivered = []
-            network.attach(object_id(1), lambda m: delivered.append((queue.now, m.tag)))
-
-            def send(tag):
-                network.send_round([Message(
-                    src=reader_id(1), dst=object_id(1), op=op, round_no=1,
-                    tag=tag, payload={},
-                )])
-
-            send("held")
-            queue.schedule(5, lambda: send("later"))
-            queue.schedule(6, lambda: network.release_held(delay=release_delay))
-            queue.schedule(7, lambda: send("after"))
-            queue.run_all()
-            return delivered, [(time, kind, m.tag) for time, kind, m in trace.entries]
-
-        def policy():
-            return SelectiveHold(lambda m: m.tag == "held", FifoDelivery(latency))
-
-        delivered, entries = run(policy())
-        assert (delivered, entries) == run(Unshaped(policy()))
-        ticks = dict((tag, tick) for tick, tag in delivered)
-        # Never before the later message's slot, never overtaken afterwards.
-        assert ticks["later"] <= ticks["held"] <= ticks["after"]
-        assert ticks["held"] == max(6 + release_delay, 5 + latency)

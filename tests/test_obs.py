@@ -40,9 +40,8 @@ def churn_cluster(observe=True):
 GRID = {
     "plain": lambda: Cluster("abd", t=1, observe=True)
         .with_workload(operations=8).check("atomicity"),
-    "crash-recover": lambda: Cluster("abd", t=1, observe=True)
+    "crash-recover": lambda: Cluster("abd", t=1, observe=True, durability="mem")
         .with_faults("crash-recover", survive_messages=4)
-        .with_durability("mem")
         .with_workload(operations=8).check("atomicity"),
     "reconfig-churn": churn_cluster,
     "k-atomic": lambda: Cluster("abd", t=1, consistency="k-atomic(2)",
@@ -89,10 +88,9 @@ class TestOffState:
         assert baseline == explicit_off
         assert '"events"' not in baseline and '"elapsed_s"' not in baseline
 
-    def test_with_observe_surfaces_events_and_duration(self):
+    def test_observe_surfaces_events_and_duration(self):
         result = (
-            Cluster("abd", t=1)
-            .with_observe()
+            Cluster("abd", t=1, observe=True)
             .with_workload(operations=6)
             .check("atomicity")
             .run(trials=1, seed=1)

@@ -28,20 +28,13 @@ import pytest
 import repro
 from repro.explore import HoldLink
 from repro.explore.controlled import ControlledDelivery
-from repro.faults.schedules import (
-    BlockSkipPolicy,
-    PlannedSchedulePolicy,
-    PlannedSkip,
-    SkipRule,
-    WithholdFrom,
-)
+from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
 from repro.sim.events import EventQueue
 from repro.sim.network import (
     DeliveryPolicy,
     FifoDelivery,
     Message,
     Network,
-    RandomDelivery,
     SelectiveHold,
 )
 from repro.types import (
@@ -52,6 +45,8 @@ from repro.types import (
     scoped_operation_serials,
     writer_id,
 )
+
+from helpers import RandomDelivery
 
 REPO = Path(__file__).resolve().parents[1]
 TREES = tuple(REPO / name for name in ("src", "benchmarks", "examples"))
@@ -113,7 +108,6 @@ def _messages() -> list[Message]:
 
 
 MESSAGES = _messages()
-WRITE, READ_1, READ_2 = dict.fromkeys(m.op for m in MESSAGES)
 
 
 def _hold_s1_replies(message: Message) -> bool:
@@ -128,23 +122,14 @@ SAMPLES: dict[str, list[tuple[bool, object]]] = {
         (True, lambda: FifoDelivery()),
         (True, lambda: FifoDelivery(3)),
     ],
-    "repro.sim.network.RandomDelivery": [
-        (False, lambda: RandomDelivery(seed=3)),
-    ],
     "repro.sim.network.SelectiveHold": [
         (True, lambda: SelectiveHold(_hold_s1_replies)),
         (True, lambda: SelectiveHold(lambda m: m.round_no == 2,
                                      SelectiveHold(_hold_s1_replies))),
-        # Holding over a slower base: the latency is kept, the grant is not.
-        (False, lambda: SelectiveHold(_hold_s1_replies, FifoDelivery(2))),
+        # Holding over a slower base: granted at the base's latency (a held
+        # message never lands, so the watermark stays inert).
+        (True, lambda: SelectiveHold(_hold_s1_replies, FifoDelivery(2))),
         (False, lambda: SelectiveHold(_hold_s1_replies, RandomDelivery(seed=1))),
-    ],
-    "repro.faults.schedules.BlockSkipPolicy": [
-        (True, lambda: BlockSkipPolicy()),
-        (True, lambda: BlockSkipPolicy([
-            SkipRule(op=WRITE, objects=frozenset(object_ids(2))),
-            SkipRule(op=READ_1, objects=frozenset({object_id(4)}), round_no=2),
-        ])),
     ],
     "repro.faults.schedules.WithholdFrom": [
         (True, lambda: WithholdFrom([object_id(1)])),

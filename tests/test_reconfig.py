@@ -80,8 +80,8 @@ class TestRepairMechanics:
             .build_backend()
         )
         system = backend.system
-        assert system.epoch == 0
-        assert [str(pid) for pid in system.members] == ["s1", "s2", "s3"]
+        assert system.completed_repairs == 0
+        assert [str(pid) for pid in system._members] == ["s1", "s2", "s3"]
         from repro.workloads.generator import OperationPlan
 
         backend.schedule(OperationPlan(kind="write", client_index=0,
@@ -89,9 +89,8 @@ class TestRepairMechanics:
         backend.schedule(OperationPlan(kind="read", client_index=1,
                                        value=None, at=12))
         backend.run()
-        assert system.epoch == 1
-        assert [str(pid) for pid in system.members] == ["s4", "s2", "s3"]
         assert system.completed_repairs == 1
+        assert [str(pid) for pid in system._members] == ["s4", "s2", "s3"]
 
     def test_history_excludes_repair_operations(self):
         cluster = (
@@ -292,9 +291,8 @@ class TestFaultArgValidation:
         }
         assert fault_spec("silent").params() == {}
 
-    def test_params_serialized_in_to_dict(self):
-        payload = fault_spec("perm-crash").to_dict()
-        assert payload["params"] == {"survive_messages": 3}
+    def test_params_listed(self):
+        assert fault_spec("perm-crash").params() == {"survive_messages": 3}
 
 
 class TestReconfigCli:

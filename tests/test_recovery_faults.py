@@ -16,6 +16,7 @@ import glob
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -103,7 +104,7 @@ class TestRecoveryRuns:
     def test_durability_axis_is_fluent_and_tagged(self):
         assert DURABILITIES == ("none", "mem", "dir")
         base = Cluster("abd", t=1)
-        durable = base.with_durability("mem")
+        durable = base.with_axes(replace(base.axes, durability="mem"))
         assert base is not durable
         plain = base.with_workload(operations=4).run(seed=2)
         assert "durability" not in plain.to_dict()  # absent means default

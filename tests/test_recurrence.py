@@ -7,7 +7,6 @@ from repro.core.recurrence import (
     closed_form,
     largest_k_for,
     max_write_rounds,
-    recurrence_sequence,
     resilience_bound,
     t_k,
     verify_log_identity,
@@ -22,7 +21,7 @@ class TestRecurrence:
 
     def test_paper_values(self):
         """t_1..t_4 = 1, 2, 5, 10 — the Figure 2 instance uses t_4 = 10."""
-        assert recurrence_sequence(4) == [1, 2, 5, 10]
+        assert [t_k(k) for k in range(1, 5)] == [1, 2, 5, 10]
 
     def test_recurrence_step(self):
         for k in range(1, 20):

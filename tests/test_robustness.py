@@ -177,10 +177,10 @@ class TestTimedFaultWrapper:
             timed_fault("crash", at=-1)
 
     def test_bare_registry_build(self):
-        from repro.api.faults import get_fault
+        from repro.api.faults import fault_spec
         from repro.faults.timing import TimedFault
 
-        behavior = get_fault("timed")
+        behavior = fault_spec("timed").build()
         assert isinstance(behavior, TimedFault)
         assert behavior.describe() == "timed(silent@0)"
 

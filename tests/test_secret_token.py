@@ -6,9 +6,10 @@ from repro.faults.adversary import SilentBehavior
 from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
 from repro.registers.base import RegisterSystem
 from repro.registers.secret_token import SecretTokenProtocol, TokenAuthority
-from repro.sim.network import RandomDelivery
 from repro.spec.regularity import check_swmr_regularity
 from repro.types import TaggedValue, Timestamp, object_id
+
+from helpers import RandomDelivery
 
 
 def make_system(t=1, behaviors=None, policy=None):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.sim.network import Message, SelectiveHold
+from repro.sim.network import SelectiveHold
 from repro.sim.process import ObjectHandler, ObjectServer
 from repro.sim.rounds import ReplyRule, RoundSpec
 from repro.sim.simulator import OperationStatus, Simulator
@@ -133,15 +133,11 @@ class TestClientDiscipline:
         assert len(sim.completed_operations()) == 2
 
     def test_abort_stops_progress(self):
-        policy = SelectiveHold(lambda m: m.is_reply)
-        sim = make_simulator(2, policy=policy)
+        sim = make_simulator(2)
         op = sim.invoke(reader_id(1), "read", single_round_protocol(ReplyRule(min_count=2)))
+        sim.queue.schedule(1, lambda: sim.abort(op))  # before any reply lands
         sim.run()
-        sim.abort(op)
-        assert op.status is OperationStatus.ABORTED
-        sim.network.release_held()
-        sim.run()
-        assert op.status is OperationStatus.ABORTED
+        assert op.status is OperationStatus.ABORTED and op.rounds_used == 1
 
     def test_history_recorded(self):
         recorder = HistoryRecorder()
@@ -170,14 +166,6 @@ class TestClientDiscipline:
 
 
 class TestFaultyObjectsInSimulator:
-    def test_faulty_objects_listed(self):
-        from repro.faults.adversary import SilentBehavior
-
-        servers = [ObjectServer(pid=pid, handler=EchoHandler()) for pid in object_ids(3)]
-        servers[1].behavior = SilentBehavior()
-        sim = Simulator(servers)
-        assert sim.faulty_objects() == (object_id(2),)
-
     def test_silent_objects_do_not_block_quorum(self):
         from repro.faults.adversary import SilentBehavior
 

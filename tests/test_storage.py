@@ -86,7 +86,7 @@ class TestJournalSemantics:
         assert store.get("a") == b"3"
         assert store.get("b") == b"2"
         assert store.get("missing") is None
-        assert store.keys() == ("a", "b")
+        assert tuple(store._latest) == ("a", "b")
         stats = store.stats()
         assert stats.records == 3 and stats.synced_records == 3
         store.close()
@@ -182,7 +182,7 @@ class TestDirStorage:
         store.close()
         reopened = DirStorage(path)
         assert reopened.get("a") == b"1"
-        assert reopened.keys() == ("a", "b")
+        assert tuple(reopened._latest) == ("a", "b")
         assert reopened.stats().synced_records == 2
         reopened.close()
 

@@ -6,9 +6,10 @@ from repro.errors import ConfigurationError
 from repro.faults.adversary import SilentBehavior
 from repro.registers.base import RegisterSystem
 from repro.registers.strawman import ThreeRoundReadProtocol, TwoRoundReadProtocol
-from repro.sim.network import RandomDelivery
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.types import object_id
+
+from helpers import RandomDelivery
 
 
 class TestTwoRoundRead:

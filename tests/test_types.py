@@ -7,7 +7,6 @@ from repro.types import (
     BOTTOM,
     OperationId,
     ProcessId,
-    Role,
     TaggedValue,
     Timestamp,
     fresh_operation_id,
@@ -28,11 +27,6 @@ class TestProcessId:
 
     def test_writer_id_str(self):
         assert str(writer_id()) == "w"
-
-    def test_roles(self):
-        assert object_id(1).role is Role.OBJECT
-        assert reader_id(1).role is Role.READER
-        assert writer_id().role is Role.WRITER
 
     def test_object_ids_count_and_order(self):
         ids = object_ids(5)
@@ -71,10 +65,6 @@ class TestTimestamp:
     def test_writer_breaks_ties(self):
         assert Timestamp(3, 1) < Timestamp(3, 2)
 
-    def test_str_plain_and_mw(self):
-        assert str(Timestamp(4)) == "4"
-        assert str(Timestamp(4, 2)) == "4.2"
-
     @given(st.integers(0, 1000), st.integers(0, 1000))
     def test_order_total_on_seq(self, a, b):
         ta, tb = Timestamp(a), Timestamp(b)
@@ -98,13 +88,6 @@ class TestTaggedValue:
         with pytest.raises(dataclasses.FrozenInstanceError):
             initial.value = "x"
         assert pickle.loads(pickle.dumps(initial)) == initial
-
-    def test_newer_than(self):
-        old = TaggedValue(Timestamp(1), "a")
-        new = TaggedValue(Timestamp(2), "b")
-        assert new.newer_than(old)
-        assert not old.newer_than(new)
-        assert not old.newer_than(old)
 
     def test_hashable(self):
         pair = TaggedValue(Timestamp(1), "a")

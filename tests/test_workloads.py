@@ -4,8 +4,8 @@ import pytest
 
 from repro.api.cluster import _materialize_behaviors
 from repro.errors import ConfigurationError
-from repro.workloads.generator import OperationPlan, WorkloadGenerator
-from repro.workloads.scenarios import standard_scenarios
+from repro.workloads.generator import WorkloadGenerator
+from repro.workloads.scenarios import get_scenario
 
 
 class TestGenerator:
@@ -64,7 +64,7 @@ class TestGenerator:
             system.schedule(plan)
         system.run()
         history = system.history()
-        assert len(history.complete()) == 12
+        assert sum(r.complete for r in history.records) == 12
         assert check_swmr_atomicity(history).ok
 
 
@@ -118,23 +118,6 @@ class TestKeyedGenerator:
                 assert plan.at >= last[window] + 500
             last[window] = plan.at
 
-    def test_key_streams_partition_the_schedule(self):
-        generator = WorkloadGenerator(seed=9, keys=3, key_skew=0.5)
-        streams = WorkloadGenerator(seed=9, keys=3, key_skew=0.5).key_streams(30)
-        merged = sorted(
-            (p for stream in streams.values() for p in stream),
-            key=lambda p: (p.at, p.kind, p.client_index),
-        )
-        direct = sorted(
-            generator.plan(30), key=lambda p: (p.at, p.kind, p.client_index)
-        )
-        assert merged == direct
-        assert all(p.key == key for key, stream in streams.items() for p in stream)
-
-    def test_key_streams_require_keys(self):
-        with pytest.raises(ConfigurationError, match="keys"):
-            WorkloadGenerator(seed=1).key_streams(10)
-
     def test_keyed_validation(self):
         with pytest.raises(ConfigurationError):
             WorkloadGenerator(keys=0)
@@ -147,22 +130,19 @@ class TestKeyedGenerator:
 
 
 class TestScenarios:
-    def test_standard_set(self):
-        names = [s.name for s in standard_scenarios(t=1)]
-        assert names == ["fault-free", "crash", "silent", "replay", "fabricate"]
-
     def test_fault_plans_respect_threshold(self):
-        for scenario in standard_scenarios(t=2):
+        for name in ("fault-free", "crash", "silent", "replay", "fabricate"):
+            scenario = get_scenario(name, 2)
             behaviors = _materialize_behaviors(scenario.name, (), 2, False)
             assert len(behaviors) == sum(count for _, count, *_ in scenario.faults) <= 2
 
     def test_fault_free_has_no_behaviors(self):
-        scenario = standard_scenarios(t=3)[0]
+        scenario = get_scenario("fault-free", 3)
         assert scenario.faults == ()
         assert _materialize_behaviors(scenario.name, (), 3, False) == {}
 
     def test_behaviors_are_fresh_instances(self):
-        scenario = standard_scenarios(t=2)[1]
+        scenario = get_scenario("crash", 2)
         behaviors = _materialize_behaviors(scenario.name, (), 2, False)
         instances = list(behaviors.values())
         assert instances[0] is not instances[1]
