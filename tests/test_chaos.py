@@ -7,6 +7,7 @@ Byzantine behaviours up to the threshold, and heavily skewed delivery.
 
 import pytest
 
+from repro.api import Cluster, available_protocols, get_spec
 from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
 from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
 from repro.faults.schedules import WithholdFrom
@@ -15,12 +16,60 @@ from repro.registers.base import RegisterSystem
 from repro.registers.fast_regular import FastRegularProtocol
 from repro.registers.secret_token import SecretTokenProtocol
 from repro.registers.transform_atomic import RegularToAtomicProtocol
+from repro.sim.simulator import OperationStatus
+from repro.sim.tracing import TraceKind
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.spec.linearizability import is_linearizable
 from repro.spec.regularity import check_swmr_regularity
+from repro.spec.safety import check_swmr_safety
 from repro.types import object_id, reader_id
+from repro.workloads.generator import OperationPlan
 
 from helpers import RandomDelivery
+
+#: write(a); r1 reads; write(b); r2 reads twice — spaced so every protocol's
+#: operations finish before the next one starts.
+CRASH_PLANS = (
+    OperationPlan(kind="write", client_index=1, value="a", at=0),
+    OperationPlan(kind="read", client_index=1, value=None, at=60),
+    OperationPlan(kind="write", client_index=1, value="b", at=200),
+    OperationPlan(kind="read", client_index=2, value=None, at=350),
+    OperationPlan(kind="read", client_index=2, value=None, at=500),
+)
+#: One tick into r1's read / write(b): the first round is on the wire.
+CRASH_AT = {"read": 61, "write": 201}
+#: What each registered protocol claims, as a predicate on its history.
+HOLDS = {
+    "atomic": is_linearizable,
+    "regular": lambda history: check_swmr_regularity(history).ok,
+    "safe": lambda history: check_swmr_safety(history).ok,
+}
+
+
+def crash_one_client(name, kind):
+    """Run :data:`CRASH_PLANS` on ``name`` and crash the client of the
+    ``kind`` operation in flight at :data:`CRASH_AT` — its history, trace
+    entries and the crashed operations."""
+    backend = Cluster(name, t=1, n_readers=2).build_backend()
+    simulator = backend.simulator
+    crashed = []
+
+    def crash():
+        crashed.extend(
+            op for op in simulator.pending_operations()
+            if op.rounds_used and op.op_id.kind == kind
+        )
+        for op in crashed:
+            simulator.abort(op)
+
+    try:
+        for plan in CRASH_PLANS:
+            backend.schedule(plan)
+        simulator.queue.schedule(CRASH_AT[kind], crash)
+        backend.run()
+        return backend.history(), list(backend.trace.entries), crashed
+    finally:
+        backend.close()
 
 
 class TestClientCrashes:
@@ -54,6 +103,28 @@ class TestClientCrashes:
         history = system.history()
         assert history.reads()[-1].value == "b"
         assert check_swmr_atomicity(history).ok
+
+    @pytest.mark.parametrize("kind", ("read", "write"))
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_every_protocol_survives_a_client_crash(self, name, kind):
+        """The crashed operation stays incomplete, every other client still
+        finishes, the replies in flight to the crashed client are dropped on
+        arrival, and the history keeps what the protocol claims."""
+        history, entries, crashed = crash_one_client(name, kind)
+        (op,) = crashed
+        assert op.status is OperationStatus.ABORTED and op.rounds_used == 1
+        assert [r.op_id for r in history.records if not r.complete] == [op.op_id]
+        assert len(history.records) == len(CRASH_PLANS)
+        dropped = [m for _, k, m in entries if k is TraceKind.DROP]
+        assert dropped and all(m.is_reply and m.dst == op.client for m in dropped)
+        assert HOLDS[get_spec(name).semantics](history)
+        later = [r.value for r in history.reads(complete_only=True)][-2:]
+        if kind == "read":
+            # write(b) completed before either read began: every claim
+            # down to safety forces b.
+            assert later == ["b", "b"]
+        else:
+            assert set(later) <= {"a", "b"}
 
     def test_aborted_operation_not_counted_complete(self):
         system = RegisterSystem(AbdProtocol(), t=1, n_readers=1)

@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, available_faults, fault_spec
 from repro.api.cluster import sweep
 from repro.axes import SearchBounds
 from repro.errors import ConfigurationError
@@ -26,6 +26,16 @@ from repro.explore import (
     decision_from_json,
 )
 from repro.robustness import FrontierResult, model_ladder, robustness_frontier
+from repro.sim.tracing import trace_fingerprint
+
+#: Every registered behaviour the ``timed`` wrapper can defer.
+TIMED_INNER = tuple(name for name in available_faults() if name != "timed")
+#: Behaviours that deviate once, ``survive_messages`` deliveries in.  (``flap``
+#: shares the knob but also spaces its later cycles with it, so zeroing the
+#: knob under ``timed`` is not the same run.)
+SURVIVE_ONCE = ("crash", "crash-recover", "fsync-lag", "perm-crash", "torn-write")
+TIMED_OPS = [("write", "v1", 0), ("read", 1, 40), ("write", "v2", 90),
+             ("read", 2, 130), ("read", 1, 200)]
 
 
 def underprovisioned_cluster() -> Cluster:
@@ -35,6 +45,19 @@ def underprovisioned_cluster() -> Cluster:
         .with_faults("stale-echo", count=2)
         .with_operations([("write", "v1", 0), ("read", 1, 100)])
     )
+
+
+def wire(*faults):
+    """Trace fingerprint and history of one abd trial of :data:`TIMED_OPS`
+    with one object per ``(name, kwargs)`` fault, on durable object state
+    so the recovery family can run."""
+    cluster = Cluster("abd", t=1, n_readers=2, durability="mem")
+    for name, kwargs in faults:
+        cluster = cluster.with_faults(name, count=1, **kwargs)
+    trial = cluster.with_operations(TIMED_OPS).run(trials=1, keep_trace=True).trials[0]
+    return trace_fingerprint(trial.trace), [
+        (r.kind, r.value, r.responded_at) for r in trial.history.records
+    ]
 
 
 def timed_stack() -> Cluster:
@@ -183,6 +206,26 @@ class TestTimedFaultWrapper:
         behavior = fault_spec("timed").build()
         assert isinstance(behavior, TimedFault)
         assert behavior.describe() == "timed(silent@0)"
+
+    @pytest.mark.parametrize("inner", TIMED_INNER)
+    def test_a_trigger_that_never_comes_is_a_correct_object(self, inner):
+        """Dormant means byte-identical to correct, whatever is wrapped."""
+        assert wire(("timed", dict(inner=inner, at=10_000))) == wire()
+
+    @pytest.mark.parametrize("inner", TIMED_INNER)
+    def test_a_trigger_at_zero_is_the_fault_with_its_timing_at_zero(self, inner):
+        fired = wire(("timed", dict(inner=inner, at=0)))
+        assert fired == wire((inner, {knob: 0 for knob in fault_spec(inner).timing}))
+        assert fired[0] != wire()[0]
+
+    @pytest.mark.parametrize("at", (1, 4))
+    @pytest.mark.parametrize("inner", SURVIVE_ONCE)
+    def test_a_trigger_point_is_survive_messages(self, inner, at):
+        """The module's promise: firing after ``at`` handled messages is the
+        facade's ``survive_messages=at``."""
+        timed = wire(("timed", dict(inner=inner, at=at)))
+        assert timed == wire((inner, dict(survive_messages=at)))
+        assert timed[0] != wire()[0]
 
     def test_crash_trigger_swept_across_a_round_boundary(self):
         """timed(crash)@at behaves exactly like survive_messages=at.
