@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Function-level reachability ledger for ``src/repro``.
 
-    python .github/scripts/reachability.py [--dumps DIR [--reuse]] [--show]
+    python .github/scripts/reachability.py [--dumps DIR]
 
 Sorts every ``def`` under ``src/repro`` into one of three sets:
 
@@ -34,13 +34,13 @@ Pass B is the tier-1 suite.  Stubs are exempt: a body that is only a
 docstring, ``pass``, ``...`` or ``raise NotImplementedError``.  Every other
 test-only or unreached ``def`` must be named in ``reachability_allow.txt``
 (one ``path:qualname  reason`` line each), and every line there must name a
-``def`` that exists and is not reached.
+``def`` that exists and is test-only.  The ledger lists every non-stub
+test-only and unreached ``def``, allowlisted or not.
 
 Exit status: 0 when the ledger is clean; 1 when a ``def`` is neither reached,
 exempt nor allowlisted, or an allowlist line is stale; 2 when an entry point
-failed.  ``--dumps DIR`` keeps the copy, the logs and the per-process dumps in
-``DIR``; ``--reuse`` classifies the dumps already there without running
-anything; ``--show`` lists every test-only and unreached ``def``.
+failed, keeping the work directory for its logs.  ``--dumps DIR`` puts the
+copy, the logs and the per-process dumps in ``DIR`` and keeps them.
 """
 
 from __future__ import annotations
@@ -338,21 +338,21 @@ def read_dumps(directory: Path) -> set[tuple[str, int, str]]:
 # --------------------------------------------------------------------- #
 
 
-def ledger(defs, reached, tested, allow: dict[str, str], show: bool) -> int:
+def ledger(defs, reached, tested, allow: dict[str, str]) -> int:
     """Sort ``defs`` by the called-sets of pass A (``reached``) and pass B
     (``tested``), print the ledger, and return the exit status."""
     sets: dict[str, list[Def]] = {"reached": [], "test-only": [], "unreached": []}
+    status: dict[str, set[str]] = {}  # label → the sets its defs fall in
     for key, item in defs.items():
-        where = "reached" if key in reached else "test-only" if key in tested else "unreached"
-        sets[where].append(item)
+        name = "reached" if key in reached else "test-only" if key in tested else "unreached"
+        sets[name].append(item)
+        status.setdefault(item.label, set()).add("a stub, exempt by rule" if item.stub else name)
     missing = [d for d in sets["test-only"] + sets["unreached"]
                if not d.stub and d.label not in allow]
-    labels = {d.label for d in defs.values()}
-    live = {d.label for d in sets["reached"]}
-    exempt = {d.label for d in defs.values() if d.stub}
-    stale = [f"{label}: no such def" if label not in labels else
-             f"{label}: reached" if label in live else f"{label}: a stub, exempt by rule"
-             for label in allow if label not in labels or label in live | exempt]
+    # An allowlisted def must stay test-only: reached, it needs no line;
+    # unreached, not even its tests call it any more.
+    stale = [f"{label}: {', '.join(sorted(status.get(label, {'no such def'})))}"
+             for label in allow if status.get(label) != {"test-only"}]
     stale += [f"{label}: no reason given" for label, reason in allow.items() if not reason]
     allowlisted = sum(d.label in allow for d in sets["test-only"] + sets["unreached"])
     stubs = sum(d.stub for d in sets["test-only"] + sets["unreached"])
@@ -362,8 +362,8 @@ def ledger(defs, reached, tested, allow: dict[str, str], show: bool) -> int:
     ) + f"; {stubs} stubs exempt, {allowlisted} allowlisted")
     for name in ("test-only", "unreached"):
         for item in sorted(sets[name], key=lambda d: (d.path, d.line)):
-            flag = "stub" if item.stub else "allowlisted" if item.label in allow else "MISSING"
-            if show or flag == "MISSING":
+            if not item.stub:
+                flag = "allowlisted" if item.label in allow else "MISSING"
                 print(f"  {name:9} {flag:11} {item.path}:{item.line} {item.qualname}"
                       f" ({item.lines} lines)")
     for line in stale:
@@ -381,30 +381,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dumps", type=Path, default=None,
                         help="keep the copy, logs and dumps here (default: a temporary directory)")
-    parser.add_argument("--reuse", action="store_true",
-                        help="classify the dumps already in --dumps; run nothing")
-    parser.add_argument("--show", action="store_true",
-                        help="list every test-only and unreached def, allowlisted or not")
     args = parser.parse_args(argv)
-    if args.reuse and args.dumps is None:
-        parser.error("--reuse needs --dumps")
 
     defs = enumerate_defs()
     allow = read_allowlist()
     work = args.dumps or Path(tempfile.mkdtemp(prefix="reachability-"))
+    keep = args.dumps is not None
     try:
-        if not args.reuse:
-            work.mkdir(parents=True, exist_ok=True)
-            entries = entry_points()
-            env = prepare(work)
-            failures = run_pass("A", entries, work, env)
-            failures += run_pass("B", [("tier-1", f"PYTHONPATH=src {TIER1}", (0,))], work, env)
-            if failures:
-                print("\n".join(failures), file=sys.stderr)
-                return 2
-        return ledger(defs, read_dumps(work / "A"), read_dumps(work / "B"), allow, args.show)
+        work.mkdir(parents=True, exist_ok=True)
+        entries = entry_points()
+        env = prepare(work)
+        failures = run_pass("A", entries, work, env)
+        failures += run_pass("B", [("tier-1", f"PYTHONPATH=src {TIER1}", (0,))], work, env)
+        if failures:
+            keep = True  # so the log paths printed with the failures exist
+            print("\n".join(failures), file=sys.stderr)
+            return 2
+        return ledger(defs, read_dumps(work / "A"), read_dumps(work / "B"), allow)
     finally:
-        if args.dumps is None:
+        if not keep:
             shutil.rmtree(work, ignore_errors=True)
 
 

@@ -206,6 +206,7 @@ class BatchedSimulator(Simulator):
         trace_entries = trace.entries if trace is not None else None
         deliver_kind = TraceKind.DELIVER
         send_kind = TraceKind.SEND
+        drop_kind = TraceKind.DROP
         # Under a declared policy shape reply sends take an inlined fast
         # path in the walk (see Network.fast_shape for why that is inert).
         shape = network.fast_shape()
@@ -311,9 +312,8 @@ class BatchedSimulator(Simulator):
                     client = first.dst
                     if client not in handlers:
                         # Crashed/aborted client: replies dropped on the floor.
-                        if trace is not None:
-                            for message in run:
-                                trace.record_drop(now, message)
+                        if trace_entries is not None:
+                            trace_entries.extend([(now, drop_kind, m) for m in run])
                     else:
                         operation = by_op.get(op_id)
                         record = None

@@ -128,7 +128,7 @@ class FaultBehavior:
 
     def describe(self) -> str:
         """Human-readable label used by fault inventories and span dumps."""
-        raise NotImplementedError
+        return type(self).__name__
 
 
 @dataclass(slots=True)

@@ -120,6 +120,22 @@ class TestFaultRegistry:
         with pytest.raises(ConfigurationError, match="stale-echo"):
             fault_spec("gremlin")
 
+    def test_a_custom_behaviour_without_describe_runs_under_its_class_name(self, monkeypatch):
+        """``register_fault`` is public: a behaviour that only answers
+        ``reply`` runs, and the fault inventory labels it by its class."""
+        from repro.api import faults
+
+        class Mute(FaultBehavior):
+            def reply(self, server, message, honest_payload):
+                return None
+
+        fault_spec("silent")  # register the built-ins before copying them
+        monkeypatch.setattr(faults, "_FAULTS", dict(faults._FAULTS))
+        faults.register_fault("mute", Mute, model="benign")
+        result = Cluster("abd", t=1).with_faults("mute").run(trials=1)
+        assert result.faults.assignments == {"s1": "Mute"}
+        assert result.ok and result.incomplete == 0
+
 
 class TestScenarioRegistry:
     def test_get_scenario_builds_for_threshold(self):

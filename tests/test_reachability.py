@@ -116,26 +116,26 @@ def test_the_key_is_co_firstlineno_for_decorated_defs():
     assert checked >= 20
 
 
-def test_the_ledger_sorts_flags_and_passes():
+def test_the_ledger_sorts_flags_and_passes(capsys):
     def made(qualname, line, stub=False):
         return reachability.Def("src/repro/m.py", line, qualname.split(".")[-1], qualname, 3, stub)
 
     defs = {
         (d.path, d.line, d.name): d
-        for d in (made("live", 1), made("tested", 5), made("dead", 9), made("Base.hook", 13, stub=True))
+        for d in (made("live", 1), made("tested", 5), made("probed", 9), made("Base.hook", 13, stub=True))
     }
     keys = list(defs)
-    reached, tested = {keys[0]}, {keys[0], keys[1]}
-    clean = {"src/repro/m.py:tested": "by design", "src/repro/m.py:dead": "by design"}
-    assert reachability.ledger(defs, reached, tested, clean, show=False) == 0
-    # A test-only def nobody allowlisted, and three stale lines: one names a
-    # def that is reached, one a def that is gone, one a stub.
-    stale = {
-        "src/repro/m.py:dead": "by design",
-        "src/repro/m.py:live": "by design",
-        "src/repro/m.py:gone": "by design",
-        "src/repro/m.py:Base.hook": "by design",
-    }
-    assert reachability.ledger(defs, reached, tested, stale, show=False) == 1
-    assert reachability.ledger(defs, reached, tested, {**clean, "src/repro/m.py:dead": ""},
-                               show=False) == 1
+    reached, tested = {keys[0]}, {keys[0], keys[1], keys[2]}
+    clean = {"src/repro/m.py:tested": "by design", "src/repro/m.py:probed": "by design"}
+    assert reachability.ledger(defs, reached, tested, clean) == 0
+    # A test-only def nobody allowlisted.
+    assert reachability.ledger(defs, reached, tested, {"src/repro/m.py:tested": "by design"}) == 1
+    # Stale lines: a def that is reached, gone or a stub, and a reason missing.
+    for label in ("live", "gone", "Base.hook"):
+        assert reachability.ledger(defs, reached, tested,
+                                   {**clean, f"src/repro/m.py:{label}": "by design"}) == 1
+    assert reachability.ledger(defs, reached, tested, {**clean, "src/repro/m.py:probed": ""}) == 1
+    # An allowlisted def its tests no longer call is unreached, and stale.
+    capsys.readouterr()
+    assert reachability.ledger(defs, reached, tested - {keys[2]}, clean) == 1
+    assert "stale allowlist line: src/repro/m.py:probed: unreached" in capsys.readouterr().out
