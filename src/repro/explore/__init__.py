@@ -18,11 +18,12 @@ Three layers:
   timing* an explorer choice point as well;
 * :mod:`repro.explore.engine` — :class:`ScheduleProbe` (plain-data
   schedule descriptions, pool-parallelizable like trial specs),
-  :func:`run_schedule` — :func:`simulate` (build, drain, freeze,
-  fingerprint: everything that does not depend on the checker, returned as
-  a plain-data :class:`SimulatedSchedule`) followed by :func:`judge` (the
-  requested checkers over that record's histories) — and the
-  :class:`Explorer` frontier with sleep-set and transcript-hash
+  :func:`simulate` (build, drain, freeze, trace key: everything that does
+  not depend on the checker, returned as a plain-data
+  :class:`SimulatedSchedule`) followed by :func:`judge` (the requested
+  checkers over that record's histories), :func:`run_schedule` (both, plus
+  the wire-trace fingerprint witnesses replay against) — and the
+  :class:`Explorer` frontier with sleep-set and duplicate-trace
   partial-order reductions, bounded by one
   :class:`~repro.axes.SearchBounds` record (the only place the bounds are
   declared and documented).  Explorations of one configuration that differ

@@ -12,7 +12,8 @@ adversarial schedules.  While a schedule runs, the policy also records
 which links carried at least one delivered message: that set is the
 explorer's *expansion alphabet* (holding a link that carried no traffic
 cannot change the run, so such links are never branched on — the
-sleep-set-style pruning of :mod:`repro.explore.engine`).
+sleep-set-style pruning of :mod:`repro.explore.engine`), and the run's
+duplicate-trace key (:attr:`ControlledDelivery.trace_key`).
 
 Two granularities are supported:
 
@@ -53,12 +54,15 @@ into ``HoldLink`` objects (tuple order *is* the canonical link order).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from repro.axes import GRANULARITIES, SearchBounds
 from repro.errors import ConfigurationError
 from repro.sim.network import DeliveryPolicy, FifoDelivery, Message
+from repro.sim.tracing import message_fields
+from repro.types import ProcessId
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,21 +184,25 @@ class ControlledDelivery(DeliveryPolicy):
     Messages whose link is in ``holds`` stay in transit indefinitely (the
     legitimate partial-run phenomenon, not message loss); everything else
     flows through ``base`` (unit-latency FIFO by default, or an adversarial
-    policy such as a scenario's).  The policy keeps two observations the
+    policy such as a scenario's).  The policy keeps three observations the
     engine consumes after the run:
 
     * :attr:`delivered_links` — links that carried at least one delivered
       message (the expansion alphabet);
-    * :attr:`held_messages` — how many messages the chosen holds caught.
+    * :attr:`held_messages` — how many messages the chosen holds caught;
+    * :attr:`trace_key` — equal exactly when the wire traces are.
 
     Over a base of uniform latency it declares the base's latency and a
     hold check (its own link test, then the base's), so a controlled
     schedule runs on the network's fast path like a free one.  The check
-    records the two observations and never reads them back, and the network
-    asks once per message on either path — which is all the purity the
-    :class:`~repro.sim.network.DeliveryPolicy` contract needs.  Because the
-    check is also what records the expansion alphabet, it is there even for
-    an empty hold set (a method, like ``SelectiveHold.hold_check``).
+    records the observations and never reads them back, and the network
+    asks once per message, in send order, on either path — which is all the
+    purity the :class:`~repro.sim.network.DeliveryPolicy` contract needs,
+    and makes a message's place in that order (its *ordinal*) path-free.
+    Because the check is also what records the expansion alphabet, it is
+    there even for an empty hold set (a method, like
+    ``SelectiveHold.hold_check``).  ``faulted`` names the objects that carry
+    a fault behaviour: the key records what they reply.
     """
 
     def __init__(
@@ -202,6 +210,7 @@ class ControlledDelivery(DeliveryPolicy):
         holds: Iterable[HoldLink] = (),
         base: DeliveryPolicy | None = None,
         granularity: str = SearchBounds().granularity,
+        faulted: Iterable[ProcessId] = (),
     ) -> None:
         if granularity not in GRANULARITIES:
             raise ConfigurationError(
@@ -230,6 +239,10 @@ class ControlledDelivery(DeliveryPolicy):
         self._by_round = granularity == "round"
         self._delivered: set[tuple[int, int, int]] = set()
         self.held_messages = 0
+        self._faulted = frozenset(pid.index for pid in faulted)
+        self._asked = 0  # messages judged so far: the next one's ordinal
+        self._held_ordinals: list[int] = []
+        self._replies = hashlib.blake2b(digest_size=16) if self._faulted else None
 
     @property
     def uniform_latency(self) -> int | None:
@@ -247,19 +260,47 @@ class ControlledDelivery(DeliveryPolicy):
             for op, obj, round_no in sorted(self._delivered)
         )
 
+    @property
+    def trace_key(self) -> tuple:
+        """The ordinals of every held message, then — when objects are
+        faulted — a 16-byte digest of ``(ordinal, message)`` over their replies.
+
+        For runs of one configuration, equal keys ⟺ equal wire traces: the
+        engine is deterministic and fault-free processes send functions of
+        what they received, so holds and faulted replies fix the run, and
+        both are on the trace.  The base's holds count too (a HOLD is a
+        HOLD); every base answers from the message and the virtual time
+        alone.  Ints and bytes only, so the key compares the same in every
+        process.
+        """
+        key = tuple(self._held_ordinals)
+        if self._replies is None:
+            return key
+        return key + (self._replies.digest(),)
+
     def delay(self, message: Message, now: int) -> int | None:
+        ordinal = self._asked
+        self._asked = ordinal + 1
         endpoint = message.src if message.is_reply else message.dst
         if endpoint.role_value != "object":  # client↔client: not a link
-            return self.base.delay(message, now)
-        link = (message.op.serial, endpoint.index, message.round_no if self._by_round else 0)
-        if link in self._held:
-            self.held_messages += 1
-            return None
-        delay = self.base.delay(message, now)
-        if delay is not None:
-            # Only genuinely delivered traffic enters the expansion
-            # alphabet: a link the *base* policy already holds (a scenario
-            # policy, a planned skip) would branch into schedules whose
-            # extra hold matches nothing — pure duplicate work.
-            self._delivered.add(link)
+            delay = self.base.delay(message, now)
+        else:
+            if message.is_reply and endpoint.index in self._faulted:
+                self._replies.update(
+                    repr((ordinal, *message_fields(message)))
+                    .encode("utf-8", "backslashreplace")
+                )
+            link = (message.op.serial, endpoint.index, message.round_no if self._by_round else 0)
+            if link in self._held:
+                self.held_messages += 1
+                delay = None
+            else:
+                delay = self.base.delay(message, now)
+                if delay is not None:
+                    # Only delivered traffic enters the expansion alphabet:
+                    # a link the *base* already holds (a planned skip) would
+                    # branch into schedules whose extra hold matches nothing.
+                    self._delivered.add(link)
+        if delay is None:
+            self._held_ordinals.append(ordinal)
         return delay

@@ -23,10 +23,15 @@ space small:
 * **sleep-set pruning** — a link that carried no delivered message in the
   parent run cannot change the run when held, so only *delivered* links are
   branched on (commutative "hold a silent link" moves are never explored);
-* **transcript hashing** — every run is fingerprinted over its full wire
-  trace; a schedule whose trace equals an earlier one is a duplicate (its
-  extra decisions matched no messages), so it is neither re-checked nor
-  expanded — any continuation is reachable from the earlier twin;
+* **duplicate traces** — a schedule whose wire trace equals an earlier
+  one's is a duplicate (its extra decisions matched no messages), so it is
+  neither re-checked nor expanded — any continuation is reachable from the
+  earlier twin.  Traces are compared by a key decided at the source
+  (:attr:`~repro.explore.controlled.ControlledDelivery.trace_key`): the
+  ordinals of the held messages plus a digest of the faulted objects'
+  replies.  The engine is deterministic and judges every message once, in
+  send order, so these fix the run; both are on the trace, so equal
+  traces give equal keys;
 * **symmetry reduction** (opt-in) — fault-free objects of one protocol are
   interchangeable, so hold sets that differ only by a permutation of those
   objects are explored once, through a canonical representative.
@@ -47,14 +52,17 @@ hold set wires the same witness with more noise.
 Simulate, then judge
 --------------------
 
-:func:`run_schedule` is two steps.  :func:`simulate` builds the system,
-schedules the plans, drains the engine, freezes the histories and
-fingerprints the wire trace; it never reads ``probe.checks`` and returns a
+A schedule is evaluated in two steps.  :func:`simulate` builds the system,
+schedules the plans, drains the engine, freezes the histories and takes the
+policy's trace key; it never reads ``probe.checks`` and returns a
 :class:`SimulatedSchedule` — plain picklable data with no system behind it.
 :func:`judge` runs the requested checkers over that record's histories and
 fills in ``failures`` / ``passed``.  Searches that differ only in their
 checks can therefore share a :class:`SimulationStore` (described there); an
 explorer without one simulates every schedule it judges.
+:func:`run_schedule` adds the sha256
+:func:`~repro.sim.tracing.trace_fingerprint` of the wire trace: the replay
+path of witnesses and the engine-equivalence tests, never a search's.
 
 Determinism: probes are evaluated in *waves* (the whole frontier for BFS,
 single nodes for DFS) and every wave is mapped either in-process or over
@@ -134,9 +142,11 @@ class ScheduleOutcome:
 
     ``failures`` are the failed consistency checks as ``(check,
     explanation)`` pairs; ``expansions`` are the links that carried
-    delivered traffic (the frontier's branching alphabet);
-    ``trace_hash`` fingerprints the full wire trace (the partial-order
-    reduction key, and the replay-equality oracle for witnesses).
+    delivered traffic (the frontier's branching alphabet); ``trace_key``
+    is the duplicate-trace key (:attr:`ControlledDelivery.trace_key`);
+    ``trace_hash`` is the wire trace's sha256 fingerprint, which only
+    :func:`run_schedule` renders (witnesses, replay, the engine-equivalence
+    tests) — ``None``, never a value a witness could match, elsewhere.
     """
 
     decisions: tuple[Decision, ...]
@@ -148,13 +158,14 @@ class ScheduleOutcome:
     held_messages: int
     events: int
     truncated: bool
-    trace_hash: str
+    trace_key: tuple
     expansions: tuple[HoldLink, ...]
     #: Per faulted object, how many messages it handled this run — the
     #: discovery set for fault-timing choice points: a trigger at any
     #: ``0..seen`` is a distinct adversary within this schedule's traffic.
     #: Empty for probes with no fault groups (fault-free, scenario-driven).
     fault_counts: tuple[tuple[int, int], ...] = ()
+    trace_hash: str | None = None
 
     @property
     def violating(self) -> bool:
@@ -166,7 +177,8 @@ class SimulatedSchedule:
     """One executed schedule before any checker has looked at it.
 
     ``outcome`` is the schedule's outcome under *no* checks — every field
-    that does not depend on the checker, ``failures`` and ``passed`` empty —
+    that does not depend on the checker, ``failures`` and ``passed`` empty,
+    ``trace_hash`` unrendered unless :func:`run_schedule` asked for it —
     and ``histories`` are the frozen per-key histories the checks read.
     Plain picklable data: no backend, simulator, trace or message.  A pool
     worker returns it and a :class:`SimulationStore` keeps it so that
@@ -226,13 +238,17 @@ def _apply_fault_triggers(
 
 def simulate(probe: ScheduleProbe) -> SimulatedSchedule:
     """Execute the schedule ``probe`` describes: build, schedule, drain,
-    freeze the histories, fingerprint the wire trace.
+    freeze the histories, take the trace key.
 
     Pure with respect to the probe minus its ``checks``, which are never
     read (same probe ⇒ same record, in-process or on a pool worker): the
     system is built fresh, operation serials are scoped, and the fault
     behaviours are materialized per run.
     """
+    return _simulate(probe, fingerprint=False)
+
+
+def _simulate(probe: ScheduleProbe, fingerprint: bool) -> SimulatedSchedule:
     holds = tuple(d for d in probe.decisions if isinstance(d, HoldLink))
     triggers = tuple(d for d in probe.decisions if isinstance(d, FaultTrigger))
     policy: ControlledDelivery
@@ -245,7 +261,8 @@ def simulate(probe: ScheduleProbe) -> SimulatedSchedule:
         nonlocal policy
         _apply_fault_triggers(probe, behaviors, triggers)
         policy = ControlledDelivery(
-            holds=holds, base=base, granularity=probe.granularity
+            holds=holds, base=base, granularity=probe.granularity,
+            faulted=behaviors,
         )
         return policy
 
@@ -293,10 +310,14 @@ def simulate(probe: ScheduleProbe) -> SimulatedSchedule:
             held_messages=policy.held_messages,
             events=events,
             truncated=truncated,
-            trace_hash=trace_fingerprint(backend.trace),
+            trace_key=policy.trace_key,
             expansions=policy.delivered_links,
             fault_counts=fault_counts,
+            trace_hash=trace_fingerprint(backend.trace) if fingerprint else None,
         )
+        # Free the wire log now rather than when the collector reaches the
+        # backend's reference cycle (as the trial engine does).
+        backend.trace.clear()
         return SimulatedSchedule(outcome, histories)
 
 
@@ -373,18 +394,26 @@ class SimulationStore:
 
 def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
     """Execute one schedule described by ``probe`` and return its outcome:
-    :func:`simulate` it, then :func:`judge` the record under ``probe.checks``.
+    :func:`simulate` it, fingerprint its wire trace (``trace_hash``), then
+    :func:`judge` the record under ``probe.checks`` — the path witnesses are
+    made and replayed through; a search never pays for the fingerprint.
     """
+    return judge(_simulate(probe, fingerprint=True), probe.checks)
+
+
+def _search_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
+    """:func:`run_schedule` without the fingerprint: one schedule of a search."""
     return judge(simulate(probe), probe.checks)
 
 
 def schedule_runner(
     probe: ScheduleProbe, store: SimulationStore | None
 ) -> Callable[[ScheduleProbe], ScheduleOutcome]:
-    """What runs ``probe``'s schedules: :func:`run_schedule`, or ``store``'s
-    version of it once the store has accepted the configuration."""
+    """What runs ``probe``'s schedules in a search: :func:`simulate` then
+    :func:`judge`, or ``store``'s version of it once the store has accepted
+    the configuration."""
     if store is None:
-        return run_schedule
+        return _search_schedule
     store.require(probe)
     return store.run_schedule
 
@@ -400,7 +429,7 @@ class ExploreStats:
 
     explored: int = 0
     violating: int = 0
-    pruned_duplicate: int = 0  # transcript-hash twins (PoR)
+    pruned_duplicate: int = 0  # duplicate-trace twins (PoR)
     pruned_seen: int = 0       # child decision sets already enqueued
     pruned_inactive: int = 0   # sleep-set: known links with no traffic here
     pruned_symmetry: int = 0   # children folded onto a canonical relabeling
@@ -653,7 +682,7 @@ class Explorer:
         store = self.store
         if parallel and len(probes) > 1:
             if store is None:
-                outcomes = _pool_map(probes, max_workers, fn=run_schedule)
+                outcomes = _pool_map(probes, max_workers, fn=_search_schedule)
                 if outcomes is not None:
                     return outcomes
             else:
@@ -694,7 +723,7 @@ class Explorer:
 
         frontier: deque[tuple[Decision, ...]] = deque()
         seen: set[tuple[Decision, ...]] = {()}
-        trace_seen: set[str] = set()
+        trace_seen: set[tuple] = set()
         alphabet: set[HoldLink] = set()
         # Triggers live in their own alphabet: mixing them into the link
         # set would corrupt the sleep-set arithmetic below, which only
@@ -721,14 +750,13 @@ class Explorer:
             stats.deepest = max(stats.deepest, len(decisions))
             if outcome.truncated:
                 stats.truncated_runs += 1
-            duplicate = outcome.trace_hash in trace_seen
-            if duplicate:
-                # Transcript-hash PoR: an identical wire trace means the
+            if outcome.trace_key in trace_seen:
+                # Duplicate-trace PoR: an identical wire trace means the
                 # extra decisions matched no messages — the run, its
                 # verdicts, and all its continuations were already covered.
                 stats.pruned_duplicate += 1
                 return
-            trace_seen.add(outcome.trace_hash)
+            trace_seen.add(outcome.trace_key)
             if outcome.violating:
                 stats.violating += 1
                 violations.append((decisions, outcome))
@@ -847,6 +875,5 @@ class Explorer:
             emitted.add(key)
             result.witnesses.append(ScheduleWitness.from_exploration(
                 self.probe, decisions=minimal, discovered=decisions,
-                outcome=final_outcome,
             ))
 

@@ -15,6 +15,8 @@ and the held links — as plain JSON-able data, so it
   the schedule through :func:`repro.explore.engine.run_schedule`; the
   stored wire-trace fingerprint lets :meth:`reproduces` assert the replay
   is byte-identical to the original discovery, not merely "also failing".
+  The search compares runs by their trace key, so the sha256 fingerprint is
+  rendered here only: once when a witness is made, once per replay.
 """
 
 from __future__ import annotations
@@ -105,11 +107,15 @@ class ScheduleWitness:
         probe: ScheduleProbe,
         decisions: tuple[Decision, ...],
         discovered: tuple[Decision, ...],
-        outcome: ScheduleOutcome,
     ) -> "ScheduleWitness":
+        """The witness of ``decisions``, run once more through
+        :func:`run_schedule` for the failures and ``trace_hash`` it stores
+        (a search's outcomes carry no fingerprint)."""
+        witnessed = probe.with_decisions(decisions)
+        outcome = run_schedule(witnessed)
         return cls(
-            probe=probe.with_decisions(decisions),
-            decisions=canonical_decisions(decisions),
+            probe=witnessed,
+            decisions=witnessed.decisions,
             discovered=canonical_decisions(discovered),
             failures=outcome.failures,
             trace_hash=outcome.trace_hash,
@@ -128,7 +134,8 @@ class ScheduleWitness:
 
         "Exactly" means the same checks fail with the same explanations
         *and* the wire trace fingerprint matches — i.e. the re-executed
-        schedule is the byte-identical run, not a coincidental failure.
+        schedule is the byte-identical run, not a coincidental failure.  A
+        search's outcome (``trace_hash`` is ``None``) never reproduces one.
         """
         if outcome is None:
             outcome = self.replay()

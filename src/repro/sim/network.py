@@ -68,7 +68,9 @@ class DeliveryPolicy:
       the fast path, by ``delay`` on the per-message path — so a policy
       whose two methods share their bookkeeping may *record* what it saw
       (the explorer's :class:`~repro.explore.controlled.ControlledDelivery`
-      does) as long as its answer never depends on the record.
+      does: a message's place in that sequence is its ordinal in the
+      duplicate-trace key) as long as its answer never depends on the
+      record.
 
     A subclass that declares neither stays on the per-message path and
     only has to implement :meth:`delay`.  A declaration speaks for the

@@ -5,7 +5,8 @@ time.  Traces serve debugging (``--trace`` dumps), latency accounting (rounds
 are recounted from the wire, cross-checking the engine's own bookkeeping,
 through the one-pass :meth:`MessageTrace.round_trip_counts` fold, so a trial
 stays linear in its length), observability spans, and the wire-trace
-fingerprint the explorer and the witnesses compare runs by.
+fingerprint that schedule witnesses, their replay and the engine-equivalence
+tests compare runs by.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.sim.network import Message
-from repro.types import OperationId, ProcessId
+from repro.types import OperationId
 
 
 class TraceKind(enum.Enum):
@@ -179,54 +180,35 @@ class MessageTrace:
         return counts
 
 
-#: ``, 'send', `` and friends: what follows the time in an entry's repr.
-#: (``kind.value`` is a Python-level descriptor call — once per kind, not
-#: once per entry.)
-_KIND_INFIX = {kind: f", {kind.value!r}, " for kind in TraceKind}
-
-
-class _QuotedNames(dict):
-    """``repr(str(pid))`` per process, rendered on first use."""
-
-    def __missing__(self, pid: ProcessId) -> str:
-        name = self[pid] = repr(str(pid))
-        return name
+def message_fields(message: Message) -> tuple:
+    """A message as the fingerprint renders it: ``(src, dst, op serial, op
+    kind, op client, round, tag, is_reply, frozen payload)``, processes by
+    name — plain values whose ``repr`` is the same in every process."""
+    op = message.op
+    return (
+        str(message.src), str(message.dst), op.serial, op.kind, str(op.client),
+        message.round_no, message.tag, message.is_reply, _freeze(message.payload),
+    )
 
 
 def trace_fingerprint(trace: MessageTrace) -> str:
     """Canonical digest of a full wire trace.
 
-    The load-bearing equality oracle of the harness: the schedule explorer
-    uses it as its partial-order-reduction key and witness replay check,
-    and the engine-equivalence suite asserts production-vs-reference
-    byte-identity through it.  Two traces fingerprint equal exactly when
-    they recorded the same observations in the same order.
-
-    The digest is over ``repr((time, kind, src, dst, op serial, op kind,
-    op client, round, tag, is_reply, frozen payload))`` of every entry.
-    Everything after ``kind`` belongs to the message, and the SEND, HOLD
-    and DELIVER entries of one message reference the same object in a log
-    nobody appends to any more, so that part is rendered once per message
-    and spliced behind each entry's own ``(time, kind, `` prefix.  The
-    tuple's repr is written out by hand — one f-string per message, each
-    process name rendered once per call — and produces the same bytes.
+    The harness's byte-level equality oracle: a schedule witness stores it
+    and a replay must reproduce it, and the engine-equivalence tests assert
+    production-vs-reference identity through it.  (The explorer's
+    duplicate-trace test does not render it; it compares the key
+    :class:`~repro.explore.controlled.ControlledDelivery` decides at the
+    source.)  Two traces fingerprint equal exactly when they recorded the
+    same observations in the same order: the digest is over
+    ``repr((time, kind, *message_fields(message)))`` of every entry.
     """
     digest = hashlib.sha256()
-    update = digest.update
-    rendered: dict[int, bytes] = {}
-    names = _QuotedNames()
     for time, kind, message in trace.entries:
-        text = rendered.get(id(message))
-        if text is None:
-            op = message.op
-            text = rendered[id(message)] = (
-                f"{names[message.src]}, {names[message.dst]}, {op.serial!r}, "
-                f"{op.kind!r}, {names[op.client]}, {message.round_no!r}, "
-                f"{message.tag!r}, {message.is_reply!r}, "
-                f"{_freeze(message.payload)!r})"
-            ).encode("utf-8", "backslashreplace")
-        update(f"({time!r}{_KIND_INFIX[kind]}".encode())
-        update(text)
+        digest.update(
+            repr((time, kind.value, *message_fields(message)))
+            .encode("utf-8", "backslashreplace")
+        )
     return digest.hexdigest()[:24]
 
 

@@ -208,8 +208,22 @@ class TestTraceSerialization:
 
 
 # --------------------------------------------------------------------- #
-# The fingerprint, against the rendering it replaced
+# The fingerprint: its bytes pinned, its payload freeze against the plain one
 # --------------------------------------------------------------------- #
+
+# ``trace_fingerprint`` renders one ``repr`` per entry, the form every
+# committed ``trace_hash`` was computed from; these are the digests that
+# form gives the traces below (the witness corpus pins it on real refutations).
+EMPTY_TRACE = "e3b0c44298fc1c149afbf4c8"  # sha256 of no bytes
+HAND_BUILT_TRACE = "2fe27923da422263dbcbeb32"
+HELD_REPLY_AND_DROP_TRACE = "82d675c9a41b3b4d4fe70456"
+#: sha256 over the fingerprints of the 45 sweep cells, in ``_sweep_cells`` order.
+SWEEP_TRACES = "0a94697202570959eba3e5b7"
+#: The free, held, truncated and repaired schedules of the replay-path test.
+SCHEDULE_TRACES = [
+    "964ed70d2ef193baf897d6e4", "9ccbc287216cbbaffdbb4906",
+    "2b02147ed56a175fbb2d45bf", "3bf00609f4e74fa59029eb35",
+]
 
 
 def _freeze(payload):
@@ -223,29 +237,6 @@ def _freeze(payload):
             value = tuple(sorted(map(repr, value)))
         items.append((key, value))
     return tuple(items)
-
-
-def fingerprint_oracle(trace):
-    """``trace_fingerprint`` as it was when it rendered every entry whole:
-    the bytes every committed ``trace_hash`` was computed from."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for time, kind, message in trace.entries:
-        digest.update(repr((
-            time,
-            kind.value,
-            str(message.src),
-            str(message.dst),
-            message.op.serial,
-            message.op.kind,
-            str(message.op.client),
-            message.round_no,
-            message.tag,
-            message.is_reply,
-            _freeze(message.payload),
-        )).encode("utf-8", "backslashreplace"))
-    return digest.hexdigest()[:24]
 
 
 class _Proxy(Mapping):
@@ -289,11 +280,14 @@ def _sweep_cells():
 
 class TestFingerprintDifferential:
     def test_every_protocol_and_advertised_scenario(self):
+        import hashlib
+
         from repro.api import Cluster
         from repro.sim.tracing import trace_fingerprint
 
         cells = _sweep_cells()
-        assert len(cells) >= 45
+        assert len(cells) == 45
+        digest = hashlib.sha256()
         for name, scenario in cells:
             trial = (
                 Cluster(name, t=1, n_readers=2)
@@ -303,52 +297,60 @@ class TestFingerprintDifferential:
                 .trials[0]
             )
             assert trial.trace.entries, (name, scenario)
-            assert trace_fingerprint(trial.trace) == fingerprint_oracle(trial.trace), (
-                name, scenario,
-            )
+            for _, _, message in trial.trace.entries:
+                assert freeze_payload(message.payload) == _freeze(message.payload)
+            digest.update(trace_fingerprint(trial.trace).encode())
+        assert digest.hexdigest()[:24] == SWEEP_TRACES
 
     def test_held_dropped_repair_and_truncated_schedules(self, monkeypatch):
-        """Through ``run_schedule`` itself: the traces the explorer hashes."""
+        """On the witness / replay path, the one that still renders it: a
+        witness renders its fingerprint once when it is made and once per
+        replay, over traces with every kind a schedule leaves."""
         from repro.api import Cluster
         from repro.axes import SearchBounds
-        from repro.explore import FaultTrigger, HoldLink, engine as explore_engine
+        from repro.explore import FaultTrigger, HoldLink, ScheduleWitness
+        from repro.explore import engine as explore_engine
         from repro.sim import tracing
 
         seen = []
 
-        def checked(trace):
-            digest = tracing.trace_fingerprint(trace)
-            assert digest == fingerprint_oracle(trace)
+        def recording(trace):
             seen.append({kind for _, kind, _ in trace.entries})
-            return digest
+            return tracing.trace_fingerprint(trace)
 
-        monkeypatch.setattr(explore_engine, "trace_fingerprint", checked)
+        monkeypatch.setattr(explore_engine, "trace_fingerprint", recording)
         stack = (
             Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
             .with_faults("stale-echo", count=1)
             .with_faults("timed", count=1, inner="stale-echo", at=99)
             .with_operations([("write", "v1", 0), ("read", 1, 100), ("read", 1, 130)])
         )
-        probe = stack._schedule_probe()
-        free = explore_engine.run_schedule(probe)
-        assert TraceKind.HOLD not in seen[-1]
-        held = explore_engine.run_schedule(probe.with_decisions(
-            (HoldLink(op=2, obj=3), HoldLink(op=2, obj=4), FaultTrigger(obj=2, at=0))
-        ))
-        # The held read never returns, so the reader's next plan is dropped.
-        assert TraceKind.HOLD in seen[-1] and held.held_messages and held.dropped == 1
-        cut = explore_engine.run_schedule(
-            stack._schedule_probe(SearchBounds(max_events=free.events // 2))
-        )
-        assert cut.truncated and cut.trace_hash != free.trace_hash
         repaired = (
             Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True)
             .with_faults("rolling-replace", count=3, base=4, stagger=8)
             .with_repairs((1, 40), (2, 110), (3, 180))
             .with_workload(operations=9, reads=0.5, spacing=30)
         )
-        outcome = explore_engine.run_schedule(repaired._schedule_probe(seed=3))
-        assert outcome.completed and len(seen) == 4
+        probe = stack._schedule_probe()
+        held_set = (HoldLink(op=2, obj=3), HoldLink(op=2, obj=4), FaultTrigger(obj=2, at=0))
+        free = ScheduleWitness.from_exploration(probe, (), ())
+        assert TraceKind.HOLD not in seen[-1]
+        held = ScheduleWitness.from_exploration(probe, held_set, held_set)
+        assert TraceKind.HOLD in seen[-1]
+        free_run = free.replay()
+        cut = ScheduleWitness.from_exploration(
+            stack._schedule_probe(SearchBounds(max_events=free_run.events // 2)), (), ()
+        )
+        fixed = ScheduleWitness.from_exploration(repaired._schedule_probe(seed=3), (), ())
+        assert len(seen) == 5  # four witnesses made, one replay
+        witnesses = [free, held, cut, fixed]
+        assert [w.trace_hash for w in witnesses] == SCHEDULE_TRACES
+        replays = [w.replay() for w in witnesses]
+        assert all(w.reproduces(r) for w, r in zip(witnesses, replays))
+        assert len(seen) == 9
+        # The held read never returns, so the reader's next plan is dropped.
+        assert replays[1].held_messages and replays[1].dropped == 1
+        assert replays[2].truncated and replays[3].completed
 
     def test_held_reply_and_client_dropped_traces(self):
         """All four kinds from a live run: s1's replies stay in transit, and
@@ -372,12 +374,12 @@ class TestFingerprintDifferential:
             assert any(
                 kind is TraceKind.DROP and m.dst == read_op.client for _, kind, m in entries
             )
-            assert trace_fingerprint(system.trace) == fingerprint_oracle(system.trace)
+            assert trace_fingerprint(system.trace) == HELD_REPLY_AND_DROP_TRACE
 
     def test_empty_trace(self):
         from repro.sim.tracing import trace_fingerprint
 
-        assert trace_fingerprint(MessageTrace()) == fingerprint_oracle(MessageTrace())
+        assert trace_fingerprint(MessageTrace()) == EMPTY_TRACE
 
     @staticmethod
     def _hand_built():
@@ -426,29 +428,6 @@ class TestFingerprintDifferential:
         assert {kind for _, kind, _ in trace.entries} == set(TraceKind)
         with pytest.raises(UnicodeEncodeError):
             repr([message.payload for _, _, message in trace.entries]).encode("utf-8")
-        assert tracing.trace_fingerprint(trace) == fingerprint_oracle(trace)
+        assert tracing.trace_fingerprint(trace) == HAND_BUILT_TRACE
         for _, _, message in trace.entries:
             assert tracing._freeze(message.payload) == _freeze(message.payload)
-
-    def test_payload_is_frozen_once_per_message(self, monkeypatch):
-        from repro.sim import tracing
-
-        real, depth, top = tracing._freeze, 0, 0
-
-        def counting(payload):
-            nonlocal depth, top
-            top += depth == 0
-            depth += 1
-            try:
-                return real(payload)
-            finally:
-                depth -= 1
-
-        monkeypatch.setattr(tracing, "_freeze", counting)
-        system, _, _ = run_abd()
-        for trace in (system.trace, self._hand_built()):
-            top = 0
-            entries = trace.entries
-            messages = {id(message) for _, _, message in entries}
-            assert tracing.trace_fingerprint(trace) == fingerprint_oracle(trace)
-            assert top == len(messages) < len(entries)
