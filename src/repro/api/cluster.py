@@ -536,8 +536,7 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
     # on exit the outer count resumes past its watermark, so any system live
     # outside the trial keeps allocating fresh ids.  (The restart is also
     # what makes plan-addressed schedules well-defined: plan k ⇒ serial k.)
-    # The backend's stable stores are closed on the way out, after metering
-    # and span derivation have read them.
+    # The backend is closed on the way out, once the result is built.
     with scoped_operation_serials(), closing(
         build_backend(spec, protocol_spec)
     ) as backend:
@@ -601,7 +600,7 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
                 "elapsed_s": round(report.elapsed_s, 6),
                 "phases_s": {name: round(s, 6) for name, s in phases.items()},
             }
-        result = TrialResult(
+        return TrialResult(
             trial=spec.trial,
             seed=spec.recorded_seed,
             write_rounds=list(report.write_rounds),
@@ -615,11 +614,6 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
             staleness=staleness,
             obs=obs,
         )
-        if not spec.keep_trace:
-            # Nobody asked for the wire log: free it now instead of leaving
-            # it on the backend's reference cycle for the cyclic collector.
-            backend.trace.clear()
-        return result
 
 
 def run_trial(spec: TrialSpec) -> TrialResult:

@@ -300,7 +300,7 @@ def _simulate(probe: ScheduleProbe, fingerprint: bool) -> SimulatedSchedule:
                 for server in backend.simulator.objects.values()
                 if server.behavior is not None
             ))
-        outcome = ScheduleOutcome(
+        return SimulatedSchedule(ScheduleOutcome(
             decisions=probe.decisions,
             failures=(),
             passed=(),
@@ -314,11 +314,7 @@ def _simulate(probe: ScheduleProbe, fingerprint: bool) -> SimulatedSchedule:
             expansions=policy.delivered_links,
             fault_counts=fault_counts,
             trace_hash=trace_fingerprint(backend.trace) if fingerprint else None,
-        )
-        # Free the wire log now rather than when the collector reaches the
-        # backend's reference cycle (as the trial engine does).
-        backend.trace.clear()
-        return SimulatedSchedule(outcome, histories)
+        ), histories)
 
 
 def judge(simulated: SimulatedSchedule, checks: Sequence[str]) -> ScheduleOutcome:

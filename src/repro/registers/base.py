@@ -52,7 +52,7 @@ class SystemBackend(ABC):
     per key, and ``simulator`` / ``trace`` (set by :func:`_assemble`) feed
     the shared round accounting
     (:func:`repro.analysis.metrics.measure_backend_latency`).  Built systems
-    are caller-owned: :meth:`close` releases their stable stores.
+    are caller-owned: :meth:`close` releases them.
     """
 
     #: Logical register names this system hosts (one entry for
@@ -123,11 +123,13 @@ class SystemBackend(ABC):
         return self.simulator.max_rounds_used(kind)
 
     def close(self) -> None:
-        """Release the stable stores (journal files, the temporary
-        directory of ``durability="dir"``); called by whoever built the
-        system, once done reading it."""
+        """Release the stable stores (journal files, the temporary directory
+        of ``durability="dir"``), then the engine's operation table and
+        process wiring; called by whoever built the system, once done
+        reading it.  A closed system is not run again."""
         if self.storage is not None:
             self.storage.close()
+        self.simulator.close()
 
 
 def _default_size(protocol: RegisterProtocol, t: int) -> int:

@@ -153,6 +153,11 @@ class WaveQueue:
         else:
             bucket.append(messages)
 
+    def clear(self) -> None:
+        """Drop every pending wave unrun."""
+        self._buckets.clear()
+        self._times.clear()
+
 
 class BatchedSimulator(Simulator):
     """Drop-in :class:`Simulator` executing in per-tick delivery waves.
@@ -172,6 +177,11 @@ class BatchedSimulator(Simulator):
 
     def _new_queue(self) -> WaveQueue:  # type: ignore[override]
         return WaveQueue()
+
+    def close(self) -> None:
+        """Also drop the waves a budget-truncated run left (they hold the engine)."""
+        self.queue.clear()
+        super().close()
 
     # ------------------------------------------------------------------ #
     # Wave execution

@@ -184,6 +184,11 @@ class Network:
         """Remove a process (it stops receiving; models a crashed client)."""
         self._handlers.pop(pid, None)
 
+    def close(self) -> None:
+        """Unwire the processes and hooks (each refers back to the engine)."""
+        self._handlers.clear()
+        self.quiescence_listener = self.delivery_sink = self.delivery_batch_sink = None
+
     def send(self, message: Message) -> None:
         """Hand ``message`` to the fabric.
 

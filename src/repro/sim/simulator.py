@@ -212,6 +212,15 @@ class Simulator:
         """Execute scheduled work until none is left; returns the count."""
         return self.queue.run_all(max_events=max_events)
 
+    def close(self) -> None:
+        """Drop the operations (a suspended generator may hold its system)
+        and the network's wiring, so a finished run is freed by reference
+        count; a closed simulator is not run again."""
+        self.operations.clear()
+        self._by_op.clear()
+        self._pending.clear()
+        self.network.close()
+
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #

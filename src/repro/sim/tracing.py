@@ -104,11 +104,6 @@ class MessageTrace:
     the :class:`TraceEvent` view the public API exposes is materialized
     lazily (and cached) by :attr:`events`.  Both views present the same
     record in the same order.
-
-    The log is the largest thing a finished trial holds (two entries per
-    message on the wire) and it hangs off the system's reference cycle;
-    whoever ran the trial and does not hand the trace on calls
-    :meth:`clear` so the memory goes back at once.
     """
 
     __slots__ = ("entries", "_materialized")
@@ -143,17 +138,6 @@ class MessageTrace:
 
     def record_drop(self, time: int, message: Message) -> None:
         self.entries.append((time, TraceKind.DROP, message))
-
-    def clear(self) -> None:
-        """Drop every observation, freeing the messages now.
-
-        The trace sits on the system ↔ simulator ↔ handler-closure cycle,
-        so without this a finished trial's whole wire log waits for a
-        full cyclic collection; a trial runner that nobody asked for the
-        trace calls this once its result is built.
-        """
-        self.entries.clear()
-        self._materialized = None
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -112,9 +112,9 @@ def _search(operations: list[OperationRecord], k: int = 1) -> list[int] | None:
                 return True
         return False
 
-    if explore(0, BOTTOM if single else (BOTTOM,)):
-        return order
-    return None
+    found = explore(0, BOTTOM if single else (BOTTOM,))
+    del explore  # it refers to itself through its cell: unbinding frees the memo now
+    return order if found else None
 
 
 def is_linearizable(history: History) -> bool:

@@ -6,6 +6,8 @@ from collections.abc import Mapping
 
 import pytest
 
+from repro.api import Cluster, available_protocols, sweep
+from repro.api.registry import get_spec
 from repro.faults.adversary import SilentBehavior
 from repro.faults.schedules import WithholdFrom
 from repro.registers.abd import AbdProtocol
@@ -37,23 +39,160 @@ class TestTraceQueries:
         assert TraceKind.DELIVER in kinds
 
 
+def _trial_long():
+    (
+        Cluster("atomic-fast-regular", t=1, n_readers=2)
+        .with_faults("stale-echo", count=1)
+        .with_workload(reads=0.5, spacing=40, operations=40)
+        .check("atomicity")
+        .run(trials=1, seed=11, keep_history=False)
+    )
+
+
+def _sweep_first_scenario(name):
+    def call():
+        spec = get_spec(name)
+        sweep([name], scenarios=spec.scenarios[:1], checks=(spec.default_check(),))
+
+    return call
+
+
+def _run(protocol, keep_trace=False, faults=(), **options):
+    def call():
+        cluster = Cluster(protocol, t=1, **options)
+        for fault, count in faults:
+            cluster = cluster.with_faults(fault, count=count)
+        cluster.with_workload(operations=20, reads=0.3, spacing=30).run(
+            trials=2, keep_trace=keep_trace
+        )
+
+    return call
+
+
+def _reconfig_churn():
+    (
+        Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True, durability="mem")
+        .with_faults("rolling-replace", count=3, base=4, stagger=8)
+        .with_repairs((1, 40), (2, 110), (3, 180))
+        .with_workload(operations=24, reads=0.2, spacing=30)
+        .check("atomicity")
+        .run(trials=2)
+    )
+
+
+def _reconfig_blocked():
+    """Two of three objects silent: every operation, the repair included, is
+    still suspended mid-generator — holding its system — when the trial ends."""
+    result = (
+        Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True)
+        .with_faults("silent", count=2)
+        .with_repairs((1, 40))
+        .with_operations([("write", "v1", 0), ("read", 1, 100)])
+        .run(trials=1)
+    )
+    assert result.trials[0].incomplete == 3
+
+
+def _explore(max_events=None):
+    def call():
+        bounds = {} if max_events is None else {"max_events": max_events}
+        Cluster("fast-regular", t=1).with_operations(
+            [("write", "v1", 0), ("read", 1, 120), ("read", 2, 240)]
+        ).explore(max_holds=1, granularity="round", **bounds)
+
+    return call
+
+
+def _refute():
+    result = (
+        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
+        .with_faults("stale-echo", count=2)
+        .with_operations([("write", "v1", 0), ("read", 1, 100)])
+        .check("atomicity")
+        .explore(max_holds=2)
+    )
+    assert result.witnesses[0].reproduces()
+
+
+def _frontier():
+    (
+        Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
+        .with_faults("stale-echo", count=1)
+        .with_faults("timed", count=1, inner="stale-echo", at=99)
+        .with_operations([("write", "v1", 0), ("read", 1, 100)])
+        .frontier(max_holds=1, max_schedules=3000)
+    )
+
+
+def _acyclic_calls():
+    calls = {f"sweep-{name}": _sweep_first_scenario(name) for name in available_protocols()}
+    calls.update({
+        "trial_long": _trial_long,
+        "sharded": _run("abd", backend="sharded", keys=("a", "b")),
+        "reconfig-churn-mem": _reconfig_churn,
+        "reconfig-blocked": _reconfig_blocked,
+        "dir-crash-recover-observe": _run(
+            "abd", n_readers=3, durability="dir", observe=True, faults=[("crash-recover", 1)]
+        ),
+        "keep_trace": _run("abd", keep_trace=True),
+        "k-atomic(2)": _run("abd", consistency="k-atomic(2)"),
+        "mw-abd": _run("mw-abd", backend="multi-writer", n_writers=2),
+        "explore-certify": _explore(),
+        "explore-truncated": _explore(max_events=30),
+        "explore-refute-witness": _refute,
+        "frontier": _frontier,
+    })
+    return calls
+
+
+#: One facade call per configuration whose system graph differs: the
+#: pinned "no cyclic garbage" grid of :class:`TestTraceRelease`.
+ACYCLIC_CALLS = _acyclic_calls()
+
+
 class TestTraceRelease:
-    """An untraced facade trial frees its wire log without the collector."""
+    """A finished call frees its systems — wire log included — by reference
+    count, without the cyclic collector."""
 
     @staticmethod
-    def live_messages():
+    def live_engine_objects():
+        """Live systems, engine parts, messages and generators: what a
+        finished call must not leave for the collector."""
+        import gc
+        import types
+
+        from repro.registers.base import SystemBackend
+        from repro.sim.network import Message, Network
+        from repro.sim.process import ObjectServer
+        from repro.sim.simulator import ClientOperation, Simulator
+        from repro.sim.tracing import MessageTrace
+
+        kinds = (
+            SystemBackend, Simulator, Network, ObjectServer, ClientOperation,
+            MessageTrace, Message, types.GeneratorType,
+        )
+        return sum(1 for obj in gc.get_objects() if isinstance(obj, kinds))
+
+    @pytest.mark.parametrize("call", sorted(ACYCLIC_CALLS))
+    def test_a_finished_call_leaves_no_cyclic_garbage(self, call):
+        """Everything a facade call allocates is freed by reference count:
+        with the collector off, no engine object outlives the call, and a
+        collection then finds nothing.  (The census is what sees a cycle
+        through a suspended generator: the collector finalizes the
+        generator, which breaks the cycle, so its count stays 0.)  The
+        warm-up call absorbs what importing and first use leave behind."""
         import gc
 
-        from repro.sim.network import Message
-
-        return sum(1 for obj in gc.get_objects() if type(obj) is Message)
-
-    def test_clear_empties_both_views(self):
-        system, _, _ = run_abd()
-        assert system.trace.events
-        system.trace.clear()
-        assert system.trace.entries == [] and system.trace.events == []
-        assert system.trace.round_trip_counts() == {}
+        ACYCLIC_CALLS[call]()
+        gc.collect()
+        gc.disable()
+        try:
+            before = self.live_engine_objects()
+            ACYCLIC_CALLS[call]()
+            assert self.live_engine_objects() == before
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_untraced_trial_leaves_no_message_behind(self):
         import gc
@@ -65,13 +204,13 @@ class TestTraceRelease:
         gc.collect()
         gc.disable()  # whatever is freed below is freed by reference count
         try:
-            before = self.live_messages()
+            before = self.live_engine_objects()
             untraced = cluster.run(trials=1, keep_history=False)
             assert untraced.trials[0].trace is None
-            assert self.live_messages() == before
+            assert self.live_engine_objects() == before
             traced = cluster.run(trials=1, keep_history=False, keep_trace=True)
             assert len(traced.trials[0].trace.entries) == 360
-            assert self.live_messages() > before
+            assert self.live_engine_objects() > before
         finally:
             gc.enable()
 
