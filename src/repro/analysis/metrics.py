@@ -6,11 +6,10 @@ and reports the rounds each operation used, per operation kind —
 cross-checked against the wire (the message trace) so the engine cannot
 misreport its own round count.
 
-Cost: the cross-check reads the wire trace once per run (one fold into an
-int per operation, then one dict lookup per completed operation), so the
-accounting is linear in run length and a small share of a trial — the
-engine's drain is where a trial's time goes.  ``tests/test_accounting.py``
-counts the passes over the trace so a per-operation rescan cannot return.
+Cost: the cross-check reads no log.  The trace raises one int per
+operation as client sends are recorded, so accounting is one dict lookup per
+completed operation, and it runs on every trial whether or not the wire log
+was kept.  ``tests/test_accounting.py`` pins zero passes over the log.
 """
 
 from __future__ import annotations
@@ -58,10 +57,10 @@ class LatencyReport:
 def _account_rounds(simulator, trace, report: LatencyReport) -> None:
     """Fold every executed operation's round count into ``report``.
 
-    The wire is read once, whatever the number of operations:
-    :meth:`~repro.sim.tracing.MessageTrace.round_trip_counts` folds the
-    trace into one int per operation and each completed operation is then
-    compared against its entry.
+    The wire's side is the fold
+    :meth:`~repro.sim.tracing.MessageTrace.round_trip_counts` returns — one
+    int per operation, raised as the sends were recorded — and each
+    completed operation is compared against its entry.
     """
     on_wire_by_op = trace.round_trip_counts()
     for operation in simulator.operations:

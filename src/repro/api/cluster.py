@@ -540,6 +540,11 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
     with scoped_operation_serials(), closing(
         build_backend(spec, protocol_spec)
     ) as backend:
+        if not (spec.keep_trace or spec.observe):
+            # Nothing will read this trial's wire log: accounting reads the
+            # round fold the sends raise, so only a kept trace or the obs
+            # derivations need the log.
+            backend.trace.drop_log()
         built = tick()
         plans = spec.plans()
         planned = tick()

@@ -269,6 +269,10 @@ def _simulate(probe: ScheduleProbe, fingerprint: bool) -> SimulatedSchedule:
     with scoped_operation_serials(), closing(
         build_backend(probe, adversary=adversary)
     ) as backend:
+        if not fingerprint:
+            # A search schedule is compared by its trace key and accounted
+            # by nothing, so only the fingerprint reads the wire log.
+            backend.trace.drop_log()
         # A held schedule may block a client forever; that client's later
         # planned invocations are then dropped (a legal partial run), not a
         # sequential-client model violation.

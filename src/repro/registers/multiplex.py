@@ -47,6 +47,10 @@ class MultiplexObjectHandler(ObjectHandler):
 
     def __init__(self, inner: ObjectHandler) -> None:
         self.inner = inner
+        # One carrier message per handler, re-pointed at each delivery and
+        # each inner call: handlers read the message while they run and
+        # never keep it.
+        self._carrier = Message(None, None, None, 0, MULTI, {})
 
     def initial_state(self) -> dict[str, Any]:
         return {"registers": {}}
@@ -57,19 +61,16 @@ class MultiplexObjectHandler(ObjectHandler):
         calls = message.payload.get("calls")
         if not _is_mapping(calls):
             return {"error": "malformed MULTI payload"}
-        registers: dict[str, Any] = state.setdefault("registers", {})
+        registers: dict[str, Any] | None = state.get("registers")
+        if registers is None:
+            registers = state["registers"] = {}
         inner = self.inner
         handle = inner.handle
-        # One carrier message per delivery, re-pointed at each inner call:
-        # handlers read the message while they run and never keep it.
-        inner_message = Message(
-            src=message.src,
-            dst=message.dst,
-            op=message.op,
-            round_no=message.round_no,
-            tag=MULTI,
-            payload=message.payload,
-        )
+        inner_message = self._carrier
+        inner_message.src = message.src
+        inner_message.dst = message.dst
+        inner_message.op = message.op
+        inner_message.round_no = message.round_no
         replies: dict[str, Mapping[str, Any]] = {}
         for name in sorted(calls):
             call = calls[name]

@@ -213,7 +213,7 @@ class BatchedSimulator(Simulator):
         inflight = network._inflight
         listener = network.quiescence_listener
         trace = self.trace
-        trace_entries = trace.entries if trace is not None else None
+        trace_entries = trace.log if trace is not None else None
         deliver_kind = TraceKind.DELIVER
         send_kind = TraceKind.SEND
         drop_kind = TraceKind.DROP
@@ -288,14 +288,9 @@ class BatchedSimulator(Simulator):
                             trace_entries.append((now, deliver_kind, message))
                         if payload is None:
                             continue
+                        # Positional: (src, dst, op, round_no, tag, payload, is_reply).
                         reply = Message(
-                            src=dst,
-                            dst=message.src,
-                            op=op_id,
-                            round_no=round_no,
-                            tag=message.tag,
-                            payload=payload,
-                            is_reply=True,
+                            dst, message.src, op_id, round_no, message.tag, payload, True
                         )
                         if out_run is None:
                             network.send(reply)

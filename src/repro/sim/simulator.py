@@ -260,12 +260,7 @@ class Simulator:
         # returns early on ``record.terminated``), so the reply set can
         # never change after this point.
         record.terminated = True
-        outcome = RoundOutcome(
-            round_no=record.round_no,
-            replies=record.replies,
-            quiesced=quiesced,
-            terminated_at=self.queue.now,
-        )
+        outcome = RoundOutcome(record.round_no, record.replies, quiesced, self.queue.now)
         self._advance(operation, outcome=outcome)
 
     def _advance(
@@ -292,17 +287,16 @@ class Simulator:
         client = operation.client
         op_id = operation.op_id
         tag = spec.tag
+        # Messages are built positionally: (src, dst, op, round_no, tag, payload).
         if spec.per_object_payload is None:
             payload = spec.payload
             messages = [
-                Message(src=client, dst=dst, op=op_id, round_no=round_no,
-                        tag=tag, payload=payload)
+                Message(client, dst, op_id, round_no, tag, payload)
                 for dst in destinations
             ]
         else:
             messages = [
-                Message(src=client, dst=dst, op=op_id, round_no=round_no,
-                        tag=tag, payload=spec.payload_for(dst))
+                Message(client, dst, op_id, round_no, tag, spec.payload_for(dst))
                 for dst in destinations
             ]
         self.network.send_round(messages)

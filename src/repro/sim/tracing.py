@@ -1,22 +1,27 @@
 """Message traces: the observable record of a simulation run.
 
-A :class:`MessageTrace` collects every send/hold/delivery with its virtual
-time.  Traces serve debugging (``--trace`` dumps), latency accounting (rounds
-are recounted from the wire, cross-checking the engine's own bookkeeping,
-through the one-pass :meth:`MessageTrace.round_trip_counts` fold, so a trial
-stays linear in its length), observability spans, and the wire-trace
-fingerprint that schedule witnesses, their replay and the engine-equivalence
-tests compare runs by.
+A :class:`MessageTrace` is the wire's sink, and it keeps two things.  The
+round fold — the highest round each operation sent, raised as client sends
+are recorded — is what latency accounting recounts rounds from, cross-checking
+the engine's own bookkeeping (:meth:`MessageTrace.round_trip_counts`); it is
+one int per operation and reads no log.  The log — every send/hold/delivery
+with its virtual time — serves debugging (``--trace`` dumps), observability
+spans, and the wire-trace fingerprint that schedule witnesses, their replay
+and the engine-equivalence tests compare runs by.  A run nobody will read the
+log of switches it off after the build (:meth:`MessageTrace.drop_log`: a
+plain trial without ``keep_trace`` or ``observe``, a search schedule), and
+then pays only for the fold.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import SimulationError
 from repro.sim.network import Message
 from repro.types import OperationId
 
@@ -99,69 +104,106 @@ def _freeze(payload: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
 class MessageTrace:
     """Trace sink handed to :class:`~repro.sim.network.Network`.
 
-    Recording sits on the simulator's per-message hot path, so observations
-    are kept as plain ``(time, kind, message)`` tuples in :attr:`entries`;
-    the :class:`TraceEvent` view the public API exposes is materialized
-    lazily (and cached) by :attr:`events`.  Both views present the same
-    record in the same order.
+    Every client SEND raises its operation's entry in the round fold as it
+    is recorded, so :meth:`round_trip_counts` answers without a pass over
+    anything.  The log is kept beside it: recording sits on the simulator's
+    per-message hot path, so observations are plain ``(time, kind,
+    message)`` tuples in :attr:`entries`, and the :class:`TraceEvent` view
+    the public API exposes is materialized lazily (and cached) by
+    :attr:`events`.  Both views present the same record in the same order.
+
+    :meth:`drop_log` switches the log off for good — a post-build step, like
+    arming observability — and then every reader of the log (:attr:`entries`,
+    :attr:`events`, :func:`trace_fingerprint`, :func:`dump_trace_jsonl`, the
+    ``repro.obs`` derivations) raises :class:`~repro.errors.SimulationError`
+    instead of reading an empty log: an empty log's fingerprint would pass
+    for a real witness hash.
     """
 
-    __slots__ = ("entries", "_materialized")
+    __slots__ = ("log", "_materialized", "_rounds")
 
     def __init__(self) -> None:
-        #: The raw log: ``(time, TraceKind, Message)`` tuples in record order.
-        self.entries: list[tuple[int, TraceKind, Message]] = []
+        #: The raw log, or ``None`` once :meth:`drop_log` switched it off.
+        #: Writers (the engines append to it directly) test it for ``None``;
+        #: readers go through :attr:`entries`, which raises instead.
+        self.log: list[tuple[int, TraceKind, Message]] | None = []
         self._materialized: list[TraceEvent] | None = None
+        self._rounds: dict[OperationId, int] = {}
+
+    @property
+    def entries(self) -> list[tuple[int, TraceKind, Message]]:
+        """The raw log: ``(time, TraceKind, Message)`` tuples in record order."""
+        entries = self.log
+        if entries is None:
+            raise SimulationError(
+                "this trace's wire log was switched off after the build "
+                "(MessageTrace.drop_log): the run kept its round counts only; "
+                "run with keep_trace or observe, or use Cluster.build_backend(), "
+                "to keep the log"
+            )
+        return entries
 
     @property
     def events(self) -> list[TraceEvent]:
         """The recorded observations as :class:`TraceEvent` objects."""
+        entries = self.entries
         cached = self._materialized
-        if cached is None or len(cached) != len(self.entries):
-            cached = [TraceEvent(*entry) for entry in self.entries]
+        if cached is None or len(cached) != len(entries):
+            cached = [TraceEvent(*entry) for entry in entries]
             self._materialized = cached
         return cached
 
-    def record_send(self, time: int, message: Message) -> None:
-        self.entries.append((time, TraceKind.SEND, message))
+    def drop_log(self) -> None:
+        """Stop logging: from now on only the round fold is kept."""
+        self.log = self._materialized = None
 
-    def record_send_batch(self, time: int, messages: Iterable[Message]) -> None:
-        """Record one same-tick broadcast in a single list extend."""
-        kind = TraceKind.SEND
-        self.entries.extend([(time, kind, m) for m in messages])
+    def record_send(self, time: int, message: Message) -> None:
+        self.record_send_batch(time, (message,))
+
+    def record_send_batch(self, time: int, messages: Sequence[Message]) -> None:
+        """Record one round's same-tick broadcast (one ``(op, round)``, as
+        :meth:`~repro.sim.network.Network.send_round` sends it) in a single
+        fold step and a single list extend; an empty broadcast records
+        nothing."""
+        if not messages:
+            return
+        first = messages[0]
+        if not first.is_reply:
+            rounds = self._rounds
+            seen = rounds.get(first.op)
+            if seen is None or first.round_no > seen:
+                rounds[first.op] = first.round_no
+        if self.log is not None:
+            kind = TraceKind.SEND
+            self.log.extend([(time, kind, m) for m in messages])
 
     def record_hold(self, time: int, message: Message) -> None:
-        self.entries.append((time, TraceKind.HOLD, message))
+        if self.log is not None:
+            self.log.append((time, TraceKind.HOLD, message))
 
     def record_delivery(self, time: int, message: Message) -> None:
-        self.entries.append((time, TraceKind.DELIVER, message))
+        if self.log is not None:
+            self.log.append((time, TraceKind.DELIVER, message))
 
     def record_drop(self, time: int, message: Message) -> None:
-        self.entries.append((time, TraceKind.DROP, message))
+        if self.log is not None:
+            self.log.append((time, TraceKind.DROP, message))
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
     def round_trip_counts(self) -> dict[OperationId, int]:
-        """Rounds observed on the wire for every operation, in one pass.
+        """Rounds observed on the wire for every operation.
 
         Maps each operation with at least one client-side SEND to the
         highest round number it sent; operations that never reached the
-        wire are absent (``.get(op, 0)`` counts them as zero rounds).  The
-        state is one int per operation — this is the fold the per-trial
-        round accounting runs, so its cost must stay linear in the trace
-        and its memory independent of it.
+        wire are absent (``.get(op, 0)`` counts them as zero rounds).  This
+        is the fold the sends raised as they were recorded — one int per
+        operation, logged or not — returned as a copy, without reading the
+        log.
         """
-        send = TraceKind.SEND
-        counts: dict[OperationId, int] = {}
-        for _, kind, message in self.entries:
-            if kind is send and not message.is_reply:
-                op = message.op
-                seen = counts.get(op)
-                if seen is None or message.round_no > seen:
-                    counts[op] = message.round_no
-        return counts
+        return dict(self._rounds)
 
 
 def message_fields(message: Message) -> tuple:

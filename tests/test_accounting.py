@@ -8,20 +8,24 @@ it (:meth:`MessageTrace.round_trip_counts`):
   runs with held, dropped and Byzantine-replayed messages,
   incomplete operations and repair operations;
 * the cross-check raises the documented :class:`SpecificationError` when
-  wire and engine disagree;
-* accounting and the obs derivations read the trace a constant number of
-  times whatever the run length — counted, never timed.
+  wire and engine disagree — tampered at the source, a trace that never
+  records a client SEND, since the fold is raised as sends are recorded;
+* accounting reads the log zero times and the obs derivations a constant
+  number of times, whatever the run length — counted, never timed.
 """
+
+from unittest.mock import patch
 
 import pytest
 
+import repro.registers.base
 from repro.analysis.metrics import LatencyReport, _account_rounds, measure_backend_latency
 from repro.api import Cluster, available_protocols, get_spec
 from repro.errors import SimulationError, SpecificationError
 from repro.faults.schedules import PlannedSkip
 from repro.obs import derive_metrics, derive_spans
 from repro.sim.simulator import OperationStatus
-from repro.sim.tracing import TraceKind
+from repro.sim.tracing import MessageTrace, TraceKind
 from repro.types import scoped_operation_serials
 from repro.workloads.generator import OperationPlan, WorkloadGenerator
 
@@ -157,11 +161,30 @@ class TestFoldMatchesQuery:
         assert backend.trace.round_trip_counts() == {}
 
 
-def accounted():
-    """(simulator, trace, re-account callable) of one measured system."""
+class LosesSends(MessageTrace):
+    """A wire that never records the client SENDs ``lost`` picks: tampering
+    at the source, where the round fold is raised."""
+
+    def __init__(self, lost):
+        super().__init__()
+        self.lost = lost
+
+    def record_send(self, time, message):
+        if not self.lost(message):
+            super().record_send(time, message)
+
+    def record_send_batch(self, time, messages):
+        super().record_send_batch(time, [m for m in messages if not self.lost(m)])
+
+
+def accounted(lost=None):
+    """(simulator, trace, re-account callable) of one measured system whose
+    trace, given ``lost``, never records the client SENDs it picks."""
     cluster = Cluster("atomic-fast-regular", t=1, n_readers=2)
+    trace = MessageTrace if lost is None else (lambda: LosesSends(lost))
     with scoped_operation_serials():
-        backend = cluster.build_backend()
+        with patch.object(repro.registers.base, "MessageTrace", trace):
+            backend = cluster.build_backend()
         measure_backend_latency(backend, plans_for(cluster, 6))
     return backend.simulator, backend.trace, lambda: measure_backend_latency(backend, [])
 
@@ -171,29 +194,23 @@ class TestCrossCheckFires:
         simulator, trace, reaccount = accounted()
         reaccount()  # an untampered wire passes
         victim = next(op for op in simulator.operations if op.op_id.kind == "read")
-        rounds = victim.rounds_used
-        assert rounds == 4
-        trace.entries[:] = [
-            entry for entry in trace.entries
-            if not (
-                entry[1] is TraceKind.SEND
-                and not entry[2].is_reply
-                and entry[2].op == victim.op_id
-                and entry[2].round_no == rounds
-            )
-        ]
+        assert victim.rounds_used == 4
+        assert type(trace) is MessageTrace
+
+        def last_round(message):
+            return message.op == victim.op_id and message.round_no == 4
+
         with pytest.raises(SpecificationError) as caught:
-            reaccount()
+            accounted(last_round)
         assert str(caught.value) == (
             f"engine counted 4 rounds for {victim.op_id} but the wire shows 3"
         )
 
     def test_an_operation_missing_from_the_wire_shows_zero(self):
-        simulator, trace, reaccount = accounted()
+        simulator, _trace, _reaccount = accounted()
         victim = simulator.operations[0]
-        trace.entries[:] = [e for e in trace.entries if e[2].op != victim.op_id]
         with pytest.raises(SpecificationError) as caught:
-            reaccount()
+            accounted(lambda message: message.op == victim.op_id)
         assert str(caught.value) == (
             f"engine counted {victim.rounds_used} rounds for {victim.op_id} "
             "but the wire shows 0"
@@ -208,6 +225,15 @@ class TestCrossCheckFires:
         assert str(caught.value) == (
             f"engine counted 3 rounds for {victim.op_id} but the wire shows 2"
         )
+
+    def test_the_check_runs_on_an_unlogged_trace(self):
+        """A trial's log is dropped after the build; the fold still fires."""
+        simulator, trace, reaccount = accounted()
+        trace.drop_log()
+        reaccount()
+        simulator.operations[0].rounds.append(simulator.operations[0].rounds[-1])
+        with pytest.raises(SpecificationError, match="but the wire shows"):
+            reaccount()
 
 
 class CountingEntries(list):
@@ -230,7 +256,7 @@ class TestTraceIsReadAConstantNumberOfTimes:
         for operations in self.LENGTHS:
             backend = long_trial(operations)
             assert len(backend.simulator.operations) == operations
-            entries = backend.trace.entries = CountingEntries(backend.trace.entries)
+            entries = backend.trace.log = CountingEntries(backend.trace.entries)
             step(backend)
             counted.append(entries.passes)
         return counted
@@ -243,8 +269,7 @@ class TestTraceIsReadAConstantNumberOfTimes:
                 backend.simulator.operations
             )
 
-        counted = self.passes(account)
-        assert len(set(counted)) == 1 and counted[0] <= 2, counted
+        assert self.passes(account) == [0, 0, 0]
 
     def test_derive_spans_and_metrics(self):
         def derive(backend):
@@ -258,7 +283,7 @@ class TestTraceIsReadAConstantNumberOfTimes:
         # The old shape — one query per operation — is what the counter
         # exists to catch: it must read as linear in the operation count.
         backend = long_trial(40)
-        entries = backend.trace.entries = CountingEntries(backend.trace.entries)
+        entries = backend.trace.log = CountingEntries(backend.trace.entries)
         for operation in backend.simulator.operations:
             round_trip_count(backend.trace, operation.op_id)
         assert entries.passes == 40

@@ -1,4 +1,15 @@
-"""Tests for message tracing, its serialization and its fingerprint."""
+"""Tests for message tracing, its serialization and its fingerprint, and
+for who keeps the wire log.
+
+A :class:`~repro.sim.tracing.MessageTrace` keeps its round fold always and
+its log only where something reads it: a plain ``Cluster.run`` trial and a
+search schedule drop the log after the build (:meth:`MessageTrace.drop_log`);
+``Cluster.build_backend()``, ``run_schedule`` (witnesses, replay) and
+observed or ``keep_trace`` trials keep it.  Every reader of an unlogged
+trace raises instead of hashing or deriving an empty log, and every
+configuration of the grid below gives the same ``to_dict()`` bytes and round
+folds with the log kept as with it dropped.
+"""
 
 import io
 import json
@@ -6,15 +17,28 @@ from collections.abc import Mapping
 
 import pytest
 
+from repro.analysis.metrics import measure_backend_latency
 from repro.api import Cluster, available_protocols, sweep
 from repro.api.registry import get_spec
+from repro.errors import SimulationError
+from repro.explore.engine import run_schedule, simulate
 from repro.faults.adversary import SilentBehavior
 from repro.faults.schedules import WithholdFrom
+from repro.obs import derive_metrics, derive_spans
 from repro.registers.abd import AbdProtocol
 from repro.registers.base import RegisterSystem
 from repro.registers.fast_regular import FastRegularProtocol
-from repro.sim.tracing import MessageTrace, TraceKind, _freeze as freeze_payload, dump_trace_jsonl
-from repro.types import object_id, scoped_operation_serials
+from repro.sim.network import Message
+from repro.sim.tracing import (
+    MessageTrace,
+    TraceKind,
+    _freeze as freeze_payload,
+    dump_trace_jsonl,
+    trace_fingerprint,
+)
+from repro.types import (
+    fresh_operation_id, object_id, reader_id, scoped_operation_serials, writer_id,
+)
 
 
 def run_abd():
@@ -40,7 +64,7 @@ class TestTraceQueries:
 
 
 def _trial_long():
-    (
+    return (
         Cluster("atomic-fast-regular", t=1, n_readers=2)
         .with_faults("stale-echo", count=1)
         .with_workload(reads=0.5, spacing=40, operations=40)
@@ -52,7 +76,7 @@ def _trial_long():
 def _sweep_first_scenario(name):
     def call():
         spec = get_spec(name)
-        sweep([name], scenarios=spec.scenarios[:1], checks=(spec.default_check(),))
+        return sweep([name], scenarios=spec.scenarios[:1], checks=(spec.default_check(),))
 
     return call
 
@@ -62,7 +86,7 @@ def _run(protocol, keep_trace=False, faults=(), **options):
         cluster = Cluster(protocol, t=1, **options)
         for fault, count in faults:
             cluster = cluster.with_faults(fault, count=count)
-        cluster.with_workload(operations=20, reads=0.3, spacing=30).run(
+        return cluster.with_workload(operations=20, reads=0.3, spacing=30).run(
             trials=2, keep_trace=keep_trace
         )
 
@@ -70,7 +94,7 @@ def _run(protocol, keep_trace=False, faults=(), **options):
 
 
 def _reconfig_churn():
-    (
+    return (
         Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True, durability="mem")
         .with_faults("rolling-replace", count=3, base=4, stagger=8)
         .with_repairs((1, 40), (2, 110), (3, 180))
@@ -91,12 +115,13 @@ def _reconfig_blocked():
         .run(trials=1)
     )
     assert result.trials[0].incomplete == 3
+    return result
 
 
 def _explore(max_events=None):
     def call():
         bounds = {} if max_events is None else {"max_events": max_events}
-        Cluster("fast-regular", t=1).with_operations(
+        return Cluster("fast-regular", t=1).with_operations(
             [("write", "v1", 0), ("read", 1, 120), ("read", 2, 240)]
         ).explore(max_holds=1, granularity="round", **bounds)
 
@@ -112,10 +137,11 @@ def _refute():
         .explore(max_holds=2)
     )
     assert result.witnesses[0].reproduces()
+    return result
 
 
 def _frontier():
-    (
+    return (
         Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
         .with_faults("stale-echo", count=1)
         .with_faults("timed", count=1, inner="stale-echo", at=99)
@@ -146,8 +172,27 @@ def _acyclic_calls():
 
 
 #: One facade call per configuration whose system graph differs: the
-#: pinned "no cyclic garbage" grid of :class:`TestTraceRelease`.
+#: pinned "no cyclic garbage" and log-on ≡ log-off grid of
+#: :class:`TestTraceRelease`.
 ACYCLIC_CALLS = _acyclic_calls()
+
+
+def scanned_rounds(trace):
+    """The round fold recomputed by one scan of the log."""
+    rounds = {}
+    for _, kind, message in trace.entries:
+        if kind is TraceKind.SEND and not message.is_reply:
+            rounds[message.op] = max(rounds.get(message.op, message.round_no), message.round_no)
+    return rounds
+
+
+def without_wall_clock(payload):
+    """``payload`` minus its ``elapsed_s`` host times (observed trials)."""
+    if isinstance(payload, dict):
+        return {k: without_wall_clock(v) for k, v in payload.items() if k != "elapsed_s"}
+    if isinstance(payload, list):
+        return [without_wall_clock(v) for v in payload]
+    return payload
 
 
 class TestTraceRelease:
@@ -174,25 +219,51 @@ class TestTraceRelease:
         return sum(1 for obj in gc.get_objects() if isinstance(obj, kinds))
 
     @pytest.mark.parametrize("call", sorted(ACYCLIC_CALLS))
-    def test_a_finished_call_leaves_no_cyclic_garbage(self, call):
+    def test_a_finished_call_leaves_no_cyclic_garbage(self, call, monkeypatch):
         """Everything a facade call allocates is freed by reference count:
         with the collector off, no engine object outlives the call, and a
         collection then finds nothing.  (The census is what sees a cycle
         through a suspended generator: the collector finalizes the
         generator, which breaks the cycle, so its count stays 0.)  The
-        warm-up call absorbs what importing and first use leave behind."""
+        warm-up call absorbs what importing and first use leave behind.
+
+        The warm-up also runs with ``drop_log`` patched to a no-op, so every
+        trace keeps its log, and the measured call runs as shipped: both
+        give the same ``to_dict()`` bytes and the same round folds, and each
+        logged fold equals a scan of its log."""
         import gc
 
-        ACYCLIC_CALLS[call]()
+        folds = [[]]  # per call, every fold accounting read, in order
+        fold = MessageTrace.round_trip_counts
+
+        def recording(trace):
+            counts = fold(trace)
+            if trace.log is not None:
+                assert counts == scanned_rounds(trace)
+            folds[-1].append(sorted((str(op), rounds) for op, rounds in counts.items()))
+            return counts
+
+        def payload(result):
+            return json.dumps(without_wall_clock(result.to_dict()), sort_keys=True)
+
+        monkeypatch.setattr(MessageTrace, "round_trip_counts", recording)
+        with monkeypatch.context() as patched:
+            patched.setattr(MessageTrace, "drop_log", lambda trace: None)
+            kept = payload(ACYCLIC_CALLS[call]())
+        folds.append([])
         gc.collect()
         gc.disable()
         try:
             before = self.live_engine_objects()
-            ACYCLIC_CALLS[call]()
+            measured = payload(ACYCLIC_CALLS[call]())
             assert self.live_engine_objects() == before
             assert gc.collect() == 0
         finally:
             gc.enable()
+        assert measured == kept
+        assert folds[0] == folds[1]
+        if not call.startswith(("explore", "frontier")):
+            assert folds[0], "a trial accounts its rounds from the fold"
 
     def test_untraced_trial_leaves_no_message_behind(self):
         import gc
@@ -213,6 +284,143 @@ class TestTraceRelease:
             assert self.live_engine_objects() > before
         finally:
             gc.enable()
+
+
+# --------------------------------------------------------------------- #
+# The wire log: unlogged traces refuse to be read
+# --------------------------------------------------------------------- #
+
+UNLOGGED = "wire log was switched off"
+
+
+def logged(trace):
+    try:
+        trace.entries
+    except SimulationError:
+        return False
+    return True
+
+
+def unlogged_abd():
+    """An ABD system whose log was dropped after the build, then run."""
+    with scoped_operation_serials():
+        system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
+        system.trace.drop_log()
+        system.write("a", at=0)
+        system.read(1, at=50)
+        system.run()
+    return system
+
+
+class TestAnUnloggedTraceFailsLoudly:
+    READERS = {
+        "entries": lambda system: system.trace.entries,
+        "events": lambda system: system.trace.events,
+        "trace_fingerprint": lambda system: trace_fingerprint(system.trace),
+        "dump_trace_jsonl": lambda system: dump_trace_jsonl(system.trace, io.StringIO()),
+        "derive_spans": lambda system: derive_spans(system.simulator, system.trace),
+        "derive_metrics": lambda system: derive_metrics([], system.trace),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_every_reader_of_the_log_raises(self, reader):
+        system = unlogged_abd()
+        with pytest.raises(SimulationError, match=UNLOGGED):
+            self.READERS[reader](system)
+
+    def test_the_fold_survives_the_drop(self):
+        system = unlogged_abd()
+        write, read = system.simulator.operations
+        assert system.trace.round_trip_counts() == {write.op_id: 1, read.op_id: 2}
+
+    def test_dropping_discards_what_was_logged(self):
+        trace = MessageTrace()
+        message = Message(writer_id(), object_id(1), None, 1, "W", {})
+        trace.record_send(0, message)
+        trace.events  # cached view
+        trace.drop_log()
+        for record in (trace.record_send, trace.record_hold, trace.record_delivery,
+                       trace.record_drop):
+            record(1, message)
+        trace.record_send_batch(1, [message])
+        with pytest.raises(SimulationError, match=UNLOGGED):
+            trace.events
+        assert trace.round_trip_counts() == {None: 1}
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_an_empty_broadcast_records_nothing(self, drop):
+        trace = MessageTrace()
+        if drop:
+            trace.drop_log()
+        trace.record_send_batch(0, [])
+        assert trace.round_trip_counts() == {}
+        assert drop or trace.entries == []
+
+    def test_replies_never_raise_the_fold(self):
+        trace = MessageTrace()
+        op = fresh_operation_id(reader_id(1), "read")
+        trace.record_send(0, Message(reader_id(1), object_id(1), op, 1, "Q", {}))
+        trace.record_send(1, Message(object_id(1), reader_id(1), op, 5, "Q", {}, True))
+        trace.record_send_batch(2, [Message(object_id(2), reader_id(1), op, 7, "Q", {}, True)])
+        trace.record_send_batch(3, [Message(reader_id(1), object_id(2), op, 0, "Q", {})])
+        assert trace.round_trip_counts() == {op: 1} == scanned_rounds(trace)
+
+
+# --------------------------------------------------------------------- #
+# Who keeps the log
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """Every trace built while the test runs that saw a client send."""
+    built = []
+    init = MessageTrace.__init__
+
+    def recording(trace):
+        init(trace)
+        built.append(trace)
+
+    monkeypatch.setattr(MessageTrace, "__init__", recording)
+
+    def used():
+        found = [trace for trace in built if trace.round_trip_counts()]
+        assert found
+        built.clear()
+        return found
+
+    return used
+
+
+def abd(**options):
+    return Cluster("abd", t=1, **options).with_workload(operations=12, spacing=30)
+
+
+def probe():
+    return abd().with_operations([("write", "v1", 0), ("read", 1, 40)])._schedule_probe()
+
+
+class TestWhoKeepsTheLog:
+    def test_a_plain_trial_and_a_search_schedule_drop_it(self, traces):
+        abd().run(trials=2)
+        assert not any(map(logged, traces()))
+        simulate(probe())
+        assert not any(map(logged, traces()))
+
+    def test_built_backends_replays_and_read_trials_keep_it(self, traces):
+        cluster = abd()
+        with scoped_operation_serials():
+            backend = cluster.build_backend()
+            measure_backend_latency(backend, cluster._plans(0))
+            backend.close()
+        assert all(map(logged, traces()))
+        run_schedule(probe())
+        assert all(map(logged, traces()))
+        abd(observe=True).run(trials=1)
+        assert all(map(logged, traces()))
+        kept = abd().run(trials=1, keep_trace=True)
+        assert all(map(logged, traces()))
+        assert kept.trials[0].trace.entries
 
 
 def transcript(trace, op_id):

@@ -214,3 +214,37 @@ class TestIdentifierHashes:
         assert string_hash_1 != string_hash_2  # the seeds really differ
         expected = [hash(s) for s in samples]
         assert hashes_1 == hashes_2 == f"{expected} {expected}\n"
+
+
+
+class TestVoucherCounts:
+    """The tallies are plain dicts in first-vouched order, over one or two
+    fields; an object counts once per value."""
+
+    V1, V2, V3 = (TaggedValue(Timestamp(n), f"v{n}") for n in (1, 2, 3))
+    REPLIES = {
+        object_id(1): {"pw": V2, "w": V1},
+        object_id(2): {"pw": V1, "w": V1},
+        object_id(3): {"w": V3, "pw": "junk"},
+    }
+
+    def test_voucher_counts(self):
+        from repro.registers.timestamps import voucher_counts
+
+        both = voucher_counts(self.REPLIES, ("pw", "w"))
+        assert type(both) is dict
+        assert list(both.items()) == [(self.V2, 1), (self.V1, 2), (self.V3, 1)]
+        assert list(voucher_counts(self.REPLIES, ("w",)).items()) == [
+            (self.V1, 2), (self.V3, 1)
+        ]
+        for fields in ((), ("pw", "w", "pw")):
+            with pytest.raises(ValueError):
+                voucher_counts(self.REPLIES, fields)
+
+    def test_pooled_voucher_counts(self):
+        from repro.registers.timestamps import pooled_voucher_counts
+
+        later = {object_id(1): {"pw": self.V3, "w": self.V2}, object_id(3): {"w": self.V3}}
+        pooled = pooled_voucher_counts([self.REPLIES, later], ("pw", "w"))
+        assert type(pooled) is dict
+        assert list(pooled.items()) == [(self.V2, 1), (self.V1, 2), (self.V3, 2)]
