@@ -49,7 +49,7 @@ Public surface overview
   Lemma 1 constructions that emit atomicity-violation certificates.
 * ``repro.sim`` / ``repro.faults`` — the deterministic message-passing
   simulator and the adversary layer (crash, replay-Byzantine, fabrication,
-  block-skipping schedules).
+  reply withholding).
 * ``repro.quorums`` — threshold and set-system quorum arithmetic.
 * ``repro.workloads`` / ``repro.analysis`` / ``repro.cost`` — workload
   generation, latency accounting, and the cloud cost model used by the

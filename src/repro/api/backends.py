@@ -74,14 +74,10 @@ class BackendRequest(RunAxes):
     keys: tuple[str, ...] = ()
     backend: str = "single"
     allow_overfault: bool = False
-    #: Named scenario (its fault plan and delivery fabric), or ``None`` for
-    #: the explicit ``fault_groups`` below.
+    #: Named scenario (its declared faults), or ``None`` for the explicit
+    #: ``fault_groups`` below.
     scenario: str | None = None
     fault_groups: tuple[Any, ...] = ()  # cluster._FaultGroup entries
-    #: Plan-addressed adversarial skip rules
-    #: (:class:`~repro.faults.schedules.PlannedSkip`), compiled to a
-    #: delivery policy only inside the trial.
-    schedule: tuple[Any, ...] = ()
 
 
 def _forward(name: str) -> property:
@@ -152,10 +148,10 @@ class BackendSpec:
     ``keyed`` backends accept multi-key layouts (``Cluster(keys=...)``);
     ``multi_writer`` backends drive a writer family (``n_writers``).
     Builders take ``(protocol_spec, request, behaviors, policy)`` — the
-    trailing delivery policy is ``None`` for the default FIFO fabric and an
-    adversarial :class:`~repro.sim.network.DeliveryPolicy` when the trial
-    carries a schedule (``Cluster.with_schedule``, scenario policies, the
-    schedule explorer's :class:`~repro.explore.controlled.ControlledDelivery`).
+    trailing delivery policy is ``None`` for the default FIFO fabric and
+    the schedule explorer's
+    :class:`~repro.explore.controlled.ControlledDelivery` when a searched
+    schedule holds links.
     """
 
     name: str

@@ -77,7 +77,6 @@ from repro.consistency.models import (  # re-exported: the registry moved to rep
 )
 from repro.consistency.staleness import read_staleness, staleness_distribution
 from repro.errors import ConfigurationError
-from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip
 from repro.registers.base import resolve_reader
 from repro.sim.network import DeliveryPolicy
 from repro.spec.history import History
@@ -389,8 +388,8 @@ class TrialSpec(BackendRequest):
     :func:`run_trial` — in-process for serial runs, on a process pool for
     ``parallel=True``.  It *is* the
     :class:`~repro.api.backends.BackendRequest` its system is built from
-    (protocol, backend, sizes, key layout, fault configuration, schedule and
-    the run axes are inherited); on top it carries the workload shape, the
+    (protocol, backend, sizes, key layout, fault configuration and the run
+    axes are inherited); on top it carries the workload shape, the
     checks and the trial's identity.
 
     ``workload_seed`` is the seed the generator actually uses for this trial
@@ -474,51 +473,24 @@ def _materialize_behaviors(
     return behaviors
 
 
-def resolve_trial_policy(
-    scenario: str | None,
-    t: int,
-    schedule: tuple[PlannedSkip, ...],
-) -> DeliveryPolicy | None:
-    """The delivery policy a trial runs under, or None for default FIFO.
-
-    A scenario's :attr:`~repro.workloads.scenarios.Scenario.policy_factory`
-    supplies the base fabric; plan-addressed skip rules from
-    :meth:`Cluster.with_schedule` stack on top of it.  Policies are stateful,
-    so a fresh one is built per trial.
-    """
-    base: DeliveryPolicy | None = None
-    if scenario is not None:
-        factory = get_scenario(scenario, t).policy_factory
-        if factory is not None:
-            base = factory()
-    if schedule:
-        return PlannedSchedulePolicy(schedule, base=base)
-    return base
-
-
 def build_backend(
     request: BackendRequest,
     protocol_spec: ProtocolSpec | None = None,
-    adversary: Callable[
-        [dict[ProcessId, FaultBehavior], DeliveryPolicy | None], DeliveryPolicy | None
-    ] | None = None,
+    adversary: Callable[[dict[ProcessId, FaultBehavior]], DeliveryPolicy] | None = None,
 ) -> SystemBackend:
     """The live system ``request`` describes — the one place a spec is built.
 
-    Materialises fresh fault behaviours, resolves the delivery policy
-    (scenario fabric plus planned skips) and hands both to the named
-    backend.  ``adversary`` lets the schedule explorer step in between: it
-    may rewrite ``behaviors`` in place (fault triggers) and returns the
-    policy to build with (its controlled delivery over the base policy).
-    ``protocol_spec`` defaults to the registry entry ``request.protocol``
-    names.
+    Materialises fresh fault behaviours and hands them to the named backend,
+    on the default unit-latency fabric.  ``adversary`` lets the schedule
+    explorer step in between: it may rewrite ``behaviors`` in place (fault
+    triggers) and returns the delivery policy to build with (its controlled
+    delivery).  ``protocol_spec`` defaults to the registry entry
+    ``request.protocol`` names.
     """
     behaviors = _materialize_behaviors(
         request.scenario, request.fault_groups, request.t, request.allow_overfault
     )
-    policy = resolve_trial_policy(request.scenario, request.t, request.schedule)
-    if adversary is not None:
-        policy = adversary(behaviors, policy)
+    policy = adversary(behaviors) if adversary is not None else None
     return get_backend_spec(request.backend).build(
         protocol_spec or get_spec(request.protocol), request, behaviors, policy
     )
@@ -534,9 +506,8 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
     # history — including the operation ids surfaced in check explanations —
     # is a pure function of the spec, identical in-process and on a worker;
     # on exit the outer count resumes past its watermark, so any system live
-    # outside the trial keeps allocating fresh ids.  (The restart is also
-    # what makes plan-addressed schedules well-defined: plan k ⇒ serial k.)
-    # The backend is closed on the way out, once the result is built.
+    # outside the trial keeps allocating fresh ids.  The backend is closed on
+    # the way out, once the result is built.
     with scoped_operation_serials(), closing(
         build_backend(spec, protocol_spec)
     ) as backend:
@@ -764,7 +735,6 @@ class Cluster:
         self._keys: tuple[str, ...] | None = None
         self._n_writers: int | None = None
         self._key_skew = 0.0
-        self._schedule: tuple[PlannedSkip, ...] = ()
         self._axes = RunAxes(
             durability=durability, consistency=consistency, observe=observe
         ).validated()
@@ -919,55 +889,6 @@ class Cluster:
         clone._axes = axes
         if axes.consistency != self._axes.consistency:
             clone._apply_consistency()
-        return clone
-
-    def with_schedule(self, *steps: PlannedSkip | tuple) -> "Cluster":
-        """Install plan-addressed adversarial skip rules (stacking).
-
-        Each step is a :class:`~repro.faults.schedules.PlannedSkip` or a
-        shorthand tuple ``(op_index, objects)`` / ``(op_index, objects,
-        round_no)``: operation ``op_index`` (1-based position in the
-        trial's schedule) never delivers its round-``round_no`` invocations
-        (every round when omitted) to the 1-based object indices in
-        ``objects`` — the proofs' *"round rnd of op skips block B"*, as
-        declarative data.  The rules ride inside :class:`TrialSpec`, so
-        scheduled trials pickle and parallelize like any others::
-
-            Cluster("fast-regular", t=1).with_schedule(
-                (1, (1, 2, 3)),                      # op 1 skips {s1,s2,s3}
-                PlannedSkip(op=3, objects=(4,), withhold_replies=True),
-            )
-        """
-        compiled: list[PlannedSkip] = []
-        for step in steps:
-            if not isinstance(step, PlannedSkip):
-                if not isinstance(step, tuple) or not 2 <= len(step) <= 3:
-                    raise ConfigurationError(
-                        "schedule shorthand is (op_index, objects) or "
-                        f"(op_index, objects, round_no), got {step!r}"
-                    )
-                op_index, objects, *rest = step
-                try:
-                    objects = tuple(objects)
-                except TypeError:
-                    raise ConfigurationError(
-                        f"schedule step objects must be a collection of "
-                        f"object indices, got {step!r}"
-                    ) from None
-                step = PlannedSkip(
-                    op=op_index,
-                    objects=objects,
-                    round_no=rest[0] if rest else None,
-                )
-            if step.op < 1 or any(index < 1 for index in step.objects):
-                raise ConfigurationError(
-                    f"schedule steps use 1-based op/object indices, got {step!r}"
-                )
-            if not step.objects:
-                raise ConfigurationError(f"schedule step {step!r} skips no objects")
-            compiled.append(step)
-        clone = self._clone()
-        clone._schedule = self._schedule + tuple(compiled)
         return clone
 
     def with_scenario(self, name: str) -> "Cluster":
@@ -1146,7 +1067,6 @@ class Cluster:
             allow_overfault=self._allow_overfault,
             scenario=self._scenario.name if self._scenario is not None else None,
             fault_groups=self._fault_groups,
-            schedule=self._schedule,
             **self._axes.axis_values(),
         )
 

@@ -344,9 +344,9 @@ class SearchBounds(_Declared):
         symmetry: fold hold sets that differ only by a permutation of the
             interchangeable (fault-free) objects onto one canonical
             representative.  Only sound when nothing else distinguishes
-            those objects, so it resolves to off for planned-schedule,
-            repair, spare-carrying and scenario-driven probes (a scenario
-            owns its delivery fabric, which may tell objects apart).
+            those objects, so it resolves to off for repair, spare-carrying
+            and scenario-driven probes (a scenario is an opaque registry
+            entry, so the reduction does not vouch for it).
 
     ``minimize`` and ``stop_on_violation`` are modes of one exploration: no
     stored result names them, and a robustness frontier (which always

@@ -5,10 +5,10 @@ so the only nondeterminism the paper's adversary actually owns is *which
 messages stay (indefinitely) in transit*.  :class:`ControlledDelivery`
 exposes that choice to the schedule explorer: every message on the wire is
 mapped to a **link** — a :class:`HoldLink` — and the policy holds every
-message of the links the explorer selected, exactly the way
-:class:`~repro.faults.schedules.PlannedSchedulePolicy` /
-:class:`~repro.faults.schedules.WithholdFrom` realize hand-written
-adversarial schedules.  While a schedule runs, the policy also records
+message of the links the explorer selected and delivers everything else at
+unit latency.  Held links are the harness's one vocabulary for "these
+messages stay in transit": searches, witnesses and their replays all speak
+it.  While a schedule runs, the policy also records
 which links carried at least one delivered message: that set is the
 explorer's *expansion alphabet* (holding a link that carried no traffic
 cannot change the run, so such links are never branched on — the
@@ -28,10 +28,9 @@ Two granularities are supported:
   rounds a protocol only enters under some schedules are *discovered* on
   the parent run (see the engine's expansion rule).
 
-Operations are addressed by their **serial**, which under the trial
+Operations are addressed by their **serial**, which under the schedule
 engine's :func:`repro.types.scoped_operation_serials` scope equals the
-1-based position of the operation in the trial's schedule — the same
-plan-addressing used by :class:`~repro.faults.schedules.PlannedSkip`.
+1-based position of the operation in the probe's plans.
 
 Delivery is not the only choice the adversary owns: *fault timing* is the
 second half of the decision vocabulary.  A :class:`FaultTrigger` defers
@@ -60,7 +59,7 @@ from typing import Iterable, Sequence, Union
 
 from repro.axes import GRANULARITIES, SearchBounds
 from repro.errors import ConfigurationError
-from repro.sim.network import DeliveryPolicy, FifoDelivery, Message
+from repro.sim.network import DeliveryPolicy, Message
 from repro.sim.tracing import message_fields
 from repro.types import ProcessId
 
@@ -183,32 +182,32 @@ class ControlledDelivery(DeliveryPolicy):
 
     Messages whose link is in ``holds`` stay in transit indefinitely (the
     legitimate partial-run phenomenon, not message loss); everything else
-    flows through ``base`` (unit-latency FIFO by default, or an adversarial
-    policy such as a scenario's).  The policy keeps three observations the
-    engine consumes after the run:
+    is delivered one tick after its send.  The policy keeps three
+    observations the engine consumes after the run:
 
     * :attr:`delivered_links` — links that carried at least one delivered
       message (the expansion alphabet);
     * :attr:`held_messages` — how many messages the chosen holds caught;
     * :attr:`trace_key` — equal exactly when the wire traces are.
 
-    Over a base of uniform latency it declares the base's latency and a
-    hold check (its own link test, then the base's), so a controlled
-    schedule runs on the network's fast path like a free one.  The check
+    It declares a uniform latency of one tick and a hold check (its link
+    test), so a controlled schedule runs on the network's fast path like a
+    free one.  The check
     records the observations and never reads them back, and the network
     asks once per message, in send order, on either path — which is all the
     purity the :class:`~repro.sim.network.DeliveryPolicy` contract needs,
     and makes a message's place in that order (its *ordinal*) path-free.
     Because the check is also what records the expansion alphabet, it is
-    there even for an empty hold set (a method, like
-    ``SelectiveHold.hold_check``).  ``faulted`` names the objects that carry
-    a fault behaviour: the key records what they reply.
+    there even for an empty hold set (a method, not ``None``).  ``faulted``
+    names the objects that carry a fault behaviour: the key records what
+    they reply.
     """
+
+    uniform_latency = 1
 
     def __init__(
         self,
         holds: Iterable[HoldLink] = (),
-        base: DeliveryPolicy | None = None,
         granularity: str = SearchBounds().granularity,
         faulted: Iterable[ProcessId] = (),
     ) -> None:
@@ -233,7 +232,6 @@ class ControlledDelivery(DeliveryPolicy):
                 raise ConfigurationError(
                     f"link {link.describe()} has no round but granularity is 'round'"
                 )
-        self.base = base or FifoDelivery()
         self.granularity = granularity
         self._held = frozenset(link.sort_key for link in self.holds)
         self._by_round = granularity == "round"
@@ -244,12 +242,8 @@ class ControlledDelivery(DeliveryPolicy):
         self._held_ordinals: list[int] = []
         self._replies = hashlib.blake2b(digest_size=16) if self._faulted else None
 
-    @property
-    def uniform_latency(self) -> int | None:
-        return self.base.uniform_latency
-
     def hold_check(self, message: Message) -> bool:
-        # Over a base of uniform latency ``delay`` does not read ``now``.
+        # ``delay`` does not read ``now``.
         return self.delay(message, 0) is None
 
     @property
@@ -268,10 +262,8 @@ class ControlledDelivery(DeliveryPolicy):
         For runs of one configuration, equal keys ⟺ equal wire traces: the
         engine is deterministic and fault-free processes send functions of
         what they received, so holds and faulted replies fix the run, and
-        both are on the trace.  The base's holds count too (a HOLD is a
-        HOLD); every base answers from the message and the virtual time
-        alone.  Ints and bytes only, so the key compares the same in every
-        process.
+        both are on the trace.  Ints and bytes only, so the key compares the
+        same in every process.
         """
         key = tuple(self._held_ordinals)
         if self._replies is None:
@@ -283,24 +275,16 @@ class ControlledDelivery(DeliveryPolicy):
         self._asked = ordinal + 1
         endpoint = message.src if message.is_reply else message.dst
         if endpoint.role_value != "object":  # client↔client: not a link
-            delay = self.base.delay(message, now)
-        else:
-            if message.is_reply and endpoint.index in self._faulted:
-                self._replies.update(
-                    repr((ordinal, *message_fields(message)))
-                    .encode("utf-8", "backslashreplace")
-                )
-            link = (message.op.serial, endpoint.index, message.round_no if self._by_round else 0)
-            if link in self._held:
-                self.held_messages += 1
-                delay = None
-            else:
-                delay = self.base.delay(message, now)
-                if delay is not None:
-                    # Only delivered traffic enters the expansion alphabet:
-                    # a link the *base* already holds (a planned skip) would
-                    # branch into schedules whose extra hold matches nothing.
-                    self._delivered.add(link)
-        if delay is None:
+            return 1
+        if message.is_reply and endpoint.index in self._faulted:
+            self._replies.update(
+                repr((ordinal, *message_fields(message)))
+                .encode("utf-8", "backslashreplace")
+            )
+        link = (message.op.serial, endpoint.index, message.round_no if self._by_round else 0)
+        if link in self._held:
+            self.held_messages += 1
             self._held_ordinals.append(ordinal)
-        return delay
+            return None
+        self._delivered.add(link)
+        return 1

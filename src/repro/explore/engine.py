@@ -76,7 +76,7 @@ import pickle
 import warnings
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro.api.backends import BackendRequest, get_backend_spec
@@ -91,7 +91,6 @@ from repro.explore.controlled import (
     HoldLink,
     canonical_decisions,
 )
-from repro.sim.network import DeliveryPolicy
 from repro.sim.simulator import OperationStatus
 from repro.sim.tracing import trace_fingerprint
 from repro.spec.history import History
@@ -131,6 +130,17 @@ class ScheduleProbe(BackendRequest):
     #: object behaviours, holds to the delivery policy.
     decisions: tuple[Decision, ...] = ()
     max_events: int = SearchBounds().max_events
+    #: Retired plan-addressed skips (held links replaced them).  Accepted
+    #: empty, so a caller spelling out the old empty default — as a witness
+    #: file's ``"schedule": []`` does — still builds a probe; never stored.
+    schedule: InitVar[Sequence[Any]] = ()
+
+    def __post_init__(self, schedule: Sequence[Any]) -> None:
+        if schedule:
+            raise ConfigurationError(
+                "plan-addressed skips were retired in favour of held-link "
+                "decisions; a probe or witness that carries them cannot replay"
+            )
 
     def with_decisions(self, decisions: Sequence[Decision]) -> "ScheduleProbe":
         return replace(self, decisions=canonical_decisions(decisions))
@@ -253,16 +263,12 @@ def _simulate(probe: ScheduleProbe, fingerprint: bool) -> SimulatedSchedule:
     triggers = tuple(d for d in probe.decisions if isinstance(d, FaultTrigger))
     policy: ControlledDelivery
 
-    def adversary(
-        behaviors: dict[Any, Any], base: DeliveryPolicy | None
-    ) -> ControlledDelivery:
-        # The explorer's holds steer delivery on top of exactly the fabric
-        # a Cluster.run trial of the same configuration would run on.
+    def adversary(behaviors: dict[Any, Any]) -> ControlledDelivery:
+        # The explorer's holds steer delivery; triggers retime the faults.
         nonlocal policy
         _apply_fault_triggers(probe, behaviors, triggers)
         policy = ControlledDelivery(
-            holds=holds, base=base, granularity=probe.granularity,
-            faulted=behaviors,
+            holds=holds, granularity=probe.granularity, faulted=behaviors,
         )
         return policy
 
@@ -618,7 +624,6 @@ class Explorer:
                 bounds.symmetry
                 and probe.scenario is None
                 and not probe.repairs
-                and not probe.schedule
                 and probe.spares is None
             ),
         )
@@ -832,8 +837,6 @@ class Explorer:
             )
         else:
             faults = "fault-free"
-        if self.probe.schedule:
-            faults += " + " + "; ".join(s.describe() for s in self.probe.schedule)
         backend = get_backend_spec(self.probe.backend)
         if self.probe.S is not None:
             size = self.probe.S

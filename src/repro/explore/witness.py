@@ -42,7 +42,6 @@ from repro.explore.engine import (
     run_schedule,
     schedule_runner,
 )
-from repro.faults.schedules import PlannedSkip
 from repro.workloads.generator import OperationPlan
 
 #: Bump when the witness JSON layout changes incompatibly.
@@ -177,15 +176,9 @@ class ScheduleWitness:
                 }
                 for group in probe.fault_groups
             ],
-            "schedule": [
-                {
-                    "op": skip.op,
-                    "objects": list(skip.objects),
-                    "round_no": skip.round_no,
-                    "withhold_replies": skip.withhold_replies,
-                }
-                for skip in probe.schedule
-            ],
+            # Retired plan-addressed skips: every witness ever written
+            # carries an empty list here, so the key stays for byte identity.
+            "schedule": [],
             "plans": [
                 {
                     "kind": plan.kind,
@@ -237,15 +230,6 @@ class ScheduleWitness:
                 )
                 for group in data.get("fault_groups", ())
             ),
-            schedule=tuple(
-                PlannedSkip(
-                    op=skip["op"],
-                    objects=tuple(skip["objects"]),
-                    round_no=skip.get("round_no"),
-                    withhold_replies=skip.get("withhold_replies", False),
-                )
-                for skip in data.get("schedule", ())
-            ),
             plans=tuple(
                 OperationPlan(
                     kind=plan["kind"],
@@ -258,6 +242,7 @@ class ScheduleWitness:
             ),
             checks=tuple(data["checks"]),
             decisions=decisions,
+            schedule=data.get("schedule", ()),
             # Axes (and the two bounds a probe carries) absent from the file
             # mean their defaults — what every witness recorded before they
             # existed ran under — so the corpus stays replayable.

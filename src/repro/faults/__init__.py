@@ -9,8 +9,8 @@ The paper's model allows clients to crash and up to ``t`` objects to be
 * Byzantine behaviours — stale echo (a genuine past state, the adversary
   of the proofs) and fabrication of arbitrary well-typed states
   (:mod:`repro.faults.byzantine`);
-* adversarial delivery schedules — plan-addressed block skipping and reply
-  withholding (:mod:`repro.faults.schedules`);
+* an adversarial delivery schedule — reply withholding
+  (:mod:`repro.faults.schedules`);
 * fault timing as data — :class:`~repro.faults.timing.TimedFault` defers
   any registered behaviour to an explicit per-object trigger point, the
   choice the schedule explorer sweeps (:mod:`repro.faults.timing`).
@@ -20,7 +20,7 @@ from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
 from repro.faults.recovery import CrashRecoverAt, FsyncLag, TornWrite
 from repro.faults.timing import TimedFault, timed_fault
 from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
-from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
+from repro.faults.schedules import WithholdFrom
 
 __all__ = [
     "SilentBehavior",
@@ -34,6 +34,4 @@ __all__ = [
     "TimedFault",
     "timed_fault",
     "WithholdFrom",
-    "PlannedSkip",
-    "PlannedSchedulePolicy",
 ]

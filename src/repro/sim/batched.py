@@ -73,9 +73,13 @@ its policy declares* (:class:`~repro.sim.network.DeliveryPolicy`:
   message, in send order, so a policy that counts what it sees counts the
   same.
 
-Policies that declare no shape (random delays, anything custom — including
-a subclass that overrides ``delay`` below the class that declared one)
-run entirely on the per-message path, as before.
+Two policies declare a shape: :class:`~repro.sim.network.FifoDelivery`
+(its latency, no hold check) and the explorer's
+:class:`~repro.explore.controlled.ControlledDelivery` (one tick, its
+held-link test) — every free trial and every searched schedule.  Policies
+that declare none (random delays, reply withholding, anything custom —
+including a subclass that overrides ``delay`` below the class that
+declared one) run entirely on the per-message path.
 """
 
 from __future__ import annotations

@@ -77,10 +77,10 @@ class DeliveryPolicy:
     ``delay`` body it was written beside, so a subclass that overrides
     ``delay`` without restating :attr:`uniform_latency` has the inherited
     declaration withdrawn and is asked message by message again — a
-    time-dependent hold layered over :class:`SelectiveHold` keeps working
-    unchanged.  A policy that can hold writes ``hold_check`` as a method
-    reading the same attributes ``delay`` reads, so the two cannot drift
-    apart when one of them is reassigned.
+    time-dependent override of a shaped policy keeps working unchanged.  A
+    policy that can hold writes ``hold_check`` as a method reading the same
+    attributes ``delay`` reads, so the two cannot drift apart when one of
+    them is reassigned.
     """
 
     uniform_latency: int | None = None
@@ -114,27 +114,17 @@ class FifoDelivery(DeliveryPolicy):
 class SelectiveHold(DeliveryPolicy):
     """Hold messages matching a predicate; delegate the rest.
 
-    The lower-bound adversary uses this to keep chosen replies "in transit".
-    It is also the base class of every "hold predicate over a base" policy
-    (:mod:`repro.faults.schedules`): over a base of uniform latency the
-    shape is the base's latency and ``hold_if`` composed with the base's
-    own hold check, so ``hold_if`` must keep the :attr:`hold_check`
-    promise — a verdict that depends on the message alone.
+    The lower-bound adversary uses this to keep chosen replies "in transit"
+    (:class:`~repro.faults.schedules.WithholdFrom`).  It declares no shape,
+    so the network asks :meth:`delay` message by message and ``hold_if``
+    may read anything; the explorer's
+    :class:`~repro.explore.controlled.ControlledDelivery` is the hold that
+    runs on the fast path.
     """
 
     def __init__(self, hold_if: Callable[[Message], bool], base: DeliveryPolicy | None = None) -> None:
         self.hold_if = hold_if
         self.base = base or FifoDelivery()
-
-    @property
-    def uniform_latency(self) -> int | None:
-        return self.base.uniform_latency
-
-    def hold_check(self, message: Message) -> bool:
-        if self.hold_if(message):
-            return True
-        base_check = self.base.hold_check
-        return base_check is not None and base_check(message)
 
     def delay(self, message: Message, now: int) -> int | None:
         if self.hold_if(message):

@@ -29,7 +29,7 @@ histories.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet
+from typing import Any, FrozenSet, Iterator
 
 from repro.spec.history import History, OperationRecord
 from repro.types import BOTTOM
@@ -58,6 +58,8 @@ def _search(operations: list[OperationRecord], k: int = 1) -> list[int] | None:
     returned order, matching the definition — a dropped write appears in no
     linearization.
     """
+    if not operations:
+        return []  # the empty order linearizes the empty history
     total = len(operations)
     full = (1 << total) - 1
 
@@ -77,44 +79,52 @@ def _search(operations: list[OperationRecord], k: int = 1) -> list[int] | None:
     ]
     # Pending writes may be dropped ("never took effect") instead of placed.
     optional = [entry for entry, record in zip(items, operations) if not record.complete]
-    seen: set[tuple[int, Any]] = set()
-    order: list[int] = []
     single = k == 1  # the frontier is then the bare current value, not a window
 
-    def explore(done: int, current: Any) -> bool:
-        if done == full:
-            return True
-        key = (done, current)
-        if key in seen:
-            return False
-        seen.add(key)
+    def steps(done: int, current: Any) -> Iterator[tuple[int | None, int, Any]]:
+        """The frontiers one placement away, in the order they are tried:
+        ``(index placed or None for a dropped write, done, current)``."""
         not_done = ~done
         for i, bit, preds, is_write, value in items:
             if done & bit or preds & not_done:
                 continue
             if is_write:
-                order.append(i)
-                if explore(done | bit, value if single else (current + (value,))[-k:]):
-                    return True
-                order.pop()
+                yield i, done | bit, value if single else (current + (value,))[-k:]
             elif (value == current) if single else any(value == held for held in current):
-                order.append(i)
-                if explore(done | bit, current):
-                    return True
-                order.pop()
+                yield i, done | bit, current
         # An incomplete write whose predecessors are all done may also be
         # dropped: model "never took effect" by marking it done without
         # changing the current value (and without a place in the order).
         for _i, bit, preds, _is_write, _value in optional:
             if done & bit or preds & not_done:
                 continue
-            if explore(done | bit, current):
-                return True
-        return False
+            yield None, done | bit, current
 
-    found = explore(0, BOTTOM if single else (BOTTOM,))
-    del explore  # it refers to itself through its cell: unbinding frees the memo now
-    return order if found else None
+    # Depth-first over an explicit stack of step iterators — one frame per
+    # placed operation, so a long history cannot exhaust the interpreter's
+    # recursion limit.  ``path`` holds the step each frame above the root
+    # took; a frontier is memoised the first time it is entered.
+    start = BOTTOM if single else (BOTTOM,)
+    seen: set[tuple[int, Any]] = {(0, start)}
+    path: list[int | None] = []
+    stack = [steps(0, start)]
+    while stack:
+        for i, done, current in stack[-1]:
+            if done == full:
+                path.append(i)
+                return [j for j in path if j is not None]
+            key = (done, current)
+            if key in seen:
+                continue
+            seen.add(key)
+            path.append(i)
+            stack.append(steps(done, current))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return None
 
 
 def is_linearizable(history: History) -> bool:

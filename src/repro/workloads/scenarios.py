@@ -1,4 +1,4 @@
-"""Named benchmark scenarios: fault mixes and schedule shapes.
+"""Named benchmark scenarios: fault mixes and workload shapes.
 
 The latency-matrix experiment (E6) runs every protocol under every scenario
 here; tests reuse them so benchmark configurations stay covered by the test
@@ -20,23 +20,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.sim.network import DeliveryPolicy
 
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """Declared faults plus workload shape — and, optionally, a schedule.
+    """Declared faults plus workload shape.
 
     ``faults`` names the adversary, one ``(name, count[, kwargs])`` entry
-    per group; empty for a fault-free (or schedule-only) scenario.
-
-    ``policy_factory`` builds a fresh adversarial
-    :class:`~repro.sim.network.DeliveryPolicy` per trial (policies are
-    stateful), making message-timing adversaries — block skipping via
-    :class:`~repro.faults.schedules.PlannedSchedulePolicy`, reply
-    withholding, custom holds — first-class citizens of the scenario
-    registry next to fault declarations.  ``None`` keeps the default synchronous
-    unit-latency fabric.
+    per group; empty for a fault-free scenario.  Every scenario runs on the
+    synchronous unit-latency fabric: which messages stay in transit is the
+    schedule explorer's choice (:class:`~repro.explore.controlled.HoldLink`),
+    not a scenario's.
     """
 
     name: str
@@ -44,7 +38,6 @@ class Scenario:
     read_fraction: float = 0.6
     spacing: int = 25
     description: str = ""
-    policy_factory: Callable[[], "DeliveryPolicy"] | None = None
     #: Recovery scenarios replay durable journals on rejoin, so adopting
     #: clusters must run with ``durability='mem'`` or ``'dir'``; the facade
     #: checks this parent-side and fails with a clear error before any

@@ -46,3 +46,27 @@ def atomicity_spectrum(history: History, max_k: int | None = None) -> int | None
         if check_k_atomicity(history, k).ok:
             return k
     return None
+
+
+class ShapedHold(DeliveryPolicy):
+    """Hold messages matching ``hold_if``; deliver the rest ``latency``
+    ticks after their send — and declare exactly that shape.
+
+    A test double for the network's fast path over a pure hold predicate,
+    on either direction of a link (the explorer's ``ControlledDelivery``
+    never holds a reply whose invocation it delivered).
+    """
+
+    def __init__(self, hold_if, latency: int = 1) -> None:
+        self.hold_if = hold_if
+        self.latency = latency
+
+    @property
+    def uniform_latency(self) -> int:
+        return self.latency
+
+    def hold_check(self, message: Message) -> bool:
+        return self.hold_if(message)
+
+    def delay(self, message: Message, now: int) -> int | None:
+        return None if self.hold_if(message) else self.latency

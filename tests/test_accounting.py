@@ -22,8 +22,9 @@ import repro.registers.base
 from repro.analysis.metrics import LatencyReport, _account_rounds, measure_backend_latency
 from repro.api import Cluster, available_protocols, get_spec
 from repro.errors import SimulationError, SpecificationError
-from repro.faults.schedules import PlannedSkip
 from repro.obs import derive_metrics, derive_spans
+from repro.registers.base import RegisterSystem
+from repro.sim.network import SelectiveHold
 from repro.sim.simulator import OperationStatus
 from repro.sim.tracing import MessageTrace, TraceKind
 from repro.types import scoped_operation_serials
@@ -51,13 +52,14 @@ def plans_for(cluster, operations, seed=5, reads=0.6, spacing=150):
 
 def drained(cluster, plans, abort_after=None):
     """A backend that ran ``plans``; serials scoped so plan k is serial k.
+    ``cluster`` is a :class:`Cluster` or a zero-argument system factory.
 
     ``abort_after`` stops the run after that many events, crashes the client
     of every still-pending operation and resumes — the replies in flight to
     those clients are what the trace records as drops.
     """
     with scoped_operation_serials():
-        backend = cluster.build_backend()
+        backend = getattr(cluster, "build_backend", cluster)()
         for plan in plans:
             backend.schedule(plan)
         if abort_after is not None:
@@ -100,11 +102,21 @@ def long_trial(operations):
     return drained(cluster, plans_for(cluster, operations, seed=11, reads=0.5, spacing=40))
 
 
+def _held(message):
+    """The write's invocations never reach s1 and s2; s4 applies the first
+    read's invocation, but its reply never arrives."""
+    if message.op.serial == 1 and not message.is_reply:
+        return message.dst.role_value == "object" and message.dst.index in (1, 2)
+    return message.op.serial == 2 and message.is_reply and message.src.index == 4
+
+
 def adversarial_samples():
     """Runs whose traces hold what the grid's scenarios never produce."""
-    held = Cluster("fast-regular", t=1, n_readers=2).with_schedule(
-        (1, (1, 2)), PlannedSkip(op=2, objects=(4,), withhold_replies=True)
-    )
+    def held():
+        return RegisterSystem(
+            get_spec("fast-regular").build(), t=1, n_readers=2, policy=SelectiveHold(_held)
+        )
+
     churn = (
         Cluster("abd", t=1, S=3, backend="reconfig", allow_overfault=True)
         .with_faults("rolling-replace", count=3, base=4, stagger=8)
@@ -139,6 +151,8 @@ class TestFoldMatchesQuery:
             for name, backend in samples.items()
         }
         assert TraceKind.HOLD in kinds["held"]
+        held = [m for _, kind, m in samples["held"].trace.entries if kind is TraceKind.HOLD]
+        assert {m.is_reply for m in held} == {False, True}
         assert TraceKind.DROP in kinds["dropped"]
         statuses = {op.status for op in samples["held"].simulator.operations}
         assert OperationStatus.PENDING in statuses

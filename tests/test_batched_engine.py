@@ -6,7 +6,7 @@ byte-identity*: same histories (step numbers included), same structured
 results (whole ``to_dict()``), same wire traces (event for event, in
 order), same executed event counts, same budget truncation points — for
 every registered protocol, backend, scenario, fault behaviour, policy shape
-and adversarial schedule.  The ``reference_engine`` fixture
+and held-link schedule.  The ``reference_engine`` fixture
 (``tests/conftest.py``) is how a cell runs on the oracle.  These tests pin
 that contract — down to the global order in which object handlers are
 called — plus the wave-queue mechanics the production engine is built on.
@@ -28,7 +28,7 @@ from repro.explore import HoldLink, run_schedule
 from repro.explore.engine import simulate
 from repro.sim.tracing import TraceKind, trace_fingerprint
 from repro.faults.adversary import CrashAt
-from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
+from repro.faults.schedules import WithholdFrom
 from repro.registers.base import RegisterSystem
 from repro.sim.batched import BatchedSimulator, WaveQueue
 from repro.sim.network import DeliveryPolicy, FifoDelivery, Network, SelectiveHold
@@ -36,9 +36,8 @@ from repro.sim.process import ObjectHandler
 from repro.sim.simulator import Simulator
 from repro.types import object_id, scoped_operation_serials
 from repro.workloads.generator import OperationPlan
-from repro.workloads.scenarios import Scenario, register_scenario
 
-from helpers import RandomDelivery
+from helpers import RandomDelivery, ShapedHold
 
 #: Registry protocols that run on a single-register-style backend.
 SINGLE_BACKEND_PROTOCOLS = tuple(
@@ -53,26 +52,34 @@ def canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _grid_cluster(name: str, scenario: str) -> Cluster:
+def _grid_payload(name: str, scenario: str) -> str:
+    """The byte-compared artifact of one grid cell: a two-trial run's
+    ``to_dict()``, or — for the ``schedule`` regime — the outcome of one
+    held-link schedule, wire fingerprint included."""
     spec = get_spec(name)
     cluster = Cluster(name, t=1, n_readers=3)
     if scenario == "schedule":
-        # An adversarial plan-addressed schedule: the write never reaches
-        # objects 1 and 2 (spaced reads keep every client sequential).
-        return (
+        # The write never reaches objects 1 and 2 (spaced reads keep every
+        # client sequential).
+        probe = (
             cluster
             .with_operations([("write", "v1", 0), ("read", 1, 200), ("read", 2, 400)])
-            .with_schedule((1, (1, 2)))
             .check(spec.default_check())
+            ._schedule_probe()
         )
+        outcome = run_schedule(probe.with_decisions((HoldLink(1, 1), HoldLink(1, 2))))
+        assert outcome.held_messages == 2
+        return repr(outcome)
     if scenario == "faulted":
         # The strongest adversary the protocol advertises coverage for.
         fault_scenario = spec.scenarios[-1] if len(spec.scenarios) > 1 else "crash"
         cluster = cluster.with_scenario(fault_scenario)
-    return (
+    return canonical(
         cluster
         .with_workload(operations=8, spacing=35)
         .check(spec.default_check())
+        .run(trials=2, seed=5)
+        .to_dict()
     )
 
 
@@ -95,10 +102,9 @@ class TestEquivalenceGrid:
     def test_production_and_reference_results_byte_identical(
         self, name, scenario, reference_engine
     ):
-        production = _grid_cluster(name, scenario).run(trials=2, seed=5)
+        production = _grid_payload(name, scenario)
         with reference_engine():
-            reference = _grid_cluster(name, scenario).run(trials=2, seed=5)
-        assert canonical(production.to_dict()) == canonical(reference.to_dict())
+            assert _grid_payload(name, scenario) == production
 
     @pytest.mark.parametrize("name", ("abd", "fast-regular", "secret-token"))
     def test_parallel_matches_serial(self, name):
@@ -271,31 +277,15 @@ class TestTraceEquivalence:
 THREE_OPERATIONS = [("write", "v1", 0), ("read", 1, 60), ("read", 2, 120)]
 
 
-def _register_hold_scenario(name, policy_factory):
-    register_scenario(
-        name,
-        lambda t: Scenario(
-            name=name, policy_factory=policy_factory
-        ),
-        overwrite=True,
-    )
-    return name
-
-
 def _parity_cells():
     """name → (cluster, explore keywords).
 
     Every way a controlled schedule reaches the network: both link
-    granularities, holds on the request side (the explorer's) and on the
-    reply side (a base that withholds replies), a planned-skip base, fault
-    triggers, a repair and a crash-recovering durable object.
+    granularities, round links of a two-round protocol searched depth-first
+    (ABD's reads write back), fault triggers, a repair and a
+    crash-recovering durable object.
     """
     plain = Cluster("fast-regular", t=1).with_operations(THREE_OPERATIONS)
-    planned = plain.with_schedule((1, (1,)), PlannedSkip(op=2, objects=(2,), round_no=1))
-
-    def scenario(name, factory):
-        return plain.with_scenario(_register_hold_scenario(name, factory))
-
     overfaulted = (
         Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True)
         .with_faults("stale-echo", count=2)
@@ -316,17 +306,9 @@ def _parity_cells():
     return {
         "operation": (plain, dict(max_holds=2)),
         "round": (plain, dict(max_holds=2, granularity="round")),
-        "planned-base-operation": (planned, dict(max_holds=1)),
-        "planned-base-round": (planned, dict(max_holds=2, granularity="round")),
-        "planned-scenario": (
-            scenario("parity-planned", lambda: PlannedSchedulePolicy(
-                [PlannedSkip(op=1, objects=(2,))]
-            )),
-            dict(max_holds=1, granularity="round"),
-        ),
-        "reply-side-holds": (
-            scenario("parity-withheld", lambda: WithholdFrom([object_id(1)])),
-            dict(max_holds=2, granularity="round"),
+        "multi-round": (
+            Cluster("abd", t=1).with_operations(THREE_OPERATIONS),
+            dict(max_holds=2, granularity="round", strategy="dfs"),
         ),
         "fault-timing": (overfaulted, dict(max_holds=1, fault_timing=True)),
         "repair": (repaired, dict(max_holds=1, seed=7)),
@@ -370,10 +352,6 @@ class TestExploreParity:
             w.to_dict() for w in reference.witnesses
         ]
         assert outcomes == reference_outcomes
-        if cell in ("reply-side-holds", "planned-base-round"):
-            # The base's own holds show up on the wire, not in the count of
-            # what the explorer's links caught.
-            assert outcomes[0].held_messages == 0 and len(outcomes) > 1
 
     @pytest.mark.parametrize("granularity", ("operation", "round"))
     def test_refutation_parity(self, granularity, reference_engine):
@@ -405,12 +383,12 @@ class _Unshaped(DeliveryPolicy):
         return self.inner.delay(message, now)
 
 
-class _HoldRepliesFromTick(SelectiveHold):
+class _HoldRepliesFromTick(FifoDelivery):
     """Overrides ``delay`` alone (a time-dependent hold, like the ablation
     benchmark's inversion schedule): the inherited shape is withdrawn."""
 
     def __init__(self, tick):
-        super().__init__(lambda m: False)
+        super().__init__()
         self.tick = tick
 
     def delay(self, message, now):
@@ -452,6 +430,7 @@ class TestPolicyShapeFastPath:
         lambda: RandomDelivery(seed=3),
         lambda: _Unshaped(FifoDelivery()),
         lambda: SelectiveHold(lambda m: m.is_reply and m.src == object_id(1), RandomDelivery(seed=3)),
+        lambda: WithholdFrom([object_id(1)]),
         lambda: _HoldRepliesFromTick(80),
     ))
     def test_unshaped_policies_keep_the_per_message_path(self, monkeypatch, policy):
@@ -484,16 +463,20 @@ class TestPolicyShapeFastPath:
         with reference_engine():
             assert run() == production
 
+    @pytest.mark.parametrize("held", ("replies", "invocations"))
     @pytest.mark.parametrize("latency", (1, 3))
     def test_a_hold_over_any_uniform_latency_takes_the_fast_path(
-        self, monkeypatch, latency, reference_engine
+        self, monkeypatch, latency, held, reference_engine
     ):
         """Nothing held is ever released, so a holding policy is served from
         the fast path at any declared latency — and matches the per-message
-        path, on both engines, event for event."""
+        path, on both engines, event for event.  The explorer's links never
+        hold a reply on their own, so a shaped double holds s1's replies
+        (the walk's reply branch) or its invocations (``send_round``)."""
         def policy():
-            return SelectiveHold(lambda m: m.is_reply and m.src == object_id(1),
-                                 FifoDelivery(latency))
+            if held == "replies":
+                return ShapedHold(lambda m: m.is_reply and m.src == object_id(1), latency)
+            return ShapedHold(lambda m: not m.is_reply and m.dst == object_id(1), latency)
 
         def run(make):
             with scoped_operation_serials():

@@ -16,6 +16,7 @@ from repro.registers.base import RegisterSystem
 from repro.registers.fast_regular import FastRegularProtocol
 from repro.registers.secret_token import SecretTokenProtocol
 from repro.registers.transform_atomic import RegularToAtomicProtocol
+from repro.sim.network import SelectiveHold
 from repro.sim.simulator import OperationStatus
 from repro.sim.tracing import TraceKind
 from repro.spec.atomicity import check_swmr_atomicity
@@ -231,7 +232,7 @@ class TestHostileSchedules:
         object: progress and consistency must be unaffected."""
         system = RegisterSystem(
             FastRegularProtocol(), t=1, n_readers=1,
-            policy=WithholdFrom(objects=[object_id(2)], also_invocations=True, clients=None),
+            policy=SelectiveHold(lambda m: (m.src if m.is_reply else m.dst) == object_id(2)),
         )
         system.write("a", at=0)
         system.read(1, at=60)

@@ -152,7 +152,6 @@ class TestRunSchedule:
             allow_overfault=False,
             scenario=None,
             fault_groups=(),
-            schedule=(),
             plans=(
                 OperationPlan(kind="write", client_index=1, value="v1", at=0),
                 OperationPlan(kind="read", client_index=1, value=None, at=120),
@@ -283,20 +282,6 @@ class TestExplorerCertification:
         result = small_cluster().explore(max_holds=0, max_events=5)
         assert result.stats.truncated_runs == 1
         assert not result.certified
-
-    def test_base_held_links_stay_out_of_the_alphabet(self):
-        # A link the *configured* schedule already holds must not be
-        # branched on: every such child would just duplicate its parent.
-        scheduled = (
-            Cluster("fast-regular", t=1)
-            .with_operations([("write", "v1", 0), ("read", 1, 120)])
-            .with_schedule((1, (1,)))
-        )
-        result = scheduled.explore(max_holds=1)
-        assert result.certified
-        # 2 ops × 4 objects minus the base-held write↔s1 link.
-        assert result.alphabet == 7
-        assert "op1 skips {s1}" in result.faults
 
     def test_mwmr_backend_explores_too(self):
         result = (

@@ -1,9 +1,12 @@
 """Unit and property tests for the general linearizability checker."""
 
 import random
+import sys
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Cluster
+from repro.consistency.kat import check_k_atomicity_reference
 from repro.spec.atomicity import check_swmr_atomicity
 from repro.spec.history import History, OperationRecord
 from repro.spec.linearizability import (
@@ -208,3 +211,140 @@ class TestBitmaskPinnedToReference:
                     current = record.value
                 else:
                     assert record.value == current
+
+
+def _recursive_search(operations, k=1):
+    """The search core as it was before the explicit stack: one Python
+    frame per placed operation.  Kept as the order oracle."""
+    total = len(operations)
+    full = (1 << total) - 1
+    items = []
+    for j, b in enumerate(operations):
+        preds = 0
+        for i, a in enumerate(operations):
+            if i != j and a.precedes(b):
+                preds |= 1 << i
+        items.append((j, 1 << j, preds, b.kind == "write", b.value))
+    optional = [entry for entry, record in zip(items, operations) if not record.complete]
+    seen = set()
+    order = []
+    single = k == 1
+
+    def explore(done, current):
+        if done == full:
+            return True
+        if (done, current) in seen:
+            return False
+        seen.add((done, current))
+        for i, bit, preds, is_write, value in items:
+            if done & bit or preds & ~done:
+                continue
+            if is_write:
+                order.append(i)
+                if explore(done | bit, value if single else (current + (value,))[-k:]):
+                    return True
+                order.pop()
+            elif (value == current) if single else value in current:
+                order.append(i)
+                if explore(done | bit, current):
+                    return True
+                order.pop()
+        for _i, bit, preds, _is_write, _value in optional:
+            if not (done & bit or preds & ~done) and explore(done | bit, current):
+                return True
+        return False
+
+    return order if explore(0, BOTTOM if single else (BOTTOM,)) else None
+
+
+@st.composite
+def multiwriter_histories(draw):
+    """Small well-formed histories over two writers and two readers:
+    overlapping intervals, duplicate and unwritten values, ⊥ reads, and
+    incomplete writes (a client invokes nothing after one)."""
+    records = []
+    free = {}
+    stopped = set()
+    for _ in range(draw(st.integers(0, 7))):
+        client = draw(st.sampled_from([mw(1), mw(2), reader_id(1), reader_id(2)]))
+        if client in stopped:
+            continue
+        start = free.get(client, 0) + draw(st.integers(1, 4))
+        if client.role_value == "writer":
+            value = draw(st.sampled_from(["a", "b", "c"]))
+            end = None if draw(st.integers(0, 5)) == 0 else start + draw(st.integers(0, 6))
+            records.append(op("write", client, start, end, value))
+            if end is None:
+                stopped.add(client)
+                continue
+        else:
+            end = start + draw(st.integers(0, 6))
+            records.append(op("read", client, start, end,
+                              draw(st.sampled_from([BOTTOM, "a", "b", "c"]))))
+        free[client] = end
+    return History(records)
+
+
+def assert_valid_order(history, operations, indices, k):
+    """``indices`` is a k-atomic linearization of ``history``: every complete
+    operation once, precedence kept, each read within the last k writes."""
+    placed = [operations[i] for i in indices]
+    assert len(set(indices)) == len(indices)
+    assert {r.op_id for r in history.records if r.complete} <= {r.op_id for r in placed}
+    assert all(r.complete or r.kind == "write" for r in placed)
+    for x, a in enumerate(placed):
+        for b in placed[:x]:
+            assert not a.precedes(b)
+    window = (BOTTOM,)
+    for record in placed:
+        if record.kind == "write":
+            window = (window + (record.value,))[-k:]
+        else:
+            assert record.value in window
+
+
+class TestExplicitStackSearch:
+    """``_search`` runs on an explicit stack: same verdicts, same orders."""
+
+    @given(multiwriter_histories())
+    @settings(max_examples=200, deadline=None)
+    def test_k1_matches_the_oracles(self, history):
+        operations = _candidate_operations(history)
+        indices = _search(operations)
+        assert (indices is not None) == is_linearizable_reference(history)
+        assert indices == _recursive_search(operations)
+        if indices is not None:
+            assert_valid_order(history, operations, indices, k=1)
+
+    @given(multiwriter_histories())
+    @settings(max_examples=200, deadline=None)
+    def test_k2_matches_the_oracles(self, history):
+        operations = _candidate_operations(history)
+        indices = _search(operations, k=2)
+        assert (indices is not None) == check_k_atomicity_reference(history, 2)
+        assert indices == _recursive_search(operations, k=2)
+        if indices is not None:
+            assert_valid_order(history, operations, indices, k=2)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        """A sequential history longer than the recursion limit still
+        linearizes, in plan order."""
+        length = sys.getrecursionlimit() + 200
+        records = [
+            op("write" if i % 2 == 0 else "read", writer_id() if i % 2 == 0 else reader_id(1),
+               2 * i + 1, 2 * i + 2, f"v{i // 2}")
+            for i in range(length)
+        ]
+        operations = _candidate_operations(History(records))
+        assert _search(operations) == list(range(length))
+
+    def test_long_mwmr_trial_gets_a_verdict(self):
+        """1280 operations on mw-abd: the run that used to raise RecursionError."""
+        result = (
+            Cluster("mw-abd", t=1, n_readers=2, n_writers=2, backend="multi-writer")
+            .with_workload(reads=0.5, spacing=10, operations=1280)
+            .check("atomicity")
+            .run(trials=1, seed=11, keep_history=False)
+        )
+        (trial,) = result.trials
+        assert trial.checks["atomicity"].ok

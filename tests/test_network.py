@@ -16,7 +16,7 @@ from repro.sim.network import (
 from repro.sim.tracing import MessageTrace, TraceKind
 from repro.types import fresh_operation_id, object_id, object_ids, reader_id
 
-from helpers import RandomDelivery
+from helpers import RandomDelivery, ShapedHold
 
 
 def make_message(dst_index=1, tag="PING", is_reply=False, src=None):
@@ -136,29 +136,22 @@ class TestPolicyShape:
     def test_declared_shapes(self):
         assert (FifoDelivery(3).uniform_latency, FifoDelivery(3).hold_check) == (3, None)
         assert RandomDelivery().uniform_latency is None
-        held = make_message(tag="SLOW")
-        over_fifo = SelectiveHold(lambda m: m.tag == "SLOW", FifoDelivery(2))
-        assert over_fifo.uniform_latency == 2
-        assert over_fifo.hold_check(held) and not over_fifo.hold_check(make_message())
-        # A hold over a hold: either layer keeps the message in transit.
-        stacked = SelectiveHold(lambda m: m.tag == "OTHER", over_fifo)
-        assert stacked.hold_check(held) and stacked.hold_check(make_message(tag="OTHER"))
-        assert not stacked.hold_check(make_message())
-        assert SelectiveHold(lambda m: True, RandomDelivery()).uniform_latency is None
         assert Unshaped(FifoDelivery()).uniform_latency is None
-        # The check reads the policy's attributes when asked, as ``delay`` does.
-        over_fifo.hold_if = lambda m: m.tag == "OTHER"
-        assert not over_fifo.hold_check(held) and over_fifo.delay(held, 0) == 2
-        assert pickle.loads(pickle.dumps(SelectiveHold(_is_reply, SelectiveHold(_is_reply)))).hold_check(
-            make_message(is_reply=True)
-        )
+        # A hold predicate may read anything: SelectiveHold declares nothing.
+        over_fifo = SelectiveHold(lambda m: m.tag == "SLOW", FifoDelivery(2))
+        assert (over_fifo.uniform_latency, over_fifo.hold_check) == (None, None)
+        assert over_fifo.delay(make_message(tag="SLOW"), 0) is None
+        assert over_fifo.delay(make_message(), 0) == 2
+        assert pickle.loads(pickle.dumps(SelectiveHold(_is_reply, SelectiveHold(_is_reply)))).delay(
+            make_message(is_reply=True), 0
+        ) is None
 
     def test_overriding_delay_alone_withdraws_the_inherited_shape(self):
         """A declaration speaks for the ``delay`` it was written beside: a
-        time-dependent hold layered over ``SelectiveHold`` is asked message by
+        time-dependent hold layered over ``FifoDelivery`` is asked message by
         message, on ``send_round`` too."""
 
-        class HoldFromTick5(SelectiveHold):
+        class HoldFromTick5(FifoDelivery):
             def delay(self, message, now):
                 return None if now >= 5 else super().delay(message, now)
 
@@ -168,10 +161,10 @@ class TestPolicyShape:
             def delay(self, message, now):
                 return super().delay(message, 0)
 
-        policy = HoldFromTick5(lambda m: False)
-        assert SelectiveHold(lambda m: False).uniform_latency == 1
+        policy = HoldFromTick5()
+        assert FifoDelivery().uniform_latency == 1
         assert policy.uniform_latency is None
-        assert Restated(lambda m: False).uniform_latency == 1
+        assert Restated().uniform_latency == 1
         queue, trace = EventQueue(), MessageTrace()
         network = Network(queue, policy=policy, trace=trace)
         assert network.fast_shape() is None
@@ -191,11 +184,12 @@ class TestPolicyShape:
             return Network(EventQueue(), policy=policy).fast_shape()
 
         assert shape(FifoDelivery(3)) == (3, None)
-        held_over_fifo = SelectiveHold(hold, FifoDelivery(1))
-        assert shape(held_over_fifo) == (1, held_over_fifo.hold_check)
+        held_at_one = ShapedHold(hold)
+        assert shape(held_at_one) == (1, held_at_one.hold_check)
         # A held message never lands, so holding is served at any latency.
-        held_over_slow = SelectiveHold(hold, FifoDelivery(3))
-        assert shape(held_over_slow) == (3, held_over_slow.hold_check)
+        held_at_three = ShapedHold(hold, 3)
+        assert shape(held_at_three) == (3, held_at_three.hold_check)
+        assert shape(SelectiveHold(hold)) is None
         assert shape(RandomDelivery()) is None
 
     def test_send_round_places_held_messages_like_send(self):
@@ -221,9 +215,9 @@ class TestPolicyShape:
         def hold(m):
             return m.dst in (object_id(2), object_id(3))
 
-        fast = run(SelectiveHold(hold))
-        assert fast == run(Unshaped(SelectiveHold(hold)))
+        fast = run(ShapedHold(hold))
+        assert fast == run(Unshaped(ShapedHold(hold)))
         assert [dst for dst, _ in fast[1]] == [object_id(2), object_id(3)]
-        everything = run(SelectiveHold(lambda m: True))
-        assert everything == run(Unshaped(SelectiveHold(lambda m: True)))
+        everything = run(ShapedHold(lambda m: True))
+        assert everything == run(Unshaped(ShapedHold(lambda m: True)))
         assert len(everything[1]) == 4

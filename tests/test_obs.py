@@ -305,7 +305,6 @@ class TestWitnessObserveField:
             allow_overfault=False,
             scenario=None,
             fault_groups=(),
-            schedule=(),
             plans=(),
             checks=("atomicity",),
             observe=True,

@@ -28,7 +28,7 @@ import pytest
 import repro
 from repro.explore import HoldLink
 from repro.explore.controlled import ControlledDelivery
-from repro.faults.schedules import PlannedSchedulePolicy, PlannedSkip, WithholdFrom
+from repro.faults.schedules import WithholdFrom
 from repro.sim.events import EventQueue
 from repro.sim.network import (
     DeliveryPolicy,
@@ -45,8 +45,6 @@ from repro.types import (
     scoped_operation_serials,
     writer_id,
 )
-
-from helpers import RandomDelivery
 
 REPO = Path(__file__).resolve().parents[1]
 TREES = tuple(REPO / name for name in ("src", "benchmarks", "examples"))
@@ -122,35 +120,28 @@ SAMPLES: dict[str, list[tuple[bool, object]]] = {
         (True, lambda: FifoDelivery()),
         (True, lambda: FifoDelivery(3)),
     ],
+    # A hold predicate may read anything, so a SelectiveHold declares no
+    # shape whatever its base: it is asked message by message.
     "repro.sim.network.SelectiveHold": [
-        (True, lambda: SelectiveHold(_hold_s1_replies)),
-        (True, lambda: SelectiveHold(lambda m: m.round_no == 2,
-                                     SelectiveHold(_hold_s1_replies))),
-        # Holding over a slower base: granted at the base's latency (a held
-        # message never lands, so the watermark stays inert).
-        (True, lambda: SelectiveHold(_hold_s1_replies, FifoDelivery(2))),
-        (False, lambda: SelectiveHold(_hold_s1_replies, RandomDelivery(seed=1))),
+        (False, lambda: SelectiveHold(_hold_s1_replies)),
+        (False, lambda: SelectiveHold(lambda m: m.round_no == 2,
+                                      SelectiveHold(_hold_s1_replies))),
+        (False, lambda: SelectiveHold(_hold_s1_replies, FifoDelivery(2))),
     ],
     "repro.faults.schedules.WithholdFrom": [
-        (True, lambda: WithholdFrom([object_id(1)])),
-        (True, lambda: WithholdFrom([object_id(1), object_id(3)], clients=[reader_id(2)])),
-        (True, lambda: WithholdFrom([object_id(2)], also_invocations=True)),
-    ],
-    "repro.faults.schedules.PlannedSchedulePolicy": [
-        (True, lambda: PlannedSchedulePolicy()),
-        (True, lambda: PlannedSchedulePolicy([
-            PlannedSkip(op=1, objects=(1, 2)),
-            PlannedSkip(op=2, objects=(4,), round_no=1, withhold_replies=True),
-        ])),
+        (False, lambda: WithholdFrom([object_id(1)])),
+        (False, lambda: WithholdFrom([object_id(1), object_id(3)], clients=[reader_id(2)])),
     ],
     "repro.explore.controlled.ControlledDelivery": [
         (True, lambda: ControlledDelivery()),
         (True, lambda: ControlledDelivery([HoldLink(1, 2), HoldLink(3, 4)])),
         (True, lambda: ControlledDelivery([HoldLink(2, 1, 2)], granularity="round")),
+        # Digesting a faulted object's replies keeps the verdict a function
+        # of the message alone.
         (True, lambda: ControlledDelivery(
-            [HoldLink(1, 2)], base=WithholdFrom([object_id(3)]))),
-        (False, lambda: ControlledDelivery(
-            [HoldLink(1, 2)], base=RandomDelivery(seed=2))),
+            [HoldLink(1, 3)], faulted=[object_id(3), object_id(4)])),
+        (True, lambda: ControlledDelivery(
+            [HoldLink(1, 1, 1), HoldLink(3, 4, 2)], granularity="round")),
     ],
     # Overrides ``delay`` (a hold that starts at tick 50) below the class
     # that declared the shape: the declaration must be withdrawn.

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Cluster
-from repro.api import cluster as cluster_module
 from repro.api.cluster import build_backend
 from repro.axes import SearchBounds
 from repro.explore import (
@@ -35,16 +34,20 @@ from repro.explore import (
     simulate,
 )
 from repro.explore import engine as explore_engine
-from repro.sim.network import DeliveryPolicy, Network
+from repro.sim.network import Network
 from repro.sim.tracing import TraceKind
 from repro.types import scoped_operation_serials
 
 
-class _Staggered(DeliveryPolicy):
-    """One to three ticks by endpoints and round: a function of the message
-    alone, but no uniform latency, so the network asks message by message."""
+class _Staggered(ControlledDelivery):
+    """The controlled delivery with ``delay`` overridden: what it delivers
+    lands one to three ticks later by endpoints and round — a function of
+    the message alone — and the override withdraws the declared shape, so
+    the network asks message by message."""
 
     def delay(self, message, now):
+        if super().delay(message, now) is None:
+            return None
         return 1 + (message.src.index + message.dst.index + message.round_no) % 3
 
 
@@ -68,13 +71,12 @@ STACKS = {"fault-free": (fault_free, False), "stale+timed": (stale_timed, False)
           "per-message": (stale_timed, True)}
 
 
-def staggered_base(per_message):
-    """Every system built inside runs over :class:`_Staggered` (per-message)."""
+def staggered(per_message):
+    """Every schedule simulated inside runs under :class:`_Staggered`
+    (per-message)."""
     if not per_message:
         return nullcontext()
-    return mock.patch.object(
-        cluster_module, "resolve_trial_policy", lambda *args: _Staggered()
-    )
+    return mock.patch.object(explore_engine, "ControlledDelivery", _Staggered)
 
 
 class Cell:
@@ -98,7 +100,7 @@ class Cell:
     def outcome(self, decisions):
         decisions = canonical_decisions(decisions)
         if decisions not in self._outcomes:
-            with staggered_base(self.per_message):
+            with staggered(self.per_message):
                 self._outcomes[decisions] = run_schedule(self.probe.with_decisions(decisions))
         return self._outcomes[decisions]
 
@@ -165,20 +167,18 @@ class TestEqualTracesFromDifferentDecisions:
         assert plain.held_messages == padded.held_messages == 2
 
 
-class _Recording(ControlledDelivery):
-    """A controlled delivery that lists every message it is asked about
-    (through the instance, so the class keeps its declared shape)."""
+def _recording(policy):
+    """``policy``, listing every message it is asked about (through the
+    instance, so the class keeps the shape it declares)."""
+    policy.asked = []
+    judge_one = policy.delay
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.asked = []
-        judge_one = self.delay
+    def delay(message, now):
+        policy.asked.append(message)
+        return judge_one(message, now)
 
-        def delay(message, now):
-            self.asked.append(message)
-            return judge_one(message, now)
-
-        self.delay = delay
+    policy.delay = delay
+    return policy
 
 
 def _count_sends(monkeypatch):
@@ -199,10 +199,9 @@ def test_every_message_is_judged_once_in_send_order(
     holds = (HoldLink(1, 4), HoldLink(2, 3))
     built = []
 
-    def adversary(behaviors, base):
-        policy = _Recording(
-            holds=holds, base=_Staggered() if per_message else base, faulted=behaviors
-        )
+    def adversary(behaviors):
+        kind = _Staggered if per_message else ControlledDelivery
+        policy = _recording(kind(holds=holds, faulted=behaviors))
         built.append(policy)
         return policy
 

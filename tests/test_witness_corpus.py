@@ -21,10 +21,12 @@ Regenerating after an *intentional* semantic change::
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.explore import FaultTrigger, HoldLink, ScheduleWitness
 
 WITNESS_DIR = Path(__file__).parent / "witnesses"
@@ -63,6 +65,26 @@ def test_witness_reproduces_on_both_engines(path, reference_engine):
             f"engine (recorded {witness.trace_hash}, replayed {outcome.trace_hash})"
         )
     assert production == reference
+
+
+def test_a_witness_without_a_schedule_key_loads(tmp_path):
+    data = json.loads((WITNESS_DIR / "stale_read.json").read_text())
+    del data["schedule"]
+    path = tmp_path / "no_schedule.json"
+    path.write_text(json.dumps(data))
+    assert ScheduleWitness.load(path) == ScheduleWitness.load(WITNESS_DIR / "stale_read.json")
+
+
+def test_a_witness_with_plan_addressed_skips_is_refused(tmp_path):
+    """A non-empty ``schedule`` names a run this build cannot replay."""
+    data = json.loads((WITNESS_DIR / "stale_read.json").read_text())
+    data["schedule"] = [
+        {"op": 1, "objects": [2], "round_no": None, "withhold_replies": False}
+    ]
+    path = tmp_path / "skipped.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match="plan-addressed skips.*cannot replay"):
+        ScheduleWitness.load(path)
 
 
 def test_stale_read_witness_shape():
