@@ -48,18 +48,21 @@ construction.  Inside :class:`ControlledDelivery` a link is the plain
 :attr:`HoldLink.sort_key`: the policy looks one up per message on the
 wire, so the held set is converted once and the delivered links are a set
 of tuples that only :attr:`ControlledDelivery.delivered_links` turns back
-into ``HoldLink`` objects (tuple order *is* the canonical link order).
+into ``HoldLink`` objects (tuple order *is* the canonical link order) —
+one cached object per tuple, so a search builds and validates each link
+once, not once per schedule that reports it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from repro.axes import GRANULARITIES, SearchBounds
 from repro.errors import ConfigurationError
-from repro.sim.network import DeliveryPolicy, Message
+from repro.sim.network import FifoDelivery, Message
 from repro.sim.tracing import message_fields
 from repro.types import ProcessId
 
@@ -72,11 +75,18 @@ class HoldLink:
     serials), ``obj`` the 1-based storage-object index (``s_obj``), and
     ``round_no`` the round the hold is confined to — ``None`` holds every
     round of the operation (the ``"operation"`` granularity).
+
+    A search hashes and compares links in its seen-sets and alphabets, so
+    the hash is precomputed and ``==`` hand-written, as for
+    :class:`~repro.types.ProcessId`.  The hash covers ints only (``None``
+    hashes by address on some interpreters), so the cached value survives
+    pickling into a worker started under another ``PYTHONHASHSEED``.
     """
 
     op: int
     obj: int
     round_no: int | None = None
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op < 1 or self.obj < 1:
@@ -85,6 +95,16 @@ class HoldLink:
             )
         if self.round_no is not None and self.round_no < 1:
             raise ConfigurationError(f"round numbers are 1-based, got {self.round_no}")
+        object.__setattr__(self, "_hash", hash((self.op, self.obj, self.round_no or 0)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HoldLink:
+            return NotImplemented
+        return (self.op == other.op and self.obj == other.obj
+                and self.round_no == other.round_no)
 
     @property
     def sort_key(self) -> tuple[int, int, int]:
@@ -177,7 +197,7 @@ def canonical_decisions(decisions: Iterable[Decision]) -> tuple[Decision, ...]:
     return tuple(sorted(set(decisions), key=_decision_key))
 
 
-class ControlledDelivery(DeliveryPolicy):
+class ControlledDelivery(FifoDelivery):
     """Delivery policy steered by an explorer-chosen set of held links.
 
     Messages whose link is in ``holds`` stay in transit indefinitely (the
@@ -190,20 +210,18 @@ class ControlledDelivery(DeliveryPolicy):
     * :attr:`held_messages` — how many messages the chosen holds caught;
     * :attr:`trace_key` — equal exactly when the wire traces are.
 
-    It declares a uniform latency of one tick and a hold check (its link
-    test), so a controlled schedule runs on the network's fast path like a
-    free one.  The check
-    records the observations and never reads them back, and the network
-    asks once per message, in send order, on either path — which is all the
-    purity the :class:`~repro.sim.network.DeliveryPolicy` contract needs,
-    and makes a message's place in that order (its *ordinal*) path-free.
-    Because the check is also what records the expansion alphabet, it is
-    there even for an empty hold set (a method, not ``None``).  ``faulted``
-    names the objects that carry a fault behaviour: the key records what
-    they reply.
+    It is a one-tick :class:`~repro.sim.network.FifoDelivery` with a hold
+    check (its link test), so a controlled schedule runs on the network's
+    fast path like a free one.  The check is the judgment — the
+    per-message ``delay`` it inherits asks it too — and it records the
+    observations and never reads them back; the network asks once per
+    message, in send order, on either path — which is all the purity the
+    :class:`~repro.sim.network.DeliveryPolicy` contract needs, and makes a
+    message's place in that order (its *ordinal*) path-free.  Because the
+    check is also what records the expansion alphabet, it is there even for
+    an empty hold set (a method, not ``None``).  ``faulted`` names the
+    objects that carry a fault behaviour: the key records what they reply.
     """
-
-    uniform_latency = 1
 
     def __init__(
         self,
@@ -215,6 +233,7 @@ class ControlledDelivery(DeliveryPolicy):
             raise ConfigurationError(
                 f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
             )
+        super().__init__(latency=1)
         self.holds = frozenset(holds)
         for link in self.holds:
             if isinstance(link, FaultTrigger):
@@ -242,17 +261,10 @@ class ControlledDelivery(DeliveryPolicy):
         self._held_ordinals: list[int] = []
         self._replies = hashlib.blake2b(digest_size=16) if self._faulted else None
 
-    def hold_check(self, message: Message) -> bool:
-        # ``delay`` does not read ``now``.
-        return self.delay(message, 0) is None
-
     @property
     def delivered_links(self) -> tuple[HoldLink, ...]:
         """Links that carried delivered traffic, in canonical order."""
-        return tuple(
-            HoldLink(op=op, obj=obj, round_no=round_no or None)
-            for op, obj, round_no in sorted(self._delivered)
-        )
+        return tuple(map(_boundary_link, sorted(self._delivered)))
 
     @property
     def trace_key(self) -> tuple:
@@ -270,12 +282,15 @@ class ControlledDelivery(DeliveryPolicy):
             return key
         return key + (self._replies.digest(),)
 
-    def delay(self, message: Message, now: int) -> int | None:
+    def hold_check(self, message: Message) -> bool:
+        """The judgment: whether ``message`` stays in transit.  Records the
+        message's ordinal, its link (delivered) and, for a faulted object's
+        reply, what it says."""
         ordinal = self._asked
         self._asked = ordinal + 1
         endpoint = message.src if message.is_reply else message.dst
         if endpoint.role_value != "object":  # client↔client: not a link
-            return 1
+            return False
         if message.is_reply and endpoint.index in self._faulted:
             self._replies.update(
                 repr((ordinal, *message_fields(message)))
@@ -285,6 +300,15 @@ class ControlledDelivery(DeliveryPolicy):
         if link in self._held:
             self.held_messages += 1
             self._held_ordinals.append(ordinal)
-            return None
+            return True
         self._delivered.add(link)
-        return 1
+        return False
+
+
+@lru_cache(maxsize=4096)
+def _boundary_link(key: tuple[int, int, int]) -> HoldLink:
+    """The :class:`HoldLink` of a policy-internal ``(op, obj, round or 0)``
+    key.  Cached: every schedule of a search reports most of the same
+    links, and each is built and validated once."""
+    op, obj, round_no = key
+    return HoldLink(op=op, obj=obj, round_no=round_no or None)

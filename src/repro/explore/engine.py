@@ -341,7 +341,14 @@ def judge(simulated: SimulatedSchedule, checks: Sequence[str]) -> ScheduleOutcom
             passed.append(name)
         else:
             failures.append((name, verdict.explanation or "check failed"))
-    return replace(simulated.outcome, failures=tuple(failures), passed=tuple(passed))
+    # Positionally, in field order, rather than ``dataclasses.replace``
+    # (which walks the field list): a search judges every schedule it runs.
+    o = simulated.outcome
+    return ScheduleOutcome(
+        o.decisions, tuple(failures), tuple(passed), o.completed, o.incomplete,
+        o.dropped, o.held_messages, o.events, o.truncated, o.trace_key,
+        o.expansions, o.fault_counts, o.trace_hash,
+    )
 
 
 class SimulationStore:

@@ -144,6 +144,31 @@ def _default_size(protocol: RegisterProtocol, t: int) -> int:
     raise ConfigurationError(f"no default size found for {protocol.name} with t={t}")
 
 
+#: ``(protocol class, protocol name, S, t)`` → the validated object count.
+_SIZES: dict[tuple[type, str, int | None, int], int] = {}
+
+
+def _sized(protocol: RegisterProtocol, S: int | None, t: int) -> int:
+    """``S`` (``None``: the protocol's default size for ``t``), validated.
+
+    Derived once per configuration: a protocol's resilience rule is fixed
+    by its class and its name (which names the variant, as in
+    ``fast-regular[replay]``), and a schedule search builds one
+    configuration thousands of times.  A rejected configuration is not
+    remembered — it raises on every build.
+    """
+    key = (protocol.__class__, protocol.name, S, t)
+    size = _SIZES.get(key)
+    if size is None:
+        if S is None:
+            size = _default_size(protocol, t)
+        else:
+            protocol.validate_configuration(S, t)
+            size = S
+        _SIZES[key] = size
+    return size
+
+
 def _assemble(
     system: SystemBackend,
     sample: "RegisterProtocol",
@@ -167,9 +192,7 @@ def _assemble(
     ``spares`` objects beyond the ``S`` epoch members (reconfiguration);
     the pool's object ids are returned.
     """
-    if S is None:
-        S = _default_size(sample, t)
-    sample.validate_configuration(S, t)
+    S = _sized(sample, S, t)
     behaviors = dict(behaviors or {})
     if len(behaviors) > t and not allow_overfault:
         raise ConfigurationError(

@@ -25,7 +25,7 @@ from repro.api.registry import register_protocol
 from repro.quorums.threshold import ByzantineThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
 from repro.registers.fast_regular import FastRegularObjectHandler, PRE_WRITE, READ_ONE, READ_TWO, WRITE
-from repro.registers.timestamps import max_candidate, pooled_voucher_counts
+from repro.registers.timestamps import freshest_report, max_candidate, pooled_voucher_counts
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, ReplySet, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
@@ -123,8 +123,7 @@ class BoundedRegularProtocol(RegisterProtocol):
                 tag = READ_ONE if round_index == 0 else READ_TWO
                 payload: dict[str, Any] = {}
                 if round_index > 0:
-                    counts = pooled_voucher_counts(pool, fields=("pw", "w"))
-                    payload["wb"] = max_candidate(counts.keys())
+                    payload["wb"] = freshest_report(pool)
                 outcome = yield RoundSpec(
                     tag=tag,
                     payload=payload,

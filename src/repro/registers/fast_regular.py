@@ -39,7 +39,7 @@ from repro.api.registry import register_protocol
 from repro.errors import ConfigurationError
 from repro.quorums.threshold import ByzantineThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
-from repro.registers.timestamps import max_candidate, pooled_voucher_counts
+from repro.registers.timestamps import freshest_report, max_candidate, pooled_voucher_counts
 from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, RoundSpec
@@ -154,10 +154,10 @@ class FastRegularProtocol(RegisterProtocol):
         trust_model = self.trust_model
 
         def select(reply_sets: list[dict]) -> TaggedValue:
-            counts = pooled_voucher_counts(reply_sets, fields=("pw", "w"))
             if trust_model == "replay":
                 # Every report is genuine: freshest report wins.
-                return max_candidate(counts.keys())
+                return freshest_report(reply_sets)
+            counts = pooled_voucher_counts(reply_sets, fields=("pw", "w"))
             certified = [pair for pair, n in counts.items() if n >= certify]
             if certified:
                 return max_candidate(certified)

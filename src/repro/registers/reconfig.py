@@ -46,7 +46,7 @@ from repro.registers.base import (
     RegisterSystem,
     SystemBackend,
     _assemble,
-    _default_size,
+    _sized,
     resolve_reader,
 )
 from repro.sim.network import DeliveryPolicy, Message
@@ -152,9 +152,7 @@ class ReconfigRegisterSystem(SystemBackend):
         spares: int | None = None,
         xfer_quorum: int | None = None,
     ) -> None:
-        if S is None:
-            S = _default_size(protocol, t)
-        protocol.validate_configuration(S, t)
+        S = _sized(protocol, S, t)
         _check_transferable(protocol)
         repairs = tuple((int(member), int(at)) for member, at in repairs)
         for member, at in repairs:

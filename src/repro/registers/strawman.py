@@ -38,7 +38,7 @@ from typing import Any, Mapping
 from repro.api.registry import register_protocol
 from repro.errors import ConfigurationError
 from repro.registers.base import ProtocolContext, RegisterProtocol
-from repro.registers.timestamps import max_candidate, pooled_voucher_counts
+from repro.registers.timestamps import freshest_report
 from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, ReplySet, RoundSpec
@@ -82,8 +82,7 @@ def _select(pool: list[ReplySet], certify: int) -> TaggedValue:
     build certified-first variants to show the alternative failure mode)
     but deliberately unused here — see the module docstring.
     """
-    counts = pooled_voucher_counts(pool, fields=("w", "wb"))
-    return max_candidate(counts.keys())
+    return freshest_report(pool, fields=("w", "wb"))
 
 
 class _StrawmanBase(RegisterProtocol):

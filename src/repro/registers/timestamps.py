@@ -84,6 +84,31 @@ def pooled_voucher_counts(
     return tally
 
 
+def freshest_report(
+    reply_sets: Iterable[ReplySet], fields: tuple[str, str] = ("pw", "w")
+) -> TaggedValue:
+    """``max_candidate(pooled_voucher_counts(reply_sets, fields).keys())``
+    without the tally, for selection rules that trust every report.
+
+    The same object, not just an equal one: the tally's keys are the first
+    instance of each distinct pair in scan order, and the first report
+    carrying the highest timestamp is the first instance of its pair.  One
+    pass keeps it; a report that *is* the current best — objects store the
+    writer's own instance, so most reports are — is skipped by identity.
+    """
+    first_field, second_field = fields
+    best = TaggedValue.initial()
+    for replies in reply_sets:
+        for payload in replies.values():
+            report = payload.get(first_field)
+            if report is not best and isinstance(report, TaggedValue) and report.ts > best.ts:
+                best = report
+            report = payload.get(second_field)
+            if report is not best and isinstance(report, TaggedValue) and report.ts > best.ts:
+                best = report
+    return best
+
+
 def max_candidate(candidates: Iterable[TaggedValue]) -> TaggedValue:
     """Highest-timestamp candidate; ``(0, ⊥)`` when the pool is empty."""
     best = TaggedValue.initial()

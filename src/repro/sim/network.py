@@ -96,7 +96,13 @@ class DeliveryPolicy:
 
 
 class FifoDelivery(DeliveryPolicy):
-    """Deliver every message after a fixed delay (default: one tick)."""
+    """Deliver every message after a fixed delay (default: one tick).
+
+    A subclass may hold messages by declaring a :attr:`hold_check`, which
+    ``delay`` asks too — the explorer's
+    :class:`~repro.explore.controlled.ControlledDelivery` is one: its shape
+    and its per-message answer are then one judgment.
+    """
 
     def __init__(self, latency: int = 1) -> None:
         if latency < 1:
@@ -108,6 +114,9 @@ class FifoDelivery(DeliveryPolicy):
         return self.latency
 
     def delay(self, message: Message, now: int) -> int | None:
+        hold_check = self.hold_check
+        if hold_check is not None and hold_check(message):
+            return None
         return self.latency
 
 

@@ -13,6 +13,7 @@ import enum
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Iterator
 
 #: The register's initial value.  Per the paper it is a reserved symbol that
@@ -85,6 +86,12 @@ class ProcessId:
         return f"{prefix}{self.index}"
 
 
+# The constructors below hand out one shared instance per identifier (an
+# identifier is immutable and hashed from ints): a schedule search builds
+# the same pool, writer and readers for every schedule it runs.
+
+
+@cache
 def object_id(index: int) -> ProcessId:
     """Identifier of storage object ``s_index`` (1-based, as in the paper)."""
     if index < 1:
@@ -92,11 +99,13 @@ def object_id(index: int) -> ProcessId:
     return ProcessId(Role.OBJECT.value, index)
 
 
+@cache
 def writer_id() -> ProcessId:
     """Identifier of the unique writer ``w``."""
     return ProcessId(Role.WRITER.value, 0)
 
 
+@cache
 def reader_id(index: int) -> ProcessId:
     """Identifier of reader ``r_index`` (1-based, as in the paper)."""
     if index < 1:
@@ -104,6 +113,7 @@ def reader_id(index: int) -> ProcessId:
     return ProcessId(Role.READER.value, index)
 
 
+@cache
 def repair_id(index: int) -> ProcessId:
     """Identifier of repair coordinator ``q_index`` (1-based, one per epoch step)."""
     if index < 1:
@@ -111,11 +121,13 @@ def repair_id(index: int) -> ProcessId:
     return ProcessId(Role.REPAIR.value, index)
 
 
+@cache
 def object_ids(count: int) -> tuple[ProcessId, ...]:
     """Identifiers ``s_1 .. s_count``."""
     return tuple(object_id(i) for i in range(1, count + 1))
 
 
+@cache
 def reader_ids(count: int) -> tuple[ProcessId, ...]:
     """Identifiers ``r_1 .. r_count``."""
     return tuple(reader_id(i) for i in range(1, count + 1))

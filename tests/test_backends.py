@@ -13,6 +13,7 @@ from repro.api import (
     available_backends,
     get_backend_spec,
     get_spec,
+    protocol_specs,
 )
 from repro.api.backends import KAtomicBackend
 from repro.errors import ConfigurationError
@@ -582,6 +583,21 @@ class TestOneSurface:
         assert MultiWriterRegisterSystem(lambda: FastRegularProtocol("replay"), t=2).S == 7
         assert MultiWriterRegisterSystem(SecretTokenProtocol, t=1).S == 4
         assert Cluster("mwmr-secret-token", t=2).run().S == 7
+
+    def test_sizing_is_derived_once_and_rejections_raise_every_time(self):
+        from repro.registers.base import _default_size, _sized
+        from repro.registers.fast_regular import FastRegularProtocol
+
+        for spec in protocol_specs():
+            for t in (1, 2):
+                protocol = spec.build()
+                first = _sized(protocol, None, t)
+                assert first == _default_size(protocol, t) == spec.min_size(t)
+                assert _sized(spec.build(), None, t) == first
+                assert _sized(protocol, first + 1, t) == first + 1
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                RegisterSystem(FastRegularProtocol(), t=1, S=3)
 
     def test_the_retired_layers_stay_retired(self):
         retired = re.compile(

@@ -65,6 +65,47 @@ class TestHoldLink:
         for link in (HoldLink(3, 2), HoldLink(1, 4, round_no=2)):
             assert HoldLink.from_json(link.to_json()) == link
 
+    def test_equality_is_on_the_fields(self):
+        from repro.explore import FaultTrigger
+
+        assert HoldLink(1, 2) == HoldLink(1, 2) and HoldLink(1, 2) != HoldLink(1, 2, 1)
+        assert HoldLink(1, 2, 3) != HoldLink(1, 3, 3) != HoldLink(2, 3, 3)
+        assert HoldLink(1, 2) != FaultTrigger(1, 2) and HoldLink(1, 2) != (1, 2, None)
+        assert len({HoldLink(1, 2), HoldLink(1, 2), HoldLink(1, 2, 1)}) == 2
+
+    def test_hash_survives_pickling(self):
+        for link in (HoldLink(1, 2), HoldLink(1, 2, 3)):
+            clone = pickle.loads(pickle.dumps(link))
+            assert clone == link and hash(clone) == hash(link)
+            assert repr(clone) == repr(link) == repr(HoldLink(*link.to_json()))
+
+    def test_hash_agrees_across_hash_seeds(self):
+        """A link pickled to a pool worker must index the same set slot there:
+        its hash is over ints only (``hash(None)`` is address-based on some
+        interpreters)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "from repro.explore import HoldLink\n"
+            "print(hash('seeded'), hash(HoldLink(1, 2)), hash(HoldLink(1, 2, 3)))\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(repro.__file__).parents[1]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, timeout=60, check=True)
+            outputs.append(done.stdout.decode().split())
+        (seeded_1, *hashes_1), (seeded_2, *hashes_2) = outputs
+        assert seeded_1 != seeded_2  # the seeds really differ
+        expected = [str(hash(HoldLink(1, 2))), str(hash(HoldLink(1, 2, 3)))]
+        assert hashes_1 == hashes_2 == expected
+
 
 class TestControlledDelivery:
     def _run(self, policy):
@@ -109,8 +150,11 @@ class TestControlledDelivery:
 
     @pytest.mark.parametrize("granularity", ("operation", "round"))
     def test_links_are_built_at_the_boundary_only(self, granularity, monkeypatch):
-        """Inside the policy a link is a tuple; one ``simulate`` constructs a
-        ``HoldLink`` per reported expansion, not one per message on the wire."""
+        """Inside the policy a link is a tuple; the first ``simulate``
+        constructs a ``HoldLink`` per reported expansion, not one per message
+        on the wire, and a later schedule reporting the same links
+        constructs none."""
+        from repro.explore.controlled import _boundary_link
         from repro.explore.engine import simulate
 
         probe = small_cluster()._schedule_probe(SearchBounds(granularity=granularity))
@@ -123,11 +167,15 @@ class TestControlledDelivery:
             built.append(link)
             validate(link)
 
+        _boundary_link.cache_clear()
         monkeypatch.setattr(HoldLink, "__post_init__", counting)
         outcome = simulate(probe).outcome
         assert outcome.held_messages >= 2 and outcome.events > 2 * len(outcome.expansions)
         assert built and len(built) <= len(outcome.expansions) + len(outcome.decisions)
         assert tuple(built) == outcome.expansions == canonical_decisions(outcome.expansions)
+        built.clear()
+        assert simulate(probe).outcome == outcome
+        assert built == []
 
     def test_granularity_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -160,6 +208,16 @@ class TestRunSchedule:
         )
         base.update(overrides)
         return ScheduleProbe(**base)
+
+    def test_judge_replaces_the_verdicts_only(self):
+        from dataclasses import fields
+
+        from repro.explore import judge
+        from repro.explore.engine import ScheduleOutcome, SimulatedSchedule
+
+        marked = {item.name: f"<{item.name}>" for item in fields(ScheduleOutcome)}
+        judged = judge(SimulatedSchedule(ScheduleOutcome(**marked), {}), ())
+        assert judged == ScheduleOutcome(**{**marked, "failures": (), "passed": ()})
 
     def test_empty_schedule_passes(self):
         outcome = run_schedule(self._probe())
@@ -302,6 +360,43 @@ class TestExplorerParallel:
             json.dumps(serial.to_dict(), sort_keys=True)
             == json.dumps(parallel.to_dict(), sort_keys=True)
         )
+
+
+class TestNoStateCrossesSchedules:
+    """What a configuration fixes is derived once (sizes, identifiers, hold
+    links); everything stateful is built fresh per schedule.  So a schedule's
+    outcome cannot depend on which schedules ran before it in the process."""
+
+    @pytest.mark.parametrize("cluster,bounds", [
+        (lambda: small_cluster().check("regularity"),
+         SearchBounds(granularity="round", max_holds=2)),
+        (underprovisioned_cluster, SearchBounds(max_holds=2, fault_timing=True)),
+    ], ids=("certify", "refute-timed"))
+    def test_forward_reversed_and_pooled_agree(self, cluster, bounds, monkeypatch):
+        from repro.api.cluster import _pool_map
+        from repro.explore import engine as explore_engine
+
+        probe = cluster()._schedule_probe(bounds)
+        searched = []
+        simulate = explore_engine.simulate
+        monkeypatch.setattr(
+            explore_engine, "simulate", lambda p: searched.append(p) or simulate(p)
+        )
+        serial = Explorer(probe, bounds).run()
+        monkeypatch.undo()
+        assert len(searched) == serial.stats.explored + serial.stats.minimization_runs > 20
+
+        def outcome(p):
+            return explore_engine.judge(explore_engine.simulate(p), p.checks)
+
+        forward = [outcome(p) for p in searched]
+        backward = [outcome(p) for p in reversed(searched)][::-1]
+        pooled = _pool_map(searched, 2, fn=explore_engine._search_schedule)
+        assert forward == backward == pooled
+        assert list(map(repr, forward)) == list(map(repr, backward)) == list(map(repr, pooled))
+        parallel = Explorer(probe, bounds).run(parallel=True, max_workers=2)
+        assert (json.dumps(serial.to_dict(), sort_keys=True)
+                == json.dumps(parallel.to_dict(), sort_keys=True))
 
 
 class TestWitness:

@@ -168,16 +168,18 @@ class TestEqualTracesFromDifferentDecisions:
 
 
 def _recording(policy):
-    """``policy``, listing every message it is asked about (through the
-    instance, so the class keeps the shape it declares)."""
+    """``policy``, listing every message it judges (through the instance, so
+    the class keeps the shape it declares).  The spy sits on ``hold_check``,
+    where the judgment is made on both paths: the fast path calls it
+    directly, and the per-message ``delay`` (``FifoDelivery``'s) asks it."""
     policy.asked = []
-    judge_one = policy.delay
+    judge_one = policy.hold_check
 
-    def delay(message, now):
+    def hold_check(message):
         policy.asked.append(message)
-        return judge_one(message, now)
+        return judge_one(message)
 
-    policy.delay = delay
+    policy.hold_check = hold_check
     return policy
 
 

@@ -48,6 +48,11 @@ class TestProcessId:
     def test_same_id_equal(self):
         assert object_id(7) == object_id(7)
 
+    def test_constructors_share_one_instance_per_identifier(self):
+        assert object_id(7) is object_id(7) and writer_id() is writer_id()
+        assert object_ids(4) is object_ids(4) and object_ids(4)[2] is object_id(3)
+        assert reader_ids(2) is reader_ids(2) and reader_ids(2)[1] is reader_id(2)
+
 
 class TestTimestamp:
     def test_zero(self):
@@ -161,7 +166,10 @@ class TestIdentifierHashes:
         return [eval(source, vars(types)) for source in cls.SAMPLES]
 
     def test_equal_identifiers_hash_equal(self):
-        for first, second in zip(self._samples(), self._samples()):
+        for first in self._samples():
+            # The id constructors share one instance per identifier, so the
+            # equal twin is rebuilt from the fields.
+            second = type(first)(*[getattr(first, n) for n in first.__match_args__])
             assert first is not second
             assert first == second and hash(first) == hash(second)
             assert {first: 1}[second] == 1
@@ -248,3 +256,56 @@ class TestVoucherCounts:
         pooled = pooled_voucher_counts([self.REPLIES, later], ("pw", "w"))
         assert type(pooled) is dict
         assert list(pooled.items()) == [(self.V2, 1), (self.V1, 2), (self.V3, 2)]
+
+
+def _report_pool():
+    """Reports a reply may carry: shared instances, equal twins that are
+    distinct objects, equal timestamps with different values, timestamp-0
+    pairs other than the initial one, and fields that are no tagged value."""
+    v1, v2 = TaggedValue(Timestamp(1), "a"), TaggedValue(Timestamp(2), "b")
+    return [
+        TaggedValue.initial(), TaggedValue(Timestamp(0), "z"),
+        v1, TaggedValue(Timestamp(1), "a"), TaggedValue(Timestamp(1), "other"),
+        v2, TaggedValue(Timestamp(2), "b"), TaggedValue(Timestamp(2, 1), "b"),
+        TaggedValue(Timestamp(3), None), "junk", None, 3,
+    ]
+
+
+_REPORTS = _report_pool()
+_MISSING = object()
+
+
+@st.composite
+def _reply_sets(draw):
+    def payload():
+        report = st.sampled_from(_REPORTS + [_MISSING])
+        return st.fixed_dictionaries({"pw": report, "w": report, "wb": report}).map(
+            lambda fields: {k: v for k, v in fields.items() if v is not _MISSING}
+        )
+
+    replies = st.dictionaries(st.sampled_from(object_ids(5)), payload(), max_size=5)
+    return draw(st.lists(replies, max_size=3))
+
+
+class TestFreshestReport:
+    """The replay-mode selection scan returns the very object the tally's
+    maximum does."""
+
+    @given(reply_sets=_reply_sets(), fields=st.sampled_from([("pw", "w"), ("w", "wb")]))
+    def test_same_object_as_the_tally_maximum(self, reply_sets, fields):
+        from repro.registers.timestamps import (
+            freshest_report, max_candidate, pooled_voucher_counts,
+        )
+
+        tallied = max_candidate(pooled_voucher_counts(reply_sets, fields).keys())
+        assert freshest_report(reply_sets, fields) is tallied
+
+    def test_equal_timestamps_keep_the_first_report(self):
+        from repro.registers.timestamps import freshest_report
+
+        first, second = TaggedValue(Timestamp(4), "x"), TaggedValue(Timestamp(4), "y")
+        twin = TaggedValue(Timestamp(4), "x")
+        replies = {object_id(1): {"pw": "junk", "w": first},
+                   object_id(2): {"pw": second, "w": twin}}
+        assert freshest_report([replies]) is first
+        assert freshest_report([{}]) is TaggedValue.initial()
