@@ -111,6 +111,9 @@ class KAtomicBackend:
     keys = _forward("keys")
     label = _forward("label")
     S = _forward("S")
+    # ``with`` the view closes the system, as ``with`` the system does.
+    __enter__ = SystemBackend.__enter__
+    __exit__ = SystemBackend.__exit__
 
     def __init__(self, system: SystemBackend, bound: int) -> None:
         self.system = system

@@ -51,7 +51,6 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -508,9 +507,7 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
     # on exit the outer count resumes past its watermark, so any system live
     # outside the trial keeps allocating fresh ids.  The backend is closed on
     # the way out, once the result is built.
-    with scoped_operation_serials(), closing(
-        build_backend(spec, protocol_spec)
-    ) as backend:
+    with scoped_operation_serials(), build_backend(spec, protocol_spec) as backend:
         if not (spec.keep_trace or spec.observe):
             # Nothing will read this trial's wire log: accounting reads the
             # round fold the sends raise, so only a kept trace or the obs
@@ -1144,7 +1141,7 @@ class Cluster:
         self._require_scenario_durability()
         behaviors, inventory = self._materialize_faults()
         specs = self._trial_specs(trials, seed, keep_history, keep_trace)
-        with closing(self.backend_spec.build(self._spec, specs[0], behaviors)) as probe:
+        with self.backend_spec.build(self._spec, specs[0], behaviors) as probe:
             result = RunResult(
                 protocol=self._spec.name,
                 semantics=self._spec.semantics,

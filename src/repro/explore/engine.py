@@ -75,7 +75,6 @@ from __future__ import annotations
 import pickle
 import warnings
 from collections import deque
-from contextlib import closing
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -272,9 +271,7 @@ def _simulate(probe: ScheduleProbe, fingerprint: bool) -> SimulatedSchedule:
         )
         return policy
 
-    with scoped_operation_serials(), closing(
-        build_backend(probe, adversary=adversary)
-    ) as backend:
+    with scoped_operation_serials(), build_backend(probe, adversary=adversary) as backend:
         if not fingerprint:
             # A search schedule is compared by its trace key and accounted
             # by nothing, so only the fingerprint reads the wire log.

@@ -100,7 +100,8 @@ def derive_spans(simulator: Simulator, trace: MessageTrace) -> list[dict[str, An
                 round_end: int | None = rounds[index + 1].started_at
             else:
                 round_end = end
-            destinations = record.spec.destinations or object_ids
+            destinations = record.destinations or object_ids
+            replies = record.replies
             held, dropped = adversary.get((op_id, record.round_no), (0, 0))
             span: dict[str, Any] = {
                 "span": "round",
@@ -108,17 +109,19 @@ def derive_spans(simulator: Simulator, trace: MessageTrace) -> list[dict[str, An
                 "op": op_id.kind,
                 "serial": op_id.serial,
                 "round": record.round_no,
-                "tag": record.spec.tag,
+                "tag": record.tag,
                 "start": record.started_at,
                 "end": round_end,
                 "wait": None if round_end is None else round_end - record.started_at,
                 "destinations": [str(dst) for dst in destinations],
-                "replies": len(record.replies),
-                "needed": record.spec.rule.min_count,
+                # A terminated round kept its count; one still collecting
+                # at the end of a held run still has its reply set.
+                "replies": record.reply_count if replies is None else len(replies),
+                "needed": record.min_count,
                 "held": held,
                 "dropped": dropped,
             }
-            phase = REPAIR_PHASES.get(record.spec.tag)
+            phase = REPAIR_PHASES.get(record.tag)
             if phase is not None:
                 span["phase"] = phase
             spans.append(span)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Self, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.batched import BatchedSimulator
@@ -52,7 +52,8 @@ class SystemBackend(ABC):
     per key, and ``simulator`` / ``trace`` (set by :func:`_assemble`) feed
     the shared round accounting
     (:func:`repro.analysis.metrics.measure_backend_latency`).  Built systems
-    are caller-owned: :meth:`close` releases them.
+    are caller-owned: :meth:`close` releases them, and ``with`` a system
+    closes it on the way out.
     """
 
     #: Logical register names this system hosts (one entry for
@@ -130,6 +131,12 @@ class SystemBackend(ABC):
         if self.storage is not None:
             self.storage.close()
         self.simulator.close()
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def _default_size(protocol: RegisterProtocol, t: int) -> int:

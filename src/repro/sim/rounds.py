@@ -107,10 +107,25 @@ class RoundOutcome:
 
 @dataclass(slots=True)
 class RoundRecord:
-    """Bookkeeping the engine keeps per started round."""
+    """Bookkeeping the engine keeps per started round.
 
-    spec: RoundSpec
+    While the round collects replies it holds its ``spec`` (the rule the
+    engine tests) and its ``replies``.  When it terminates, the reply set
+    goes to the :class:`RoundOutcome` and the record keeps only what is
+    ever read of a past round — ``round_no``, ``started_at``, ``tag``,
+    ``min_count``, ``destinations`` and ``reply_count`` — with ``spec`` and
+    ``replies`` set to ``None``, so a long run holds its operations, not
+    its traffic.
+    """
+
+    spec: RoundSpec | None
     round_no: int
     started_at: int
-    replies: ReplySet = field(default_factory=dict)
+    tag: str
+    min_count: int
+    #: ``None`` for a broadcast to every object.
+    destinations: Sequence[ProcessId] | None
+    replies: ReplySet | None = field(default_factory=dict)
+    #: Replies counted when the round terminated (``len(replies)`` before).
+    reply_count: int = 0
     terminated: bool = False

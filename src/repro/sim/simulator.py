@@ -52,7 +52,8 @@ class ClientOperation:
 
     op_id: OperationId
     client: ProcessId
-    generator: ProtocolGenerator
+    #: ``None`` once the operation completed: its finished generator goes.
+    generator: ProtocolGenerator | None
     invoked_at: int
     status: OperationStatus = OperationStatus.PENDING
     result: Any = None
@@ -239,7 +240,7 @@ class Simulator:
             return  # stale reply to a finished/aborted operation
         record = self._round_record(operation, message.round_no)
         if record is None or record.terminated:
-            return  # late reply to an already-terminated round; keep for audit
+            return  # late reply to an already-terminated round: ignored
         if message.src in record.replies:
             return  # duplicate (cannot happen over reliable FIFO, but be safe)
         record.replies[message.src] = message.payload
@@ -255,12 +256,16 @@ class Simulator:
 
     def _finish_round(self, operation: ClientOperation, record: RoundRecord, quiesced: bool) -> None:
         # The outcome takes ownership of ``record.replies`` instead of
-        # copying it: a round is terminated exactly once, and late replies
-        # are filtered out before the dict is touched (_on_client_message
-        # returns early on ``record.terminated``), so the reply set can
-        # never change after this point.
+        # copying it, and the record keeps only its summary (see
+        # RoundRecord): a round is terminated exactly once, and late replies
+        # are filtered out on ``record.terminated`` before the reply set is
+        # touched (here and in the batched drain), so nothing reads the spec
+        # or the reply set of a terminated round.
+        replies = record.replies
+        record.reply_count = len(replies)
+        record.spec = record.replies = None
         record.terminated = True
-        outcome = RoundOutcome(record.round_no, record.replies, quiesced, self.queue.now)
+        outcome = RoundOutcome(record.round_no, replies, quiesced, self.queue.now)
         self._advance(operation, outcome=outcome)
 
     def _advance(
@@ -281,12 +286,15 @@ class Simulator:
 
     def _start_round(self, operation: ClientOperation, spec: RoundSpec) -> None:
         round_no = len(operation.rounds) + 1
-        record = RoundRecord(spec=spec, round_no=round_no, started_at=self.queue.now)
+        tag = spec.tag
+        # Positional: (spec, round_no, started_at, tag, min_count, destinations).
+        record = RoundRecord(
+            spec, round_no, self.queue.now, tag, spec.rule.min_count, spec.destinations
+        )
         operation.rounds.append(record)
         destinations: Iterable[ProcessId] = spec.destinations or self.object_ids
         client = operation.client
         op_id = operation.op_id
-        tag = spec.tag
         # Messages are built positionally: (src, dst, op, round_no, tag, payload).
         if spec.per_object_payload is None:
             payload = spec.payload
@@ -304,6 +312,7 @@ class Simulator:
     def _complete(self, operation: ClientOperation, result: Any) -> None:
         operation.status = OperationStatus.COMPLETE
         operation.result = result
+        operation.generator = None
         operation.completed_at = self.queue.now
         self._pending.pop(operation.op_id, None)
         self._busy_clients.discard(operation.client)

@@ -1,20 +1,28 @@
 """Tests for the observability layer: spans, metrics, exporters, parity."""
 
+import hashlib
 import io
 import json
 import pathlib
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, get_spec
+from repro.explore import HoldLink
+from repro.explore.controlled import ControlledDelivery
 from repro.obs import (
     MetricsRegistry,
     chrome_trace_events,
+    derive_metrics,
+    derive_spans,
     dump_metrics_jsonl,
     dump_spans_jsonl,
     summarize_spans,
     write_chrome_trace,
 )
+from repro.registers.base import RegisterSystem
+from repro.types import scoped_operation_serials
+from repro.workloads.generator import OperationPlan
 
 TIMELINE_PATH = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -70,6 +78,52 @@ class TestCrossEngineParity:
         serial = GRID[config]().run(trials=2, seed=3, parallel=False)
         parallel = GRID[config]().run(trials=2, seed=3, parallel=True)
         assert obs_dump(serial) == obs_dump(parallel)
+
+
+def _digest(dump):
+    return hashlib.sha256(dump.encode()).hexdigest()
+
+
+class TestBothRecordShapes:
+    """A terminated round keeps only its summary and a round still
+    collecting keeps its spec and replies: spans and metrics read both
+    shapes to the bytes they had when every round kept everything."""
+
+    def test_a_held_schedule_ending_with_a_round_still_collecting(self):
+        # The write never reaches s1 and s2, so its one round ends the run
+        # collecting (2 of the 3 acks); both reads terminate every round.
+        system = RegisterSystem(
+            get_spec("fast-regular").build(), t=1, S=4,
+            policy=ControlledDelivery([HoldLink(1, 1), HoldLink(1, 2)]),
+        )
+        with scoped_operation_serials():
+            system.schedule(OperationPlan(kind="write", client_index=1, value="v1", at=0))
+            system.schedule(OperationPlan(kind="read", client_index=1, value=None, at=120))
+            system.schedule(OperationPlan(kind="read", client_index=2, value=None, at=130))
+            events = system.run()
+        write, *reads = system.simulator.operations
+        (collecting,) = write.rounds
+        assert not collecting.terminated and collecting.spec is not None
+        assert len(collecting.replies) == 2
+        assert all(record.terminated for read in reads for record in read.rounds)
+        spans = derive_spans(system.simulator, system.trace)
+        metrics = derive_metrics(spans, system.trace, events=events)
+        system.close()
+        assert _digest(json.dumps([spans, metrics], sort_keys=True)) == (
+            "f9ea315892ce647ba39fa03022642210c6e68b9ed65cfbead5de87192ecdddbe"
+        )
+
+    def test_an_observed_durable_crash_recover_trial(self):
+        result = (
+            Cluster("abd", t=1, n_readers=3, durability="dir", observe=True)
+            .with_faults("crash-recover", count=1)
+            .with_workload(operations=20, reads=0.3, spacing=30)
+            .check("atomicity")
+            .run(trials=2, seed=11)
+        )
+        assert _digest(obs_dump(result)) == (
+            "638a7f4a1e7c322fb7b588498e17b6425a1c452c402c195f622671b350f33a49"
+        )
 
 
 class TestOffState:

@@ -24,6 +24,7 @@ from repro.api import Cluster, sweep
 from repro.errors import StorageError
 from repro.sim.tracing import trace_fingerprint
 from repro.storage import DURABILITIES
+from repro.workloads.generator import OperationPlan
 
 RECOVERY_FAULTS = ("crash-recover", "fsync-lag", "torn-write")
 
@@ -139,6 +140,22 @@ class TestATrialClosesWhatItOpens:
         before = _open_resources()
         call(cluster)
         # No gc.collect() here: the call itself must have closed everything.
+        assert _open_resources() == before
+
+    @pytest.mark.parametrize("consistency", ("atomic", "k-atomic(2)"))
+    def test_with_a_built_backend_closes_it_on_the_way_out(self, consistency):
+        # A system (or the k-atomic view over one) is a context manager:
+        # leaving the block closes it, journals and directory included.
+        cluster = Cluster("abd", t=1, n_readers=2, durability="dir", consistency=consistency)
+        gc.collect()
+        before = _open_resources()
+        with cluster.build_backend() as backend:
+            backend.schedule(OperationPlan(kind="write", client_index=1, value="v1", at=0))
+            backend.schedule(OperationPlan(kind="read", client_index=1, value=None, at=40))
+            backend.run()
+            root = backend.storage._root
+            assert root.is_dir()
+        assert not root.exists()
         assert _open_resources() == before
 
 
