@@ -11,13 +11,15 @@ Two execution styles are provided on top of the same process abstractions:
 * :class:`~repro.sim.batched.BatchedSimulator` — virtual time and pluggable
   delivery policies, walked a delivery wave at a time: what end-to-end
   protocol runs, randomized testing and latency benchmarks execute on.  Its
-  base class :class:`~repro.sim.simulator.Simulator` is the tests' reference.
+  base class :class:`~repro.sim.simulator.Simulator` is the tests'
+  reference: the same :class:`~repro.sim.events.WaveQueue`, drained one
+  entry at a time.
 * the scripted partial-run driver in :mod:`repro.core.runs` — used by the
   lower-bound constructions, which need exact per-round, per-block control.
 """
 
-from repro.sim.batched import BatchedSimulator, WaveQueue
-from repro.sim.events import Event, EventQueue
+from repro.sim.batched import BatchedSimulator
+from repro.sim.events import WaveQueue
 from repro.sim.network import DeliveryPolicy, FifoDelivery, Message, Network
 from repro.sim.process import FaultBehavior, ObjectHandler, ObjectServer
 from repro.sim.rounds import ReplyRule, RoundOutcome, RoundSpec
@@ -27,8 +29,6 @@ from repro.sim.tracing import MessageTrace, TraceEvent
 __all__ = [
     "BatchedSimulator",
     "WaveQueue",
-    "Event",
-    "EventQueue",
     "Message",
     "Network",
     "DeliveryPolicy",

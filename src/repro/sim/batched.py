@@ -6,29 +6,30 @@ class, the per-message :class:`~repro.sim.simulator.Simulator`, is what
 unshaped policies, mis-addressed messages and budget-truncated waves still
 run here, and the reference the tests compare this engine against.
 
-The protocols of the paper are round-structured: a client broadcasts to all
-``S`` objects, objects reply immediately, and the client advances once a
-quorum rule is met.  The event engine (:class:`~repro.sim.simulator.Simulator`
-on an :class:`~repro.sim.events.EventQueue`) pays one heap push, one heap
-pop and one callback per message for that traffic.  The
-:class:`BatchedSimulator` executes the *same* runs in **delivery waves**
-instead: all messages due at one virtual tick form a wave, and the wave is
-walked one maximal same-round *run* at a time, in entry order.
+Both engines schedule into the same :class:`~repro.sim.events.WaveQueue`:
+all work due at one virtual tick forms a wave, and a round's broadcast is
+one :meth:`~repro.sim.network.Network.send_round` call and one wave entry
+(:meth:`~repro.sim.events.WaveQueue.push_run`).  They differ only in the
+drain.  The reference walks each wave entry by entry, one callback per
+message (:meth:`~repro.sim.events.WaveQueue.run_all`).  The protocols of
+the paper are round-structured — a client broadcasts to all ``S`` objects,
+objects reply immediately, and the client advances once a quorum rule is
+met — so :class:`BatchedSimulator` walks the wave one maximal same-round
+*run* at a time instead, in entry order.
 
-What a wave batches is the bookkeeping *around* a run: a round's broadcast
-is one :meth:`~repro.sim.network.Network.send_round` call and one wave entry
-(:meth:`WaveQueue.push_run`), as are the replies it provokes; a reply run
-resolves its round rule against one lookup of the round's record; in-flight
-accounting and quiescence collapse to one step per run.  What it does *not*
-batch is the object's work: every invocation is dispatched on its own,
-through the inlined :meth:`~repro.sim.process.ObjectServer.receive`, at its
-position in the walk — an object replies to each message before it receives
-the next (Definition 1).
+What a wave batches is the bookkeeping *around* a run: the replies a run
+provokes are parked as one wave entry too; a reply run resolves its round
+rule against one lookup of the round's record; in-flight accounting and
+quiescence collapse to one step per run.  What it does *not* batch is the
+object's work: every invocation is dispatched on its own, through the
+inlined :meth:`~repro.sim.process.ObjectServer.receive`, at its position in
+the walk — an object replies to each message before it receives the next
+(Definition 1).
 
 Equivalence contract
 --------------------
 
-The batched engine is *observably identical* to the event engine — not
+The batched engine is *observably identical* to the reference — not
 merely equivalent in outcomes, but byte-identical in every artifact the
 harness exposes: recorded histories (including global step numbers), wire
 traces (event for event, in order), executed event counts, budget
@@ -36,16 +37,16 @@ truncation points, and the order in which handlers and fault behaviours are
 called.  Two facts make this possible:
 
 * **Everything stays in entry order.**  The wave is walked in exactly the
-  event queue's ``(time, seq)`` order: handler calls, trace events, reply
+  queue's ``(time, seq)`` order: handler calls, trace events, reply
   sends, delivery-policy consultations, history steps and round
   terminations all happen at the same position in the run as they would
-  one heap pop at a time.  In particular a round that overshoots its
+  one entry at a time.  In particular a round that overshoots its
   quorum within one tick terminates with exactly the same reply *prefix*
   either way.
 * **A run's in-flight count can only reach zero on its last entry** (the
   rest of the run is itself still in flight before that), so one combined
   in-flight update per run fires the quiescence listener at exactly the
-  event path's position.
+  reference's position.
 
 The fast path and its precondition
 ----------------------------------
@@ -85,127 +86,40 @@ declared one) run entirely on the per-message path.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import SimulationError
+from repro.sim.events import run_wave
 from repro.sim.network import Message
 from repro.sim.simulator import OperationStatus, Simulator
 from repro.sim.tracing import TraceKind
 
-class WaveQueue:
-    """Virtual-time buckets of scheduled work, popped one wave at a time.
-
-    Drop-in for the scheduling surface the simulator and network use
-    (``now``, ``schedule``), but instead of a heap it keeps one
-    FIFO list per virtual tick.  Entries are either zero-argument callables
-    (operation starts) or in-transit :class:`~repro.sim.network.Message`
-    deliveries pushed through the network's delivery sinks.  Appends
-    preserve global scheduling order within each bucket — exactly the
-    ``(time, seq)`` order the event heap would pop — so a popped wave *is*
-    the event queue's per-tick segment.
-    """
-
-    __slots__ = ("_buckets", "_times", "_now")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, list[Any]] = {}
-        # Min-heap of bucket times: one push per bucket *creation*, one pop
-        # per wave — scanning the bucket dict for its minimum key on every
-        # wave would cost O(pending ticks) per pop and degrade linearly on
-        # long schedules.  Times are unique while their bucket exists, so
-        # no lazy-deletion bookkeeping is needed.
-        self._times: list[int] = []
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        """Current virtual time (time of the last popped wave)."""
-        return self._now
-
-    def schedule(self, delay: int, action: Callable[[], Any], label: str = "") -> None:
-        """Schedule ``action`` to run ``delay`` ticks from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [action]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(action)
-
-    def push_message(self, deliver_at: int, message: Message) -> None:
-        """Park ``message`` for delivery in the wave at ``deliver_at``."""
-        bucket = self._buckets.get(deliver_at)
-        if bucket is None:
-            self._buckets[deliver_at] = [message]
-            heapq.heappush(self._times, deliver_at)
-        else:
-            bucket.append(message)
-
-    def push_run(self, deliver_at: int, messages: list[Message]) -> None:
-        """Park a whole same-round message run as *one* wave entry.
-
-        The run stays a single list entry inside the bucket — the walk
-        expands it in place, in order — so a broadcast costs one append at
-        send time and zero run-boundary scanning at delivery time.
-        """
-        bucket = self._buckets.get(deliver_at)
-        if bucket is None:
-            self._buckets[deliver_at] = [messages]
-            heapq.heappush(self._times, deliver_at)
-        else:
-            bucket.append(messages)
-
-    def clear(self) -> None:
-        """Drop every pending wave unrun."""
-        self._buckets.clear()
-        self._times.clear()
-
 
 class BatchedSimulator(Simulator):
-    """Drop-in :class:`Simulator` executing in per-tick delivery waves.
+    """Drop-in :class:`Simulator` draining its waves a run at a time.
 
     Same construction signature, same ``invoke``/``run``/``operations``/
     history/trace surface, byte-identical observable behaviour (see the
-    module docstring for why).  The differences are purely mechanical: the
-    heap becomes a :class:`WaveQueue`, the network's scheduled deliveries
-    flow into the wave buckets through its delivery sinks, and :meth:`run`
-    drains whole waves instead of popping events one at a time.
+    module docstring for why).  The one difference is :meth:`_drain`.
     """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.network.delivery_sink = self.queue.push_message
-        self.network.delivery_batch_sink = self.queue.push_run
-
-    def _new_queue(self) -> WaveQueue:  # type: ignore[override]
-        return WaveQueue()
-
-    def close(self) -> None:
-        """Also drop the waves a budget-truncated run left (they hold the engine)."""
-        self.queue.clear()
-        super().close()
-
-    # ------------------------------------------------------------------ #
-    # Wave execution
-    # ------------------------------------------------------------------ #
 
     def _drain(self, max_events: int | None) -> int:
         """Run wave after wave until no work is scheduled; returns the count.
 
-        Budget semantics mirror :meth:`EventQueue.run_all` exactly: the run
-        raises once ``max_events`` entries executed with work still pending,
-        having executed precisely the same prefix of the schedule.
+        Budget semantics mirror :meth:`~repro.sim.events.WaveQueue.run_all`
+        exactly: the run raises once ``max_events`` entries executed with
+        work still pending, having executed precisely the same prefix of the
+        schedule.
 
         This is the engine's whole hot loop, fused into one frame: waves
         average only a few entries, so per-wave function calls and attribute
         reloads would rival the per-entry work itself.  The wave is walked
-        in event order; broadcast runs arrive as single list entries (see
-        :meth:`WaveQueue.push_run`), so a run's reply-rule resolution and
-        in-flight accounting collapse to one bookkeeping step, while
+        in entry order; broadcast runs arrive as single list entries (see
+        :meth:`~repro.sim.events.WaveQueue.push_run`), so a run's reply-rule
+        resolution and in-flight accounting collapse to one bookkeeping step,
+        while
         everything order-sensitive (trace events, reply sends, round
-        terminations) happens at its exact event-path position.
+        terminations) happens at its exact position in the reference walk.
         """
         queue = self.queue
         buckets = queue._buckets
@@ -241,8 +155,10 @@ class BatchedSimulator(Simulator):
                 for entry in wave:
                     size += len(entry) if entry.__class__ is list else 1
                 if executed + size > max_events:
-                    self._run_truncated(wave, max_events - executed)
-                    raise SimulationError(f"event budget of {max_events} exhausted")
+                    # The budget ends inside this wave: its admissible
+                    # prefix runs entry by entry, and the walk raises at
+                    # the cut — entries past it must not run their handlers.
+                    return run_wave(wave, network._deliver, executed, max_events)
             out_bucket: list[Any] | None = None  # lazily bound next-tick bucket
 
             for entry in wave:
@@ -374,22 +290,3 @@ class BatchedSimulator(Simulator):
                         if listener is not None:
                             listener(op_id, round_no)
         return executed
-
-    def _run_truncated(self, wave: list[Any], budget: int) -> None:
-        """Execute exactly ``budget`` entries of ``wave`` the event way.
-
-        The budget ends inside this wave, so the admissible prefix replays
-        through the per-entry event path — no batching, since entries past
-        the cut must not have run their handlers.
-        """
-        deliver = self.network._deliver
-        done = 0
-        for entry in wave:
-            for item in entry if entry.__class__ is list else (entry,):
-                if done >= budget:
-                    return
-                if item.__class__ is Message:
-                    deliver(item)
-                else:
-                    item()
-                done += 1

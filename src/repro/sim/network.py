@@ -6,17 +6,25 @@ ordered pair of processes.  The *delivery policy* decides how long each
 message spends in transit; it may also *hold* a message indefinitely, which
 models the unbounded asynchrony the lower-bound proofs exploit (a held
 message is "in transit" at the end of a partial run).
+
+A scheduled delivery goes straight into the engine's
+:class:`~repro.sim.events.WaveQueue` as the message itself, on both
+engines: one entry per message on the per-message path, one entry per
+broadcast on the fast path (:meth:`Network.send_round`).  Whoever drains the
+queue hands each message to :meth:`Network._deliver` (the reference walk) or
+inlines that method's work (the batched engine's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.errors import ChannelError
-from repro.sim.events import EventQueue
 from repro.types import OperationId, ProcessId
+
+if TYPE_CHECKING:  # the queue's entries are this module's messages
+    from repro.sim.events import WaveQueue
 
 
 @dataclass(slots=True)
@@ -142,7 +150,7 @@ class SelectiveHold(DeliveryPolicy):
 
 
 class Network:
-    """The message fabric binding processes to the event queue.
+    """The message fabric binding processes to the wave queue.
 
     Responsibilities: route messages, enforce per-channel FIFO order, apply
     the delivery policy, and notify an optional trace.
@@ -150,7 +158,7 @@ class Network:
 
     def __init__(
         self,
-        queue: EventQueue,
+        queue: WaveQueue,
         policy: DeliveryPolicy | None = None,
         trace: "Any | None" = None,
     ) -> None:
@@ -167,13 +175,6 @@ class Network:
         # lets "wait for all plausibly-correct replies" resolve mid-run.
         self._inflight: dict[tuple[Any, int], int] = {}
         self.quiescence_listener: Callable[[Any, int], None] | None = None
-        # Batch hooks: when set, scheduled deliveries are handed to the sink
-        # as ``(deliver_at, message)`` — and whole broadcasts as
-        # ``(deliver_at, messages)`` — instead of becoming per-message queue
-        # events.  The batched engine points these at its wave buckets; the
-        # event engine leaves them None and keeps the heap path.
-        self.delivery_sink: Callable[[int, Message], None] | None = None
-        self.delivery_batch_sink: Callable[[int, Sequence[Message]], None] | None = None
 
     def attach(self, pid: ProcessId, handler: Callable[[Message], None]) -> None:
         """Register the message handler of process ``pid``."""
@@ -184,9 +185,9 @@ class Network:
         self._handlers.pop(pid, None)
 
     def close(self) -> None:
-        """Unwire the processes and hooks (each refers back to the engine)."""
+        """Unwire the processes and the listener (both refer back to the engine)."""
         self._handlers.clear()
-        self.quiescence_listener = self.delivery_sink = self.delivery_batch_sink = None
+        self.quiescence_listener = None
 
     def send(self, message: Message) -> None:
         """Hand ``message`` to the fabric.
@@ -225,10 +226,8 @@ class Network:
         return latency, policy.hold_check
 
     def _schedule_delivery(self, message: Message, delay: int) -> None:
-        # Hot path: one call per message on the wire.  Locals, a single
-        # ``now`` read, and ``partial`` instead of a lambda keep the
-        # per-message overhead minimal (labels were dropped entirely —
-        # rendering one cost more than scheduling the delivery).
+        # Hot path: one call per message on the wire.  Locals and a single
+        # ``now`` read keep the per-message overhead minimal.
         now = self._queue.now
         channel = (message.src, message.dst)
         deliver_at = now + delay if delay > 1 else now + 1
@@ -238,12 +237,9 @@ class Network:
         self._fifo_watermark[channel] = deliver_at
         round_key = (message.op, message.round_no)
         self._inflight[round_key] = self._inflight.get(round_key, 0) + 1
-        if self.delivery_sink is not None:
-            self.delivery_sink(deliver_at, message)
-            return
-        self._queue.schedule(deliver_at - now, partial(self._deliver, message))
+        self._queue.push_message(deliver_at, message)
 
-    def send_round(self, messages: Sequence[Message]) -> None:
+    def send_round(self, messages: list[Message]) -> None:
         """Send one round's whole broadcast in a single call.
 
         Every message must belong to the same ``(op, round)`` — exactly
@@ -253,10 +249,11 @@ class Network:
         declared shape the per-message policy dispatch and watermark
         bookkeeping are provably inert, and the shared round key means the
         delivered part of the broadcast is one trace extend, one in-flight
-        bump and one bucket extend (one queue event per message without the
-        batch sink).  Held messages are parked with their ``SEND``, ``HOLD``
-        entries at exactly the position :meth:`send` would have put them;
-        the hold verdicts are taken first, which a pure check cannot tell.
+        bump and one wave entry (:meth:`WaveQueue.push_run
+        <repro.sim.events.WaveQueue.push_run>`).  Held messages are parked
+        with their ``SEND``, ``HOLD`` entries at exactly the position
+        :meth:`send` would have put them; the hold verdicts are taken first,
+        which a pure check cannot tell.
         """
         shape = self.fast_shape()
         if shape is None:
@@ -286,13 +283,7 @@ class Network:
         round_key = (first.op, first.round_no)
         inflight = self._inflight
         inflight[round_key] = inflight.get(round_key, 0) + len(delivered)
-        batch_sink = self.delivery_batch_sink
-        if batch_sink is not None:
-            batch_sink(now + latency, delivered)
-            return
-        schedule = self._queue.schedule
-        for message in delivered:
-            schedule(latency, partial(self._deliver, message))
+        self._queue.push_run(now + latency, delivered)
 
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.dst)

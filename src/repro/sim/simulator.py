@@ -1,18 +1,21 @@
-"""The event-loop simulator driving clients against storage objects.
+"""The per-message simulator driving clients against storage objects.
 
-The :class:`Simulator` owns the event queue, the network, the object
-servers, and the set of in-flight client operations.  Client protocols are
-generators over :class:`~repro.sim.rounds.RoundSpec` (see
-:mod:`repro.sim.rounds`); the simulator advances them as replies arrive.
+The :class:`Simulator` owns the :class:`~repro.sim.events.WaveQueue`, the
+network, the object servers, and the set of in-flight client operations.
+Client protocols are generators over :class:`~repro.sim.rounds.RoundSpec`
+(see :mod:`repro.sim.rounds`); the simulator advances them as replies
+arrive.
 
 No register system is built on this class directly: the production engine
 is its subclass :class:`~repro.sim.batched.BatchedSimulator`, which replaces
-only the drain loop.  The one-event-at-a-time drain stays as the simplest
-statement of the semantics: the batched engine falls back to it wherever a
-wave cannot be batched, and the tests run whole trials on it as the
-reference the batched engine must match byte for byte.
+only the drain loop.  The one-entry-at-a-time drain
+(:meth:`~repro.sim.events.WaveQueue.run_all` handing each message to
+:meth:`Network._deliver <repro.sim.network.Network._deliver>`) stays as the
+simplest statement of the semantics: the batched engine falls back to its
+walk wherever a wave cannot be batched, and the tests run whole trials on it
+as the reference the batched engine must match byte for byte.
 
-Quiescence semantics: :meth:`Simulator.run` drains the event queue, then
+Quiescence semantics: :meth:`Simulator.run` drains the queue, then
 repeatedly offers every still-pending round the chance to terminate under its
 ``accept_on_quiescence`` rule; accepting may send new messages (a new round),
 so the drain/offer cycle repeats until a fixed point.  Operations still
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Iterable, Sequence
 
 from repro.errors import ProtocolError, SimulationError
-from repro.sim.events import EventQueue
+from repro.sim.events import WaveQueue
 from repro.sim.network import DeliveryPolicy, Message, Network
 from repro.sim.process import ObjectServer
 from repro.sim.rounds import RoundOutcome, RoundRecord, RoundSpec
@@ -93,7 +96,7 @@ class Simulator:
     ) -> None:
         if not objects:
             raise SimulationError("a storage system needs at least one object")
-        self.queue = self._new_queue()
+        self.queue = WaveQueue()
         self.trace = trace
         self.network = Network(self.queue, policy=policy, trace=trace)
         self.network.quiescence_listener = self._on_round_quiescent
@@ -124,10 +127,6 @@ class Simulator:
         # The object population is fixed at construction; cache the sorted
         # view once instead of re-sorting on every broadcast.
         self._object_ids: tuple[ProcessId, ...] = tuple(sorted(self.objects))
-
-    def _new_queue(self) -> EventQueue:
-        """The scheduling structure this engine runs on (overridable)."""
-        return EventQueue()
 
     # ------------------------------------------------------------------ #
     # Invocation and progress
@@ -211,12 +210,14 @@ class Simulator:
 
     def _drain(self, max_events: int | None) -> int:
         """Execute scheduled work until none is left; returns the count."""
-        return self.queue.run_all(max_events=max_events)
+        return self.queue.run_all(self.network._deliver, max_events)
 
     def close(self) -> None:
-        """Drop the operations (a suspended generator may hold its system)
-        and the network's wiring, so a finished run is freed by reference
-        count; a closed simulator is not run again."""
+        """Drop the waves a budget-truncated run left, the operations (a
+        suspended generator may hold its system) and the network's wiring —
+        each refers back to the engine — so a finished run is freed by
+        reference count; a closed simulator is not run again."""
+        self.queue.clear()
         self.operations.clear()
         self._by_op.clear()
         self._pending.clear()

@@ -14,8 +14,9 @@ called — plus the wave-queue mechanics the production engine is built on.
 
 from __future__ import annotations
 
+import gc
 import json
-from contextlib import closing
+from contextlib import closing, nullcontext
 
 import pytest
 
@@ -30,7 +31,8 @@ from repro.sim.tracing import TraceKind, trace_fingerprint
 from repro.faults.adversary import CrashAt
 from repro.faults.schedules import WithholdFrom
 from repro.registers.base import RegisterSystem
-from repro.sim.batched import BatchedSimulator, WaveQueue
+from repro.sim.batched import BatchedSimulator
+from repro.sim.events import WaveQueue
 from repro.sim.network import DeliveryPolicy, FifoDelivery, Network, SelectiveHold
 from repro.sim.process import ObjectHandler
 from repro.sim.simulator import Simulator
@@ -272,6 +274,24 @@ class TestTraceEquivalence:
         production, reference = _observe_both(reference_engine, cluster, max_events=budget)
         assert production[0] == f"event budget of {budget} exhausted"
         assert production == reference
+
+    @pytest.mark.parametrize("budget", (10, 37, 64, 101))
+    @pytest.mark.parametrize("engine", ("production", "reference"))
+    def test_a_truncated_system_leaves_no_cyclic_garbage(self, engine, budget, reference_engine):
+        """The waves a truncated run leaves refer back to the engine; closing
+        the system drops them, so it is freed by reference count on either
+        engine.  The first call absorbs what first use leaves behind."""
+        cluster = Cluster("abd", t=1, n_readers=3).with_workload(operations=12, spacing=25)
+        with reference_engine() if engine == "reference" else nullcontext():
+            _observe(cluster, seed=4, max_events=budget)
+            gc.collect()
+            gc.disable()
+            try:
+                executed = _observe(cluster, seed=4, max_events=budget)[0]
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+        assert executed == f"event budget of {budget} exhausted"
 
 
 THREE_OPERATIONS = [("write", "v1", 0), ("read", 1, 60), ("read", 2, 120)]

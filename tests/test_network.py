@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.errors import ChannelError
-from repro.sim.events import EventQueue
+from repro.sim.events import WaveQueue
 from repro.sim.network import (
     DeliveryPolicy,
     FifoDelivery,
@@ -59,34 +59,35 @@ class TestRandomDelivery:
 
 class TestNetworkDelivery:
     def test_delivers_to_attached_handler(self):
-        queue = EventQueue()
+        queue = WaveQueue()
         network = Network(queue)
         received = []
         network.attach(object_id(1), received.append)
         network.send(make_message())
-        queue.run_all()
+        queue.run_all(network._deliver)
         assert len(received) == 1
 
     def test_fifo_per_channel_under_random_delays(self):
-        queue = EventQueue()
+        queue = WaveQueue()
         network = Network(queue, policy=RandomDelivery(seed=3, max_latency=20))
         received = []
         network.attach(object_id(1), lambda m: received.append(m.tag))
         for i in range(10):
             network.send(make_message(tag=f"m{i}"))
-        queue.run_all()
+        queue.run_all(network._deliver)
         assert received == [f"m{i}" for i in range(10)]
 
     def test_drop_for_detached_destination(self):
-        queue = EventQueue()
+        queue = WaveQueue()
         network = Network(queue)
         network.attach(object_id(1), lambda m: None)
         network.detach(object_id(1))
         network.send(make_message())
-        queue.run_all()  # no exception: dropped silently (crashed client)
+        # No exception: dropped silently (crashed client).
+        queue.run_all(network._deliver)
 
     def test_send_round_delivers_the_whole_broadcast(self):
-        queue = EventQueue()
+        queue = WaveQueue()
         network = Network(queue)
         received = []
         for pid in object_ids(4):
@@ -96,7 +97,7 @@ class TestNetworkDelivery:
             Message(src=reader_id(1), dst=dst, op=op, round_no=1, tag="PING", payload={})
             for dst in object_ids(4)
         ])
-        queue.run_all()
+        queue.run_all(network._deliver)
         assert [m.dst for m in received] == list(object_ids(4))
 
 
@@ -106,13 +107,13 @@ def held_tags(trace):
 
 class TestHolding:
     def test_selective_hold_parks_messages(self):
-        queue, trace = EventQueue(), MessageTrace()
+        queue, trace = WaveQueue(), MessageTrace()
         network = Network(queue, policy=SelectiveHold(lambda m: m.tag == "SLOW"), trace=trace)
         received = []
         network.attach(object_id(1), lambda m: received.append(m.tag))
         network.send(make_message(tag="SLOW"))
         network.send(make_message(tag="FAST"))
-        queue.run_all()
+        queue.run_all(network._deliver)
         assert received == ["FAST"]
         assert held_tags(trace) == ["SLOW"]
 
@@ -165,14 +166,14 @@ class TestPolicyShape:
         assert FifoDelivery().uniform_latency == 1
         assert policy.uniform_latency is None
         assert Restated().uniform_latency == 1
-        queue, trace = EventQueue(), MessageTrace()
+        queue, trace = WaveQueue(), MessageTrace()
         network = Network(queue, policy=policy, trace=trace)
         assert network.fast_shape() is None
         delivered = []
         network.attach(object_id(1), lambda m: delivered.append(m.tag))
         queue.schedule(1, lambda: network.send_round([make_message(tag="early")]))
         queue.schedule(6, lambda: network.send_round([make_message(tag="late")]))
-        queue.run_all()
+        queue.run_all(network._deliver)
         assert delivered == ["early"]
         assert held_tags(trace) == ["late"]
 
@@ -181,7 +182,7 @@ class TestPolicyShape:
             return m.tag == "SLOW"
 
         def shape(policy):
-            return Network(EventQueue(), policy=policy).fast_shape()
+            return Network(WaveQueue(), policy=policy).fast_shape()
 
         assert shape(FifoDelivery(3)) == (3, None)
         held_at_one = ShapedHold(hold)
@@ -197,7 +198,7 @@ class TestPolicyShape:
         op = fresh_operation_id(reader_id(1), "read")
 
         def run(policy):
-            queue, trace = EventQueue(), MessageTrace()
+            queue, trace = WaveQueue(), MessageTrace()
             network = Network(queue, policy=policy, trace=trace)
             for pid in object_ids(4):
                 network.attach(pid, lambda m: None)
@@ -206,7 +207,7 @@ class TestPolicyShape:
                 for dst in object_ids(4)
             ])
             network.send_round([])
-            queue.run_all()
+            queue.run_all(network._deliver)
             return (
                 [(time, kind, m.dst) for time, kind, m in trace.entries],
                 [(m.dst, time) for time, kind, m in trace.entries if kind is TraceKind.HOLD],

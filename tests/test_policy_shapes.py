@@ -29,7 +29,7 @@ import repro
 from repro.explore import HoldLink
 from repro.explore.controlled import ControlledDelivery
 from repro.faults.schedules import WithholdFrom
-from repro.sim.events import EventQueue
+from repro.sim.events import WaveQueue
 from repro.sim.network import (
     DeliveryPolicy,
     FifoDelivery,
@@ -166,7 +166,7 @@ def test_every_policy_class_has_samples():
     ids=lambda value: value if isinstance(value, str) else None,
 )
 def test_declared_shape_agrees_with_delay(name, shaped, make):
-    shape = Network(EventQueue(), policy=make()).fast_shape()
+    shape = Network(WaveQueue(), policy=make()).fast_shape()
     assert (shape is not None) == shaped
     if shape is None:
         return  # nothing promised: the network asks ``delay`` message by message
