@@ -12,6 +12,7 @@ an under-provisioned (fsync-lagged) one with a minimized witness.
 from __future__ import annotations
 
 import gc
+import hashlib
 import glob
 import json
 import os
@@ -269,3 +270,92 @@ class TestRecoveryCli:
         capsys.readouterr()
         assert main(["replay", str(witness)]) == 0
         assert "byte-identically" in capsys.readouterr().out
+
+
+#: The crash family: every fault whose phase machine goes dark mid-run.
+CRASH_FAMILY = ("crash-recover", "flap", "fsync-lag", "perm-crash",
+                "rolling-replace", "rolling-restart", "torn-write")
+#: One operation per reader, so a run whose objects all die leaves
+#: operations incomplete instead of invoking on a blocked client.
+PIN_OPS = [("write", "v1", 0), ("read", 1, 40), ("write", "v2", 90),
+           ("read", 2, 130), ("read", 3, 200), ("read", 4, 260), ("read", 5, 300)]
+
+EVERY_OBJECT = ("s1", "s2", "s3")
+#: cell → (the inventory's assignments, a digest of the trace
+#: fingerprint, the obs spans / metrics / events and ``to_dict()`` minus its
+#: wall clock).  The rolling faults sit on every object.
+CRASH_FAMILY_PINS = {
+    "crash-recover": (
+        {"s1": "crash-recover(survive=3, rejoin=2)"}, "bfd0eb2b40b3584af897cd02"),
+    "timed(crash-recover)": (
+        {"s1": "timed(crash-recover@2)"}, "2e5e24a546a186d83343afe3"),
+    "flap": (
+        {"s1": "flap(survive=2, rejoin=1, cycles=2)"}, "601700d6126c00a5fd0835ee"),
+    "timed(flap)": (
+        {"s1": "timed(flap@2)"}, "aa4bb825b056c4ea5e26f176"),
+    "fsync-lag": (
+        {"s1": "fsync-lag(lag=1, survive=3, rejoin=2)"}, "729820d8ec4c07d840af0041"),
+    "timed(fsync-lag)": (
+        {"s1": "timed(fsync-lag@2)"}, "492d5887b43e7b056a14f385"),
+    "perm-crash": (
+        {"s1": "perm-crash(survive=3)"}, "4c5da6548a7ce8ccdbd599cc"),
+    "timed(perm-crash)": (
+        {"s1": "timed(perm-crash@2)"}, "d388a42040cd2d4181e4ee24"),
+    "rolling-replace": (
+        dict.fromkeys(EVERY_OBJECT, "rolling-replace(base=3, stagger=6)"),
+        "c5db29c72ff6abd9ea2cdadd"),
+    "timed(rolling-replace)": (
+        dict.fromkeys(EVERY_OBJECT, "timed(rolling-replace@2)"),
+        "562cc799a54545a4cec24ae3"),
+    "rolling-restart": (
+        dict.fromkeys(EVERY_OBJECT, "rolling-restart(base=3, stagger=6, rejoin=2)"),
+        "fbe7a180445d0c7571f21b81"),
+    "timed(rolling-restart)": (
+        dict.fromkeys(EVERY_OBJECT, "timed(rolling-restart@2)"),
+        "6553b2e8248f7e6254eee291"),
+    "torn-write": (
+        {"s1": "torn-write(survive=3, rejoin=2)"}, "b640e7e53f700cf6b95c55ab"),
+    "timed(torn-write)": (
+        {"s1": "timed(torn-write@2)"}, "cd18a105ce9c0701d0d80170"),
+}
+
+
+def _pinned_run(fault: str, timed: bool):
+    count = 3 if fault.startswith("rolling-") else 1
+    cluster = Cluster("abd", t=1, n_readers=5, durability="mem", observe=True,
+                      allow_overfault=True)
+    if timed:
+        cluster = cluster.with_faults("timed", count=count, inner=fault, at=2)
+    else:
+        cluster = cluster.with_faults(fault, count=count)
+    return cluster.with_operations(PIN_OPS).run(trials=1, keep_trace=True)
+
+
+def _pin_digest(result) -> str:
+    payload = result.to_dict()
+    for trial in payload["trials"]:
+        del trial["elapsed_s"]
+    trial = result.trials[0]
+    obs = {key: trial.obs[key] for key in ("spans", "metrics", "events")}
+    blob = canonical([trace_fingerprint(trial.trace), obs, payload])
+    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+class TestCrashFamilyPins:
+    """Each crash-family fault, facade-scheduled and under ``timed(at=2)``,
+    produces exactly the pinned run: inventory text, wire trace, down /
+    recovered spans and payload."""
+
+    def test_the_table_covers_the_family(self):
+        assert set(CRASH_FAMILY_PINS) == {
+            cell for fault in CRASH_FAMILY for cell in (fault, f"timed({fault})")
+        }
+
+    @pytest.mark.parametrize("timed", (False, True), ids=("facade", "timed"))
+    @pytest.mark.parametrize("fault", CRASH_FAMILY)
+    def test_run_matches_its_pin(self, fault, timed):
+        cell = f"timed({fault})" if timed else fault
+        assignments, digest = CRASH_FAMILY_PINS[cell]
+        result = _pinned_run(fault, timed)
+        assert result.faults.assignments == assignments
+        assert _pin_digest(result) == digest
