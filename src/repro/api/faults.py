@@ -7,9 +7,10 @@ per object (behaviours can be stateful, so instances are never shared).
 The built-in catalogue covers the behaviours the paper's adversary uses —
 ``crash``, ``silent``, ``stale-echo`` (the replay adversary of the proofs)
 and ``fabricating`` (the unauthenticated worst case) — plus the ``flaky``
-omission behaviour used by the chaos tests and the recovery / churn family.
-Registration is lazy (first lookup imports :mod:`repro.faults`) so this
-module stays import-cycle-free.
+omission behaviour used by the chaos tests, and the seven recovery / churn
+faults, each a named maker of one crash machine
+(:mod:`repro.faults.recovery`).  Registration is lazy (first lookup
+imports :mod:`repro.faults`) so this module stays import-cycle-free.
 
 Every adversary is declared against this registry in one format, ``(name,
 count[, kwargs])`` — ``Cluster.with_faults``, ``--faults``,
@@ -36,11 +37,14 @@ class FaultSpec:
     model: str  # "benign" | "byzantine" | "wrapper"
     aliases: tuple[str, ...] = ()
     description: str = ""
-    #: Maker parameters that schedule *when* the behaviour fires (e.g.
-    #: ``survive_messages``).  The ``timed`` wrapper forces these to zero
-    #: and owns the trigger point itself, so facade-scheduled timing and
-    #: explorer-swept timing can never contradict each other.  Empty for
-    #: behaviours that are active from their first delivery.
+    #: Maker parameters that schedule *when* the behaviour fires:
+    #: ``survive_messages``, or the rolling faults' ``base`` and
+    #: ``stagger``, which set the crash machine's per-object crash point.
+    #: The ``timed`` wrapper forces these to zero and owns the trigger
+    #: point itself, so facade-scheduled timing and explorer-swept timing
+    #: can never contradict each other (``flap`` also spaces its later
+    #: cycles with ``survive_messages``, so those follow at zero too).
+    #: Empty for behaviours that are active from their first delivery.
     timing: tuple[str, ...] = ()
 
     def build(self, **kwargs: Any) -> Any:
@@ -121,8 +125,7 @@ def _ensure_registered() -> None:
     _BOOTSTRAPPED = True
     from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
     from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
-    from repro.faults.churn import Flap, PermanentCrash, RollingReplace, RollingRestart
-    from repro.faults.recovery import CrashRecoverAt, FsyncLag, TornWrite
+    from repro.faults import recovery
 
     register_fault(
         "crash",
@@ -159,34 +162,28 @@ def _ensure_registered() -> None:
     )
     register_fault(
         "crash-recover",
-        lambda survive_messages=3, rejoin_after=2: CrashRecoverAt(
-            survive_messages=survive_messages, rejoin_after=rejoin_after
-        ),
+        recovery.crash_recover,
         model="benign",
         description="go dark mid-run, later rejoin from the durable journal",
         timing=('survive_messages',),
     )
     register_fault(
         "fsync-lag",
-        lambda survive_messages=3, rejoin_after=2, lag=1: FsyncLag(
-            survive_messages=survive_messages, rejoin_after=rejoin_after, lag=lag
-        ),
+        recovery.fsync_lag,
         model="benign",
         description="crash loses the acknowledged-but-unsynced journal suffix",
         timing=('survive_messages',),
     )
     register_fault(
         "torn-write",
-        lambda survive_messages=3, rejoin_after=2: TornWrite(
-            survive_messages=survive_messages, rejoin_after=rejoin_after
-        ),
+        recovery.torn_write,
         model="benign",
         description="crash tears the last journal record; recovery discards it",
         timing=('survive_messages',),
     )
     register_fault(
         "perm-crash",
-        lambda survive_messages=3: PermanentCrash(survive_messages=survive_messages),
+        recovery.perm_crash,
         model="benign",
         aliases=("permanent-crash",),
         description="fail for good mid-run: dark forever, nothing to recover",
@@ -194,25 +191,21 @@ def _ensure_registered() -> None:
     )
     register_fault(
         "flap",
-        lambda survive_messages=2, rejoin_after=1, cycles=2: Flap(
-            survive_messages=survive_messages, rejoin_after=rejoin_after, cycles=cycles
-        ),
+        recovery.flap,
         model="benign",
         description="repeated crash-recover cycles before finally stabilising",
         timing=('survive_messages',),
     )
     register_fault(
         "rolling-replace",
-        lambda base=3, stagger=6: RollingReplace(base=base, stagger=stagger),
+        recovery.rolling_replace,
         model="benign",
         description="staggered permanent crashes: s1 dies, then s2, then s3",
         timing=('base', 'stagger'),
     )
     register_fault(
         "rolling-restart",
-        lambda base=3, stagger=6, rejoin_after=2: RollingRestart(
-            base=base, stagger=stagger, rejoin_after=rejoin_after
-        ),
+        recovery.rolling_restart,
         model="benign",
         description="staggered crash-recovers: s1 restarts, then s2, then s3",
         timing=('base', 'stagger'),

@@ -4,8 +4,11 @@ The paper's model allows clients to crash and up to ``t`` objects to be
 *malicious* (Byzantine, unauthenticated data).  This package provides:
 
 * benign endpoint faults — silence, crash-at-time (:mod:`repro.faults.adversary`);
-* crash-recover faults — machines that go dark and rejoin from durable
-  storage, with fsync-lag and torn-write damage (:mod:`repro.faults.recovery`);
+* crash faults — one phase machine for every object that goes dark
+  mid-run and rejoins from durable storage (crash-recover, with fsync-lag
+  or torn-write damage, flapping) or never does (permanent loss), one
+  object at a time or in a rolling wave (:mod:`repro.faults.recovery`; the
+  registry reaches it by name only);
 * Byzantine behaviours — stale echo (a genuine past state, the adversary
   of the proofs) and fabrication of arbitrary well-typed states
   (:mod:`repro.faults.byzantine`);
@@ -17,7 +20,6 @@ The paper's model allows clients to crash and up to ``t`` objects to be
 """
 
 from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
-from repro.faults.recovery import CrashRecoverAt, FsyncLag, TornWrite
 from repro.faults.timing import TimedFault, timed_fault
 from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
 from repro.faults.schedules import WithholdFrom
@@ -25,9 +27,6 @@ from repro.faults.schedules import WithholdFrom
 __all__ = [
     "SilentBehavior",
     "CrashAt",
-    "CrashRecoverAt",
-    "FsyncLag",
-    "TornWrite",
     "flaky_behavior",
     "StaleEchoBehavior",
     "FabricatingBehavior",

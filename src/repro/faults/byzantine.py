@@ -101,7 +101,11 @@ class FabricatingBehavior(FaultBehavior):
 
 
 def _inflate_timestamps(message: Message, honest: Mapping[str, Any]) -> Mapping[str, Any]:
-    """Default fabrication: bump timestamps sky-high, garble values."""
+    """Default fabrication: bump timestamps sky-high, garble values.
+
+    Recurses into nested dicts, where multiplexed (``MULTI``), sharded and
+    reconfiguration replies carry their per-register payloads.
+    """
     from repro.types import TaggedValue, Timestamp
 
     forged: dict[str, Any] = {}
@@ -111,6 +115,8 @@ def _inflate_timestamps(message: Message, honest: Mapping[str, Any]) -> Mapping[
                 ts=Timestamp(value.ts.seq + 1_000_000, value.ts.writer),
                 value="<fabricated>",
             )
+        elif isinstance(value, dict):
+            forged[key] = _inflate_timestamps(message, value)
         else:
             forged[key] = value
     return forged

@@ -15,9 +15,10 @@ addressable by the schedule explorer as an ordinary decision
 Firing is a three-step handshake with the inner behaviour:
 
 * while dormant, the wrapper answers honestly and (once) calls
-  :meth:`~repro.sim.process.FaultBehavior.on_armed` so behaviours with
-  pre-fire configuration — fsync-lag's sync-lag knob, rolling stagger —
-  take effect from the start, exactly as they would facade-scheduled;
+  :meth:`~repro.sim.process.FaultBehavior.on_armed`, so the crash
+  machine's pre-fire setup (:class:`~repro.faults.recovery.CrashMachine`:
+  its durable-store check, fsync-lag's sync-lag knob, the rolling crash
+  point) takes effect from the start, exactly as facade-scheduled;
 * on the firing delivery it calls
   :meth:`~repro.sim.process.FaultBehavior.on_activate` *before* the
   delivery's state transition (stale-echo freezes the genuine state after
@@ -25,10 +26,14 @@ Firing is a three-step handshake with the inner behaviour:
 * from then on every ``before_handle``/``reply`` delegates to the inner
   behaviour permanently.
 
-Inner behaviours that count absolute ``messages_seen`` (crash,
-crash-recover, perm-crash, …) have their own timing knobs forced to zero
-by :func:`timed_fault` — the wrapper owns the *when*, the inner behaviour
-owns the *what*.
+Inner behaviours that count absolute ``messages_seen`` (``crash`` and
+the crash machine's faults) have their own timing knobs — the registry's
+:attr:`~repro.api.faults.FaultSpec.timing` tuple — forced to zero by
+:func:`timed_fault`, so they deviate on the firing delivery: the wrapper
+owns the *when*, the inner behaviour owns the *what*.  One knob does
+more than schedule: ``flap`` also spaces its later cycles with
+``survive_messages``, so ``timed(flap)`` crashes again on the first
+delivery after each rejoin.
 """
 
 from __future__ import annotations

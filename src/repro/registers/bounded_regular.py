@@ -25,7 +25,7 @@ from repro.api.registry import register_protocol
 from repro.quorums.threshold import ByzantineThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
 from repro.registers.fast_regular import FastRegularObjectHandler, PRE_WRITE, READ_ONE, READ_TWO, WRITE
-from repro.registers.timestamps import freshest_report, max_candidate, pooled_voucher_counts
+from repro.registers.timestamps import certified_max, freshest_report, max_candidate, pooled_voucher_counts
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, ReplySet, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
@@ -134,10 +134,6 @@ class BoundedRegularProtocol(RegisterProtocol):
                 if stable is not None:
                     return stable
             # Round budget exhausted: best effort, certified first.
-            counts = pooled_voucher_counts(pool, fields=("pw", "w"))
-            certified = [pair for pair, n in counts.items() if n >= certify]
-            if certified:
-                return max_candidate(certified)
-            return max_candidate(counts.keys())
+            return certified_max(pooled_voucher_counts(pool, fields=("pw", "w")), certify)
 
         return generator()

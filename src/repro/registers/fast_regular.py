@@ -39,7 +39,7 @@ from repro.api.registry import register_protocol
 from repro.errors import ConfigurationError
 from repro.quorums.threshold import ByzantineThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
-from repro.registers.timestamps import freshest_report, max_candidate, pooled_voucher_counts
+from repro.registers.timestamps import certified_max, freshest_report, pooled_voucher_counts
 from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, RoundSpec
@@ -157,13 +157,10 @@ class FastRegularProtocol(RegisterProtocol):
             if trust_model == "replay":
                 # Every report is genuine: freshest report wins.
                 return freshest_report(reply_sets)
-            counts = pooled_voucher_counts(reply_sets, fields=("pw", "w"))
-            certified = [pair for pair, n in counts.items() if n >= certify]
-            if certified:
-                return max_candidate(certified)
-            # Fallback, reachable only under fabrication combined with
-            # withheld correct replies *and* write concurrency: best effort.
-            return max_candidate(counts.keys())
+            # The uncertified fallback is reachable only under fabrication
+            # combined with withheld correct replies *and* write
+            # concurrency: best effort.
+            return certified_max(pooled_voucher_counts(reply_sets, fields=("pw", "w")), certify)
 
         def generator() -> ProtocolGenerator:
             first = yield RoundSpec(tag=READ_ONE, payload={}, rule=ReplyRule(min_count=quorum))

@@ -43,7 +43,7 @@ from repro.registers.fast_regular import (
     READ_TWO,
     WRITE,
 )
-from repro.registers.timestamps import max_candidate, pooled_voucher_counts
+from repro.registers.timestamps import certified_max, pooled_voucher_counts
 from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, ReplySet, RoundSpec
@@ -157,11 +157,7 @@ class LuckyAtomicProtocol(RegisterProtocol):
         population = ctx.S
 
         def select(pool: list[ReplySet]) -> TaggedValue:
-            counts = pooled_voucher_counts(pool, fields=("pw", "w"))
-            certified = [pair for pair, n in counts.items() if n >= certify]
-            if certified:
-                return max_candidate(certified)
-            return max_candidate(counts.keys())
+            return certified_max(pooled_voucher_counts(pool, fields=("pw", "w")), certify)
 
         def generator() -> ProtocolGenerator:
             first = yield RoundSpec(

@@ -16,14 +16,16 @@ supplies concrete members of those classes:
   construction whenever ``k ≤ ⌊log(⌈(3t+1)/2⌉)⌋``.
 
 Both protocols use the ABD-style selection — return the highest *reported*
-pair and write it back — which is atomic in crash-only runs (quorum
+pair in ``w`` / ``wb`` (:func:`~repro.registers.timestamps.freshest_report`)
+and write it back — which is atomic in crash-only runs (quorum
 intersection plus write-backs) and is what keeps the proofs' "by atomicity
 the read returns 1" chain alive as write steps are deleted.  A
 certified-first selection (``t + 1`` identical vouchers) would resist value
 fabrication but returns *stale* values in exactly the partial runs the
 constructions build, violating atomicity even earlier; the construction
-handles such victims through its early-violation path, and the test suite
-exercises both behaviours.
+handles such victims through its early-violation path
+(``tests/test_read_bound.py`` builds one from
+:func:`~repro.registers.timestamps.certified_max`).
 
 Writes repeat their store round ``k`` times.  Objects track, besides the
 stored pair, the highest write phase they have seen — the per-phase states
@@ -41,7 +43,7 @@ from repro.registers.base import ProtocolContext, RegisterProtocol
 from repro.registers.timestamps import freshest_report
 from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
-from repro.sim.rounds import ReplyRule, ReplySet, RoundSpec
+from repro.sim.rounds import ReplyRule, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
 from repro.types import ProcessId, TaggedValue, Timestamp
 
@@ -73,16 +75,6 @@ class StrawmanObjectHandler(ObjectHandler):
                 state["wb"] = incoming
             return {"w": state["w"], "wb": state["wb"], "phase": state["phase"]}
         return {"error": f"unknown tag {message.tag}"}
-
-
-def _select(pool: list[ReplySet], certify: int) -> TaggedValue:
-    """ABD-style selection: the highest pair reported in ``w``/``wb``.
-
-    The ``certify`` parameter is accepted for signature stability (tests
-    build certified-first variants to show the alternative failure mode)
-    but deliberately unused here — see the module docstring.
-    """
-    return freshest_report(pool, fields=("w", "wb"))
 
 
 class _StrawmanBase(RegisterProtocol):
@@ -140,17 +132,16 @@ class TwoRoundReadProtocol(_StrawmanBase):
 
     def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
-        certify = ctx.certify
 
         def generator() -> ProtocolGenerator:
             first = yield RoundSpec(tag=SM_QUERY, payload={}, rule=ReplyRule(min_count=quorum))
-            candidate = _select([first.replies], certify)
+            candidate = freshest_report([first.replies], fields=("w", "wb"))
             second = yield RoundSpec(
                 tag=SM_WRITE_BACK,
                 payload={"tv": candidate},
                 rule=ReplyRule(min_count=quorum),
             )
-            return _select([first.replies, second.replies], certify).value
+            return freshest_report([first.replies, second.replies], fields=("w", "wb")).value
 
         return generator()
 
@@ -180,17 +171,18 @@ class ThreeRoundReadProtocol(_StrawmanBase):
 
     def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
-        certify = ctx.certify
 
         def generator() -> ProtocolGenerator:
             first = yield RoundSpec(tag=SM_QUERY, payload={}, rule=ReplyRule(min_count=quorum))
             second = yield RoundSpec(tag=SM_QUERY, payload={}, rule=ReplyRule(min_count=quorum))
-            candidate = _select([first.replies, second.replies], certify)
+            candidate = freshest_report([first.replies, second.replies], fields=("w", "wb"))
             third = yield RoundSpec(
                 tag=SM_WRITE_BACK,
                 payload={"tv": candidate},
                 rule=ReplyRule(min_count=quorum),
             )
-            return _select([first.replies, second.replies, third.replies], certify).value
+            return freshest_report(
+                [first.replies, second.replies, third.replies], fields=("w", "wb")
+            ).value
 
         return generator()

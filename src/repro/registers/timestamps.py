@@ -109,6 +109,17 @@ def freshest_report(
     return best
 
 
+def certified_max(counts: dict[TaggedValue, int], certify: int) -> TaggedValue:
+    """The selection rule: the highest pair at least ``certify`` objects
+    vouch for, else the highest pair anyone reported.
+
+    ``counts`` is a voucher tally (:func:`voucher_counts`,
+    :func:`pooled_voucher_counts`); ``(0, ⊥)`` when it is empty.
+    """
+    certified = [pair for pair, n in counts.items() if n >= certify]
+    return max_candidate(certified if certified else counts.keys())
+
+
 def max_candidate(candidates: Iterable[TaggedValue]) -> TaggedValue:
     """Highest-timestamp candidate; ``(0, ⊥)`` when the pool is empty."""
     best = TaggedValue.initial()

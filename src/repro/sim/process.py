@@ -88,10 +88,12 @@ class FaultBehavior:
         """The behaviour is installed but dormant (timed-fault wrapping).
 
         :class:`~repro.faults.timing.TimedFault` calls this on the first
-        delivery *before* the trigger fires, so behaviours whose damage
-        depends on pre-fire configuration (a durable store's sync lag, a
-        staggered phase machine) can arm it from the start.  The default
-        does nothing — most behaviours need no setup until they fire.
+        delivery *before* the trigger fires, so a behaviour whose damage
+        depends on pre-fire configuration can arm it from the start: the
+        crash machine (:class:`~repro.faults.recovery.CrashMachine`) checks
+        for its durable store, sets the store's sync lag and derives its
+        per-object crash point here.  The default does nothing — every
+        other behaviour needs no setup until it fires.
         """
 
     def on_activate(self, server: "ObjectServer") -> None:

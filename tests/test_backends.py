@@ -295,23 +295,11 @@ class TestShardedBackend:
         assert result.worst_write == 2 and result.worst_read == 4
 
     def test_sharded_failure_names_the_key(self):
-        # One fabricating object defeats ABD on whichever shards it hits.
-        # The stock fabricator inflates flat payloads only, so give it a
-        # multiplex-aware one that forges every shard's inner reply.
-        from repro.faults.byzantine import _inflate_timestamps
-
-        def inflate_nested(message, honest):
-            calls = honest.get("calls")
-            if isinstance(calls, dict):
-                return {"calls": {
-                    name: _inflate_timestamps(message, reply)
-                    for name, reply in calls.items()
-                }}
-            return _inflate_timestamps(message, honest)
-
+        # One fabricating object defeats ABD on whichever shards it hits: the
+        # stock fabricator forges every shard's nested reply.
         result = (
             Cluster("abd", t=1, backend="sharded", keys=2)
-            .with_faults("fabricating", fabricate=inflate_nested)
+            .with_faults("fabricating")
             .with_workload(operations=16, spacing=20)
             .check("atomicity")
             .run(trials=4, seed=2, keep_history=False)

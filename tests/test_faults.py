@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import Cluster
+from repro.api.registry import available_protocols
 from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
 from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
 from repro.faults.schedules import WithholdFrom
@@ -108,6 +110,41 @@ class TestFabrication:
     def test_fabricator_may_choose_silence(self):
         server = make_server(FabricatingBehavior(lambda m, honest: None))
         assert server.receive(query_message()) is None
+
+    def test_default_fabricator_forges_nested_payloads(self):
+        inner = TaggedValue(Timestamp(3), "real")
+        forged = FabricatingBehavior().reply(
+            make_server(), query_message(), {"calls": {"k1": {"w": inner, "n": 1}}}
+        )
+        assert forged["calls"]["k1"]["w"].ts.seq == 1_000_003
+        assert forged["calls"]["k1"]["w"].value == "<fabricated>"
+        assert forged["calls"]["k1"]["n"] == 1
+
+    @pytest.mark.parametrize("name, backend", [
+        *((name, {}) for name in available_protocols()),
+        ("abd", {"backend": "sharded", "keys": 2}),
+        ("abd", {"backend": "reconfig"}),
+    ], ids=lambda arg: arg.get("backend", "default") if isinstance(arg, dict) else arg)
+    def test_fabrication_reaches_every_stack(self, name, backend, monkeypatch):
+        """``fabricating`` alters some reply on every registered protocol (on
+        its default backend) and on the sharded and reconfig backends —
+        multiplexed stacks nest their tagged values in dicts."""
+        honest_reply = FabricatingBehavior.reply
+        altered = []
+
+        def counting_reply(self, server, message, honest_payload):
+            forged = honest_reply(self, server, message, honest_payload)
+            altered.append(forged != honest_payload)
+            return forged
+
+        monkeypatch.setattr(FabricatingBehavior, "reply", counting_reply)
+        (
+            Cluster(name, t=1, n_readers=2, **backend)
+            .with_faults("fabricating")
+            .with_workload(operations=10)
+            .run(trials=1, seed=3)
+        )
+        assert altered and sum(altered) > 0, f"0 of {len(altered)} replies altered"
 
 
 class TestSchedules:

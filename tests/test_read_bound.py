@@ -90,7 +90,7 @@ class TestEarlyViolation:
             SM_WRITE_BACK,
             _StrawmanBase,
         )
-        from repro.registers.timestamps import max_candidate, pooled_voucher_counts
+        from repro.registers.timestamps import certified_max, pooled_voucher_counts
         from repro.sim.rounds import ReplyRule, RoundSpec
 
         class CertifiedFirst(TwoRoundReadProtocol):
@@ -101,11 +101,7 @@ class TestEarlyViolation:
                 certify = ctx.certify
 
                 def select(pool):
-                    counts = pooled_voucher_counts(pool, fields=("w", "wb"))
-                    certified = [p for p, n in counts.items() if n >= certify]
-                    if certified:
-                        return max_candidate(certified)
-                    return max_candidate(counts.keys())
+                    return certified_max(pooled_voucher_counts(pool, fields=("w", "wb")), certify)
 
                 def generator():
                     first = yield RoundSpec(tag=SM_QUERY, payload={},

@@ -616,7 +616,7 @@ EMPTY_TRACE = "e3b0c44298fc1c149afbf4c8"  # sha256 of no bytes
 HAND_BUILT_TRACE = "2fe27923da422263dbcbeb32"
 HELD_REPLY_AND_DROP_TRACE = "82d675c9a41b3b4d4fe70456"
 #: sha256 over the fingerprints of the 45 sweep cells, in ``_sweep_cells`` order.
-SWEEP_TRACES = "0a94697202570959eba3e5b7"
+SWEEP_TRACES = "ddac2d72b4bcf35309878ac4"
 #: The free, held, truncated and repaired schedules of the replay-path test.
 SCHEDULE_TRACES = [
     "964ed70d2ef193baf897d6e4", "9ccbc287216cbbaffdbb4906",

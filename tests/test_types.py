@@ -309,3 +309,18 @@ class TestFreshestReport:
                    object_id(2): {"pw": second, "w": twin}}
         assert freshest_report([replies]) is first
         assert freshest_report([{}]) is TaggedValue.initial()
+
+
+class TestCertifiedMax:
+    """The one copy of "max certified pair, else max reported pair"."""
+
+    @given(reply_sets=_reply_sets(), certify=st.integers(min_value=1, max_value=4))
+    def test_certified_first_else_the_reported_maximum(self, reply_sets, certify):
+        from repro.registers.timestamps import (
+            certified_max, max_candidate, pooled_voucher_counts,
+        )
+
+        counts = pooled_voucher_counts(reply_sets)
+        certified = [pair for pair, n in counts.items() if n >= certify]
+        expected = max_candidate(certified) if certified else max_candidate(counts.keys())
+        assert certified_max(counts, certify) is expected
