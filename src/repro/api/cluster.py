@@ -35,7 +35,7 @@ same specs, so for identical seeds the serial and parallel results are
 byte-identical under :meth:`RunResult.to_dict` — configurations that cannot
 cross a process boundary (explicit schedules closing over live objects,
 protocols not resolvable through the registry) fall back to serial with a
-:class:`RuntimeWarning`.
+:class:`RuntimeWarning`.  The pool loads on the first parallel call.
 
 :func:`sweep` fans a protocol × scenario grid into a :class:`SweepResult`
 (the shape the latency-matrix benchmark renders); with ``parallel=True`` the
@@ -45,12 +45,8 @@ whole grid's trials are flattened into one process pool.
 from __future__ import annotations
 
 import copy
-import pickle
-import statistics
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -167,11 +163,11 @@ class TrialResult:
 
     @property
     def mean_write(self) -> float:
-        return statistics.fmean(self.write_rounds) if self.write_rounds else 0.0
+        return sum(self.write_rounds) / len(self.write_rounds) if self.write_rounds else 0.0
 
     @property
     def mean_read(self) -> float:
-        return statistics.fmean(self.read_rounds) if self.read_rounds else 0.0
+        return sum(self.read_rounds) / len(self.read_rounds) if self.read_rounds else 0.0
 
     @property
     def ok(self) -> bool:
@@ -606,6 +602,8 @@ def _parallel_obstacle(specs: Sequence[TrialSpec], protocol_spec: ProtocolSpec) 
             f"protocol {specs[0].protocol!r} does not resolve to this spec "
             "through the registry"
         )
+    import pickle
+
     try:
         pickle.dumps(tuple(specs))
     except Exception as error:  # noqa: BLE001 — any pickling failure disqualifies
@@ -629,6 +627,9 @@ def _pool_map(
     a ``__main__`` that cannot be re-imported at all (interactive sessions
     — :class:`BrokenProcessPool`).
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     if fn is None:
         fn = run_trial
     try:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
@@ -60,16 +61,8 @@ class FaultSpec:
         maker takes ``**kwargs`` (its parameter set is open-ended and
         cannot be validated up front).
         """
-        params: dict[str, Any] = {}
-        for param in inspect.signature(self.maker).parameters.values():
-            if param.kind is inspect.Parameter.VAR_KEYWORD:
-                return None
-            if param.kind is inspect.Parameter.VAR_POSITIONAL:
-                continue
-            params[param.name] = (
-                None if param.default is inspect.Parameter.empty else param.default
-            )
-        return params
+        params = _maker_params(self.maker)
+        return None if params is None else dict(params)
 
     def validate_kwargs(self, kwargs: dict[str, Any]) -> None:
         """Reject keyword arguments :meth:`build` would choke on.
@@ -88,6 +81,19 @@ class FaultSpec:
                 f"fault {self.name!r} got unknown argument(s) "
                 f"{', '.join(repr(k) for k in unknown)}; accepted: {accepted}"
             )
+
+
+@cache
+def _maker_params(maker: Callable[..., Any]) -> dict[str, Any] | None:
+    """:meth:`FaultSpec.params`, read from ``maker``'s signature once."""
+    params: dict[str, Any] = {}
+    for param in inspect.signature(maker).parameters.values():
+        if param.kind is inspect.Parameter.VAR_KEYWORD:
+            return None
+        if param.kind is inspect.Parameter.VAR_POSITIONAL:
+            continue
+        params[param.name] = None if param.default is inspect.Parameter.empty else param.default
+    return params
 
 
 _FAULTS: dict[str, FaultSpec] = {}

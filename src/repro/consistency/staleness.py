@@ -18,7 +18,6 @@ guessed at.
 
 from __future__ import annotations
 
-import statistics
 from bisect import bisect_left
 from typing import Any, Mapping
 
@@ -54,7 +53,7 @@ def _stats(samples: list[int | None]) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "reads": len(samples),
         "max": known[-1] if known else 0,
-        "mean": round(statistics.fmean(known), 4) if known else 0.0,
+        "mean": round(sum(known) / len(known), 4) if known else 0.0,
         # Same nearest-rank p99 convention as the benchmark latency stats.
         "p99": known[max(0, -(-99 * len(known) // 100) - 1)] if known else 0,
     }

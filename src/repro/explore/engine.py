@@ -72,7 +72,6 @@ the PR-2 process pool, so ``parallel=True`` yields byte-identical
 
 from __future__ import annotations
 
-import pickle
 import warnings
 from collections import deque
 from dataclasses import InitVar, dataclass, field, replace
@@ -710,6 +709,8 @@ class Explorer:
     def run(self, parallel: bool = False, max_workers: int | None = None) -> ExploreResult:
         """Sweep the bounded schedule space; returns the structured result."""
         if parallel:
+            import pickle
+
             try:
                 pickle.dumps(self.probe)
             except Exception as error:  # noqa: BLE001 — any failure disqualifies

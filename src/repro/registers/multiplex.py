@@ -114,8 +114,9 @@ def _project(prefix: str, spec: RoundSpec, replies: ReplySet) -> ReplySet:
         if not _is_mapping(calls):
             continue  # malformed (Byzantine) reply: invisible to the substrate
         if nested is None:
-            if prefix in calls:
-                projected[pid] = calls[prefix]
+            leaf = calls.get(prefix)
+            if leaf.__class__ is dict or _is_mapping(leaf):  # a garbled leaf is dropped too
+                projected[pid] = leaf
         elif all(flat in calls for _, flat in nested):
             projected[pid] = {"calls": {name: calls[flat] for name, flat in nested}}
     return projected

@@ -16,7 +16,6 @@ then pays only for the fold.
 from __future__ import annotations
 
 import enum
-import hashlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -229,6 +228,8 @@ def trace_fingerprint(trace: MessageTrace) -> str:
     same observations in the same order: the digest is over
     ``repr((time, kind, *message_fields(message)))`` of every entry.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     for time, kind, message in trace.entries:
         digest.update(

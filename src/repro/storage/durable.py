@@ -19,7 +19,6 @@ exactly the files and the directory that came into being.
 from __future__ import annotations
 
 import os
-import tempfile
 from contextlib import suppress
 from pathlib import Path
 from typing import Any, Mapping
@@ -115,6 +114,8 @@ class StorageRuntime:
         self._encoded: dict[int, tuple[Any, bytes]] = {}
         self._root: Path | None = None
         if durability == "dir":
+            import tempfile
+
             # A name nobody else will pick (64 random bits), not a directory yet.
             self._root = Path(tempfile.gettempdir(), f"repro-storage-{os.urandom(8).hex()}")
 

@@ -136,6 +136,28 @@ class TestFaultRegistry:
         assert result.faults.assignments == {"s1": "Mute"}
         assert result.ok and result.incomplete == 0
 
+    def test_a_maker_is_introspected_once(self, monkeypatch):
+        """``timed`` validates its inner fault on every build — once per
+        simulated schedule — so the maker's signature is read only once."""
+        import inspect
+        from unittest import mock
+
+        from repro.api import faults
+        from repro.faults.adversary import CrashAt
+        from repro.faults.timing import timed_fault
+
+        fault_spec("silent")  # register the built-ins before copying them
+        monkeypatch.setattr(faults, "_FAULTS", dict(faults._FAULTS))
+        faults.register_fault(
+            "crash-once", lambda survive_messages=3: CrashAt(survive_messages=survive_messages),
+            model="benign", timing=("survive_messages",),
+        )
+        with mock.patch("inspect.signature", wraps=inspect.signature) as signature:
+            first, second = timed_fault("crash-once", at=2), timed_fault("crash-once", at=2)
+        assert first is not second
+        assert signature.call_count == 1
+        assert fault_spec("crash-once").params() == {"survive_messages": 3}
+
 
 class TestScenarioRegistry:
     def test_get_scenario_builds_for_threshold(self):

@@ -146,6 +146,28 @@ class TestFabrication:
         )
         assert altered and sum(altered) > 0, f"0 of {len(altered)} replies altered"
 
+    @pytest.mark.parametrize("name, backend", [
+        ("atomic-fast-regular", {}),
+        ("atomic-secret-token", {}),
+        ("mwmr-fast-regular", {}),
+        ("mwmr-secret-token", {}),
+        ("atomic-fast-regular", {"backend": "sharded", "keys": 2}),
+    ], ids=lambda arg: arg.get("backend", "default") if isinstance(arg, dict) else arg)
+    def test_garbled_register_replies_are_outvoted(self, name, backend):
+        """A Byzantine object that keeps the MULTI envelope but replaces each
+        register's reply with a string is dropped from every substrate's
+        view, like a malformed envelope: the trial gets a verdict, not a
+        traceback."""
+        trial = (
+            Cluster(name, **backend)
+            .with_faults("fabricating", count=1,
+                         fabricate=lambda m, honest: {"calls": {k: "junk" for k in honest["calls"]}})
+            .with_workload(operations=10, spacing=40)
+            .check("atomicity")
+            .run(trials=1, seed=3)
+        ).trials[0]
+        assert trial.incomplete == 0 and trial.ok
+
 
 class TestSchedules:
     def test_withhold_from_targets_replies(self):

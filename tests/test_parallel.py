@@ -170,6 +170,33 @@ class TestSerialFallback:
             result = cluster.run(trials=2, parallel=True)
         assert len(result.trials) == 2
 
+    def test_a_broken_pool_warns_and_reruns_serially(self, monkeypatch):
+        """A pool whose workers die (a ``__main__`` a ``spawn`` worker cannot
+        re-import) is a warning and a serial rerun, not a traceback."""
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BrokenPool:
+            _max_workers = 2
+
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, specs, chunksize=1):
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        cluster = Cluster("abd").with_workload(operations=6).check("atomicity")
+        with pytest.warns(RuntimeWarning, match="rerunning serially"):
+            pooled = cluster.run(trials=2, seed=4, parallel=True)
+        assert _payload(pooled) == _payload(cluster.run(trials=2, seed=4))
+
     def test_serial_run_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
