@@ -24,6 +24,18 @@ Implements the storage emulations the paper discusses:
   protocols (2-round and 3-round reads) used as concrete victims of the
   lower-bound constructions.
 
+The register template
+---------------------
+
+Every protocol is a :class:`~repro.registers.base.RegisterProtocol` and
+writes only ``validate_configuration``, ``object_handler``,
+``write_generator_tagged(ctx, tv)`` (the writer's rounds for a given
+``(ts, value)`` pair) and ``read_tagged_generator(ctx, reader)`` (a
+reader's rounds, returning the selected pair).  It inherits the writer's
+counter and ``write_generator`` (mint the next pair, write it) and
+``read_generator`` (the tagged read's value); ``mw-abd`` overrides its
+writes, and the regular→atomic transformation mints when a write starts.
+
 The registry
 ------------
 

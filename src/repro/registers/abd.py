@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.api.registry import register_protocol
-from repro.errors import ConfigurationError
 from repro.quorums.threshold import CrashThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
 from repro.sim.network import Message
@@ -65,9 +64,6 @@ class AbdProtocol(RegisterProtocol):
     write_rounds = 1
     read_rounds = 2
 
-    def __init__(self) -> None:
-        self._write_ts = Timestamp.zero()
-
     def validate_configuration(self, S: int, t: int) -> None:
         # Raises ConfigurationError unless S >= 2t + 1.
         CrashThresholds(S=S, t=t)
@@ -78,31 +74,31 @@ class AbdProtocol(RegisterProtocol):
     def _quorum(self, ctx: ProtocolContext) -> int:
         return CrashThresholds(S=ctx.S, t=ctx.t).quorum
 
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
+    def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
         quorum = self._quorum(ctx)
-        self._write_ts = self._write_ts.next_for()
-        tv = TaggedValue(ts=self._write_ts, value=value)
 
         def generator() -> ProtocolGenerator:
             yield RoundSpec(tag=STORE, payload={"tv": tv}, rule=ReplyRule(min_count=quorum))
-            return value
+            return tv.value
 
         return generator()
 
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
+    def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = self._quorum(ctx)
 
         def generator() -> ProtocolGenerator:
             outcome = yield RoundSpec(tag=QUERY, payload={}, rule=ReplyRule(min_count=quorum))
             best = TaggedValue.initial()
             for payload in outcome.replies.values():
-                candidate = payload["tv"]
-                if candidate.ts > best.ts:
+                candidate = payload.get("tv")
+                # A reply without a tagged value (a Byzantine object's
+                # garbage) is skipped, not trusted and not crashed on.
+                if isinstance(candidate, TaggedValue) and candidate.ts > best.ts:
                     best = candidate
             # Write-back: the step that upgrades regular to atomic — a later
             # read is guaranteed to meet a quorum that stores `best`.
             yield RoundSpec(tag=STORE, payload={"tv": best}, rule=ReplyRule(min_count=quorum))
-            return best.value
+            return best
 
         return generator()
 
@@ -116,26 +112,17 @@ class AbdProtocol(RegisterProtocol):
     scenarios=("fault-free", "crash", "silent"),
     description="multi-writer ABD: query-then-store two-round writes",
 )
-class MultiWriterAbdProtocol(RegisterProtocol):
+class MultiWriterAbdProtocol(AbdProtocol):
     """MWMR ABD: both writes and reads take two rounds.
 
     Writers first query a majority for the highest timestamp, then store
     with a strictly larger one (ties broken by writer index) — the classical
-    scheme the paper's related work contrasts with fast SWMR reads.
+    scheme the paper's related work contrasts with fast SWMR reads.  Reads
+    are ABD's.
     """
 
     name = "mw-abd"
     write_rounds = 2
-    read_rounds = 2
-
-    def validate_configuration(self, S: int, t: int) -> None:
-        CrashThresholds(S=S, t=t)
-
-    def object_handler(self) -> ObjectHandler:
-        return AbdObjectHandler()
-
-    def _quorum(self, ctx: ProtocolContext) -> int:
-        return CrashThresholds(S=ctx.S, t=ctx.t).quorum
 
     def write_generator_for(
         self, ctx: ProtocolContext, writer_index: int, value: Any
@@ -147,8 +134,9 @@ class MultiWriterAbdProtocol(RegisterProtocol):
             outcome = yield RoundSpec(tag=QUERY, payload={}, rule=ReplyRule(min_count=quorum))
             highest = Timestamp.zero()
             for payload in outcome.replies.values():
-                if payload["tv"].ts > highest:
-                    highest = payload["tv"].ts
+                candidate = payload.get("tv")
+                if isinstance(candidate, TaggedValue) and candidate.ts > highest:
+                    highest = candidate.ts
             ts = Timestamp(highest.seq + 1, writer_index)
             yield RoundSpec(
                 tag=STORE,
@@ -161,17 +149,3 @@ class MultiWriterAbdProtocol(RegisterProtocol):
 
     def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
         return self.write_generator_for(ctx, writer_index=0, value=value)
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        quorum = self._quorum(ctx)
-
-        def generator() -> ProtocolGenerator:
-            outcome = yield RoundSpec(tag=QUERY, payload={}, rule=ReplyRule(min_count=quorum))
-            best = TaggedValue.initial()
-            for payload in outcome.replies.values():
-                if payload["tv"].ts > best.ts:
-                    best = payload["tv"]
-            yield RoundSpec(tag=STORE, payload={"tv": best}, rule=ReplyRule(min_count=quorum))
-            return best.value
-
-        return generator()

@@ -1,12 +1,11 @@
 """Protocol and system plumbing shared by every register implementation.
 
-A :class:`RegisterProtocol` bundles the three protocol-specific pieces:
-
-* the object-side handler (state layout + reply logic),
-* the writer's operation generator,
-* the readers' operation generator,
-
-all expressed over the round abstraction of :mod:`repro.sim.rounds`.  The
+A :class:`RegisterProtocol` is the one register template: a protocol states
+its object-side handler (state layout + reply logic) and its rounds — the
+writer's for a given ``(ts, value)`` pair, a reader's returning the pair it
+selects — over the round abstraction of :mod:`repro.sim.rounds`, and
+inherits the writer's timestamp counter and the untagged ``write`` /
+``read`` generators.  The
 :class:`RegisterSystem` convenience harness instantiates a protocol on a
 simulator — objects, fault behaviours, history recording, tracing — so tests,
 examples and benchmarks can say ``system.write(1); system.read(1);
@@ -34,7 +33,9 @@ from repro.sim.simulator import ClientOperation, ProtocolGenerator
 from repro.sim.tracing import MessageTrace
 from repro.spec.history import History, HistoryRecorder
 from repro.storage import StorageRuntime
-from repro.types import BOTTOM, ProcessId, object_ids, reader_id, reader_ids, writer_id
+from repro.types import (
+    BOTTOM, ProcessId, TaggedValue, Timestamp, object_ids, reader_id, reader_ids, writer_id,
+)
 
 if TYPE_CHECKING:
     from repro.workloads.generator import OperationPlan
@@ -264,13 +265,25 @@ class ProtocolContext:
 
 
 class RegisterProtocol:
-    """Abstract SWMR register protocol.
+    """Abstract SWMR register protocol: the one register template.
 
-    Subclasses declare their resilience requirement via
-    :meth:`validate_configuration` and their advertised worst-case round
-    counts via :attr:`write_rounds` / :attr:`read_rounds` (used by the
-    latency benchmarks and by the lower-bound engine to select applicable
-    victims).
+    Every protocol here has one writer that tags each value with the next
+    timestamp, then runs rounds of quorum queries over ``(ts, value)``
+    pairs.  A protocol states only its rounds:
+
+    * :meth:`validate_configuration` — its resilience requirement;
+    * :meth:`object_handler` — the object-side state and replies;
+    * :meth:`write_generator_tagged` — the writer's rounds for a given pair;
+    * :meth:`read_tagged_generator` — a reader's rounds, returning the pair
+      the read selects.
+
+    It inherits :meth:`write_generator`, which mints the writer's next pair
+    (:meth:`_next_pair`) when called and writes it, and
+    :meth:`read_generator`, which returns the tagged read's value — the
+    tagged methods are what the Section 5 transformations compose.
+    :attr:`write_rounds` / :attr:`read_rounds` are the advertised worst-case
+    round counts (used by the latency benchmarks and by the lower-bound
+    engine to select applicable victims).
     """
 
     #: Human-readable protocol name for tables and traces.
@@ -280,6 +293,12 @@ class RegisterProtocol:
     #: Advertised worst-case communication rounds for a read, or None when
     #: unbounded / configuration-dependent.
     read_rounds: int | None = None
+    #: The writer's last timestamp.  ``Timestamp`` is immutable, so the
+    #: first write rebinds it on the instance: each instance counts its own.
+    _write_ts: Timestamp = Timestamp.zero()
+
+    def __init__(self) -> None:
+        pass  # declared so that a stray keyword is named in the TypeError
 
     def validate_configuration(self, S: int, t: int) -> None:
         """Raise :class:`~repro.errors.ConfigurationError` if ``(S, t)`` is unsupported."""
@@ -289,13 +308,33 @@ class RegisterProtocol:
         """Fresh object-side handler (one per storage object)."""
         raise NotImplementedError
 
+    def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
+        """Generator writing the explicit pair ``tv``; returns ``tv.value``."""
+        raise NotImplementedError
+
+    def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
+        """Generator implementing ``read()`` for ``reader``; returns the
+        selected ``(ts, value)`` pair."""
+        raise NotImplementedError
+
+    def _next_pair(self, value: Any) -> TaggedValue:
+        """The writer's next pair: ``value`` under the next timestamp."""
+        self._write_ts = ts = self._write_ts.next_for()
+        return TaggedValue(ts=ts, value=value)
+
     def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
         """Generator implementing ``write(value)`` for the single writer."""
-        raise NotImplementedError
+        return self.write_generator_tagged(ctx, self._next_pair(value))
 
     def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         """Generator implementing ``read()`` for ``reader``."""
-        raise NotImplementedError
+        tagged = self.read_tagged_generator(ctx, reader)
+
+        def generator() -> ProtocolGenerator:
+            result = yield from tagged
+            return result.value
+
+        return generator()
 
 
 class RegisterSystem(SystemBackend):

@@ -19,12 +19,12 @@ resistance without either the GV06 machinery or secret tokens.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any
 
 from repro.api.registry import register_protocol
 from repro.quorums.threshold import ByzantineThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
-from repro.registers.fast_regular import FastRegularObjectHandler, PRE_WRITE, READ_ONE, READ_TWO, WRITE
+from repro.registers.fast_regular import FastRegularObjectHandler, FastRegularProtocol, READ_ONE, READ_TWO
 from repro.registers.timestamps import certified_max, freshest_report, max_candidate, pooled_voucher_counts
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, ReplySet, RoundSpec
@@ -49,9 +49,6 @@ class BoundedRegularProtocol(RegisterProtocol):
     write_rounds = 2
     read_rounds = None  # t-dependent: t + 2
 
-    def __init__(self) -> None:
-        self._write_ts = Timestamp.zero()
-
     def validate_configuration(self, S: int, t: int) -> None:
         ByzantineThresholds(S=S, t=t)
 
@@ -62,34 +59,8 @@ class BoundedRegularProtocol(RegisterProtocol):
         """Worst-case read rounds for threshold ``t``."""
         return t + 2
 
-    # ------------------------------------------------------------------ #
-    # Write (identical two-phase scheme as the fast protocol)
-    # ------------------------------------------------------------------ #
-
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
-        self._write_ts = self._write_ts.next_for()
-        tv = TaggedValue(ts=self._write_ts, value=value)
-        quorum = ctx.wait_quorum
-
-        def generator() -> ProtocolGenerator:
-            yield RoundSpec(tag=PRE_WRITE, payload={"tv": tv}, rule=ReplyRule(min_count=quorum))
-            yield RoundSpec(tag=WRITE, payload={"tv": tv}, rule=ReplyRule(min_count=quorum))
-            return value
-
-        return generator()
-
-    # ------------------------------------------------------------------ #
-    # Read
-    # ------------------------------------------------------------------ #
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        tagged = self.read_tagged_generator(ctx, reader)
-
-        def generator() -> ProtocolGenerator:
-            result = yield from tagged
-            return result.value
-
-        return generator()
+    #: Writes: the fast protocol's two-phase pre-write/write scheme.
+    write_generator_tagged = FastRegularProtocol.write_generator_tagged
 
     def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum

@@ -1,8 +1,8 @@
 """GV06-style robust regular register: 2-round writes, 2-round reads.
 
-This is the regular substrate the paper's Section 5 plugs into the
-regular→atomic transformation to obtain the time-optimal 2-round-write /
-4-round-read robust atomic storage.  Structure (see DESIGN.md §2.2 for the
+It stands in for the regular substrate the paper's Section 5 plugs into
+the regular→atomic transformation to obtain the time-optimal 2-round-write
+/ 4-round-read robust atomic storage.  Structure (see DESIGN.md §2.2 for the
 reconstruction notes):
 
 * **Writes** take two phases, *pre-write* then *write*, each awaiting
@@ -15,20 +15,23 @@ reconstruction notes):
   "readers must write" phenomenon of [Fan–Lynch 03]).  Selection pools the
   replies of both rounds.
 
-Two trust modes cover the two adversary regimes this library exercises
-(single-mode coverage of both at exactly two rounds is the standalone
-contribution of [GV06] which we do not re-derive — see DESIGN.md):
+Two trust modes, neither of which is the paper's regular substrate (the
+single-mode protocol of [GV06] is not re-derived here — see DESIGN.md):
 
-* ``trust_model="replay"`` — Byzantine objects may replay any *genuine*
-  protocol state (the exact adversary of the paper's lower-bound proofs) but
-  cannot fabricate never-written values.  Selection returns the
-  maximum-timestamp *reported* pair; freshness holds because any ``S − t``
-  reply set contains at least one correct holder of the last complete write.
-* ``trust_model="unauthenticated"`` — objects may fabricate arbitrary
-  states.  Selection returns the maximum-timestamp *certified* pair (``t+1``
-  identical reports), with round two accepting at network quiescence so that
-  under schedules delivering all correct replies the last complete write is
-  always certified.
+* ``trust_model="replay"`` — assumes Byzantine objects only replay
+  *genuine* states of the same run and never fabricate a never-written
+  value.  Selection returns the maximum-timestamp *reported* pair;
+  freshness holds because any ``S − t`` reply set contains at least one
+  correct holder of the last complete write.  This is *not* the adversary
+  of the paper's lower-bound proofs, which presents genuine states of
+  *another* run, and a fabricated report is returned as is.
+* ``trust_model="unauthenticated"`` — selection returns the
+  maximum-timestamp *certified* pair (``t+1`` identical reports), with
+  round two accepting at network quiescence, but falls back to the highest
+  reported pair when nothing is certified.  It does **not** withstand
+  fabrication: exploring two writes and four reads at ``t = 1``, the
+  ``fabricating`` fault refutes its regularity with 3 held links and
+  ``stale-echo`` with 2.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
-from repro.types import ProcessId, TaggedValue, Timestamp
+from repro.types import ProcessId, TaggedValue
 
 PRE_WRITE = "FR_PRE_WRITE"
 WRITE = "FR_WRITE"
@@ -106,7 +109,6 @@ class FastRegularProtocol(RegisterProtocol):
                 f"trust_model must be one of {_TRUST_MODELS}, got {trust_model!r}"
             )
         self.trust_model = trust_model
-        self._write_ts = Timestamp.zero()
         self.name = f"fast-regular[{trust_model}]"
 
     def validate_configuration(self, S: int, t: int) -> None:
@@ -119,12 +121,8 @@ class FastRegularProtocol(RegisterProtocol):
     # Write
     # ------------------------------------------------------------------ #
 
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
-        self._write_ts = self._write_ts.next_for()
-        return self.write_generator_tagged(ctx, TaggedValue(ts=self._write_ts, value=value))
-
     def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
-        """Write an explicit ``(ts, value)`` pair (used by the transforms)."""
+        """Pre-write, then write, the pair ``tv``."""
         quorum = ctx.wait_quorum
 
         def generator() -> ProtocolGenerator:
@@ -138,17 +136,7 @@ class FastRegularProtocol(RegisterProtocol):
     # Read
     # ------------------------------------------------------------------ #
 
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        tagged = self.read_tagged_generator(ctx, reader)
-
-        def generator() -> ProtocolGenerator:
-            result = yield from tagged
-            return result.value
-
-        return generator()
-
     def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        """Read returning the full ``(ts, value)`` pair (used by transforms)."""
         quorum = ctx.wait_quorum
         certify = ctx.certify
         trust_model = self.trust_model

@@ -36,19 +36,13 @@ from typing import Any, Mapping
 from repro.api.registry import register_protocol
 from repro.quorums.threshold import ByzantineThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
-from repro.registers.fast_regular import (
-    FastRegularObjectHandler,
-    PRE_WRITE,
-    READ_ONE,
-    READ_TWO,
-    WRITE,
-)
+from repro.registers.fast_regular import FastRegularObjectHandler, READ_ONE, READ_TWO, WRITE
 from repro.registers.timestamps import certified_max, pooled_voucher_counts
 from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, ReplySet, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
-from repro.types import ProcessId, TaggedValue, Timestamp
+from repro.types import ProcessId, TaggedValue
 
 LUCKY_STORE = "LUCKY_STORE"
 
@@ -99,9 +93,6 @@ class LuckyAtomicProtocol(RegisterProtocol):
     write_rounds = 2   # worst case; best case 1
     read_rounds = 3    # worst case; best case 1
 
-    def __init__(self) -> None:
-        self._write_ts = Timestamp.zero()
-
     def validate_configuration(self, S: int, t: int) -> None:
         ByzantineThresholds(S=S, t=t)
 
@@ -112,9 +103,7 @@ class LuckyAtomicProtocol(RegisterProtocol):
     # Write
     # ------------------------------------------------------------------ #
 
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
-        self._write_ts = self._write_ts.next_for()
-        tv = TaggedValue(ts=self._write_ts, value=value)
+    def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
         population = ctx.S
 
@@ -129,27 +118,18 @@ class LuckyAtomicProtocol(RegisterProtocol):
                 ),
             )
             if len(fast.replies) >= population:
-                return value  # 1-round lucky write: everyone holds pw and w
+                return tv.value  # 1-round lucky write: everyone holds pw and w
             # Unlucky: finish the standard two-phase protocol.  The fast
             # round already planted pw+w at >= S−t objects, so one ordinary
             # WRITE round re-establishes the two-phase guarantees.
             yield RoundSpec(tag=WRITE, payload={"tv": tv}, rule=ReplyRule(min_count=quorum))
-            return value
+            return tv.value
 
         return generator()
 
     # ------------------------------------------------------------------ #
     # Read
     # ------------------------------------------------------------------ #
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        tagged = self.read_tagged_generator(ctx, reader)
-
-        def generator() -> ProtocolGenerator:
-            result = yield from tagged
-            return result.value
-
-        return generator()
 
     def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum

@@ -37,7 +37,6 @@ from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, ReplySet, RoundOutcome, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
-from repro.types import ProcessId
 
 MULTI = "MULTI"
 
@@ -104,15 +103,19 @@ def _flatten_spec(prefix: str, spec: RoundSpec) -> dict[str, dict[str, Any]]:
 
 
 def _project(prefix: str, spec: RoundSpec, replies: ReplySet) -> ReplySet:
-    """Rebuild the reply set one substrate would have seen on its own."""
+    """Rebuild the reply set one substrate would have seen on its own.
+
+    Every reply payload is a mapping (the engines leave anything else out
+    of a round's reply set); its call bundle and leaves are checked here.
+    """
     projected: ReplySet = {}
     nested = None
     if spec.tag == MULTI:
         nested = [(name, f"{prefix}/{name}") for name in spec.payload["calls"]]
     for pid, payload in replies.items():
-        calls = payload.get("calls") if _is_mapping(payload) else None
+        calls = payload.get("calls")
         if not _is_mapping(calls):
-            continue  # malformed (Byzantine) reply: invisible to the substrate
+            continue  # no call bundle (Byzantine): invisible to the substrate
         if nested is None:
             leaf = calls.get(prefix)
             if leaf.__class__ is dict or _is_mapping(leaf):  # a garbled leaf is dropped too

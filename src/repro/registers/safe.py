@@ -25,7 +25,7 @@ from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
-from repro.types import ProcessId, TaggedValue, Timestamp
+from repro.types import ProcessId, TaggedValue
 
 SAFE_STORE = "SAFE_STORE"
 SAFE_QUERY = "SAFE_QUERY"
@@ -64,9 +64,6 @@ class ByzantineSafeProtocol(RegisterProtocol):
     write_rounds = 1
     read_rounds = 1
 
-    def __init__(self) -> None:
-        self._write_ts = Timestamp.zero()
-
     def validate_configuration(self, S: int, t: int) -> None:
         if t < 0:
             raise ConfigurationError("t must be non-negative")
@@ -78,18 +75,16 @@ class ByzantineSafeProtocol(RegisterProtocol):
     def object_handler(self) -> ObjectHandler:
         return SafeObjectHandler()
 
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
-        self._write_ts = self._write_ts.next_for()
-        tv = TaggedValue(ts=self._write_ts, value=value)
+    def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
 
         def generator() -> ProtocolGenerator:
             yield RoundSpec(tag=SAFE_STORE, payload={"tv": tv}, rule=ReplyRule(min_count=quorum))
-            return value
+            return tv.value
 
         return generator()
 
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
+    def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
         certify = ctx.certify
 
@@ -97,7 +92,6 @@ class ByzantineSafeProtocol(RegisterProtocol):
             outcome = yield RoundSpec(tag=SAFE_QUERY, payload={}, rule=ReplyRule(min_count=quorum))
             counts = voucher_counts(outcome.replies, fields=("w",))
             certified = [pair for pair, n in counts.items() if n >= certify]
-            best = max_candidate(certified)
-            return best.value
+            return max_candidate(certified)
 
         return generator()

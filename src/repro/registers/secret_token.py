@@ -25,7 +25,6 @@ import itertools
 from typing import Any, Mapping
 
 from repro.api.registry import register_protocol
-from repro.errors import ConfigurationError
 from repro.quorums.threshold import ByzantineThresholds
 from repro.registers.base import ProtocolContext, RegisterProtocol
 from repro.sim.network import Message
@@ -111,7 +110,6 @@ class SecretTokenProtocol(RegisterProtocol):
 
     def __init__(self, authority: TokenAuthority | None = None) -> None:
         self.authority = authority or TokenAuthority()
-        self._write_ts = Timestamp.zero()
 
     def validate_configuration(self, S: int, t: int) -> None:
         ByzantineThresholds(S=S, t=t)
@@ -123,12 +121,7 @@ class SecretTokenProtocol(RegisterProtocol):
     # Write
     # ------------------------------------------------------------------ #
 
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
-        self._write_ts = self._write_ts.next_for()
-        return self.write_generator_tagged(ctx, TaggedValue(ts=self._write_ts, value=value))
-
     def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
-        """Write an explicit pair (used by the atomic transformation)."""
         quorum = ctx.wait_quorum
         token = self.authority.issue(tv)
 
@@ -150,15 +143,6 @@ class SecretTokenProtocol(RegisterProtocol):
     # ------------------------------------------------------------------ #
     # Read
     # ------------------------------------------------------------------ #
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        tagged = self.read_tagged_generator(ctx, reader)
-
-        def generator() -> ProtocolGenerator:
-            result = yield from tagged
-            return result.value
-
-        return generator()
 
     def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum

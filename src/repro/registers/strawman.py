@@ -45,7 +45,7 @@ from repro.sim.network import Message
 from repro.sim.process import ObjectHandler
 from repro.sim.rounds import ReplyRule, RoundSpec
 from repro.sim.simulator import ProtocolGenerator
-from repro.types import ProcessId, TaggedValue, Timestamp
+from repro.types import ProcessId, TaggedValue
 
 SM_STORE = "SM_STORE"
 SM_QUERY = "SM_QUERY"
@@ -84,14 +84,17 @@ class _StrawmanBase(RegisterProtocol):
         if write_rounds < 1:
             raise ConfigurationError("writes need at least one round")
         self.write_rounds = write_rounds
-        self._write_ts = Timestamp.zero()
+
+    def validate_configuration(self, S: int, t: int) -> None:
+        if t < 1:
+            raise ConfigurationError("the Byzantine strawman needs t >= 1")
+        if S < 3 * t + 1:
+            raise ConfigurationError(f"needs S >= 3t + 1 (got S={S}, t={t})")
 
     def object_handler(self) -> ObjectHandler:
         return StrawmanObjectHandler()
 
-    def write_generator(self, ctx: ProtocolContext, value: Any) -> ProtocolGenerator:
-        self._write_ts = self._write_ts.next_for()
-        tv = TaggedValue(ts=self._write_ts, value=value)
+    def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
         rounds = self.write_rounds
 
@@ -102,7 +105,7 @@ class _StrawmanBase(RegisterProtocol):
                     payload={"tv": tv, "phase": phase},
                     rule=ReplyRule(min_count=quorum),
                 )
-            return value
+            return tv.value
 
         return generator()
 
@@ -124,13 +127,7 @@ class TwoRoundReadProtocol(_StrawmanBase):
     name = "strawman-2r-read"
     read_rounds = 2
 
-    def validate_configuration(self, S: int, t: int) -> None:
-        if t < 1:
-            raise ConfigurationError("the Byzantine strawman needs t >= 1")
-        if S < 3 * t + 1:
-            raise ConfigurationError(f"needs S >= 3t + 1 (got S={S}, t={t})")
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
+    def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
 
         def generator() -> ProtocolGenerator:
@@ -141,7 +138,7 @@ class TwoRoundReadProtocol(_StrawmanBase):
                 payload={"tv": candidate},
                 rule=ReplyRule(min_count=quorum),
             )
-            return freshest_report([first.replies, second.replies], fields=("w", "wb")).value
+            return freshest_report([first.replies, second.replies], fields=("w", "wb"))
 
         return generator()
 
@@ -163,13 +160,7 @@ class ThreeRoundReadProtocol(_StrawmanBase):
     name = "strawman-3r-read"
     read_rounds = 3
 
-    def validate_configuration(self, S: int, t: int) -> None:
-        if t < 1:
-            raise ConfigurationError("the Byzantine strawman needs t >= 1")
-        if S < 3 * t + 1:
-            raise ConfigurationError(f"needs S >= 3t + 1 (got S={S}, t={t})")
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
+    def read_tagged_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
         quorum = ctx.wait_quorum
 
         def generator() -> ProtocolGenerator:
@@ -183,6 +174,6 @@ class ThreeRoundReadProtocol(_StrawmanBase):
             )
             return freshest_report(
                 [first.replies, second.replies, third.replies], fields=("w", "wb")
-            ).value
+            )
 
         return generator()

@@ -50,9 +50,11 @@ class RegularToAtomicProtocol(RegisterProtocol):
 
     Args:
         substrate_factory: zero-argument callable producing a fresh substrate
-            protocol instance.  The substrate must provide
-            ``write_generator_tagged`` and ``read_tagged_generator`` (both
-            Byzantine regular protocols in this library do).
+            protocol instance.  The substrate writes and reads through the
+            register template's tagged pair — ``write_generator_tagged`` and
+            ``read_tagged_generator`` — and mints the writer's pairs with
+            its ``_next_pair``.  The transformation states the same two
+            methods and inherits the untagged ones.
         n_readers: number of readers ``R`` (fixes the register family).
     """
 
@@ -91,29 +93,20 @@ class RegularToAtomicProtocol(RegisterProtocol):
         substrate = self._registers[WRITER_REGISTER]
 
         def generator() -> ProtocolGenerator:
-            inner = substrate.write_generator(ctx, value)
-            yield from multiplex({WRITER_REGISTER: inner})
-            return value
+            # Minted when the write starts, not when it is scheduled: a
+            # write dropped as a busy invocation consumes no timestamp.
+            return (yield from self.write_generator_tagged(ctx, substrate._next_pair(value)))
 
         return generator()
 
-    def write_tagged_generator(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
-        """Write an explicit pair into the writer's register (MWMR plumbing)."""
+    def write_generator_tagged(self, ctx: ProtocolContext, tv: TaggedValue) -> ProtocolGenerator:
+        """Write an explicit pair into the writer's register."""
         substrate = self._registers[WRITER_REGISTER]
 
         def generator() -> ProtocolGenerator:
             inner = substrate.write_generator_tagged(ctx, tv)
             yield from multiplex({WRITER_REGISTER: inner})
             return tv.value
-
-        return generator()
-
-    def read_generator(self, ctx: ProtocolContext, reader: ProcessId) -> ProtocolGenerator:
-        tagged = self.read_tagged_generator(ctx, reader)
-
-        def generator() -> ProtocolGenerator:
-            result = yield from tagged
-            return result.value
 
         return generator()
 

@@ -108,9 +108,6 @@ class MultiWriterRegisterSystem(_WriterFamily):
             j: RegularToAtomicProtocol(substrate_factory, n_readers=total_personas)
             for j in range(1, n_writers + 1)
         }
-        sample = self._registers[1]
-        self.read_rounds = sample.read_rounds
-        self.write_rounds = sample.read_rounds + sample.write_rounds
 
     @property
     def label(self) -> str:
@@ -158,7 +155,7 @@ class MultiWriterRegisterSystem(_WriterFamily):
         def generator() -> ProtocolGenerator:
             best: TaggedValue = yield from scan
             ts = Timestamp(best.ts.seq + 1, writer_index)
-            store = register.write_tagged_generator(ctx, TaggedValue(ts=ts, value=value))
+            store = register.write_generator_tagged(ctx, TaggedValue(ts=ts, value=value))
             yield from multiplex({f"w{writer_index}": store})
             return value
 
@@ -217,8 +214,6 @@ class NativeMultiWriterSystem(_WriterFamily):
         self.n_writers = n_writers
         self.n_readers = n_readers
         self.readers = reader_ids(n_readers)
-        self.write_rounds = protocol.write_rounds
-        self.read_rounds = protocol.read_rounds
 
     def write(self, writer_index: int, value: Any, at: int = 0) -> ClientOperation:
         """Schedule a write of ``value`` by writer ``writer_index``."""

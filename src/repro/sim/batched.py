@@ -86,6 +86,7 @@ declared one) run entirely on the per-message path.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from typing import Any, Sequence
 
 from repro.errors import SimulationError
@@ -269,7 +270,12 @@ class BatchedSimulator(Simulator):
                                 src = message.src
                                 if src in replies:
                                     continue
-                                replies[src] = message.payload
+                                payload = message.payload
+                                if payload.__class__ is not dict and not isinstance(
+                                    payload, Mapping
+                                ):
+                                    continue  # malformed, as in _on_client_message
+                                replies[src] = payload
                                 if len(replies) >= min_count and (
                                     predicate is None or predicate(replies)
                                 ):

@@ -26,6 +26,7 @@ paper's sense, with held messages in transit.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Generator, Iterable, Sequence
 
@@ -244,7 +245,10 @@ class Simulator:
             return  # late reply to an already-terminated round: ignored
         if message.src in record.replies:
             return  # duplicate (cannot happen over reliable FIFO, but be safe)
-        record.replies[message.src] = message.payload
+        payload = message.payload
+        if payload.__class__ is not dict and not isinstance(payload, Mapping):
+            return  # malformed (Byzantine) reply: delivered, never a reply
+        record.replies[message.src] = payload
         current = operation.current_round
         if current is record and record.spec.rule.satisfied(record.replies):
             self._finish_round(operation, record, quiesced=False)

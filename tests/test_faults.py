@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Cluster
-from repro.api.registry import available_protocols
+from repro.api.registry import available_protocols, get_spec
 from repro.faults.adversary import CrashAt, SilentBehavior, flaky_behavior
 from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
 from repro.faults.schedules import WithholdFrom
@@ -167,6 +167,28 @@ class TestFabrication:
             .run(trials=1, seed=3)
         ).trials[0]
         assert trial.incomplete == 0 and trial.ok
+
+    @pytest.mark.parametrize("fabricate", [
+        lambda m, honest: "junk",
+        lambda m, honest: {},
+        lambda m, honest: {k: "junk" for k in honest},
+    ], ids=("not-a-mapping", "empty", "junk-fields"))
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_a_malformed_reply_gets_a_verdict(self, name, fabricate, reference_engine):
+        """A reply that is not a mapping is left out of the round's reply
+        set by both engines, and one whose ``tv`` is not a tagged value is
+        skipped by the ABD reads: every protocol finishes with verdicts."""
+        cluster = (
+            Cluster(name, t=1, n_readers=2)
+            .with_faults("fabricating", count=1, fabricate=fabricate)
+            .with_workload(operations=10, spacing=40)
+            .check(get_spec(name).default_check())
+        )
+        production = cluster.run(trials=1, seed=3)
+        with reference_engine():
+            reference = cluster.run(trials=1, seed=3)
+        assert production.trials[0].checks
+        assert production.to_dict() == reference.to_dict()
 
 
 class TestSchedules:

@@ -186,12 +186,14 @@ class TestMultiplexCombinator:
         assert set(spec.payload["calls"]) == {"outer/X"}
 
     def test_malformed_byzantine_reply_invisible(self):
+        # A reply that is not a mapping at all never reaches a reply set:
+        # the engines leave it out (tests/test_faults.py, malformed replies).
         combinator = multiplex({"A": self._single_round_gen("A", "ra")})
         spec = next(combinator)
         replies = {
             object_id(1): {"calls": {"A": {}}},
             object_id(2): {"garbage": True},     # fabricated junk
-            object_id(3): "not-even-a-mapping",  # worse junk
+            object_id(3): {"calls": "junk"},     # a garbled call bundle
         }
         assert spec.rule.satisfied(replies)
         try:
